@@ -25,7 +25,7 @@ from .expr import Context, Expr, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, pi_interval
-from .ladders import ascend, descend, reduce_ladder
+from .ladders import _verify_removal_identity, ascend, descend, reduce_ladder
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import RenderSpec, render_svg
 
@@ -437,14 +437,10 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
                 failures.append("ladder: stored removal has a zero relation")
                 continue
             removed = parse_expr(stored[rm["index"]], ctx)
-            # re-check b^{a_k} = b^q * prod (b^{a_j})^{q_j} by enclosure overlap
-            lhs = ctx.exp(ctx.base, removed)
-            rhs = ctx.exp(ctx.base, ctx.rat(Fraction(rm["constant"])))
-            for j, q in rm["combo"]:
-                rhs = ctx.mul(rhs, ctx.exp(ctx.base, ctx.mul(ctx.rat(Fraction(q)), kept[j])))
-            width = Fraction(1, 1 << 40)
+            combo = [(j, Fraction(q)) for j, q in rm["combo"]]
             try:
-                if not lhs.enclosure(width).intersects(rhs.enclosure(width)):
+                if not _verify_removal_identity(ctx, ctx.base, removed,
+                                                Fraction(rm["constant"]), combo, kept):
                     failures.append(f"ladder: removal identity fails at index {rm['index']}")
             except err.QxError as exc:
                 failures.append(f"ladder: removal identity check raised: {exc}")

@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import geometry as G
 from .errors import (DslSemanticError, DslSyntaxError, MismatchError, QxError)
-from .expr import Context, Expr, to_text
+from .expr import Context, Expr
 from .interval import CInterval, RInterval, asin_interval, pi_interval, sin_pi_interval
 
 TOOLS = ("seg", "point", "line", "circle", "intersect", "meanprop",
@@ -428,7 +428,7 @@ def _apply(ctx: Context, call: Call, env, trace: G.Trace):
                 "error", call.span,
                 f"intersection produced {len(pts)} point(s); index {index} is out of range"))
         for p in pts:
-            trace.step("intersect", (), (), (("point", p),))
+            trace.step("intersect", (("point", p),))
         return pts[index]
     if tool == "meanprop":
         a = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
@@ -451,7 +451,7 @@ def _apply(ctx: Context, call: Call, env, trace: G.Trace):
             d = ctx.sqrt(ctx.add(ctx.mul(ctx.add(1, value.x), ctx.add(1, value.x)),
                                  ctx.mul(value.y, value.y)))
             p = G.GPoint(ctx.div(ctx.add(1, value.x), d), ctx.div(value.y, d))
-            trace.step("bisect", (), (), (("point", p),))
+            trace.step("bisect", (("point", p),))
             return p
         e = _as_expr(ctx, value)
         G._require_positive(e, "segment length")

@@ -13,6 +13,7 @@ complex enclosure at a requested working precision.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -104,10 +105,10 @@ class Expr:
     """Immutable DAG node; build only through a Context."""
 
     __slots__ = ("kind", "rat", "children", "natural", "branch", "selector",
-                 "tag", "serial", "ctx", "_enc")
+                 "tag", "ctx")
 
     def __init__(self, ctx, kind, rat=None, children=(), natural=False,
-                 branch=0, selector=None, tag=None, serial=0):
+                 branch=0, selector=None, tag=None):
         self.ctx = ctx
         self.kind = kind
         self.rat = rat
@@ -116,8 +117,6 @@ class Expr:
         self.branch = branch
         self.selector = selector
         self.tag = tag
-        self.serial = serial
-        self._enc = {}
 
     # exp/log accessors: children = (base, arg) or (arg,) for the natural base
     @property
@@ -138,20 +137,14 @@ class Expr:
     # --- evaluation ---
 
     def eval(self, prec: int) -> CInterval:
-        cached = self._enc.get(prec)
-        if cached is not None:
-            return cached
-        value = self._compute(prec)
-        self._enc[prec] = value
-        return value
+        return fold(self, ("eval", prec), lambda n, kids: n._compute(prec, kids))
 
-    def _compute(self, prec: int) -> CInterval:
+    def _compute(self, prec: int, kids) -> CInterval:
         k = self.kind
         if k == RAT:
             return CInterval.from_fraction(self.rat, prec)
         if k in FIELD_OPS:
-            x = self.children[0].eval(prec)
-            y = self.children[1].eval(prec)
+            x, y = kids
             if k == ADD:
                 return x.add(y, prec)
             if k == SUB:
@@ -160,35 +153,28 @@ class Expr:
                 return x.mul(y, prec)
             return x.div(y, prec)
         if k == SQRT:
-            return self.children[0].eval(prec).sqrt(prec)
+            return kids[0].sqrt(prec)
         if k == EXP:
-            z = self.arg.eval(prec)
+            z = kids[-1]
             if self.natural:
                 return z.exp(prec)
-            ln_base = self.base.eval(prec).log(0, prec)
-            return z.mul(ln_base, prec).exp(prec)
+            return z.mul(kids[0].log(0, prec), prec).exp(prec)
         if k == LOG:
-            val = self.arg.eval(prec).log(self.branch, prec)
+            val = kids[-1].log(self.branch, prec)
             if self.natural:
                 return val
-            return val.div(self.base.eval(prec).log(0, prec), prec)
+            return val.div(kids[0].log(0, prec), prec)
         if k == SINPI:
-            return sin_pi_complex(self.children[0].eval(prec), prec)
+            return sin_pi_complex(kids[0], prec)
         if k == ARCSINPI:
-            return arcsin_over_pi_complex(self.children[0].eval(prec), prec)
+            return arcsin_over_pi_complex(kids[0], prec)
         if k == POLYROOT:
-            return self._refine_root(prec)
+            return self._refine_root(prec, [c.re for c in kids])
         raise AssertionError(f"unhandled kind {k}")
 
-    def _poly_at(self, t: RInterval, prec: int) -> RInterval:
-        acc = RInterval.zero()
-        for c in reversed(self.children):
-            acc = acc.mul(t, prec).add(c.eval(prec).re, prec)
-        return acc
-
-    def _refine_root(self, prec: int) -> CInterval:
+    def _refine_root(self, prec: int, coeffs) -> CInterval:
         lo, hi = self.selector.re.lo, self.selector.re.hi
-        sign_lo = self._point_sign(lo, prec)
+        sign_lo = _point_sign(coeffs, lo, prec)
         if sign_lo is None:
             # endpoint sign not certifiable at this precision: the full
             # selector is the only sound enclosure
@@ -198,11 +184,11 @@ class Expr:
             if (hi - lo).to_fraction() <= target:
                 break
             mid = (lo + hi).ldexp(-1)
-            s = self._point_sign(mid, prec)
+            s = _point_sign(coeffs, mid, prec)
             if s is None:
                 # nudge off a possible root hit: try the 1/4 point
                 mid = (lo + mid).ldexp(-1)
-                s = self._point_sign(mid, prec)
+                s = _point_sign(coeffs, mid, prec)
                 if s is None:
                     break
             if s == sign_lo:
@@ -210,14 +196,6 @@ class Expr:
             else:
                 hi = mid
         return CInterval.real(RInterval(lo, hi))
-
-    def _point_sign(self, t: Dyadic, prec: int) -> Optional[int]:
-        v = self._poly_at(RInterval.point(t), prec)
-        if v.strictly_positive():
-            return 1
-        if v.strictly_negative():
-            return -1
-        return None
 
     def enclosure(self, width: Fraction, ceiling: Optional[int] = None) -> CInterval:
         return refine(self.eval, width, ceiling)
@@ -244,47 +222,93 @@ class Expr:
         return f"<Expr {to_text(self)}>"
 
 
+def _point_sign(coeffs, t: Dyadic, prec: int) -> Optional[int]:
+    """Sign of the polynomial with these coefficient enclosures at t, if certified."""
+    point = RInterval.point(t)
+    v = RInterval.zero()
+    for c in reversed(coeffs):
+        v = v.mul(point, prec).add(c, prec)
+    if v.strictly_positive():
+        return 1
+    if v.strictly_negative():
+        return -1
+    return None
+
+
+def fold(root: Expr, key, combine, select=None):
+    """Memoized post-order fold below root: the one traversal every structural pass uses.
+
+    combine(node, kids) gets the results for select(node) (default: the
+    children), in order. The memo lives in the Context, keyed by `key` and
+    node; nodes are immutable, interned and kept alive by the context's table.
+    An explicit stack never descends below a memoized node, so each unique
+    node is combined at most once, at any depth.
+    """
+    memo = root.ctx._memos[key]
+    if root in memo:
+        return memo[root]
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if node in memo:
+            continue
+        if kids is None:
+            kids = node.children if select is None else select(node)
+            stack.append((node, kids))
+            stack.extend((c, None) for c in reversed(kids) if c not in memo)
+        else:
+            memo[node] = combine(node, [memo[c] for c in kids])
+    return memo[root]
+
+
+_SYMBOLS = {ADD: "+", SUB: "-", MUL: "*", DIV: "/"}
+
+
 def to_text(e: Expr) -> str:
     """Deterministic canonical text; reparses to the identical DAG."""
+    return fold(e, "to_text", _text_node)
+
+
+def _text_node(e: Expr, kids) -> str:
     k = e.kind
     if k == RAT:
         r = e.rat
         return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
     if k in FIELD_OPS:
-        sym = {ADD: "+", SUB: "-", MUL: "*", DIV: "/"}[k]
-        return f"({to_text(e.children[0])} {sym} {to_text(e.children[1])})"
+        return f"({kids[0]} {_SYMBOLS[k]} {kids[1]})"
     if k == SQRT:
-        return f"sqrt({to_text(e.children[0])})"
+        return f"sqrt({kids[0]})"
     if k == EXP:
         if e.natural:
-            return f"exp({to_text(e.arg)})"
-        return f"pow({to_text(e.base)}, {to_text(e.arg)})"
+            return f"exp({kids[0]})"
+        return f"pow({kids[0]}, {kids[1]})"
     if k == LOG:
         if e.natural:
-            return f"ln({to_text(e.arg)}; {e.branch})"
-        return f"log({to_text(e.arg)}; {to_text(e.base)}; {e.branch})"
+            return f"ln({kids[0]}; {e.branch})"
+        return f"log({kids[1]}; {kids[0]}; {e.branch})"
     if k in (SINPI, ARCSINPI):
-        return f"{k}({to_text(e.children[0])})"
+        return f"{k}({kids[0]})"
     if k == POLYROOT:
-        coeffs = ", ".join(to_text(c) for c in e.children)
         sel = e.selector
         pts = ", ".join(d.decimal() for d in
                         (sel.re.lo, sel.re.hi, sel.im.lo, sel.im.hi))
-        return f"polyroot({coeffs}; {pts})"
+        return f"polyroot({', '.join(kids)}; {pts})"
     raise AssertionError(k)
 
 
 class Context:
     """One expression-building session: hash-consing table plus the session base.
 
-    The dedup table is the only mutable state; confine a Context to one
-    builder thread. Finished Exprs are immutable and freely shareable.
+    Mutable state: the dedup table and the memo of every `fold` over its
+    nodes (enclosures per precision, texts, verdicts, rewrites), kept for the
+    context's life. Exprs never change but reach that state through `ctx`,
+    so a Context and its expressions belong to one thread.
     """
 
     def __init__(self, base: Fraction | int = Fraction(-1),
                  ceiling: Optional[int] = None):
         self._table: dict = {}
-        self._counter = 0
+        self._memos = defaultdict(dict)  # fold key -> {node: result}
         self.ceiling = ceiling if ceiling is not None else precision_ceiling()
         self.base = self.rat(Fraction(base))
         if self.base.rat in (0, 1):
@@ -298,9 +322,7 @@ class Context:
         node = self._table.get(key)
         if node is None:
             tag = self._tag_for(kind, rat, children, natural)
-            self._counter += 1
-            node = Expr(self, kind, rat, tuple(children), natural, branch,
-                        selector, tag, self._counter)
+            node = Expr(self, kind, rat, tuple(children), natural, branch, selector, tag)
             self._table[key] = node
         return node
 
@@ -545,29 +567,20 @@ class Context:
 
     def euler_expand(self, e: Expr) -> Expr:
         """Rewrite sin_pi/arcsin_over_pi into their base -1 exp/log definitions."""
-        memo: dict = {}
+        return fold(e, "euler_expand", self._euler_node)
 
-        def go(n: Expr) -> Expr:
-            out = memo.get(id(n))
-            if out is not None:
-                return out
-            kids = [go(c) for c in n.children]
-            m1 = self.rat(-1)
-            if n.kind == SINPI:
-                x = kids[0]
-                num = self.sub(self.exp(m1, x), self.exp(m1, self.mul(self.rat(-1), x)))
-                out = self.div(num, self.mul(self.rat(2), self.i()))
-            elif n.kind == ARCSINPI:
-                x = kids[0]
-                z = self.add(self.mul(self.i(), x),
-                             self.sqrt(self.sub(self.rat(1), self.mul(x, x))))
-                out = self.log(m1, z, 0)
-            else:
-                out = self._rebuild(n, kids)
-            memo[id(n)] = out
-            return out
-
-        return go(e)
+    def _euler_node(self, n: Expr, kids) -> Expr:
+        m1 = self.rat(-1)
+        if n.kind == SINPI:
+            x = kids[0]
+            num = self.sub(self.exp(m1, x), self.exp(m1, self.mul(self.rat(-1), x)))
+            return self.div(num, self.mul(self.rat(2), self.i()))
+        if n.kind == ARCSINPI:
+            x = kids[0]
+            z = self.add(self.mul(self.i(), x),
+                         self.sqrt(self.sub(self.rat(1), self.mul(x, x))))
+            return self.log(m1, z, 0)
+        return self._rebuild(n, kids)
 
     def rewrite_elprop(self, e: Expr) -> Expr:
         """Normalize every exp/log node to the session base via change of base.
@@ -575,24 +588,16 @@ class Context:
         x^y -> b^(y*log_b x) and log_x y -> log_b y / log_b x; natural-base
         nodes have no algebraic-base normal form and pass through unchanged.
         """
-        memo: dict = {}
+        return fold(e, "rewrite_elprop", self._elprop_node)
 
-        def go(n: Expr) -> Expr:
-            out = memo.get(id(n))
-            if out is not None:
-                return out
-            kids = [go(c) for c in n.children]
-            out = self._rebuild(n, kids)
-            if out.kind == EXP and not out.natural and out.base is not self.base:
-                out = self.exp(self.base,
-                               self.mul(out.arg, self.log(self.base, out.base, 0)))
-            elif out.kind == LOG and not out.natural and out.base is not self.base:
-                out = self.div(self.log(self.base, out.arg, out.branch),
-                               self.log(self.base, out.base, 0))
-            memo[id(n)] = out
-            return out
-
-        return go(e)
+    def _elprop_node(self, n: Expr, kids) -> Expr:
+        out = self._rebuild(n, kids)
+        if out.kind == EXP and not out.natural and out.base is not self.base:
+            return self.exp(self.base, self.mul(out.arg, self.log(self.base, out.base, 0)))
+        if out.kind == LOG and not out.natural and out.base is not self.base:
+            return self.div(self.log(self.base, out.arg, out.branch),
+                            self.log(self.base, out.base, 0))
+        return out
 
     def _rebuild(self, n: Expr, kids) -> Expr:
         k = n.kind
@@ -641,15 +646,14 @@ def _check_isolation(node: Expr):
     if not sel.im.is_zero_point():
         raise OutOfDomain("only real root selectors are supported")
     prec = 96
-    lo_sign = node._point_sign(sel.re.lo, prec)
-    hi_sign = node._point_sign(sel.re.hi, prec)
+    coeffs = [c.eval(prec).re for c in node.children]
+    lo_sign = _point_sign(coeffs, sel.re.lo, prec)
+    hi_sign = _point_sign(coeffs, sel.re.hi, prec)
     if lo_sign is None or hi_sign is None or lo_sign == hi_sign:
         raise OutOfDomain("selector endpoints do not bracket a single sign change")
     deriv = RInterval.zero()
-    n = len(node.children) - 1
-    for k in range(n, 0, -1):
-        coeff = node.children[k].eval(prec).re.mul(RInterval.from_int(k), prec)
-        deriv = deriv.mul(sel.re, prec).add(coeff, prec)
+    for k in range(len(coeffs) - 1, 0, -1):
+        deriv = deriv.mul(sel.re, prec).add(coeffs[k].mul(RInterval.from_int(k), prec), prec)
     if deriv.contains_zero():
         raise OutOfDomain("derivative may vanish on the selector; root not isolated")
 
@@ -678,11 +682,16 @@ def quad_flatten(e: Expr) -> Optional[tuple[Fraction, Fraction, Fraction]]:
     Returns (u, 0, 0) for rational values; None when the expression leaves a
     single quadratic extension (nested or mixed radicals).
     """
+    return fold(e, "quad_flatten", _quad_node,
+                lambda n: n.children if n.kind == SQRT or n.kind in FIELD_OPS else ())
+
+
+def _quad_node(e: Expr, kids):
     k = e.kind
     if k == RAT:
         return (e.rat, Fraction(0), Fraction(0))
     if k == SQRT:
-        inner = quad_flatten(e.children[0])
+        inner = kids[0]
         if inner is None or inner[1] != 0:
             return None
         u = inner[0]
@@ -696,8 +705,7 @@ def quad_flatten(e: Expr) -> Optional[tuple[Fraction, Fraction, Fraction]]:
         return (Fraction(0), Fraction(s, u.denominator), Fraction(sign * m))
     if k not in FIELD_OPS:
         return None
-    a = quad_flatten(e.children[0])
-    b = quad_flatten(e.children[1])
+    a, b = kids
     if a is None or b is None:
         return None
     u1, v1, d1 = a

@@ -50,14 +50,13 @@ class CurveSample:
 
 @dataclass
 class Trace:
-    """Append-only construction log; steps re-execute, drawables render."""
+    """Append-only construction log: what each tool drew, and curve samples."""
 
     steps: list = field(default_factory=list)
     samples: list = field(default_factory=list)
 
-    def step(self, tool: str, inputs: tuple, outputs: tuple, drawables: tuple = ()):
-        self.steps.append({"tool": tool, "inputs": inputs, "outputs": outputs,
-                           "drawables": drawables})
+    def step(self, tool: str, drawables: tuple = ()):
+        self.steps.append({"tool": tool, "drawables": drawables})
 
     def sample(self, s: CurveSample):
         self.samples.append(s)
@@ -223,9 +222,8 @@ def mean_proportional(ctx: Context, a: Expr, b: Expr,
         B = GPoint(ctx.add(a, b), zero)
         M = GPoint(ctx.div(ctx.add(a, b), 2), zero)
         C = GPoint(a, x)
-        trace.step("meanprop", (to_text(a), to_text(b)), (to_text(x),),
-                   (("segment", A, D), ("segment", D, B), ("circle", M, A),
-                    ("segment", D, C), ("point", C)))
+        trace.step("meanprop", (("segment", A, D), ("segment", D, B), ("circle", M, A),
+                                ("segment", D, C), ("point", C)))
     return x
 
 
@@ -251,8 +249,7 @@ def fourth_proportional(ctx: Context, a: Expr, b: Expr, c: Expr,
             Dp = GPoint(ctx.div(ctx.mul(a, ctx.sub(Ap.y, O.y)),
                                 ctx.sub(zero, O.y)), a)
             drawables += [("segment", O, G), ("segment", O, D), ("point", Dp)]
-        trace.step("fourthprop", (to_text(a), to_text(b), to_text(c)), (to_text(x),),
-                   tuple(drawables))
+        trace.step("fourthprop", tuple(drawables))
     return x
 
 
@@ -273,8 +270,7 @@ def right_anglesect(ctx: Context, u: Expr, v: Expr,
     p = GPoint(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
                ctx.sin_pi(ctx.mul(half, t)))
     if trace is not None:
-        trace.step("ra", (to_text(u), to_text(v)), (to_text(p.x), to_text(p.y)),
-                   (("point", p), ("segment", GPoint(ctx.rat(0), ctx.rat(0)), p)))
+        trace.step("ra", (("point", p), ("segment", GPoint(ctx.rat(0), ctx.rat(0)), p)))
     return p
 
 
@@ -288,8 +284,7 @@ def reverse_anglesect(ctx: Context, p: GPoint,
         raise NotOnUnitCircle("point lies below the first-quadrant arc")
     out = ctx.mul(2, ctx.arcsin_over_pi(y))
     if trace is not None:
-        trace.step("rra", (to_text(p.x), to_text(p.y)), (to_text(out),),
-                   (("point", p),))
+        trace.step("rra", (("point", p),))
     return out
 
 
@@ -310,9 +305,7 @@ def general_anglesect(ctx: Context, theta: GPoint, u: Expr, v: Expr,
     w = ctx.mul(f, ctx.div(u, ctx.add(u, v)))
     out = right_anglesect(ctx, w, ctx.sub(1, w), trace)
     if trace is not None:
-        trace.step("anglesect", (to_text(theta.x), to_text(theta.y),
-                                 to_text(u), to_text(v)),
-                   (to_text(out.x), to_text(out.y)), (("point", out),))
+        trace.step("anglesect", (("point", out),))
     return out
 
 
@@ -365,7 +358,7 @@ def clavius_point(ctx: Context, n: int, trace: Optional[Trace] = None) -> GPoint
     x = quadratrix_x_of_y(ctx, ctx.rat(y), ctx.rat(1), trace=None)
     p = GPoint(x, ctx.rat(y))
     if trace is not None:
-        trace.step("clavius", (str(n),), (to_text(x), str(y)), (("point", p),))
+        trace.step("clavius", (("point", p),))
         trace.sample(CurveSample(ctx.rat(y), p, "quadratrix(1)"))
     return p
 
@@ -399,8 +392,7 @@ def spiral_secant_cut(ctx: Context, theta0: Expr, h: Expr, R: Expr,
     if trace is not None:
         trace.sample(CurveSample(theta0, p0, f"spiral({to_text(R)})"))
         trace.sample(CurveSample(ctx.sub(theta0, h), p1, f"spiral({to_text(R)})"))
-        trace.step("spiral-secant", (to_text(theta0), to_text(h)), (to_text(cut),),
-                   (("segment", p0, p1),))
+        trace.step("spiral-secant", (("segment", p0, p1),))
     return cut
 
 

@@ -488,4 +488,5 @@ def refine(thunk: Callable[[int], CInterval], target: Fraction,
     if last_domain_error is not None:
         raise MaxPrecision(
             f"precision ceiling {cap} bits hit while a domain straddle persists: {last_domain_error}")
-    raise MaxPrecision(f"width target {target} unreachable within {cap} bits")
+    # in bits: str() of a fine target can pass Python's int-to-str digit limit
+    raise MaxPrecision(f"width target of {_bits_for(target)} bits unreachable within {cap} bits")

@@ -25,7 +25,7 @@ from mpmath import mp
 
 from . import expr as E
 from .errors import MaxPrecision, NotReduced, UnsupportedNode
-from .expr import Context, Expr
+from .expr import Context, Expr, fold
 from .interval import CInterval, refine
 from .minpoly import Verdict, transcendence_rules
 
@@ -118,11 +118,20 @@ def linear_decompose(e: Expr) -> dict:
     Atoms are content-stripped cores: rational factors are pulled out of
     products and quotients, so 2*x, x*(-3) and -x/2 all share the atom x.
     """
-    if e.kind == E.RAT:
-        return {None: e.rat}
+    return dict(fold(e, "linear_decompose", _linear_node, _linear_operands))
+
+
+def _linear_operands(e: Expr):
+    """Both terms of a sum or difference, else the rational-free core if it is new."""
     if e.kind in (E.ADD, E.SUB):
-        left = linear_decompose(e.children[0])
-        right = linear_decompose(e.children[1])
+        return e.children
+    content, core = _content_core(e)
+    return () if core is None or content == 0 or core is e else (core,)
+
+
+def _linear_node(e: Expr, kids) -> dict:
+    if e.kind in (E.ADD, E.SUB):
+        left, right = kids
         sign = 1 if e.kind == E.ADD else -1
         out = dict(left)
         for key, coef in right.items():
@@ -131,34 +140,33 @@ def linear_decompose(e: Expr) -> dict:
     content, core = _content_core(e)
     if core is None or content == 0:
         return {None: content}
-    if core is not e:
-        inner = linear_decompose(core)
-        out = {k: v * content for k, v in inner.items() if v * content != 0}
+    if kids:
+        out = {k: v * content for k, v in kids[0].items() if v * content != 0}
         return out or {None: Fraction(0)}
     return {e: Fraction(1)}
 
 
 def _content_core(e: Expr):
     """(q, core) with e = q * core exactly, core free of rational factors."""
-    if e.kind == E.RAT:
-        return e.rat, None
+    return fold(e, "content_core", _content_node,
+                lambda n: n.children if n.kind in (E.MUL, E.DIV) else ())
+
+
+def _content_node(e: Expr, kids):
+    if e.kind not in (E.MUL, E.DIV):
+        return (e.rat, None) if e.kind == E.RAT else (Fraction(1), e)
+    (c1, k1), (c2, k2) = kids
     if e.kind == E.MUL:
-        c1, k1 = _content_core(e.children[0])
-        c2, k2 = _content_core(e.children[1])
         if k1 is None:
             return c1 * c2, k2
         if k2 is None:
             return c1 * c2, k1
         return c1 * c2, e.ctx.mul(k1, k2)
-    if e.kind == E.DIV:
-        c1, k1 = _content_core(e.children[0])
-        c2, k2 = _content_core(e.children[1])
-        if k2 is None:
-            return c1 / c2, k1  # denominator is a nonzero rational by construction
-        if k1 is None:
-            return c1 / c2, e.ctx.div(e.ctx.rat(1), k2)
-        return c1 / c2, e.ctx.div(k1, k2)
-    return Fraction(1), e
+    if k2 is None:
+        return c1 / c2, k1  # denominator is a nonzero rational by construction
+    if k1 is None:
+        return c1 / c2, e.ctx.div(e.ctx.rat(1), k2)
+    return c1 / c2, e.ctx.div(k1, k2)
 
 
 def _nullspace(columns: list[dict]) -> list[list[Fraction]]:
@@ -323,8 +331,8 @@ def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COE
             kept.append(rung)
             continue
         constant, combo = _solve_combo(rel, len(kept))
-        verified = _verify_removal_identity(ctx, ladder.base, rung.value,
-                                            constant, combo, kept)
+        verified = _verify_removal_identity(ctx, ladder.base, rung.value, constant,
+                                            combo, [r.value for r in kept])
         removals.append(Removal(index, rung, rel, constant, tuple(combo), verified))
     return Ladder(ladder.base, tuple(kept), tuple(removals))
 
@@ -346,11 +354,12 @@ def _solve_combo(rel: Relation, kept_count: int):
 
 
 def _verify_removal_identity(ctx: Context, base: Expr, a_k: Expr, q: Fraction,
-                             combo, kept: list[Rung]) -> bool:
+                             combo, kept: list[Expr]) -> bool:
+    """b^{a_k} = b^q * prod (b^{a_j})^{q_j} by overlap at width 2^-40; kept[j] is a_j."""
     lhs = ctx.exp(base, a_k)
     rhs = ctx.exp(base, ctx.rat(q))
     for j, qj in combo:
-        rhs = ctx.mul(rhs, ctx.exp(base, ctx.mul(ctx.rat(qj), kept[j].value)))
+        rhs = ctx.mul(rhs, ctx.exp(base, ctx.mul(ctx.rat(qj), kept[j])))
     width = Fraction(1, 1 << 40)
     try:
         left = lhs.enclosure(width)

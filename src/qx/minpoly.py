@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import expr as E
 from .errors import DomainStraddle, MaxPrecision, ZeroPolynomial
-from .expr import Context, Expr, quad_flatten
+from .expr import Context, Expr, fold, quad_flatten
 from .interval import CInterval
 
 _SEPARATION_CAP = 1024  # bits spent proving enclosure disjointness
@@ -365,6 +365,25 @@ def algebraic_witness(e: Expr) -> Optional[tuple[IntPoly, str]]:
     square-root towers, sin(pi*rational), rational-coefficient poly roots,
     and rational-affine images of those.
     """
+    return fold(e, "algebraic_witness", _witness_node, _witness_operands)
+
+
+def _witness_operands(e: Expr):
+    """The radicand of a sqrt, or the non-rational operand of a rational-affine op."""
+    if quad_flatten(e) is not None:
+        return ()
+    if e.kind == E.SQRT:
+        return e.children
+    if e.kind in E.FIELD_OPS:
+        left, right = e.children
+        if right.kind == E.RAT:
+            return (left,)
+        if left.kind == E.RAT:
+            return (right,)
+    return ()
+
+
+def _witness_node(e: Expr, kids) -> Optional[tuple[IntPoly, str]]:
     flat = quad_flatten(e)
     if flat is not None:
         u, v, d = flat
@@ -373,48 +392,29 @@ def algebraic_witness(e: Expr) -> Optional[tuple[IntPoly, str]]:
         poly = _from_q([u * u - v * v * d, -2 * u, Fraction(1)])
         return poly, "quadratic-field"
     k = e.kind
-    if k == E.SQRT:
-        inner = algebraic_witness(e.children[0])
-        if inner is not None:
-            return _compose_square(inner[0]), "sqrt-tower"
-        return None
     if k == E.SINPI and e.children[0].kind == E.RAT:
         return annihilator_sin_pi(e.children[0].rat), "sin-pi-annihilator"
     if k == E.POLYROOT and all(c.kind == E.RAT for c in e.children):
         return _from_q([c.rat for c in e.children]), "poly-root"
-    if k in E.FIELD_OPS:
-        left, right = e.children
-        if right.kind == E.RAT:
-            inner = algebraic_witness(left)
-            if inner is None:
-                return None
-            p, _ = inner
-            a = right.rat
-            if k == E.ADD:
-                return _affine_witness(p, Fraction(1), a), "affine-combination"
-            if k == E.SUB:
-                return _affine_witness(p, Fraction(1), -a), "affine-combination"
-            if k == E.MUL and a != 0:
-                return _affine_witness(p, a, Fraction(0)), "affine-combination"
-            if k == E.DIV:
-                return _affine_witness(p, Fraction(1, 1) / a, Fraction(0)), "affine-combination"
-            return None
-        if left.kind == E.RAT:
-            inner = algebraic_witness(right)
-            if inner is None:
-                return None
-            p, _ = inner
-            a = left.rat
-            if k == E.ADD:
-                return _affine_witness(p, Fraction(1), a), "affine-combination"
-            if k == E.SUB:
-                return _affine_witness(p, Fraction(-1), a), "affine-combination"
-            if k == E.MUL and a != 0:
-                return _affine_witness(p, a, Fraction(0)), "affine-combination"
-            if k == E.DIV and a != 0 and _provably_nonzero(right):
-                return _reciprocal_witness(p, a), "affine-combination"
-            return None
-    return None
+    if not kids or kids[0] is None:
+        return None
+    p = kids[0][0]
+    if k == E.SQRT:
+        return _compose_square(p), "sqrt-tower"
+    left, right = e.children
+    on_right = right.kind == E.RAT  # t op a; otherwise a op t
+    a = right.rat if on_right else left.rat
+    if k == E.ADD:
+        poly = _affine_witness(p, Fraction(1), a)
+    elif k == E.SUB:
+        poly = _affine_witness(p, Fraction(1), -a) if on_right else _affine_witness(p, Fraction(-1), a)
+    elif k == E.MUL:
+        poly = _affine_witness(p, a, Fraction(0)) if a != 0 else None
+    elif on_right:
+        poly = _affine_witness(p, 1 / a, Fraction(0))
+    else:
+        poly = _reciprocal_witness(p, a) if a != 0 and _provably_nonzero(right) else None
+    return None if poly is None else (poly, "affine-combination")
 
 
 # --- exact inequality proofs ----------------------------------------------------
@@ -467,19 +467,12 @@ def _provably_not_one(e: Expr) -> bool:
 
 def transcendence_rules(e: Expr) -> Verdict:
     """First matching unconditional rule wins; otherwise an honest 'unknown'."""
-    return _classify(e, {})
+    # only a field op without a structural witness is judged by its operands
+    return fold(e, "transcendence_rules", _classify_node, lambda n: (
+        n.children if n.kind in E.FIELD_OPS and algebraic_witness(n) is None else ()))
 
 
-def _classify(e: Expr, memo: dict) -> Verdict:
-    out = memo.get(id(e))
-    if out is not None:
-        return out
-    out = _classify_uncached(e, memo)
-    memo[id(e)] = out
-    return out
-
-
-def _classify_uncached(e: Expr, memo: dict) -> Verdict:
+def _classify_node(e: Expr, kids) -> Verdict:
     if e.kind == E.RAT:
         return Verdict("rational", "rational-constant",
                        witness=_linear_witness(e.rat), value=e.rat)
@@ -519,8 +512,7 @@ def _classify_uncached(e: Expr, memo: dict) -> Verdict:
             # non-table rational (table values folded away at construction)
             return Verdict("transcendental", "olmsted-arcsin")
     elif k in E.FIELD_OPS:
-        left = _classify(e.children[0], memo)
-        right = _classify(e.children[1], memo)
+        left, right = kids
         if _shift_applies(k, e.children[0], left, e.children[1], right):
             return Verdict("transcendental", "algebraic-shift")
     return Verdict("unknown", "none")

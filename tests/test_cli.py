@@ -155,6 +155,24 @@ def test_verify_golden_certificates():
         assert code == 0, (path.name, err)
 
 
+# the command line each golden certificate was made with
+GOLDEN_ARGV = {
+    "classify_sin_2pi5.json": ["classify", "sin_pi(2/5)", "--json"],
+    "compile_square_rectangle.json": ["compile", str(CORPUS / "01_square_rectangle.qdx")],
+    "ladder_gs.json": ["ladder", "pow(-1, sqrt(2))", "--base", "-1", "--reduce", "--ascend"],
+    "ladder_log3.json": ["ladder", "log(3; -1; 0)", "--base", "-1"],
+    "ladder_logs_reduced.json": ["ladder", "((log(6; -1; 0) + log(2; -1; 0)) + log(3; -1; 0))",
+                                 "--base", "-1", "--reduce", "--ascend"],
+}
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.name)
+def test_golden_certificate_regenerates_byte_for_byte(path):
+    code, out, err = run(GOLDEN_ARGV[path.name])
+    assert code == 0, err
+    assert out.encode("utf-8") == path.read_bytes()
+
+
 def test_verify_rejects_tampered_certificate(tmp_path):
     src = json.loads((Path(__file__).parent / "golden" / "classify_sin_2pi5.json").read_text())
     src["subject"]["verdict"]["status"] = "rational"
@@ -224,3 +242,19 @@ def test_render_anglesector_program(tmp_path):
     assert run(["render", str(CORPUS / "10_general_anglesect.qdx"),
                 "--out", str(out)])[0] == 0
     assert 'class="point"' in out.read_text()
+
+
+def test_eval_past_the_precision_ceiling_exits_5_without_traceback():
+    import subprocess
+    import sys
+
+    import qx
+    proc = subprocess.run(
+        [sys.executable, "-m", "qx.cli", "eval", "sqrt(2)", "--precision", "20000"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(qx.__file__).resolve().parent.parent)},
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "bits" in proc.stderr

@@ -150,3 +150,16 @@ def test_degenerate_line_rejected():
     from qx.errors import Coincident
     with pytest.raises(Coincident):
         compile_program(parse("let o = point(1, 2); let l = line(o, o); emit o;"))
+
+
+def test_meanprop_chain_of_1500_at_the_default_recursion_limit():
+    # s_i = sqrt(2 * s_(i-1)) from 3 tends to 2; the DAG is 3000 nodes deep
+    n = 1500
+    lines = ["let s0 = seg(3);"]
+    lines += [f"let s{i} = meanprop(s{i - 1}, 2);" for i in range(1, n + 1)]
+    result = compile_program(parse("\n".join(lines + [f"emit s{n};"]) + "\n"))
+    assert verify_roundtrip(result)["names"] == [f"s{n}"]
+    value = result.values[f"s{n}"]
+    enc = value.enclosure(F(1, 1 << 64))
+    assert abs(enc.re.mid().to_fraction() - 2) < F(1, 1 << 60)
+    assert to_text(value).startswith("sqrt((sqrt((")

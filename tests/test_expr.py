@@ -225,3 +225,28 @@ def test_log_branch_values(ctx):
     shifted = ctx.ln(ctx.rat(-1), branch=-1)
     enc2 = shifted.enclosure(W40)
     assert near(CInterval.real(enc2.im), F("-3.14159265358979323846264338327950288419716939937511"))
+
+
+def _halving_tower(ctx, levels):
+    """x -> (x + x)/2 from 1 + sqrt(2): two nodes a level, 2^levels paths from the top."""
+    x = ctx.add(1, ctx.sqrt(2))
+    for _ in range(levels):
+        x = ctx.div(ctx.add(x, x), 2)
+    return x
+
+
+def test_every_pass_is_linear_in_unique_nodes_of_a_shared_dag(ctx):
+    from qx.ladders import linear_decompose
+    from qx.minpoly import transcendence_rules
+
+    x = _halving_tower(ctx, 60)
+    assert sum(1 for _ in x.walk()) == 124
+    assert quad_flatten(x) == (1, 1, 2)
+    verdict = transcendence_rules(x)
+    assert (verdict.status, verdict.rule) == ("algebraic", "quadratic-field")
+    assert linear_decompose(x) == {None: 1, ctx.sqrt(2): 1}
+    assert ctx.euler_expand(x) is x
+    assert ctx.rewrite_elprop(x) is x
+    enc = x.eval(211)  # a precision no construction step used
+    assert enc.width < F(1, 1 << 190)
+    assert enc.intersects(ctx.add(1, ctx.sqrt(2)).eval(211))
