@@ -392,7 +392,7 @@ def cmd_verify(args) -> int:
         print(f"error: malformed certificate: {exc}", file=sys.stderr)
         return 3
     failures: list[str] = []
-    command = cert.get("command")
+    command = cert.get("command") if isinstance(cert, dict) else None
     try:
         if command == "compile":
             prog = parse(cert["program"])
@@ -412,6 +412,10 @@ def cmd_verify(args) -> int:
             failures.append(f"unknown certificate command {command!r}")
     except err.QxError as exc:
         failures.append(f"re-verification raised: {exc}")
+    except KeyError as exc:
+        failures.append(f"malformed certificate: missing field {exc}")
+    except (TypeError, ValueError) as exc:
+        failures.append(f"malformed certificate: {exc}")
     if failures:
         for f in failures:
             print(f"FAIL {f}", file=sys.stderr)
@@ -436,12 +440,22 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
             if not any(coeffs):
                 failures.append("ladder: stored removal has a zero relation")
                 continue
-            removed = parse_expr(stored[rm["index"]], ctx)
+            index = rm["index"]
             combo = [(j, Fraction(q)) for j, q in rm["combo"]]
+            if not _is_index(index, len(stored)):
+                failures.append(f"malformed certificate: removal index {index!r} is not "
+                                f"a position among the {len(stored)} stored rungs")
+                continue
+            bad = [j for j, _ in combo if not _is_index(j, len(kept))]
+            if bad:
+                failures.append(f"malformed certificate: combo index {bad[0]!r} is not "
+                                f"a position among the {len(kept)} kept rungs")
+                continue
+            removed = parse_expr(stored[index], ctx)
             try:
                 if not _verify_removal_identity(ctx, ctx.base, removed,
                                                 Fraction(rm["constant"]), combo, kept):
-                    failures.append(f"ladder: removal identity fails at index {rm['index']}")
+                    failures.append(f"ladder: removal identity fails at index {index}")
             except err.QxError as exc:
                 failures.append(f"ladder: removal identity check raised: {exc}")
     if "ascent" in cert:
@@ -450,6 +464,11 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
             failures.append("ascent: degree does not equal the reduced rung count")
         if not asc["conditional"]:
             failures.append("ascent: report must be Schanuel-conditional")
+
+
+def _is_index(j, n: int) -> bool:
+    """j is a list position in range(n): an int, not a bool, never counted from the end."""
+    return type(j) is int and 0 <= j < n
 
 
 # --- argument parsing -------------------------------------------------------------------
@@ -532,6 +551,11 @@ def main(argv=None) -> int:
     except err.QxError as exc:
         _emit_plain_error(exc, False)
         return _exit_code(exc)
+    except RecursionError:
+        # the expression and .qdx parsers are recursive descent
+        print(f"error: input nesting exceeds the depth limit "
+              f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return 5
 
 
 def entry():

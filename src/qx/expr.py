@@ -173,29 +173,47 @@ class Expr:
         raise AssertionError(f"unhandled kind {k}")
 
     def _refine_root(self, prec: int, coeffs) -> CInterval:
-        lo, hi = self.selector.re.lo, self.selector.re.hi
-        sign_lo = _point_sign(coeffs, lo, prec)
+        """Safeguarded interval Newton from the selector down to width 2^-prec.
+
+        Every root in X of every polynomial with coefficients in the
+        enclosures lies in m - F(m)/F'(X) (mean value theorem), so X meets
+        that set and stays an enclosure. A step that does not halve the
+        width is replaced by a certified-sign bisection step; the isolation
+        check makes F monotone on the selector, so the sign at its low end
+        tells on which side of any point the root lies.
+        """
+        x = self.selector.re
+        sign_lo = _point_sign(coeffs, x.lo, prec)
         if sign_lo is None:
             # endpoint sign not certifiable at this precision: the full
             # selector is the only sound enclosure
-            return CInterval.real(RInterval(lo, hi))
+            return CInterval.real(x)
+        deriv = _derivative(coeffs, prec)
         target = Fraction(1, 1 << prec)
         for _ in range(prec + 64):
-            if (hi - lo).to_fraction() <= target:
+            width = x.width
+            if width <= target:
                 break
-            mid = (lo + hi).ldexp(-1)
-            s = _point_sign(coeffs, mid, prec)
+            m = x.mid()
+            slope = _horner(deriv, x, prec)
+            if not slope.contains_zero():
+                pm = RInterval.point(m)
+                step = pm.sub(_horner(coeffs, pm, prec).div(slope, prec), prec)
+                if x.intersects(step):
+                    narrowed = x.intersect(step)
+                    if narrowed.width <= width / 2:
+                        x = narrowed
+                        continue
+            lo, hi = x.lo, x.hi
+            s = _point_sign(coeffs, m, prec)
             if s is None:
                 # nudge off a possible root hit: try the 1/4 point
-                mid = (lo + mid).ldexp(-1)
-                s = _point_sign(coeffs, mid, prec)
+                m = (lo + m).ldexp(-1)
+                s = _point_sign(coeffs, m, prec)
                 if s is None:
                     break
-            if s == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        return CInterval.real(RInterval(lo, hi))
+            x = RInterval(m, hi) if s == sign_lo else RInterval(lo, m)
+        return CInterval.real(x)
 
     def enclosure(self, width: Fraction, ceiling: Optional[int] = None) -> CInterval:
         return refine(self.eval, width, ceiling)
@@ -222,12 +240,22 @@ class Expr:
         return f"<Expr {to_text(self)}>"
 
 
-def _point_sign(coeffs, t: Dyadic, prec: int) -> Optional[int]:
-    """Sign of the polynomial with these coefficient enclosures at t, if certified."""
-    point = RInterval.point(t)
+def _horner(coeffs, x: RInterval, prec: int) -> RInterval:
+    """Enclosure of c0 + c1*x + ... + cn*x^n over the coefficient enclosures."""
     v = RInterval.zero()
     for c in reversed(coeffs):
-        v = v.mul(point, prec).add(c, prec)
+        v = v.mul(x, prec).add(c, prec)
+    return v
+
+
+def _derivative(coeffs, prec: int) -> list[RInterval]:
+    """Coefficient enclosures k*c_k of the derivative."""
+    return [c.mul(RInterval.from_int(k), prec) for k, c in enumerate(coeffs) if k]
+
+
+def _point_sign(coeffs, t: Dyadic, prec: int) -> Optional[int]:
+    """Sign of the polynomial with these coefficient enclosures at t, if certified."""
+    v = _horner(coeffs, RInterval.point(t), prec)
     if v.strictly_positive():
         return 1
     if v.strictly_negative():
@@ -651,10 +679,7 @@ def _check_isolation(node: Expr):
     hi_sign = _point_sign(coeffs, sel.re.hi, prec)
     if lo_sign is None or hi_sign is None or lo_sign == hi_sign:
         raise OutOfDomain("selector endpoints do not bracket a single sign change")
-    deriv = RInterval.zero()
-    for k in range(len(coeffs) - 1, 0, -1):
-        deriv = deriv.mul(sel.re, prec).add(coeffs[k].mul(RInterval.from_int(k), prec), prec)
-    if deriv.contains_zero():
+    if _horner(_derivative(coeffs, prec), sel.re, prec).contains_zero():
         raise OutOfDomain("derivative may vanish on the selector; root not isolated")
 
 

@@ -258,3 +258,48 @@ def test_eval_past_the_precision_ceiling_exits_5_without_traceback():
     assert proc.returncode == 5, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "bits" in proc.stderr
+
+
+def _mutate_removal_index(d):
+    d["reduced"]["removals"][0]["index"] = 99
+
+
+def _mutate_combo(j):
+    def mutate(d):
+        d["reduced"]["removals"][0]["combo"][0][0] = j
+    return mutate
+
+
+def _drop_constant(d):
+    del d["reduced"]["removals"][0]["constant"]
+
+
+@pytest.mark.parametrize("mutate", [_mutate_combo(7), _mutate_combo(-1), _mutate_removal_index,
+                                    _drop_constant],
+                         ids=["combo-7", "combo-minus-1", "index-99", "dropped-key"])
+def test_verify_malformed_ladder_certificate_fails_without_traceback(tmp_path, mutate):
+    cert = json.loads((Path(__file__).parent / "golden" / "ladder_logs_reduced.json").read_text())
+    mutate(cert)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(bad)])
+    assert code == 1
+    assert "FAIL malformed certificate" in err
+    assert "Traceback" not in err
+
+
+def test_eval_too_deeply_nested_exits_5_without_traceback():
+    import subprocess
+    import sys
+
+    import qx
+    text = "sqrt(" * 1500 + "2" + ")" * 1500
+    proc = subprocess.run(
+        [sys.executable, "-m", "qx.cli", "eval", text],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(qx.__file__).resolve().parent.parent)},
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "depth limit" in proc.stderr

@@ -2,8 +2,13 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qx.expr as expr_mod
+from qx.dyadic import Dyadic
 from qx.errors import (DivisionByZero, InvalidBase, NonRealArgument, OutOfDomain)
 from qx.expr import Context, quad_flatten, to_text
 from qx.exprtext import parse_expr
@@ -215,6 +220,80 @@ def test_polyroot_rejects_bad_selector(ctx):
     sel = CInterval.real(RInterval.from_int(3).hull(RInterval.from_int(4)))
     with pytest.raises(OutOfDomain):
         ctx.polyroot([ctx.rat(-2), ctx.rat(0), ctx.rat(1)], sel)
+
+
+def _encloses(enc, value, tol=F(0)):
+    """lo <= value <= hi up to tol, for an mpmath value compared exactly."""
+    man, exp = value.man_exp
+    v = F(man) * F(2) ** exp
+    return enc.re.lo.to_fraction() - tol <= v <= enc.re.hi.to_fraction() + tol
+
+
+def _selector(lo=1, hi=2):
+    return CInterval.real(RInterval(Dyadic.from_fraction(F(lo)), Dyadic.from_fraction(F(hi))))
+
+
+@pytest.mark.parametrize("text, exact", [
+    ("polyroot(-2, 0, 0, 1; 1, 2)", lambda: mpmath.cbrt(2)),
+    ("polyroot(-sqrt(2), 0, 0, 1; 1, 2)", lambda: mpmath.root(2, 6)),
+])
+def test_polyroot_agrees_with_mpmath_at_1000_digits(ctx, text, exact):
+    enc = parse_expr(text, ctx).enclosure(F(1, 10**1000))
+    assert enc.is_real() and enc.width <= F(1, 10**1000)
+    with mpmath.workdps(2000):
+        assert _encloses(enc, exact(), F(1, 10**1990))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.fractions(min_value=-2, max_value=30, max_denominator=7),
+       t=st.integers(min_value=1, max_value=63),
+       bits=st.sampled_from([64, 200, 700]))
+def test_polyroot_cubic_enclosure_contains_root_and_meets_width(a, t, bits):
+    # x^3 + a*x - b has its one root in (1, 2) when 1 + a < b < 8 + 2a, a >= -2
+    b = 1 + a + (7 + a) * F(t, 64)
+    ctx = Context()
+    r = ctx.polyroot([ctx.rat(-b), ctx.rat(a), ctx.rat(0), ctx.rat(1)], _selector())
+    enc = r.eval(bits)
+    assert enc.width <= F(1, 1 << bits)
+    with mpmath.workdps(2 * bits // 3 + 20):
+        a_, b_ = mpmath.mpf(a.numerator) / a.denominator, mpmath.mpf(b.numerator) / b.denominator
+        root = mpmath.findroot(lambda x: x**3 + a_ * x - b_, mpmath.mpf(2))
+        assert _encloses(enc, root, F(1, 1 << (2 * bits)))
+
+
+def test_polyroot_wide_selector_encloses_root(ctx):
+    r = ctx.polyroot([ctx.rat(-2), ctx.rat(0), ctx.rat(0), ctx.rat(1)], _selector(F(1, 2), 8))
+    enc = r.eval(300)
+    assert enc.width <= F(1, 1 << 300)
+    with mpmath.workdps(200):
+        assert _encloses(enc, mpmath.cbrt(2), F(1, 1 << 600))
+
+
+def test_polyroot_bisection_fallback_encloses_root(ctx, monkeypatch):
+    # x^2 - (2 - e)x + 1/2 with e = 2^-80/3: at 64 bits the enclosure of
+    # c1 contains -2, so F'([1, 2]) = 2[1, 2] + c1 contains 0 and the first
+    # step must bisect; the 96-bit isolation check still separates it
+    c1 = F(-2) + F(1, 3 << 80)
+    r = ctx.polyroot([ctx.rat(F(1, 2)), ctx.rat(c1), ctx.rat(1)], _selector())
+    signs = []
+    point_sign = expr_mod._point_sign
+    monkeypatch.setattr(expr_mod, "_point_sign", lambda *a: signs.append(a) or point_sign(*a))
+    enc = r.eval(64)
+    assert len(signs) > 1  # the low-end sign plus at least one bisection step
+    assert enc.width <= F(1, 1 << 64)
+    with mpmath.workdps(80):
+        c = mpmath.mpf(c1.numerator) / c1.denominator
+        assert _encloses(enc, (-c + mpmath.sqrt(c * c - 2)) / 2, F(1, 1 << 200))
+
+
+def test_polyroot_newton_needs_few_horner_calls(ctx, monkeypatch):
+    r = ctx.polyroot([ctx.rat(-2), ctx.rat(0), ctx.rat(0), ctx.rat(1)], _selector())
+    calls = []
+    horner = expr_mod._horner
+    monkeypatch.setattr(expr_mod, "_horner", lambda *a: calls.append(a) or horner(*a))
+    enc = r.eval(3354)  # the working precision of 1000 digits; bisection took ~3400 calls
+    assert enc.width <= F(1, 1 << 3354)
+    assert len(calls) <= 64
 
 
 def test_log_branch_values(ctx):
