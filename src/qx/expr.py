@@ -479,6 +479,8 @@ class Context:
         coeffs = tuple(self._coerce(c) for c in coeffs)
         if len(coeffs) < 2 or coeffs[-1].is_rat(0):
             raise OutOfDomain("polyroot needs degree >= 1 with nonzero leading coefficient")
+        for c in coeffs:
+            self._require_real(c, "polyroot")
         node = self._intern(POLYROOT, children=coeffs, selector=selector)
         _check_isolation(node)
         return node

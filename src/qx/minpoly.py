@@ -1,11 +1,16 @@
 """Annihilating polynomials for sin(pi*p/q), the rational-sine classifier,
 and the unconditional transcendence rule base.
 
+Every polynomial is an `IntPoly`: integer coefficients, constant term first.
+Its operations stay in exact integer arithmetic: ring operations, exact
+division, a primitive pseudo-remainder gcd, the substitution
+den(x)^n * p(num(x)/den(x)), and evaluation at a rational num/den as the
+homogeneous sum of c_k * num^k * den^(n-k).
+
 The multiple-angle construction follows the classical expansion
 sin(q*theta) = A(x) + y*B(x) with x = sin(theta), y = cos(theta), driven by
-the angle-addition recurrence in exact integer arithmetic. Since
-sin(q*theta) = sin(pi*p) = 0, the integer polynomial A^2 - (1 - x^2)*B^2
-annihilates sin(pi*p/q).
+the angle-addition recurrence. Since sin(q*theta) = sin(pi*p) = 0, the
+integer polynomial A^2 - (1 - x^2)*B^2 annihilates sin(pi*p/q).
 
 Verdicts are honest: "unknown" is a first-class outcome and nothing is ever
 decided by numerical coincidence. Enclosures are used only to prove
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Optional
 
 from . import expr as E
@@ -34,10 +40,27 @@ class IntPoly:
 
     @staticmethod
     def new(coeffs) -> "IntPoly":
+        """From ints, dropping leading zeros; a float, bool or string is a TypeError.
+
+        Certificate witnesses are read through here, so nothing is rounded.
+        """
         cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"polynomial coefficient {c!r} is not an integer")
         while cs and cs[-1] == 0:
             cs.pop()
-        return IntPoly(tuple(int(c) for c in cs))
+        return IntPoly(tuple(cs))
+
+    @staticmethod
+    def from_fractions(cs) -> "IntPoly":
+        """The least positive integer multiple of a rational polynomial."""
+        den = lcm(*(c.denominator for c in cs))
+        return IntPoly.new(c.numerator * (den // c.denominator) for c in cs)
+
+    @staticmethod
+    def _lift(x) -> "IntPoly":
+        return x if isinstance(x, IntPoly) else IntPoly.new((x,))
 
     @property
     def degree(self) -> int:
@@ -46,6 +69,29 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __add__(self, other) -> "IntPoly":
+        return IntPoly.new(a + b for a, b in
+                           zip_longest(self.coeffs, IntPoly._lift(other).coeffs, fillvalue=0))
+
+    def __neg__(self) -> "IntPoly":
+        return IntPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other) -> "IntPoly":
+        return self + -IntPoly._lift(other)
+
+    def __mul__(self, other) -> "IntPoly":
+        a, b = self.coeffs, IntPoly._lift(other).coeffs
+        if not a or not b:
+            return IntPoly(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return IntPoly(tuple(out))
+
+    __rmul__ = __mul__
+
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
@@ -53,24 +99,66 @@ class IntPoly:
         return g
 
     def primitive(self) -> "IntPoly":
-        g = self.content()
+        return self.divide_content(0)  # gcd(0, content) is the content
+
+    def divide_content(self, d: int) -> "IntPoly":
+        """Divide out the greatest common factor of d and the content."""
+        g = gcd(d, self.content())
         if g <= 1:
             return self
         return IntPoly(tuple(c // g for c in self.coeffs))
 
     def monic_sign(self) -> "IntPoly":
         if self.coeffs and self.coeffs[-1] < 0:
-            return IntPoly(tuple(-c for c in self.coeffs))
+            return -self
         return self
 
     def derivative(self) -> "IntPoly":
         return IntPoly.new(k * c for k, c in enumerate(self.coeffs) if k)
 
+    def exact_quotient(self, d: "IntPoly") -> Optional["IntPoly"]:
+        """self / d when d divides self in Z[x], otherwise None."""
+        r, m = list(self.coeffs), d.degree
+        if len(r) <= m:
+            return None
+        lead = d.coeffs[-1]
+        quot = [0] * (len(r) - m)
+        for k in range(len(quot) - 1, -1, -1):
+            c, rem = divmod(r[k + m], lead)
+            if rem:
+                return None
+            quot[k] = c
+            if c:
+                for i, b in enumerate(d.coeffs):
+                    r[k + i] -= c * b
+        return None if any(r[:m]) else IntPoly(tuple(quot))
+
+    def pseudo_remainder(self, d: "IntPoly") -> "IntPoly":
+        """lead(d)^k * self mod d, for the number k of division steps taken."""
+        r, m, lead = list(self.coeffs), d.degree, d.coeffs[-1]
+        while len(r) > m:
+            top, k = r[-1], len(r) - 1 - m
+            r = [lead * c for c in r]
+            for i, b in enumerate(d.coeffs):
+                r[k + i] -= top * b
+            while r and r[-1] == 0:
+                r.pop()
+        return IntPoly(tuple(r))
+
+    def gcd(self, other: "IntPoly") -> "IntPoly":
+        """Greatest common divisor in Z[x], primitive with a positive leading coefficient."""
+        a, b = self.primitive(), other.primitive()
+        while not b.is_zero():
+            a, b = b, a.pseudo_remainder(b).primitive()
+        return a.monic_sign()
+
+    def substitute(self, num: "IntPoly", den: "IntPoly") -> "IntPoly":
+        """den^n * p(num/den) for n = deg p, in Z[x]."""
+        return IntPoly._lift(_homogeneous(self.coeffs, num, den))
+
     def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(_homogeneous(self.coeffs, x.numerator, x.denominator),
+                        x.denominator ** max(self.degree, 0))
 
     def eval_enclosure(self, z: CInterval, prec: int) -> CInterval:
         acc = CInterval.from_int(0)
@@ -91,6 +179,18 @@ class IntPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _homogeneous(coeffs, num, den):
+    """Sum of c_k * num^k * den^(n-k) over k, n = len(coeffs) - 1, by Horner's rule.
+
+    num and den are both ints or both IntPolys.
+    """
+    acc, dpow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * dpow
+        dpow = dpow * den
+    return acc
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Classification certificate for one expression."""
@@ -102,99 +202,19 @@ class Verdict:
     value: Optional[Fraction] = None
 
 
-# --- polynomial helpers over Q (lists of Fractions, constant first) ----------
-
-def _q(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _from_q(cs: list[Fraction]) -> IntPoly:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return IntPoly(())
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return IntPoly.new(int(c * lcm) for c in cs)
-
-
-def _q_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _q_divmod(a, b):
-    a = a[:]
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    quot = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        f = a[-1] / b[-1]
-        quot[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-    return quot, a
-
-
-def _q_gcd(a, b):
-    a, b = a[:], b[:]
-    while b:
-        _, r = _q_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    return _from_q(_q_mul(_q(a), _q(b)))
-
-
 def squarefree_part(p: IntPoly) -> IntPoly:
     """Largest squarefree divisor; same root set, multiplicities dropped."""
-    if p.is_zero() or p.degree == 0:
+    if p.degree <= 0:
         return p
-    g = _q_gcd(_q(p), _q(p.derivative()))
-    if len(g) <= 1:
-        return p.primitive().monic_sign()
-    quot, rem = _q_divmod(_q(p), g)
-    assert not rem
-    return _from_q(quot).primitive().monic_sign()
+    return p.exact_quotient(p.gcd(p.derivative())).primitive().monic_sign()
 
 
 def divide_out_root(p: IntPoly, root: Fraction) -> IntPoly:
     """Remove every (x - root) factor from p."""
-    linear = [Fraction(-root), Fraction(1)]
-    cs = _q(p)
-    while cs:
-        quot, rem = _q_divmod(cs, linear)
-        if rem:
-            break
-        cs = quot
-    return _from_q(cs).primitive()
+    linear = IntPoly.new((-root.numerator, root.denominator))
+    while (quot := p.exact_quotient(linear)) is not None:
+        p = quot
+    return p.primitive()
 
 
 # --- multiple-angle annihilators ---------------------------------------------
@@ -205,62 +225,16 @@ def annihilator_sin_pi(r: Fraction) -> IntPoly:
     Angle-addition recurrence on (A, B, C, D) with
     sin(n*t) = A + y*B, cos(n*t) = C + y*D, all in Z[x], y^2 = 1 - x^2.
     """
-    r = Fraction(r)
-    q = r.denominator
-    A, B = [0, 1], []      # sin(t) = x
-    C, D = [], [1]         # cos(t) = y
-    one_minus_x2 = [1, 0, -1]
+    q = Fraction(r).denominator
+    x, zero, one = IntPoly((0, 1)), IntPoly(()), IntPoly((1,))
+    one_minus_x2 = IntPoly((1, 0, -1))
+    A, B = x, zero         # sin(t) = x
+    C, D = zero, one       # cos(t) = y
     for _ in range(q - 1):
-        A, B, C, D = (
-            _i_add(_i_mul(B, one_minus_x2), _i_shift_mul_x(C)),
-            _i_add(A, _i_shift_mul_x(D)),
-            _i_sub(_i_mul(D, one_minus_x2), _i_shift_mul_x(A)),
-            _i_sub(C, _i_shift_mul_x(B)),
-        )
-    if not _trim(B):
-        p = IntPoly.new(A)
-    else:
-        a2 = _i_mul(A, A)
-        b2 = _i_mul(_i_mul(B, B), one_minus_x2)
-        p = IntPoly.new(_i_sub(a2, b2))
+        A, B, C, D = (B * one_minus_x2 + x * C, A + x * D,
+                      D * one_minus_x2 - x * A, C - x * B)
+    p = A if B.is_zero() else A * A - B * B * one_minus_x2
     return squarefree_part(p.primitive()).monic_sign()
-
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _i_mul(a, b):
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _i_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
-def _i_sub(a, b):
-    return _i_add(a, [-y for y in b])
-
-
-def _i_shift_mul_x(a):
-    return [0] + list(a)
 
 
 # --- rational root scan -------------------------------------------------------
@@ -282,23 +256,18 @@ def rational_root_scan(p: IntPoly) -> list[Fraction]:
     """All rational roots by the rational-root theorem, each verified exactly."""
     if p.is_zero():
         raise ZeroPolynomial("rational roots of the zero polynomial are undefined")
-    coeffs = list(p.coeffs)
-    roots = []
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    if not coeffs or len(coeffs) == 1:
-        return sorted(roots)
-    trimmed = IntPoly.new(coeffs)
-    for num_d in _divisors(trimmed.coeffs[0]):
-        for den_d in _divisors(trimmed.coeffs[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * num_d, den_d)
-                if cand not in roots and trimmed.eval_fraction(cand) == 0:
-                    roots.append(cand)
+    shift = next(k for k, c in enumerate(p.coeffs) if c)
+    roots = [Fraction(0)] if shift else []
+    trimmed = IntPoly(p.coeffs[shift:])
+    if trimmed.degree == 0:
+        return roots
+    # a root num/den in lowest terms has num | c_0 and den | c_n
+    for num in _divisors(trimmed.coeffs[0]):
+        for den in _divisors(trimmed.coeffs[-1]):
+            if gcd(num, den) == 1:
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if trimmed.eval_fraction(cand) == 0:
+                        roots.append(cand)
     return sorted(roots)
 
 
@@ -325,37 +294,18 @@ def olmsted_classify(r: Fraction) -> Verdict:
 
 # --- structural algebraicity witnesses ----------------------------------------
 
-def _q_add(a, b):
-    return _q_sub(a, [-y for y in b])
+def _affine_image(p: IntPoly, s: Fraction, h: Fraction) -> IntPoly:
+    """Witness for s*t + h given witness p for t (s != 0).
 
-
-def _affine_witness(p: IntPoly, scale: Fraction, shift: Fraction) -> IntPoly:
-    """Witness for scale*t + shift given witness p for t (scale != 0)."""
-    # Q(x) = scale^deg * p((x - shift)/scale), cleared of denominators
-    x_minus = [-shift, Fraction(1)]
-    acc: list[Fraction] = []
-    power = [Fraction(1)]
-    qc = _q(p)
-    deg = len(qc) - 1
-    for k, c in enumerate(qc):
-        acc = _q_add(acc, [v * c * scale ** (deg - k) for v in power])
-        power = _q_mul(power, x_minus)
-    return _from_q(acc)
-
-
-def _reciprocal_witness(p: IntPoly, a: Fraction) -> IntPoly:
-    """Witness for a/t given witness p for t (a != 0): x^deg * p(a/x)."""
-    qc = _q(p)
-    deg = len(qc) - 1
-    out = [qc[deg - k] * a ** (deg - k) for k in range(deg + 1)]
-    return _from_q(out)
-
-
-def _compose_square(p: IntPoly) -> IntPoly:
-    out = [0] * (2 * p.degree + 1)
-    for k, c in enumerate(p.coeffs):
-        out[2 * k] = c
-    return IntPoly.new(out)
+    That is s^n * p((x - h)/s) times the least positive integer that clears
+    its denominators. For s = a/b and h = c/d in lowest terms,
+    (x - h)/s = b(dx - c) / (da), so the substitution below is (bd)^n times
+    s^n * p((x - h)/s); dividing out the common factor of (bd)^n and its
+    content leaves that least multiple.
+    """
+    num = IntPoly.new((-s.denominator * h.numerator, s.denominator * h.denominator))
+    den = IntPoly.new((h.denominator * s.numerator,))
+    return p.substitute(num, den).divide_content((h.denominator * s.denominator) ** p.degree)
 
 
 def algebraic_witness(e: Expr) -> Optional[tuple[IntPoly, str]]:
@@ -363,7 +313,12 @@ def algebraic_witness(e: Expr) -> Optional[tuple[IntPoly, str]]:
 
     No resultant machinery: covers rationals, one quadratic extension,
     square-root towers, sin(pi*rational), rational-coefficient poly roots,
-    and rational-affine images of those.
+    and rational-affine images of those. Each step is one `IntPoly`
+    substitution into the operand's witness p: p(x^2) for a square root,
+    p at the inverse affine map for t*a, t/a, t + a, t - a and a - t, and
+    x^n * p(a/x) for a/t. A witness with rational coefficients is scaled by
+    the least positive integer that makes it integral; certificates record
+    these exact coefficients.
     """
     return fold(e, "algebraic_witness", _witness_node, _witness_operands)
 
@@ -389,31 +344,35 @@ def _witness_node(e: Expr, kids) -> Optional[tuple[IntPoly, str]]:
         u, v, d = flat
         if v == 0:
             return _linear_witness(u), "rational-constant"
-        poly = _from_q([u * u - v * v * d, -2 * u, Fraction(1)])
-        return poly, "quadratic-field"
+        # u + v*sqrt(d) is the affine image of a root of x^2 - d
+        return _affine_image(IntPoly.new((-d.numerator, 0, 1)), v, u), "quadratic-field"
     k = e.kind
     if k == E.SINPI and e.children[0].kind == E.RAT:
         return annihilator_sin_pi(e.children[0].rat), "sin-pi-annihilator"
     if k == E.POLYROOT and all(c.kind == E.RAT for c in e.children):
-        return _from_q([c.rat for c in e.children]), "poly-root"
+        return IntPoly.from_fractions([c.rat for c in e.children]), "poly-root"
     if not kids or kids[0] is None:
         return None
     p = kids[0][0]
     if k == E.SQRT:
-        return _compose_square(p), "sqrt-tower"
+        return p.substitute(IntPoly((0, 0, 1)), IntPoly((1,))), "sqrt-tower"
     left, right = e.children
     on_right = right.kind == E.RAT  # t op a; otherwise a op t
     a = right.rat if on_right else left.rat
     if k == E.ADD:
-        poly = _affine_witness(p, Fraction(1), a)
+        poly = _affine_image(p, Fraction(1), a)
     elif k == E.SUB:
-        poly = _affine_witness(p, Fraction(1), -a) if on_right else _affine_witness(p, Fraction(-1), a)
+        poly = _affine_image(p, Fraction(1), -a) if on_right else _affine_image(p, Fraction(-1), a)
     elif k == E.MUL:
-        poly = _affine_witness(p, a, Fraction(0)) if a != 0 else None
+        poly = _affine_image(p, a, Fraction(0)) if a != 0 else None
     elif on_right:
-        poly = _affine_witness(p, 1 / a, Fraction(0))
+        poly = _affine_image(p, 1 / a, Fraction(0))
+    elif a != 0 and _provably_nonzero(right):
+        # x^n * p(a/x), times m'^n by the substitution for a = m/m'
+        poly = p.substitute(IntPoly.new((a.numerator,)), IntPoly.new((0, a.denominator))
+                            ).divide_content(a.denominator ** p.degree)
     else:
-        poly = _reciprocal_witness(p, a) if a != 0 and _provably_nonzero(right) else None
+        poly = None
     return None if poly is None else (poly, "affine-combination")
 
 

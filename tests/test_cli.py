@@ -303,3 +303,34 @@ def test_eval_too_deeply_nested_exits_5_without_traceback():
     assert proc.returncode == 5, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "depth limit" in proc.stderr
+
+
+@pytest.mark.parametrize("witness", [[-4.9, 1.7], [-4, True], ["-4", "1"]],
+                         ids=["float", "bool", "string"])
+def test_verify_rejects_non_integer_witness(tmp_path, witness):
+    cert = json.loads((Path(__file__).parent / "golden" / "compile_square_rectangle.json").read_text())
+    cert["emits"]["m"]["verdict"]["witness"] = witness
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(bad)])
+    assert code == 1
+    assert "FAIL malformed certificate" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "classify"])
+def test_polyroot_with_nonreal_coefficient_exits_5_without_traceback(command):
+    import subprocess
+    import sys
+
+    import qx
+    proc = subprocess.run(
+        [sys.executable, "-m", "qx.cli", command, "polyroot(sqrt(-1), 1; -1, 1)"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(qx.__file__).resolve().parent.parent)},
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "real" in proc.stderr
