@@ -7,8 +7,13 @@ relations embedded, so `qx verify` can re-check everything offline.
 Printed decimal digits are certified only: a digit is shown when the whole
 enclosure agrees on it.
 
-Exit codes: 0 ok, 1 verification failure, 2 I/O, 3 syntax, 4 semantic,
-5 domain/precision. QX_PRECISION_CEILING (bits) caps refinement.
+Every input ends in one of six exit codes, never in a traceback: 0 ok,
+1 verification failure, 2 I/O or a malformed option value, 3 syntax,
+4 semantic, 5 domain/precision or one of Python's resource limits (recursion
+depth, memory, number size, the int/str digit limit). Subcommands raise;
+`main` alone turns an exception into an exit code and one stderr message,
+and lets any other exception propagate, since that is a bug.
+QX_PRECISION_CEILING (bits) caps refinement.
 """
 from __future__ import annotations
 
@@ -19,12 +24,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import errors as err
-from .dsl import (CompileResult, compile_program, parse, pretty_print,
-                  verify_roundtrip)
+from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .expr import Context, Expr, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
-from .interval import CInterval, RInterval, pi_interval
+from .interval import CInterval, RInterval
 from .ladders import _verify_removal_identity, ascend, descend, reduce_ladder
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import RenderSpec, render_svg
@@ -32,23 +36,21 @@ from .render import RenderSpec, render_svg
 VERSION = "0.1.0"
 
 _SYNTAX = (err.DslSyntaxError,)
-_SEMANTIC = (err.DslSemanticError, err.InvalidBase, err.CyclicTerm,
-             err.ZeroPolynomial, err.NotReduced, err.UnsupportedNode)
+_SEMANTIC = (err.DslSemanticError, err.InvalidBase, err.ZeroPolynomial,
+             err.NotReduced, err.UnsupportedNode)
 _DOMAIN = (err.MaxPrecision, err.DomainStraddle, err.OutOfDomain, err.OutOfRange,
            err.DivisionByZero, err.NonRealArgument, err.NonPositiveLength,
            err.NonPositiveSlope, err.DegenerateSecant, err.NotOnUnitCircle,
            err.Coincident, err.NoIntersection)
 
 
-def _exit_code(exc: Exception) -> int:
+def _exit_code(exc: err.QxError) -> int:
     if isinstance(exc, _SYNTAX):
         return 3
     if isinstance(exc, _SEMANTIC):
         return 4
     if isinstance(exc, _DOMAIN):
         return 5
-    if isinstance(exc, OSError):
-        return 2
     return 1
 
 
@@ -139,7 +141,7 @@ def _meta() -> dict:
     return {"tool": "qx", "version": VERSION, "format": "qx-certificate/1"}
 
 
-def _ladder_json(ladder, digits: int) -> dict:
+def _ladder_json(ladder) -> dict:
     return {
         "base": to_text(ladder.base),
         "rungs": [{"value": to_text(r.value), "kind": r.kind, "witness": r.witness}
@@ -162,23 +164,14 @@ def _dump(obj) -> str:
 
 # --- subcommands ---------------------------------------------------------------------
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def cmd_compile(args) -> int:
-    path = Path(args.path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        prog = parse(source)
-        result = compile_program(prog)
-        roundtrip = verify_roundtrip(result, args.roundtrip_bits)
-    except (err.DslSyntaxError, err.DslSemanticError) as exc:
-        _emit_diagnostic(exc, args.json)
-        return _exit_code(exc)
-    except err.QxError as exc:
-        _emit_plain_error(exc, args.json)
-        return _exit_code(exc)
+    prog = parse(_read(args.path))
+    result = compile_program(prog)
+    roundtrip = verify_roundtrip(result, args.roundtrip_bits)
     cert = {
         "command": "compile",
         "meta": _meta(),
@@ -194,57 +187,17 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _emit_diagnostic(exc, as_json: bool):
-    d = exc.diagnostic
-    if as_json:
-        payload = {"error": {"severity": d.severity, "line": d.span.line,
-                             "column": d.span.column, "message": d.message,
-                             "suggestion": d.suggestion}}
-        sys.stderr.write(_dump(payload))
-    else:
-        print(d.render(), file=sys.stderr)
-
-
-def _emit_plain_error(exc, as_json: bool):
-    span = getattr(exc, "span", None)
-    if as_json:
-        payload = {"error": {"message": str(exc), "type": type(exc).__name__}}
-        if span is not None:
-            payload["error"]["line"] = span.line
-            payload["error"]["column"] = span.column
-        sys.stderr.write(_dump(payload))
-    else:
-        loc = f"{span.line}:{span.column}: " if span is not None else ""
-        print(f"error: {loc}{exc}", file=sys.stderr)
-
-
 def cmd_eval(args) -> int:
-    ctx = Context()
-    try:
-        e = parse_expr(args.expr, ctx)
-        enc = e.enclosure(_digits_width(args.precision))
-    except err.DslSyntaxError as exc:
-        _emit_diagnostic(exc, False)
-        return 3
-    except err.QxError as exc:
-        _emit_plain_error(exc, False)
-        return _exit_code(exc)
+    e = parse_expr(args.expr, Context())
+    enc = e.enclosure(_digits_width(args.precision))
     print(certified_decimal(enc, args.precision))
     return 0
 
 
 def cmd_classify(args) -> int:
-    ctx = Context()
-    try:
-        e = parse_expr(args.expr, ctx)
-        cert = {"command": "classify", "meta": _meta(),
-                "subject": expr_certificate(e, args.precision)}
-    except err.DslSyntaxError as exc:
-        _emit_diagnostic(exc, args.json)
-        return 3
-    except err.QxError as exc:
-        _emit_plain_error(exc, args.json)
-        return _exit_code(exc)
+    e = parse_expr(args.expr, Context())
+    cert = {"command": "classify", "meta": _meta(),
+            "subject": expr_certificate(e, args.precision)}
     if args.json:
         sys.stdout.write(_dump(cert))
     else:
@@ -257,34 +210,27 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_ladder(args, force_reduce: bool = False) -> int:
-    ctx = Context(base=Fraction(args.base))
-    try:
-        e = parse_expr(args.expr, ctx)
-        ladder = descend(e, ctx)
-        cert = {"command": "ladder", "meta": _meta(),
-                "subject": expr_certificate(e, args.precision),
-                "ladder": _ladder_json(ladder, args.precision)}
-        if args.reduce or force_reduce or args.ascend:
-            reduced = reduce_ladder(ladder, ctx, args.max_coeff, args.relation_bits)
-            cert["reduced"] = _ladder_json(reduced, args.precision)
-        if args.ascend:
-            report = ascend(reduced, ctx)
-            cert["ascent"] = {
-                "choices": [to_text(c) for c in report.choices],
-                "kinds": list(report.kinds),
-                "degree": report.degree,
-                "conditional": report.conditional,
-                "notes": list(report.notes),
-                "crosschecks": [None if v is None else _verdict_json(v)
-                                for v in report.crosschecks],
-            }
-    except err.DslSyntaxError as exc:
-        _emit_diagnostic(exc, True)
-        return 3
-    except err.QxError as exc:
-        _emit_plain_error(exc, True)
-        return _exit_code(exc)
+def cmd_ladder(args) -> int:
+    ctx = Context(base=args.base)
+    e = parse_expr(args.expr, ctx)
+    ladder = descend(e, ctx)
+    cert = {"command": "ladder", "meta": _meta(),
+            "subject": expr_certificate(e, args.precision),
+            "ladder": _ladder_json(ladder)}
+    if args.reduce or args.ascend:
+        reduced = reduce_ladder(ladder, ctx, args.max_coeff, args.relation_bits)
+        cert["reduced"] = _ladder_json(reduced)
+    if args.ascend:
+        report = ascend(reduced, ctx)
+        cert["ascent"] = {
+            "choices": [to_text(c) for c in report.choices],
+            "kinds": list(report.kinds),
+            "degree": report.degree,
+            "conditional": report.conditional,
+            "notes": list(report.notes),
+            "crosschecks": [None if v is None else _verdict_json(v)
+                            for v in report.crosschecks],
+        }
     sys.stdout.write(_dump(cert))
     return 0
 
@@ -331,35 +277,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_render(args) -> int:
-    path = Path(args.path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = compile_program(parse(source))
-        spec = RenderSpec(width=args.width, height=args.height)
-        curves = (args.with_curve,) if args.with_curve else ()
-        svg = render_svg(result, spec, curves)
-    except (err.DslSyntaxError, err.DslSemanticError) as exc:
-        _emit_diagnostic(exc, False)
-        return _exit_code(exc)
-    except err.QxError as exc:
-        _emit_plain_error(exc, False)
-        return _exit_code(exc)
-    try:
-        Path(args.out).write_text(svg, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    result = compile_program(parse(_read(args.path)))
+    spec = RenderSpec(width=args.width, height=args.height)
+    curves = (args.with_curve,) if args.with_curve else ()
+    Path(args.out).write_text(render_svg(result, spec, curves), encoding="utf-8")
     return 0
 
 
 # --- certificate verification ---------------------------------------------------------
 
-def _check_subject(sub: dict, ctx: Context, failures: list[str], label: str):
-    e = parse_expr(sub["expr"], ctx)
+def _check_subject(e: Expr, sub: dict, failures: list[str], label: str):
     digits = sub["precision_digits"]
     enc = e.enclosure(_digits_width(digits))
     lo, hi = (Fraction(s) for s in sub["enclosure"]["re"])
@@ -378,34 +305,29 @@ def _check_subject(sub: dict, ctx: Context, failures: list[str], label: str):
         val = poly.eval_enclosure(e.enclosure(Fraction(1, 1 << 60)), 128)
         if not val.contains_zero():
             failures.append(f"{label}: witness polynomial does not annihilate the value")
-    return e
 
 
 def cmd_verify(args) -> int:
-    path = Path(args.path)
-    try:
-        cert = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed certificate: {exc}", file=sys.stderr)
-        return 3
+    cert = json.loads(_read(args.path))
     failures: list[str] = []
     command = cert.get("command") if isinstance(cert, dict) else None
+    # a qx error or a malformed field while re-checking is a verification failure
     try:
         if command == "compile":
-            prog = parse(cert["program"])
-            result = compile_program(prog)
+            result = compile_program(parse(cert["program"]))
             verify_roundtrip(result, 30)
             for name, sub in cert["emits"].items():
-                if name not in result.values:
+                value = result.values.get(name)
+                if value is None:
                     failures.append(f"{name}: not produced by the embedded program")
                     continue
-                ctx = result.values[name].ctx
-                _check_subject(sub, ctx, failures, name)
+                if to_text(value) != sub["expr"]:
+                    failures.append(f"{name}: stored expression is not the one the "
+                                    f"embedded program builds")
+                _check_subject(value, sub, failures, name)
         elif command in ("classify", "eval"):
-            _check_subject(cert["subject"], Context(), failures, "subject")
+            sub = cert["subject"]
+            _check_subject(parse_expr(sub["expr"], Context()), sub, failures, "subject")
         elif command == "ladder":
             _verify_ladder_cert(cert, failures)
         else:
@@ -425,9 +347,10 @@ def cmd_verify(args) -> int:
 
 
 def _verify_ladder_cert(cert: dict, failures: list[str]):
-    base = Fraction(cert["ladder"]["base"])
-    ctx = Context(base=base)
-    subject = _check_subject(cert["subject"], ctx, failures, "subject")
+    ctx = Context(base=Fraction(cert["ladder"]["base"]))
+    sub = cert["subject"]
+    subject = parse_expr(sub["expr"], ctx)
+    _check_subject(subject, sub, failures, "subject")
     ladder = descend(subject, ctx)
     stored = [r["value"] for r in cert["ladder"]["rungs"]]
     if [to_text(r.value) for r in ladder.rungs] != stored:
@@ -452,12 +375,9 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
                                 f"a position among the {len(kept)} kept rungs")
                 continue
             removed = parse_expr(stored[index], ctx)
-            try:
-                if not _verify_removal_identity(ctx, ctx.base, removed,
-                                                Fraction(rm["constant"]), combo, kept):
-                    failures.append(f"ladder: removal identity fails at index {index}")
-            except err.QxError as exc:
-                failures.append(f"ladder: removal identity check raised: {exc}")
+            if not _verify_removal_identity(ctx, ctx.base, removed,
+                                            Fraction(rm["constant"]), combo, kept):
+                failures.append(f"ladder: removal identity fails at index {index}")
     if "ascent" in cert:
         asc = cert["ascent"]
         if asc["degree"] != len(cert["reduced"]["rungs"]):
@@ -473,6 +393,23 @@ def _is_index(j, n: int) -> bool:
 
 # --- argument parsing -------------------------------------------------------------------
 
+def natural(text: str) -> int:
+    """argparse type of every int option: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def rational(text: str) -> Fraction:
+    """argparse type of --base: an integer, p/q or a decimal."""
+    _, slash, den = text.partition("/")
+    # Fraction raises ZeroDivisionError for q = 0, which argparse would not report
+    if slash and int(den) == 0:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+    return Fraction(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qx",
@@ -481,55 +418,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile", help="compile a .qdx construction to certificates")
     c.add_argument("path")
-    c.add_argument("--precision", type=int, default=12, metavar="DIGITS")
-    c.add_argument("--roundtrip-bits", type=int, default=30)
+    c.add_argument("--precision", type=natural, default=12, metavar="DIGITS")
+    c.add_argument("--roundtrip-bits", type=natural, default=30)
     c.add_argument("--json", action="store_true",
                    help="machine-readable diagnostics on stderr")
     c.set_defaults(func=cmd_compile)
 
     e = sub.add_parser("eval", help="evaluate an expression to certified digits")
     e.add_argument("expr")
-    e.add_argument("--precision", type=int, default=16, metavar="DIGITS")
+    e.add_argument("--precision", type=natural, default=16, metavar="DIGITS")
     e.set_defaults(func=cmd_eval)
 
     cl = sub.add_parser("classify", help="classification verdict for an expression")
     cl.add_argument("expr")
-    cl.add_argument("--precision", type=int, default=12)
+    cl.add_argument("--precision", type=natural, default=12)
     cl.add_argument("--json", action="store_true")
     cl.set_defaults(func=cmd_classify)
 
-    la = sub.add_parser("ladder", help="descend (and optionally reduce/ascend) a ladder")
-    la.add_argument("expr")
-    la.add_argument("--reduce", action="store_true")
-    la.add_argument("--ascend", action="store_true")
-    la.add_argument("--base", default="-1")
-    la.add_argument("--precision", type=int, default=12)
-    la.add_argument("--max-coeff", type=int, default=10**6)
-    la.add_argument("--relation-bits", type=int, default=160)
-    la.set_defaults(func=cmd_ladder)
+    ladder = argparse.ArgumentParser(add_help=False)
+    ladder.add_argument("expr")
+    ladder.add_argument("--ascend", action="store_true")
+    ladder.add_argument("--base", type=rational, default=Fraction(-1))
+    ladder.add_argument("--precision", type=natural, default=12)
+    ladder.add_argument("--max-coeff", type=natural, default=10**6)
+    ladder.add_argument("--relation-bits", type=natural, default=160)
 
-    rd = sub.add_parser("reduce", help="ladder with reduction (alias for ladder --reduce)")
-    rd.add_argument("expr")
-    rd.add_argument("--ascend", action="store_true")
-    rd.add_argument("--base", default="-1")
-    rd.add_argument("--precision", type=int, default=12)
-    rd.add_argument("--max-coeff", type=int, default=10**6)
-    rd.add_argument("--relation-bits", type=int, default=160)
-    rd.set_defaults(func=lambda a: cmd_ladder(_with_reduce(a)))
+    la = sub.add_parser("ladder", parents=[ladder],
+                        help="descend (and optionally reduce/ascend) a ladder")
+    la.add_argument("--reduce", action="store_true")
+    la.set_defaults(func=cmd_ladder, json=True)
+
+    rd = sub.add_parser("reduce", parents=[ladder],
+                        help="ladder with reduction (alias for ladder --reduce)")
+    rd.set_defaults(func=cmd_ladder, json=True, reduce=True)
 
     rp = sub.add_parser("report", help="convergence/probe study reports")
     rp.add_argument("kind", choices=("spiral", "clavius"))
-    rp.add_argument("--kmin", type=int, default=3)
-    rp.add_argument("--kmax", type=int, default=12)
-    rp.add_argument("--n", type=int, default=12)
+    rp.add_argument("--kmin", type=natural, default=3)
+    rp.add_argument("--kmax", type=natural, default=12)
+    rp.add_argument("--n", type=natural, default=12)
     rp.set_defaults(func=cmd_report)
 
     rn = sub.add_parser("render", help="render a construction to SVG")
     rn.add_argument("path")
     rn.add_argument("--out", required=True)
     rn.add_argument("--with-curve", choices=("quadratrix", "spiral"))
-    rn.add_argument("--width", type=int, default=640)
-    rn.add_argument("--height", type=int, default=640)
+    rn.add_argument("--width", type=natural, default=640)
+    rn.add_argument("--height", type=natural, default=640)
     rn.set_defaults(func=cmd_render)
 
     vf = sub.add_parser("verify", help="re-verify a certificate")
@@ -538,24 +473,64 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _with_reduce(args):
-    args.reduce = True
-    return args
+# --- the error boundary -------------------------------------------------------------------
+
+def _failure(exc: Exception, args) -> tuple[int, str] | None:
+    """Exit code and message for an exception a command raised; None for a bug."""
+    if isinstance(exc, err.QxError):
+        return _exit_code(exc), str(exc)
+    if isinstance(exc, OSError):
+        out = getattr(args, "out", None)  # render's SVG is the only file qx writes
+        if out is not None and exc.filename == str(Path(out)):
+            return 2, f"cannot write {out}: {exc}"
+        return 2, f"cannot read {exc.filename}: {exc}"
+    if isinstance(exc, UnicodeDecodeError):
+        return 2, f"cannot read {Path(args.path)}: {exc}"
+    if isinstance(exc, json.JSONDecodeError):
+        return 3, f"malformed certificate: {exc}"
+    # Python's own resource limits
+    if isinstance(exc, RecursionError):  # the parsers are recursive descent
+        return 5, (f"input nesting exceeds the depth limit "
+                   f"(Python recursion limit {sys.getrecursionlimit()})")
+    if isinstance(exc, MemoryError):
+        return 5, "out of memory"
+    if isinstance(exc, OverflowError):
+        return 5, f"a number exceeds Python's size limit ({exc})"
+    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+        return 5, (f"a number exceeds Python's limit of {sys.get_int_max_str_digits()} "
+                   f"digits for integer/string conversion")
+    return None
+
+
+def _emit_error(exc: Exception, message: str, as_json: bool):
+    """The one stderr report of a failed command: a JSON object when as_json."""
+    if isinstance(exc, err.DslError):
+        d = exc.diagnostic
+        fields = {"severity": d.severity, "line": d.span.line, "column": d.span.column,
+                  "message": d.message, "suggestion": d.suggestion}
+        text = d.render()
+    else:
+        fields = {"message": message, "type": type(exc).__name__}
+        span = getattr(exc, "span", None)  # set by compile_program: the failing statement
+        if span is not None:
+            fields.update(line=span.line, column=span.column)
+        loc = f"{span.line}:{span.column}: " if span is not None else ""
+        text = f"error: {loc}{message}"
+    sys.stderr.write(_dump({"error": fields}) if as_json else text + "\n")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place an exception becomes an exit code."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except err.QxError as exc:
-        _emit_plain_error(exc, False)
-        return _exit_code(exc)
-    except RecursionError:
-        # the expression and .qdx parsers are recursive descent
-        print(f"error: input nesting exceeds the depth limit "
-              f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
-        return 5
+    except Exception as exc:
+        failure = _failure(exc, args)
+        if failure is None:
+            raise
+        code, message = failure
+        _emit_error(exc, message, getattr(args, "json", False))
+        return code
 
 
 def entry():

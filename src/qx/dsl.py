@@ -303,14 +303,9 @@ _SIGNATURES = {
 
 @dataclass
 class CompileResult:
-    program: ConstructionProgram
     values: dict  # emitted name (points expand to name.x / name.y) -> Expr
-    env: dict     # every bound name -> typed value
     steps: list   # tool invocation log: {tool, inputs, outputs}
     trace: G.Trace
-
-    def emitted(self) -> dict:
-        return self.values
 
 
 def _kind_of(value) -> str:
@@ -372,7 +367,7 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
             else:
                 raise DslSemanticError(Diagnostic(
                     "error", st.span, f"cannot emit a {_kind_of(value)}; emit segments or points"))
-    return CompileResult(prog, values, env, steps, trace)
+    return CompileResult(values, steps, trace)
 
 
 def _expect(env, call: Call, idx: int, kinds: tuple[str, ...]):

@@ -36,10 +36,6 @@ class InvalidBase(QxError):
     """Exp/Log base is the constant 0 or 1."""
 
 
-class CyclicTerm(QxError):
-    """Defensive: an expression node would participate in a cycle."""
-
-
 class NonRealArgument(QxError):
     """Operation requires a real-valued expression (im enclosure not point 0)."""
 

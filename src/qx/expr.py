@@ -215,8 +215,8 @@ class Expr:
             x = RInterval(m, hi) if s == sign_lo else RInterval(lo, m)
         return CInterval.real(x)
 
-    def enclosure(self, width: Fraction, ceiling: Optional[int] = None) -> CInterval:
-        return refine(self.eval, width, ceiling)
+    def enclosure(self, width: Fraction) -> CInterval:
+        return refine(self.eval, width)
 
     # --- traversal and display ---
 
@@ -333,11 +333,9 @@ class Context:
     so a Context and its expressions belong to one thread.
     """
 
-    def __init__(self, base: Fraction | int = Fraction(-1),
-                 ceiling: Optional[int] = None):
+    def __init__(self, base: Fraction | int = Fraction(-1)):
         self._table: dict = {}
         self._memos = defaultdict(dict)  # fold key -> {node: result}
-        self.ceiling = ceiling if ceiling is not None else precision_ceiling()
         self.base = self.rat(Fraction(base))
         if self.base.rat in (0, 1):
             raise InvalidBase("session base must differ from 0 and 1")
@@ -573,6 +571,7 @@ class Context:
     def _require_unit_domain(self, x: Expr):
         prec = 64
         one = Fraction(1)
+        ceiling = precision_ceiling()
         while True:
             enc = x.eval(prec).re
             lo, hi = enc.lo.to_fraction(), enc.hi.to_fraction()
@@ -580,7 +579,7 @@ class Context:
                 return
             if lo > one or hi < -one:
                 raise OutOfDomain("arcsin argument provably outside [-1, 1]")
-            if prec >= self.ceiling:
+            if prec >= ceiling:
                 raise MaxPrecision("cannot place arcsin argument inside [-1, 1]")
             prec *= 2
 

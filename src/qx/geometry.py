@@ -420,6 +420,8 @@ class SpiralProbeReport:
 
 def spiral_probe_report(ctx: Context, R: Expr | int = 1, k_min: int = 3,
                         k_max: int = 12, digits: int = 12) -> SpiralProbeReport:
+    if k_max <= k_min:
+        raise OutOfRange("the probe needs at least two stages (k_max > k_min)")
     R = ctx._coerce(R)
     pi = ctx.pi()
     width = Fraction(1, 1 << 64)

@@ -465,15 +465,14 @@ def _bits_for(width: Fraction) -> int:
     return max(1, (width.denominator // max(width.numerator, 1)).bit_length())
 
 
-def refine(thunk: Callable[[int], CInterval], target: Fraction,
-           ceiling: int | None = None, start: int | None = None) -> CInterval:
+def refine(thunk: Callable[[int], CInterval], target: Fraction) -> CInterval:
     """Re-evaluate thunk at growing precision until the width target is met.
 
     Raises MaxPrecision at the ceiling; a tiny-but-nonpoint enclosure around a
     possibly-exact zero is reported this way, never silently decided.
     """
-    cap = ceiling if ceiling is not None else precision_ceiling()
-    prec = start if start is not None else max(64, _bits_for(target) + 32)
+    cap = precision_ceiling()
+    prec = max(64, _bits_for(target) + 32)
     last_domain_error = None
     while prec <= cap:
         try:

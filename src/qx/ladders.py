@@ -55,7 +55,6 @@ class Relation:
 @dataclass(frozen=True)
 class Removal:
     original_index: int
-    rung: Rung
     relation: Relation
     constant: Fraction
     combo: tuple[tuple[int, Fraction], ...]  # (kept-rung index, q_j)
@@ -333,7 +332,7 @@ def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COE
         constant, combo = _solve_combo(rel, len(kept))
         verified = _verify_removal_identity(ctx, ladder.base, rung.value, constant,
                                             combo, [r.value for r in kept])
-        removals.append(Removal(index, rung, rel, constant, tuple(combo), verified))
+        removals.append(Removal(index, rel, constant, tuple(combo), verified))
     return Ladder(ladder.base, tuple(kept), tuple(removals))
 
 

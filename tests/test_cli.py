@@ -334,3 +334,88 @@ def test_polyroot_with_nonreal_coefficient_exits_5_without_traceback(command):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "real" in proc.stderr
+
+
+def run_to_exit(argv):
+    """main's return value, or the code of argparse's SystemExit, with stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+_SEVENS = "7" * 2200
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["ladder", "x", "--base", "abc"], 2, "--base"),
+    (["ladder", "pi", "--base", "1/0"], 2, "--base"),
+    (["eval", "pi", "--precision", "-1"], 2, "--precision"),
+    (["classify", "pi", "--precision", "-2"], 2, "--precision"),
+    (["compile", str(CORPUS / "01_square_rectangle.qdx"), "--roundtrip-bits", "-5"], 2,
+     "--roundtrip-bits"),
+    (["reduce", "log(6;-1)+log(2;-1)", "--relation-bits", "-1"], 2, "--relation-bits"),
+    (["report", "spiral", "--kmin", "-2", "--kmax", "3"], 2, "--kmin"),
+    (["report", "spiral", "--kmin", "5", "--kmax", "4"], 5, "two stages"),
+    (["eval", "1" + "0" * 5000], 5, "4300 digits"),
+    (["classify", f"{_SEVENS}*{_SEVENS}"], 5, "4300 digits"),
+    (["eval", "pow(2,pow(2,pow(2,100)))"], 5, "size limit"),
+], ids=["base-abc", "base-1/0", "eval-precision-negative", "classify-precision-negative",
+        "roundtrip-bits-negative", "relation-bits-negative", "kmin-negative",
+        "kmax-below-kmin", "eval-5001-digits", "classify-4400-digit-value",
+        "overflow-in-pow"])
+def test_bad_input_ends_in_its_exit_code_without_traceback(argv, code, needle):
+    got, err = run_to_exit(argv)
+    assert got == code, err
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_compile_of_a_5001_digit_literal_exits_5(tmp_path):
+    prog = tmp_path / "big.qdx"
+    prog.write_text("let a = seg(1" + "0" * 5000 + "); emit a;\n")
+    code, err = run_to_exit(["compile", str(prog)])
+    assert code == 5, err
+    assert "4300 digits" in err
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path):
+    prog = tmp_path / "latin1.qdx"
+    prog.write_bytes(b"# caf\xe9\nlet a = seg(2);\nemit a;\n")
+    for command in ("compile", "verify"):
+        code, err = run_to_exit([command, str(prog)])
+        assert code == 2, err
+        assert "cannot read" in err
+
+
+def test_ladder_and_reduce_share_options_and_defaults():
+    from fractions import Fraction
+
+    from qx.cli import _build_parser
+    parser = _build_parser()
+    ladder = vars(parser.parse_args(["ladder", "x"]))
+    reduce = vars(parser.parse_args(["reduce", "x"]))
+    assert ladder.pop("reduce") is False and reduce.pop("reduce") is True
+    assert ladder.pop("command") == "ladder" and reduce.pop("command") == "reduce"
+    assert ladder == reduce
+    assert {k: ladder[k] for k in ("ascend", "base", "precision", "max_coeff",
+                                   "relation_bits", "json")} == {
+        "ascend": False, "base": Fraction(-1), "precision": 12, "max_coeff": 10**6,
+        "relation_bits": 160, "json": True}
+
+
+def test_verify_rejects_a_compile_certificate_whose_subject_the_program_does_not_build(
+        tmp_path):
+    cert = json.loads((Path(__file__).parent / "golden" / "compile_square_rectangle.json").read_text())
+    m = cert["emits"]["m"]
+    m["expr"] = m["decimal"] = "5"
+    m["enclosure"]["re"] = ["5.0", "5.0"]
+    m["verdict"]["value"], m["verdict"]["witness"] = "5", [-5, 1]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(forged)])
+    assert code == 1
+    assert "FAIL m: stored expression is not the one the embedded program builds" in err

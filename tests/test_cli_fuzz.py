@@ -1,0 +1,121 @@
+"""Fuzz the CLI boundary: every input ends in a documented exit code.
+
+`qx.cli.main` runs in-process on random expressions and random .qdx
+programs. A return value, or argparse's SystemExit code, outside
+{0, 2, 3, 4, 5} fails the test, and so does any other exception escaping
+`main` (that is a traceback on the command line).
+"""
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qx.cli import main
+
+DOCUMENTED = {0, 2, 3, 4, 5}
+FUZZ = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def exit_code(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+# --- the expression grammar (qx.exprtext) -----------------------------------------
+
+_number = st.one_of(st.integers(0, 12).map(str),
+                    st.sampled_from(["0.5", "2.25", "1/3", "-2", "10/7"]))
+_atom = st.one_of(_number, st.sampled_from(["pi", "e", "i"]))
+
+
+def _compound(inner):
+    pair = st.tuples(inner, inner)
+    return st.one_of(
+        pair.map(lambda ab: f"({ab[0]} + {ab[1]})"),
+        pair.map(lambda ab: f"({ab[0]} - {ab[1]})"),
+        pair.map(lambda ab: f"{ab[0]} * {ab[1]}"),
+        pair.map(lambda ab: f"{ab[0]} / {ab[1]}"),
+        inner.map(lambda a: f"-{a}"),
+        st.tuples(st.sampled_from(["sqrt", "exp", "ln", "sin_pi", "arcsin_over_pi"]),
+                  inner).map(lambda fa: f"{fa[0]}({fa[1]})"),
+        pair.map(lambda ab: f"pow({ab[0]}, {ab[1]})"),
+        pair.map(lambda ab: f"log({ab[0]}; {ab[1]})"),
+        st.tuples(inner, st.integers(-2, 2)).map(lambda ak: f"ln({ak[0]}; {ak[1]})"),
+        st.integers(0, 6).map(lambda n: f"clavius_x({n})"),
+        st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+                  st.integers(-3, 3), st.integers(0, 4)).map(
+            lambda c: f"polyroot({', '.join(map(str, c[0]))}; {c[1]}, {c[1] + c[2]})"),
+    )
+
+
+expressions = st.recursive(_atom, _compound, max_leaves=6)
+
+
+@FUZZ
+@given(expressions, st.sampled_from([["eval"], ["classify"], ["classify", "--json"]]),
+       st.integers(0, 30))
+def test_expression_commands_end_in_a_documented_exit_code(text, command, digits):
+    assert exit_code(command + ["--precision", str(digits), "--", text]) in DOCUMENTED
+
+
+# --- the construction language (qx.dsl) ------------------------------------------
+
+# argument kinds of each tool: "num" is a rational or a segment, "point" a
+# point, "curve" a line or circle, "index" the optional intersection index
+_TOOLS = {
+    "seg": (("num",), "seg"), "point": (("num", "num"), "point"),
+    "line": (("point", "point"), "line"), "circle": (("point", "point"), "circle"),
+    "intersect": (("curve", "curve", "index"), "point"),
+    "meanprop": (("num", "num"), "seg"), "fourthprop": (("num", "num", "num"), "seg"),
+    "ra": (("num", "num"), "point"), "rra": (("point",), "seg"),
+    "bisect": (("num",), "seg"), "anglesect": (("point", "num", "num"), "point"),
+}
+_rational = st.tuples(st.integers(-3, 6), st.integers(1, 4)).map(
+    lambda pq: str(pq[0]) if pq[1] == 1 else f"{pq[0]}/{pq[1]}")
+
+
+@st.composite
+def programs(draw):
+    kinds: dict[str, str] = {}
+    lines = []
+    for n in range(draw(st.integers(1, 6))):
+        tool = draw(st.sampled_from(sorted(_TOOLS)))
+        wanted, built = _TOOLS[tool]
+        args = []
+        for kind in wanted:
+            if kind == "index":
+                if draw(st.booleans()):
+                    args.append(str(draw(st.integers(0, 2))))
+                continue
+            fits = sorted(name for name, k in kinds.items()
+                          if k == kind or (kind == "num" and k == "seg")
+                          or (kind == "curve" and k in ("line", "circle")))
+            if fits and draw(st.integers(0, 3)):
+                args.append(draw(st.sampled_from(fits)))
+            elif kinds and not draw(st.integers(0, 5)):
+                args.append(draw(st.sampled_from(sorted(kinds))))  # possibly ill-typed
+            else:
+                args.append(draw(_rational))
+        name = f"v{n}"
+        kinds[name] = built
+        lines.append(f"let {name} = {tool}({', '.join(args)});")
+    emitted = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=3,
+                            unique=True))
+    lines.append(f"emit {', '.join(emitted)};")
+    source = "\n".join(lines) + "\n"
+    if draw(st.integers(0, 4)):
+        return source
+    cut = draw(st.integers(0, len(source) - 1))  # one character dropped: syntax errors
+    return source[:cut] + source[cut + 1:]
+
+
+@FUZZ
+@given(programs(), st.sampled_from([[], ["--json"]]))
+def test_compile_ends_in_a_documented_exit_code(tmp_path_factory, source, flags):
+    path = tmp_path_factory.mktemp("fuzz") / "p.qdx"
+    path.write_text(source)
+    assert exit_code(["compile", str(path)] + flags) in DOCUMENTED
