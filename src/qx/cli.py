@@ -28,10 +28,10 @@ from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .expr import Context, Expr, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
-from .interval import CInterval, RInterval
+from .interval import CInterval, RInterval, precision_ceiling
 from .ladders import _verify_removal_identity, ascend, descend, reduce_ladder
 from .minpoly import IntPoly, Verdict, transcendence_rules
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 VERSION = "0.1.0"
 
@@ -104,6 +104,11 @@ def _enclosure_json(ci: CInterval, digits: int) -> dict:
 
 
 def _digits_width(digits: int) -> Fraction:
+    cap = precision_ceiling()
+    if digits > cap:
+        # 10^-digits < 2^-digits: the target needs more bits than the ceiling allows
+        raise err.MaxPrecision(f"{digits} digits need a width target of more than {digits} "
+                               f"bits, beyond the precision ceiling of {cap} bits")
     return Fraction(1, 10**digits)
 
 
@@ -176,9 +181,9 @@ def cmd_compile(args) -> int:
         "command": "compile",
         "meta": _meta(),
         "program": pretty_print(prog),
-        "trace": [{"tool": s["tool"],
-                   "inputs": [str(v) for v in s["inputs"]],
-                   "outputs": list(s["outputs"])} for s in result.steps],
+        "trace": [{"tool": st.call.tool,
+                   "inputs": [str(a.value) for a in st.call.args],
+                   "outputs": [st.name]} for st, _ in result.steps],
         "roundtrip": roundtrip,
         "emits": {name: expr_certificate(e, args.precision)
                   for name, e in result.values.items()},
@@ -278,9 +283,9 @@ def cmd_report(args) -> int:
 
 def cmd_render(args) -> int:
     result = compile_program(parse(_read(args.path)))
-    spec = RenderSpec(width=args.width, height=args.height)
     curves = (args.with_curve,) if args.with_curve else ()
-    Path(args.out).write_text(render_svg(result, spec, curves), encoding="utf-8")
+    svg = render_svg(result, args.width, args.height, curves)
+    Path(args.out).write_text(svg, encoding="utf-8")
     return 0
 
 

@@ -304,8 +304,8 @@ _SIGNATURES = {
 @dataclass
 class CompileResult:
     values: dict  # emitted name (points expand to name.x / name.y) -> Expr
-    steps: list   # tool invocation log: {tool, inputs, outputs}
-    trace: G.Trace
+    steps: list   # (LetStmt, the value it bound) per `let`, in program order
+    ctx: Context  # the session every value was built in
 
 
 def _kind_of(value) -> str:
@@ -329,7 +329,6 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
         ctx = Context()
     env: dict = {}
     steps: list = []
-    trace = G.Trace()
     for st in prog.statements:
         if isinstance(st, EmitStmt):
             continue
@@ -340,19 +339,14 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
                 "error", call.span,
                 f"{call.tool} expects {lo if lo == hi else f'{lo}..{hi}'} arguments, got {len(call.args)}"))
         try:
-            value = _apply(ctx, call, env, trace)
+            value = _apply(ctx, call, env)
         except (DslSemanticError, DslSyntaxError):
             raise
         except QxError as exc:
             exc.span = call.span
             raise
         env[st.name] = value
-        steps.append({
-            "tool": call.tool,
-            "inputs": tuple(a.value if a.kind == "name" else a.value for a in call.args),
-            "input_kinds": tuple(a.kind for a in call.args),
-            "outputs": (st.name,),
-        })
+        steps.append((st, value))
     values: dict = {}
     for st in prog.statements:
         if not isinstance(st, EmitStmt):
@@ -367,7 +361,7 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
             else:
                 raise DslSemanticError(Diagnostic(
                     "error", st.span, f"cannot emit a {_kind_of(value)}; emit segments or points"))
-    return CompileResult(values, steps, trace)
+    return CompileResult(values, steps, ctx)
 
 
 def _expect(env, call: Call, idx: int, kinds: tuple[str, ...]):
@@ -390,7 +384,7 @@ def _as_expr(ctx: Context, v) -> Expr:
     return v if isinstance(v, Expr) else ctx.rat(v)
 
 
-def _apply(ctx: Context, call: Call, env, trace: G.Trace):
+def _apply(ctx: Context, call: Call, env):
     tool = call.tool
     if tool == "seg":
         value = _expect(env, call, 0, ("rat", "seg"))
@@ -422,32 +416,28 @@ def _apply(ctx: Context, call: Call, env, trace: G.Trace):
             raise DslSemanticError(Diagnostic(
                 "error", call.span,
                 f"intersection produced {len(pts)} point(s); index {index} is out of range"))
-        for p in pts:
-            trace.step("intersect", (("point", p),))
         return pts[index]
     if tool == "meanprop":
         a = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
         b = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
-        return G.mean_proportional(ctx, a, b, trace)
+        return G.mean_proportional(ctx, a, b)
     if tool == "fourthprop":
         a = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
         b = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
         c = _as_expr(ctx, _expect(env, call, 2, ("rat", "seg")))
-        return G.fourth_proportional(ctx, a, b, c, trace)
+        return G.fourth_proportional(ctx, a, b, c)
     if tool == "ra":
         u = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
         v = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
-        return G.right_anglesect(ctx, u, v, trace)
+        return G.right_anglesect(ctx, u, v)
     if tool == "rra":
-        return G.reverse_anglesect(ctx, _expect(env, call, 0, ("point",)), trace)
+        return G.reverse_anglesect(ctx, _expect(env, call, 0, ("point",)))
     if tool == "bisect":
         value = _expect(env, call, 0, ("rat", "seg", "point"))
         if isinstance(value, G.GPoint):
             d = ctx.sqrt(ctx.add(ctx.mul(ctx.add(1, value.x), ctx.add(1, value.x)),
                                  ctx.mul(value.y, value.y)))
-            p = G.GPoint(ctx.div(ctx.add(1, value.x), d), ctx.div(value.y, d))
-            trace.step("bisect", (("point", p),))
-            return p
+            return G.GPoint(ctx.div(ctx.add(1, value.x), d), ctx.div(value.y, d))
         e = _as_expr(ctx, value)
         G._require_positive(e, "segment length")
         return ctx.div(e, 2)
@@ -455,14 +445,14 @@ def _apply(ctx: Context, call: Call, env, trace: G.Trace):
         p = _expect(env, call, 0, ("point",))
         u = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
         v = _as_expr(ctx, _expect(env, call, 2, ("rat", "seg")))
-        return G.general_anglesect(ctx, p, u, v, trace)
+        return G.general_anglesect(ctx, p, u, v)
     raise AssertionError(tool)
 
 
 # --- round-trip verification ------------------------------------------------------
 
 class _NumericExecutor:
-    """Replays the tool-step log in plain interval geometry, no symbolic layer.
+    """Replays the `let` steps in plain interval geometry, no symbolic layer.
 
     Values: CInterval for segments, ("pt", x, y), ("line", p, q),
     ("circle", center, through). The formulas mirror the tool semantics
@@ -475,11 +465,9 @@ class _NumericExecutor:
         self.env: dict = {}
 
     def run(self, steps):
-        for step in steps:
-            args = []
-            for raw, kind in zip(step["inputs"], step["input_kinds"]):
-                args.append(raw if kind == "rat" else self.env[raw])
-            self.env[step["outputs"][0]] = self.apply(step["tool"], args)
+        for st, _ in steps:
+            args = [a.value if a.kind == "rat" else self.env[a.value] for a in st.call.args]
+            self.env[st.name] = self.apply(st.call.tool, args)
 
     def _ci(self, v) -> CInterval:
         if isinstance(v, CInterval):
@@ -595,7 +583,7 @@ class _NumericExecutor:
 
 
 def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
-    """Re-execute the step log numerically; every emit must overlap at the width.
+    """Re-execute the `let` steps numerically; every emit must overlap at the width.
 
     Raises MismatchError naming the divergent emits; returns a report of
     per-name widths otherwise.

@@ -6,20 +6,22 @@ are expressions, so every derived length is exact and certifiable. The
 quadratrix terminal point exists only as a limit: the y = 0 parameter is a
 hard domain error, and the probes expose only finite-stage data (Clavius
 bisection points, spiral secant intercepts) for the caller to study.
+
+This layer only computes: a tool returns its value and draws nothing.
+Drawing a construction is `render`'s job, from the record of compiled steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (Coincident, DegenerateSecant, DomainStraddle, MaxPrecision,
                      NoIntersection, NonPositiveLength, NonPositiveSlope,
                      NotOnUnitCircle, OutOfRange)
 from .expr import Context, Expr, to_text
-from .interval import CInterval, pi_interval
+from .interval import precision_ceiling
 
-_W40 = Fraction(1, 1 << 40)
 _SEP_CAP = 1024
 
 
@@ -39,27 +41,6 @@ class GLine:
 class GCircle:
     center: GPoint
     through: GPoint
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    parameter: Expr
-    point: GPoint
-    curve: str  # "quadratrix(R)" | "spiral(a)"
-
-
-@dataclass
-class Trace:
-    """Append-only construction log: what each tool drew, and curve samples."""
-
-    steps: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
-
-    def step(self, tool: str, drawables: tuple = ()):
-        self.steps.append({"tool": tool, "drawables": drawables})
-
-    def sample(self, s: CurveSample):
-        self.samples.append(s)
 
 
 # --- exact sign reasoning ------------------------------------------------------
@@ -208,55 +189,25 @@ def _order_points(pts: list[GPoint]) -> list[GPoint]:
 
 # --- proportion constructions -----------------------------------------------------
 
-def mean_proportional(ctx: Context, a: Expr, b: Expr,
-                      trace: Optional[Trace] = None) -> Expr:
+def mean_proportional(ctx: Context, a: Expr, b: Expr) -> Expr:
     """x with a : x = x : b, i.e. x = sqrt(a*b), by the semicircle construction."""
     a, b = ctx._coerce(a), ctx._coerce(b)
     _require_positive(a, "first segment")
     _require_positive(b, "second segment")
-    x = ctx.sqrt(ctx.mul(a, b))
-    if trace is not None:
-        zero = ctx.rat(0)
-        A = GPoint(zero, zero)
-        D = GPoint(a, zero)
-        B = GPoint(ctx.add(a, b), zero)
-        M = GPoint(ctx.div(ctx.add(a, b), 2), zero)
-        C = GPoint(a, x)
-        trace.step("meanprop", (("segment", A, D), ("segment", D, B), ("circle", M, A),
-                                ("segment", D, C), ("point", C)))
-    return x
+    return ctx.sqrt(ctx.mul(a, b))
 
 
-def fourth_proportional(ctx: Context, a: Expr, b: Expr, c: Expr,
-                        trace: Optional[Trace] = None) -> Expr:
+def fourth_proportional(ctx: Context, a: Expr, b: Expr, c: Expr) -> Expr:
     """x with x : a = c : b, i.e. x = a*c/b, by the similar-triangle construction."""
     a, b, c = ctx._coerce(a), ctx._coerce(b), ctx._coerce(c)
     for name, seg in (("a", a), ("b", b), ("c", c)):
         _require_positive(seg, f"segment {name}")
-    x = ctx.div(ctx.mul(a, c), b)
-    if trace is not None:
-        zero = ctx.rat(0)
-        A = GPoint(zero, zero)
-        Ap = GPoint(zero, a)
-        Gp = GPoint(c, a)
-        G = GPoint(b, zero)
-        D = GPoint(a, zero)
-        drawables = [("segment", A, D), ("segment", A, Ap), ("segment", Ap, Gp),
-                     ("point", G)]
-        diff = ctx.sub(b, c)
-        if not diff.is_rat(0) and _sign_of(diff, cap=256) is not None:
-            O = GPoint(zero, ctx.div(ctx.mul(a, b), diff))
-            Dp = GPoint(ctx.div(ctx.mul(a, ctx.sub(Ap.y, O.y)),
-                                ctx.sub(zero, O.y)), a)
-            drawables += [("segment", O, G), ("segment", O, D), ("point", Dp)]
-        trace.step("fourthprop", tuple(drawables))
-    return x
+    return ctx.div(ctx.mul(a, c), b)
 
 
 # --- anglesector tools ---------------------------------------------------------------
 
-def right_anglesect(ctx: Context, u: Expr, v: Expr,
-                    trace: Optional[Trace] = None) -> GPoint:
+def right_anglesect(ctx: Context, u: Expr, v: Expr) -> GPoint:
     """Unit-circle point dividing the right angle in ratio u : v from the x-axis.
 
     The point is (cos(pi*t/2), sin(pi*t/2)) with t = u/(u+v), realized with
@@ -267,25 +218,18 @@ def right_anglesect(ctx: Context, u: Expr, v: Expr,
     _require_positive(v, "ratio complement")
     t = ctx.div(u, ctx.add(u, v))
     half = Fraction(1, 2)
-    p = GPoint(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
-               ctx.sin_pi(ctx.mul(half, t)))
-    if trace is not None:
-        trace.step("ra", (("point", p), ("segment", GPoint(ctx.rat(0), ctx.rat(0)), p)))
-    return p
+    return GPoint(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
+                  ctx.sin_pi(ctx.mul(half, t)))
 
 
-def reverse_anglesect(ctx: Context, p: GPoint,
-                      trace: Optional[Trace] = None) -> Expr:
+def reverse_anglesect(ctx: Context, p: GPoint) -> Expr:
     """Fraction of the right angle below the unit-circle point p: (2/pi) arcsin(y)."""
     _check_unit_circle(ctx, p)
     y = p.y
     s = _sign_of(y)
     if s == -1:
         raise NotOnUnitCircle("point lies below the first-quadrant arc")
-    out = ctx.mul(2, ctx.arcsin_over_pi(y))
-    if trace is not None:
-        trace.step("rra", (("point", p),))
-    return out
+    return ctx.mul(2, ctx.arcsin_over_pi(y))
 
 
 def _check_unit_circle(ctx: Context, p: GPoint) -> None:
@@ -297,22 +241,17 @@ def _check_unit_circle(ctx: Context, p: GPoint) -> None:
     # residual encloses 0 down to separation cap: accept (necessary check)
 
 
-def general_anglesect(ctx: Context, theta: GPoint, u: Expr, v: Expr,
-                      trace: Optional[Trace] = None) -> GPoint:
+def general_anglesect(ctx: Context, theta: GPoint, u: Expr, v: Expr) -> GPoint:
     """Divide the acute angle at theta in ratio u : v via reverse-then-right anglesection."""
     u, v = ctx._coerce(u), ctx._coerce(v)
-    f = reverse_anglesect(ctx, theta, trace)
+    f = reverse_anglesect(ctx, theta)
     w = ctx.mul(f, ctx.div(u, ctx.add(u, v)))
-    out = right_anglesect(ctx, w, ctx.sub(1, w), trace)
-    if trace is not None:
-        trace.step("anglesect", (("point", out),))
-    return out
+    return right_anglesect(ctx, w, ctx.sub(1, w))
 
 
 # --- curve probes -------------------------------------------------------------------
 
-def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr,
-                      trace: Optional[Trace] = None) -> Expr:
+def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr) -> Expr:
     """Abscissa of the quadratrix at height yv: x = yv / tan((pi/2)(yv/R)).
 
     yv = 0 is the terminal limit and is rejected: the generating motions
@@ -330,37 +269,25 @@ def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr,
         raise MaxPrecision("cannot certify 0 < y < R")
     t = ctx.div(yv, R)
     half = Fraction(1, 2)
-    x = ctx.mul(yv, ctx.div(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
-                            ctx.sin_pi(ctx.mul(half, t))))
-    if trace is not None:
-        trace.sample(CurveSample(yv, GPoint(x, yv), f"quadratrix({to_text(R)})"))
-    return x
+    return ctx.mul(yv, ctx.div(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
+                               ctx.sin_pi(ctx.mul(half, t))))
 
 
-def quadratrix_y_of_slope(ctx: Context, m: Expr,
-                          trace: Optional[Trace] = None) -> Expr:
+def quadratrix_y_of_slope(ctx: Context, m: Expr) -> Expr:
     """Height of quadratrix (R=1) meeting the radial line y = m*x: (2/pi) arctan(m)."""
     m = ctx._coerce(m)
     if m.is_rat(0) or _sign_of(m) != 1:
         raise NonPositiveSlope("radial slope must be positive")
     sine = ctx.div(m, ctx.sqrt(ctx.add(1, ctx.mul(m, m))))
-    y = ctx.mul(2, ctx.arcsin_over_pi(sine))
-    if trace is not None:
-        trace.sample(CurveSample(m, GPoint(ctx.div(y, m), y), "quadratrix(1)"))
-    return y
+    return ctx.mul(2, ctx.arcsin_over_pi(sine))
 
 
-def clavius_point(ctx: Context, n: int, trace: Optional[Trace] = None) -> GPoint:
+def clavius_point(ctx: Context, n: int) -> GPoint:
     """Quadratrix point at y = 2^-n reached by n successive compass bisections."""
     if n < 1:
         raise OutOfRange("at least one bisection required")
     y = Fraction(1, 1 << n)
-    x = quadratrix_x_of_y(ctx, ctx.rat(y), ctx.rat(1), trace=None)
-    p = GPoint(x, ctx.rat(y))
-    if trace is not None:
-        trace.step("clavius", (("point", p),))
-        trace.sample(CurveSample(ctx.rat(y), p, "quadratrix(1)"))
-    return p
+    return GPoint(quadratrix_x_of_y(ctx, ctx.rat(y), ctx.rat(1)), ctx.rat(y))
 
 
 def spiral_point(ctx: Context, theta: Expr, R: Expr) -> GPoint:
@@ -373,8 +300,7 @@ def spiral_point(ctx: Context, theta: Expr, R: Expr) -> GPoint:
                   ctx.mul(r, ctx.sin_pi(t)))
 
 
-def spiral_secant_cut(ctx: Context, theta0: Expr, h: Expr, R: Expr,
-                      trace: Optional[Trace] = None) -> Expr:
+def spiral_secant_cut(ctx: Context, theta0: Expr, h: Expr, R: Expr) -> Expr:
     """x-axis intercept of the secant through spiral points at theta0 and theta0 - h.
 
     As h -> 0 the intercepts approach the tangent cut on the initial tangent
@@ -388,12 +314,7 @@ def spiral_secant_cut(ctx: Context, theta0: Expr, h: Expr, R: Expr,
     p0 = spiral_point(ctx, theta0, R)
     p1 = spiral_point(ctx, ctx.sub(theta0, h), R)
     dy = ctx.sub(p1.y, p0.y)
-    cut = ctx.sub(p0.x, ctx.div(ctx.mul(p0.y, ctx.sub(p1.x, p0.x)), dy))
-    if trace is not None:
-        trace.sample(CurveSample(theta0, p0, f"spiral({to_text(R)})"))
-        trace.sample(CurveSample(ctx.sub(theta0, h), p1, f"spiral({to_text(R)})"))
-        trace.step("spiral-secant", (("segment", p0, p1),))
-    return cut
+    return ctx.sub(p0.x, ctx.div(ctx.mul(p0.y, ctx.sub(p1.x, p0.x)), dy))
 
 
 @dataclass(frozen=True)
@@ -422,6 +343,11 @@ def spiral_probe_report(ctx: Context, R: Expr | int = 1, k_min: int = 3,
                         k_max: int = 12, digits: int = 12) -> SpiralProbeReport:
     if k_max <= k_min:
         raise OutOfRange("the probe needs at least two stages (k_max > k_min)")
+    cap = precision_ceiling()
+    if k_max >= cap:
+        # stage k's secant rise is about 2^-k: no enclosure within cap bits separates it from 0
+        raise OutOfRange(f"stage {k_max} needs more than the precision ceiling of {cap} bits "
+                         f"(k_max must be below {cap})")
     R = ctx._coerce(R)
     pi = ctx.pi()
     width = Fraction(1, 1 << 64)

@@ -1,33 +1,27 @@
-"""Deterministic SVG 1.1 rendering of construction traces and curve overlays.
+"""Deterministic SVG 1.1 rendering of compiled constructions and curve overlays.
 
-All geometry is emitted in world coordinates inside a single group whose
-matrix maps world to screen (y up). Fixed formatting and stable element
-order make byte-identical output for identical inputs. Rendering is
-illustrative: floats are fine here, certified arithmetic stays in the
-kernel.
+Each `let` step is drawn from its argument values and the value it bound,
+in program order. All geometry is emitted in world coordinates inside a
+single group whose matrix maps world to screen (y up). Fixed formatting and
+stable element order make byte-identical output for identical inputs.
+Rendering is illustrative: floats are fine here, certified arithmetic stays
+in the kernel.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from . import geometry as G
 from .dsl import CompileResult
 
+_MARGIN = 0.08   # fraction of world bounds added as padding
+_DENSITY = 2.0   # curve samples per output pixel
 _STYLES = {
     "segment": 'stroke="#1f3a5f" stroke-width="0.006" fill="none"',
     "circle": 'stroke="#7a5c1e" stroke-width="0.006" fill="none"',
     "point": 'fill="#b03030"',
     "curve": 'stroke="#2e7d32" stroke-width="0.006" fill="none"',
 }
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    width: int = 640
-    height: int = 640
-    margin: float = 0.08      # fraction of world bounds added as padding
-    density: float = 2.0      # curve samples per output pixel
-    styles: dict = field(default_factory=lambda: dict(_STYLES))
 
 
 def _f(x: float) -> str:
@@ -43,17 +37,19 @@ def _point_xy(p) -> tuple[float, float]:
     return (_expr_float(p.x), _expr_float(p.y))
 
 
-def quadratrix_points(n: int, radius: float = 1.0) -> list[tuple[float, float]]:
+def quadratrix_points(n: int) -> list[tuple[float, float]]:
+    """n points of the quadratrix with R = 1, inside 0 < y < 1."""
     pts = []
     for i in range(1, n + 1):
-        y = radius * i / (n + 1)
-        theta = math.pi * y / (2 * radius)
+        y = i / (n + 1)
+        theta = math.pi * y / 2
         pts.append((y / math.tan(theta), y))
     return pts
 
 
-def spiral_points(n: int, radius: float = 1.0) -> list[tuple[float, float]]:
-    a = 2 * radius / math.pi
+def spiral_points(n: int) -> list[tuple[float, float]]:
+    """n points of one turn of the spiral with quarter-turn radius 1."""
+    a = 2 / math.pi
     pts = []
     for i in range(1, n + 1):
         t = 2 * math.pi * i / n
@@ -61,14 +57,66 @@ def spiral_points(n: int, radius: float = 1.0) -> list[tuple[float, float]]:
     return pts
 
 
-def render_svg(result: CompileResult | None, spec: RenderSpec,
+def drawables(result: CompileResult) -> list[tuple]:
+    """("segment", p, q), ("circle", center, through) and ("point", p) of every step."""
+    ctx = result.ctx
+    env: dict = {}
+    out = []
+    for st, value in result.steps:
+        args = [env[a.value] if a.kind == "name" else ctx.rat(a.value) for a in st.call.args]
+        out.extend(_step_drawables(ctx, st.call.tool, args, value))
+        env[st.name] = value
+    return out
+
+
+def _step_drawables(ctx, tool: str, args: list, value) -> list[tuple]:
+    zero = ctx.rat(0)
+    origin = G.GPoint(zero, zero)
+    if tool == "intersect":
+        return [("point", p) for p in G.intersect(ctx, args[0], args[1])]
+    if tool == "meanprop":
+        # the circle on the diameter from 0 to a + b meets the perpendicular at a at height x
+        a, b = args
+        D = G.GPoint(a, zero)
+        B = G.GPoint(ctx.add(a, b), zero)
+        M = G.GPoint(ctx.div(ctx.add(a, b), 2), zero)
+        C = G.GPoint(a, value)
+        return [("segment", origin, D), ("segment", D, B), ("circle", M, origin),
+                ("segment", D, C), ("point", C)]
+    if tool == "fourthprop":
+        # similar triangles; their apex O exists only where b - c has a certified sign
+        a, b, c = args
+        Ap = G.GPoint(zero, a)
+        Gp = G.GPoint(c, a)
+        Gb = G.GPoint(b, zero)
+        D = G.GPoint(a, zero)
+        out = [("segment", origin, D), ("segment", origin, Ap), ("segment", Ap, Gp),
+               ("point", Gb)]
+        diff = ctx.sub(b, c)
+        if not diff.is_rat(0) and G._sign_of(diff, cap=256) is not None:
+            O = G.GPoint(zero, ctx.div(ctx.mul(a, b), diff))
+            Dp = G.GPoint(ctx.div(ctx.mul(a, ctx.sub(Ap.y, O.y)),
+                                  ctx.sub(zero, O.y)), a)
+            out += [("segment", O, Gb), ("segment", O, D), ("point", Dp)]
+        return out
+    if tool == "ra":
+        return [("point", value), ("segment", origin, value)]
+    if tool == "rra":
+        return [("point", args[0])]
+    if tool == "anglesect":
+        # the reverse anglesection of the given point, then the right one
+        return [("point", args[0]), ("point", value), ("segment", origin, value),
+                ("point", value)]
+    if tool == "bisect" and isinstance(value, G.GPoint):
+        return [("point", value)]
+    return []
+
+
+def render_svg(result: CompileResult, width: int, height: int,
                curves: tuple[str, ...] = ()) -> str:
-    drawables = []
-    if result is not None:
-        for step in result.trace.steps:
-            drawables.extend(step.get("drawables", ()))
+    shapes = drawables(result)
     curve_polys = []
-    samples = int(spec.density * spec.width)
+    samples = int(_DENSITY * width)
     for curve in curves:
         if curve == "quadratrix":
             curve_polys.append(("quadratrix", quadratrix_points(samples)))
@@ -78,7 +126,7 @@ def render_svg(result: CompileResult | None, spec: RenderSpec,
             raise ValueError(f"unknown curve overlay {curve!r}")
 
     xs, ys = [0.0, 1.0], [0.0, 1.0]
-    for d in drawables:
+    for d in shapes:
         for p in d[1:]:
             if hasattr(p, "x"):
                 px, py = _point_xy(p)
@@ -89,37 +137,37 @@ def render_svg(result: CompileResult | None, spec: RenderSpec,
         ys.extend(p[1] for p in pts)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    pad_x = (x1 - x0 or 1.0) * spec.margin
-    pad_y = (y1 - y0 or 1.0) * spec.margin
+    pad_x = (x1 - x0 or 1.0) * _MARGIN
+    pad_y = (y1 - y0 or 1.0) * _MARGIN
     x0, x1 = x0 - pad_x, x1 + pad_x
     y0, y1 = y0 - pad_y, y1 + pad_y
-    sx = spec.width / (x1 - x0)
-    sy = spec.height / (y1 - y0)
+    sx = width / (x1 - x0)
+    sy = height / (y1 - y0)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
         f'<g transform="matrix({_f(sx)} 0 0 {_f(-sy)} {_f(-x0 * sx)} {_f(y1 * sy)})">',
     ]
     for name, pts in curve_polys:
         coords = " ".join(f"{_f(px)},{_f(py)}" for px, py in pts)
-        lines.append(f'<polyline class="curve {name}" {spec.styles["curve"]} points="{coords}"/>')
-    for d in drawables:
+        lines.append(f'<polyline class="curve {name}" {_STYLES["curve"]} points="{coords}"/>')
+    for d in shapes:
         kind = d[0]
         if kind == "segment":
             (ax, ay), (bx, by) = _point_xy(d[1]), _point_xy(d[2])
-            lines.append(f'<line class="segment" {spec.styles["segment"]} '
+            lines.append(f'<line class="segment" {_STYLES["segment"]} '
                          f'x1="{_f(ax)}" y1="{_f(ay)}" x2="{_f(bx)}" y2="{_f(by)}"/>')
         elif kind == "circle":
             (cx, cy), (tx, ty) = _point_xy(d[1]), _point_xy(d[2])
             r = math.hypot(tx - cx, ty - cy)
-            lines.append(f'<circle class="circle" {spec.styles["circle"]} '
+            lines.append(f'<circle class="circle" {_STYLES["circle"]} '
                          f'cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}"/>')
         elif kind == "point":
             px, py = _point_xy(d[1])
-            lines.append(f'<circle class="point" {spec.styles["point"]} '
+            lines.append(f'<circle class="point" {_STYLES["point"]} '
                          f'cx="{_f(px)}" cy="{_f(py)}" r="0.012"/>')
     lines.append("</g>")
     lines.append("</svg>")

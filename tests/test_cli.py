@@ -244,20 +244,45 @@ def test_render_anglesector_program(tmp_path):
     assert 'class="point"' in out.read_text()
 
 
-def test_eval_past_the_precision_ceiling_exits_5_without_traceback():
+def _timed_qx(argv):
+    """qx run in a fresh interpreter: the finished process and its wall time in s."""
     import subprocess
     import sys
+    import time
 
     import qx
+    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "qx.cli", "eval", "sqrt(2)", "--precision", "20000"],
-        capture_output=True, text=True,
+        [sys.executable, "-m", "qx.cli", *argv], capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin",
              "PYTHONPATH": str(Path(qx.__file__).resolve().parent.parent)},
     )
+    return proc, time.perf_counter() - start
+
+
+def test_eval_past_the_precision_ceiling_exits_5_without_traceback():
+    proc, _ = _timed_qx(["eval", "sqrt(2)", "--precision", "20000"])
     assert proc.returncode == 5, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "bits" in proc.stderr
+
+
+def test_precision_above_the_ceiling_exits_5_before_building_the_target():
+    # 10^-4000000 as an exact Fraction alone took seconds
+    proc, seconds = _timed_qx(["eval", "pi", "--precision", "4000000"])
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "4096 bits" in proc.stderr
+    assert seconds < 1
+
+
+def test_spiral_report_past_the_ceiling_exits_5_before_any_stage():
+    # stage k's secant rise is about 2^-k; the 4096-bit ceiling cannot separate it from 0
+    proc, seconds = _timed_qx(["report", "spiral", "--kmin", "3", "--kmax", "100000"])
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "precision ceiling" in proc.stderr
+    assert seconds < 2
 
 
 def _mutate_removal_index(d):

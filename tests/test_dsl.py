@@ -1,10 +1,11 @@
 """Construction-language tests: parsing, diagnostics, compilation, round trip."""
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from qx.dsl import (compile_program, parse, pretty_print, verify_roundtrip)
+from qx.dsl import (Arg, compile_program, parse, pretty_print, verify_roundtrip)
 from qx.errors import DslSemanticError, DslSyntaxError, MismatchError
 from qx.expr import Context, to_text
 from qx.minpoly import transcendence_rules
@@ -103,7 +104,10 @@ def test_roundtrip_corpus_at_2_to_30():
 def test_roundtrip_detects_corruption():
     res = compile_program(parse(
         "let a = seg(2); let b = seg(8); let m = meanprop(a,b); emit m;"))
-    res.steps[1]["inputs"] = (F(9),)  # tamper the trace
+    st, value = res.steps[1]  # let b = seg(8)
+    (arg,) = st.call.args
+    tampered = replace(st.call, args=(replace(arg, value=F(9)),))
+    res.steps[1] = (replace(st, call=tampered), value)
     with pytest.raises(MismatchError) as ei:
         verify_roundtrip(res, 30)
     assert "m" in ei.value.names
@@ -163,3 +167,23 @@ def test_meanprop_chain_of_1500_at_the_default_recursion_limit():
     enc = value.enclosure(F(1, 1 << 64))
     assert abs(enc.re.mid().to_fraction() - 2) < F(1, 1 << 60)
     assert to_text(value).startswith("sqrt((sqrt((")
+
+
+def _interned(src: str) -> int:
+    ctx = Context()
+    compile_program(parse(src), ctx)
+    return len(ctx._table)
+
+
+def _meanprop_chain(n: int) -> str:
+    lines = ["let s0 = seg(2);"]
+    lines += [f"let s{i} = meanprop(s{i - 1}, 3/2);" for i in range(1, n + 1)]
+    return "\n".join(lines + [f"emit s{n};"]) + "\n"
+
+
+def test_compile_interns_only_the_nodes_of_the_values():
+    # each meanprop step adds its product and its square root, nothing drawn
+    counts = [_interned(_meanprop_chain(n)) for n in range(1, 9)]
+    assert [b - a for a, b in zip(counts, counts[1:])] == [2] * 7
+    # the base -1, the literals 3, 2 and 4, then a*c = 12 and 12/2 = 6
+    assert _interned("let x = fourthprop(3, 2, 4); emit x;") == 6

@@ -8,12 +8,11 @@ from qx.errors import (Coincident, DegenerateSecant, NoIntersection,
                        NonPositiveLength, NonPositiveSlope, NotOnUnitCircle,
                        OutOfRange)
 from qx.expr import Context, to_text
-from qx.geometry import (CurveSample, GPoint, Trace, circle, clavius_point,
-                         fourth_proportional, general_anglesect, intersect,
-                         line, mean_proportional, quadratrix_x_of_y,
-                         quadratrix_y_of_slope, reverse_anglesect,
-                         right_anglesect, spiral_point, spiral_probe_report,
-                         spiral_secant_cut)
+from qx.geometry import (GPoint, circle, clavius_point, fourth_proportional,
+                         general_anglesect, intersect, line, mean_proportional,
+                         quadratrix_x_of_y, quadratrix_y_of_slope,
+                         reverse_anglesect, right_anglesect, spiral_point,
+                         spiral_probe_report, spiral_secant_cut)
 from qx.interval import CInterval, pi_interval
 
 W40 = F(1, 1 << 40)
@@ -104,14 +103,6 @@ def test_mean_proportional(ctx):
     assert resid.enclosure(W40).contains_zero()
     with pytest.raises(NonPositiveLength):
         mean_proportional(ctx, ctx.rat(-1), ctx.rat(2))
-
-
-def test_mean_proportional_trace(ctx):
-    tr = Trace()
-    mean_proportional(ctx, 2, 8, tr)
-    (step,) = tr.steps
-    kinds = [d[0] for d in step["drawables"]]
-    assert kinds.count("segment") == 3 and kinds.count("circle") == 1
 
 
 def test_fourth_proportional(ctx):
@@ -218,15 +209,12 @@ def test_quadratrix_x_of_y(ctx):
 
 
 def test_quadratrix_sample_satisfies_curve(ctx):
-    tr = Trace()
     y = ctx.rat(F(1, 3))
-    x = quadratrix_x_of_y(ctx, y, ctx.rat(1), tr)
-    (sample,) = tr.samples
+    x = quadratrix_x_of_y(ctx, y, ctx.rat(1))
     # y * cos(pi y / 2) - x * sin(pi y / 2) encloses 0
     t = F(1, 6)
     resid = ctx.sub(ctx.mul(y, ctx.sin_pi(F(1, 2) - t)), ctx.mul(x, ctx.sin_pi(t)))
     assert resid.enclosure(W40).contains_zero()
-    assert isinstance(sample, CurveSample)
 
 
 def test_quadratrix_y_of_slope(ctx):
