@@ -255,7 +255,10 @@ def _derivative(coeffs, prec: int) -> list[RInterval]:
 
 def _point_sign(coeffs, t: Dyadic, prec: int) -> Optional[int]:
     """Sign of the polynomial with these coefficient enclosures at t, if certified."""
-    v = _horner(coeffs, RInterval.point(t), prec)
+    return _interval_sign(_horner(coeffs, RInterval.point(t), prec))
+
+
+def _interval_sign(v: RInterval) -> Optional[int]:
     if v.strictly_positive():
         return 1
     if v.strictly_negative():
@@ -569,19 +572,16 @@ class Context:
             raise NonRealArgument(f"{op} requires a real argument, got {to_text(x)}")
 
     def _require_unit_domain(self, x: Expr):
-        prec = 64
-        one = Fraction(1)
-        ceiling = precision_ceiling()
-        while True:
-            enc = x.eval(prec).re
-            lo, hi = enc.lo.to_fraction(), enc.hi.to_fraction()
-            if -one <= lo and hi <= one:
-                return
-            if lo > one or hi < -one:
-                raise OutOfDomain("arcsin argument provably outside [-1, 1]")
-            if prec >= ceiling:
-                raise MaxPrecision("cannot place arcsin argument inside [-1, 1]")
-            prec *= 2
+        def inside(enc: CInterval) -> Optional[bool]:
+            lo, hi = enc.re.lo.to_fraction(), enc.re.hi.to_fraction()
+            if lo > 1 or hi < -1:
+                return False
+            return True if -1 <= lo and hi <= 1 else None
+        verdict = _escalate(x, inside, precision_ceiling())
+        if verdict is None:
+            raise MaxPrecision("cannot place arcsin argument inside [-1, 1]")
+        if not verdict:
+            raise OutOfDomain("arcsin argument provably outside [-1, 1]")
 
     # --- derived forms ---
 
@@ -686,11 +686,18 @@ def _check_isolation(node: Expr):
 
 # --- quadratic-field flattening ----------------------------------------------
 
+_TRIAL_BOUND = 1 << 16  # largest trial divisor of a radicand
+
+
 def _square_free_decomp(n: int) -> tuple[int, int]:
-    """n = s^2 * m with m squarefree (n > 0); trial division, fine at test scale."""
+    """n = s^2 * m (n > 0) with m = 1 or m not a perfect square.
+
+    Trial division stops at _TRIAL_BOUND; the cofactor above it is taken out
+    when it is a square, else m may keep a squared prime above the bound.
+    """
     s, m = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_BOUND:
         count = 0
         while n % d == 0:
             n //= d
@@ -699,11 +706,12 @@ def _square_free_decomp(n: int) -> tuple[int, int]:
         if count % 2:
             m *= d
         d += 1 if d == 2 else 2
-    return s, m * n
+    r = math.isqrt(n)
+    return (s * r, m) if r * r == n else (s, m * n)
 
 
 def quad_flatten(e: Expr) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """Flatten into u + v*sqrt(d) with rational u, v and squarefree integer d.
+    """Flatten into u + v*sqrt(d) with rational u, v and a non-square integer d.
 
     Returns (u, 0, 0) for rational values; None when the expression leaves a
     single quadratic extension (nested or mixed radicals).
@@ -757,3 +765,47 @@ def _quad_norm(u: Fraction, v: Fraction, d: Fraction):
     if v == 0 or d == 0:
         return (u, Fraction(0), Fraction(0))
     return (u, v, d)
+
+
+# --- the sign oracle ------------------------------------------------------------
+
+_SIGN_CAP = 1024  # bits spent before a sign or separation test gives up
+
+
+def _escalate(x: Expr, test, cap: int = _SIGN_CAP):
+    """The first non-None test(x.eval(prec)) for prec = 64, 128, ... up to cap, else None."""
+    prec = 64
+    while prec <= cap:
+        try:
+            verdict = test(x.eval(prec))
+        except (DomainStraddle, MaxPrecision):
+            return None
+        if verdict is not None:
+            return verdict
+        prec *= 2
+    return None
+
+
+def sign(x: Expr) -> Optional[int]:
+    """-1, 0 or +1 for a real x; None when x is nonreal or undecided.
+
+    u + v*sqrt(d) in one quadratic field is compared exactly (u^2 != v^2*d,
+    as d is never a square), and only there can the answer be 0. Any other
+    value gets a sign once an enclosure excludes 0.
+    """
+    flat = quad_flatten(x)
+    if flat is None:
+        return _escalate(x, lambda enc: _interval_sign(enc.re) if enc.im.contains_zero() else None)
+    u, v, d = flat
+    if v != 0 and d < 0:
+        return None
+    w = u if v == 0 or u * u > v * v * d else v
+    return (w > 0) - (w < 0)
+
+
+def separates(x: Expr, value: Fraction) -> bool:
+    """Prove x != value (a rational): exactly in one quadratic field, else by enclosures."""
+    flat = quad_flatten(x)
+    if flat is not None:
+        return flat != (value, 0, 0)
+    return bool(_escalate(x, lambda enc: not enc.contains_fraction(value) or None))

@@ -7,6 +7,12 @@ quadratrix terminal point exists only as a limit: the y = 0 parameter is a
 hard domain error, and the probes expose only finite-stage data (Clavius
 bisection points, spiral secant intercepts) for the caller to study.
 
+Every zero and sign test (do two circles touch, are two lines parallel) is
+`expr.sign`: exact for values in one quadratic field Q(sqrt(d)), so a
+tangency or a coincidence built from such values is decided; any other value
+needs an enclosure that excludes 0. An undecided tangency, parallelism or
+positivity test raises MaxPrecision.
+
 This layer only computes: a tool returns its value and draws nothing.
 Drawing a construction is `render`'s job, from the record of compiled steps.
 """
@@ -14,15 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .errors import (Coincident, DegenerateSecant, DomainStraddle, MaxPrecision,
-                     NoIntersection, NonPositiveLength, NonPositiveSlope,
-                     NotOnUnitCircle, OutOfRange)
-from .expr import Context, Expr, to_text
+from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
+                     NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
+from .expr import Context, Expr, sign, to_text
 from .interval import precision_ceiling
-
-_SEP_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -45,25 +47,6 @@ class GCircle:
 
 # --- exact sign reasoning ------------------------------------------------------
 
-def _sign_of(e: Expr, cap: int = _SEP_CAP) -> Optional[int]:
-    """+1/-1 when the enclosure separates from 0, None when undecided."""
-    if e.kind == "rat":
-        return (e.rat > 0) - (e.rat < 0)
-    prec = 64
-    while prec <= cap:
-        try:
-            enc = e.eval(prec)
-        except (DomainStraddle, MaxPrecision):
-            return None
-        if enc.im.is_zero_point() or enc.im.contains_zero():
-            if enc.re.strictly_positive():
-                return 1
-            if enc.re.strictly_negative():
-                return -1
-        prec *= 2
-    return None
-
-
 def _require_positive(e: Expr, what: str) -> None:
     if e.kind == "rat":
         if e.rat <= 0:
@@ -71,12 +54,11 @@ def _require_positive(e: Expr, what: str) -> None:
         return
     if not e.eval(64).im.contains_zero():
         raise NonPositiveLength(f"{what} must be a real positive length")
-    s = _sign_of(e)
-    if s == 1:
-        return
-    if s == -1:
-        raise NonPositiveLength(f"{what} is provably negative")
-    raise MaxPrecision(f"cannot certify positivity of {what}")
+    s = sign(e)
+    if s is None:
+        raise MaxPrecision(f"cannot certify positivity of {what}")
+    if s != 1:
+        raise NonPositiveLength(f"{what} is provably {'negative' if s else 'zero'}")
 
 
 # --- intersections ---------------------------------------------------------------
@@ -84,14 +66,14 @@ def _require_positive(e: Expr, what: str) -> None:
 def line(ctx: Context, p: GPoint, q: GPoint) -> GLine:
     dx = ctx.sub(q.x, p.x)
     dy = ctx.sub(q.y, p.y)
-    if dx.is_rat(0) and dy.is_rat(0):
+    if sign(dx) == 0 and sign(dy) == 0:
         raise Coincident("line endpoints coincide")
     return GLine(p, q)
 
 
 def circle(ctx: Context, center: GPoint, through: GPoint) -> GCircle:
     r2 = _dist2(ctx, center, through)
-    if r2.is_rat(0):
+    if sign(r2) == 0:
         raise Coincident("circle radius is zero")
     return GCircle(center, through)
 
@@ -119,15 +101,16 @@ def _line_line(ctx: Context, l1: GLine, l2: GLine) -> list[GPoint]:
     d1x, d1y = ctx.sub(l1.q.x, l1.p.x), ctx.sub(l1.q.y, l1.p.y)
     d2x, d2y = ctx.sub(l2.q.x, l2.p.x), ctx.sub(l2.q.y, l2.p.y)
     denom = ctx.sub(ctx.mul(d1x, d2y), ctx.mul(d1y, d2x))
-    if denom.is_rat(0):
-        off = ctx.sub(ctx.mul(ctx.sub(l2.p.x, l1.p.x), d1y),
-                      ctx.mul(ctx.sub(l2.p.y, l1.p.y), d1x))
-        if off.is_rat(0):
+    s = sign(denom)
+    if s == 0:
+        s_off = sign(ctx.sub(ctx.mul(ctx.sub(l2.p.x, l1.p.x), d1y),
+                             ctx.mul(ctx.sub(l2.p.y, l1.p.y), d1x)))
+        if s_off == 0:
             raise Coincident("lines coincide")
-        if _sign_of(off) is not None:
+        if s_off is not None:
             raise NoIntersection("parallel distinct lines")
         raise MaxPrecision("cannot separate parallel lines")
-    if denom.kind != "rat" and _sign_of(denom) is None:
+    if s is None:
         raise MaxPrecision("cannot certify the lines are not parallel")
     t = ctx.div(ctx.sub(ctx.mul(ctx.sub(l2.p.x, l1.p.x), d2y),
                         ctx.mul(ctx.sub(l2.p.y, l1.p.y), d2x)), denom)
@@ -143,13 +126,13 @@ def _line_circle(ctx: Context, l: GLine, c: GCircle) -> list[GPoint]:
     r2 = _dist2(ctx, c.center, c.through)
     cc = ctx.sub(ctx.add(ctx.mul(fx, fx), ctx.mul(fy, fy)), r2)
     disc = ctx.sub(ctx.mul(b, b), ctx.mul(4, ctx.mul(a, cc)))
-    sign = _sign_of(disc) if not disc.is_rat(0) else 0
-    if disc.is_rat(0):
+    s = sign(disc)
+    if s == 0:
         t = ctx.div(ctx.mul(-1, b), ctx.mul(2, a))
         return [_along(ctx, l.p, t, dx, dy)]
-    if sign == -1:
+    if s == -1:
         raise NoIntersection("line provably misses the circle")
-    if sign is None:
+    if s is None:
         raise MaxPrecision("cannot certify tangency vs crossing")
     root = ctx.sqrt(disc)
     t1 = ctx.div(ctx.sub(ctx.mul(-1, b), root), ctx.mul(2, a))
@@ -169,8 +152,8 @@ def _circle_circle(ctx: Context, c1: GCircle, c2: GCircle) -> list[GPoint]:
     d2 = ctx.add(ctx.mul(ux, ux), ctx.mul(uy, uy))
     r1 = _dist2(ctx, c1.center, c1.through)
     r2 = _dist2(ctx, c2.center, c2.through)
-    if d2.is_rat(0):
-        if ctx.sub(r1, r2).is_rat(0):
+    if sign(d2) == 0:
+        if sign(ctx.sub(r1, r2)) == 0:
             raise Coincident("circles coincide")
         raise NoIntersection("concentric circles with distinct radii")
     lam = ctx.div(ctx.add(d2, ctx.sub(r1, r2)), ctx.mul(2, d2))
@@ -225,20 +208,16 @@ def right_anglesect(ctx: Context, u: Expr, v: Expr) -> GPoint:
 def reverse_anglesect(ctx: Context, p: GPoint) -> Expr:
     """Fraction of the right angle below the unit-circle point p: (2/pi) arcsin(y)."""
     _check_unit_circle(ctx, p)
-    y = p.y
-    s = _sign_of(y)
-    if s == -1:
+    if sign(p.y) == -1:
         raise NotOnUnitCircle("point lies below the first-quadrant arc")
-    return ctx.mul(2, ctx.arcsin_over_pi(y))
+    return ctx.mul(2, ctx.arcsin_over_pi(p.y))
 
 
 def _check_unit_circle(ctx: Context, p: GPoint) -> None:
     resid = ctx.sub(_dist2(ctx, GPoint(ctx.rat(0), ctx.rat(0)), p), 1)
-    if resid.is_rat(0):
-        return
-    if _sign_of(resid) is not None:
+    if sign(resid):
         raise NotOnUnitCircle(f"x^2 + y^2 - 1 is provably nonzero for ({to_text(p.x)}, {to_text(p.y)})")
-    # residual encloses 0 down to separation cap: accept (necessary check)
+    # a residual that is 0, or encloses 0 down to the sign cap, is accepted (necessary check)
 
 
 def general_anglesect(ctx: Context, theta: GPoint, u: Expr, v: Expr) -> GPoint:
@@ -259,10 +238,10 @@ def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr) -> Expr:
     """
     yv, R = ctx._coerce(yv), ctx._coerce(R)
     _require_positive(R, "quadratrix parameter R")
-    if yv.is_rat(0):
+    s_y = sign(yv)
+    if s_y == 0:
         raise OutOfRange("the quadratrix has no generated point at y = 0")
-    s_y = _sign_of(yv)
-    s_top = _sign_of(ctx.sub(R, yv))
+    s_top = sign(ctx.sub(R, yv))
     if s_y == -1 or s_top == -1:
         raise OutOfRange("quadratrix height must satisfy 0 < y < R")
     if s_y is None or s_top is None:
@@ -276,7 +255,7 @@ def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr) -> Expr:
 def quadratrix_y_of_slope(ctx: Context, m: Expr) -> Expr:
     """Height of quadratrix (R=1) meeting the radial line y = m*x: (2/pi) arctan(m)."""
     m = ctx._coerce(m)
-    if m.is_rat(0) or _sign_of(m) != 1:
+    if sign(m) != 1:
         raise NonPositiveSlope("radial slope must be positive")
     sine = ctx.div(m, ctx.sqrt(ctx.add(1, ctx.mul(m, m))))
     return ctx.mul(2, ctx.arcsin_over_pi(sine))
@@ -309,7 +288,7 @@ def spiral_secant_cut(ctx: Context, theta0: Expr, h: Expr, R: Expr) -> Expr:
     theta0, h, R = ctx._coerce(theta0), ctx._coerce(h), ctx._coerce(R)
     if h.is_rat(0) or h.eval(96).re.contains_zero():
         raise DegenerateSecant("secant offset encloses 0")
-    if _sign_of(h) != 1 or _sign_of(ctx.sub(theta0, h)) != 1:
+    if sign(h) != 1 or sign(ctx.sub(theta0, h)) != 1:
         raise DegenerateSecant("need 0 < h < theta0")
     p0 = spiral_point(ctx, theta0, R)
     p1 = spiral_point(ctx, ctx.sub(theta0, h), R)

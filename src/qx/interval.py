@@ -420,16 +420,8 @@ _BINARY = {"add", "sub", "mul", "div", "pow"}
 
 
 def iv_arith(op: str, args: list, precision: Fraction, branch: int = 0) -> CInterval:
-    """Interval dispatcher; escalates working precision toward the target width."""
-    prec = max(64, _bits_for(precision))
-    ceiling = precision_ceiling()
-    best = None
-    while True:
-        result = _iv_once(op, args, prec, branch)
-        best = result
-        if result.width <= precision or prec >= ceiling:
-            return best
-        prec *= 2
+    """Interval dispatcher; refines the working precision toward the target width."""
+    return refine(lambda prec: _iv_once(op, args, prec, branch), precision)
 
 
 def _iv_once(op: str, args: list, prec: int, branch: int) -> CInterval:

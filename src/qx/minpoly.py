@@ -25,11 +25,9 @@ from math import gcd, lcm
 from typing import Optional
 
 from . import expr as E
-from .errors import DomainStraddle, MaxPrecision, ZeroPolynomial
-from .expr import Context, Expr, fold, quad_flatten
+from .errors import ZeroPolynomial
+from .expr import Context, Expr, fold, quad_flatten, separates
 from .interval import CInterval
-
-_SEPARATION_CAP = 1024  # bits spent proving enclosure disjointness
 
 
 @dataclass(frozen=True)
@@ -367,7 +365,7 @@ def _witness_node(e: Expr, kids) -> Optional[tuple[IntPoly, str]]:
         poly = _affine_image(p, a, Fraction(0)) if a != 0 else None
     elif on_right:
         poly = _affine_image(p, 1 / a, Fraction(0))
-    elif a != 0 and _provably_nonzero(right):
+    elif a != 0 and separates(right, 0):
         # x^n * p(a/x), times m'^n by the substitution for a = m/m'
         poly = p.substitute(IntPoly.new((a.numerator,)), IntPoly.new((0, a.denominator))
                             ).divide_content(a.denominator ** p.degree)
@@ -378,48 +376,11 @@ def _witness_node(e: Expr, kids) -> Optional[tuple[IntPoly, str]]:
 
 # --- exact inequality proofs ----------------------------------------------------
 
-def separates(e: Expr, value: Fraction, im_value: Fraction = Fraction(0)) -> bool:
-    """Prove e != value + i*im_value by enclosure disjointness (sound; may fail)."""
-    prec = 64
-    while prec <= _SEPARATION_CAP:
-        try:
-            enc = e.eval(prec)
-        except (DomainStraddle, MaxPrecision):
-            return False
-        if not enc.contains_fraction(value, im_value):
-            return True
-        if enc.width == 0:
-            return False  # exact point equal to the value
-        prec *= 2
-    return False
-
-
 def _provably_irrational(e: Expr, witness: IntPoly) -> bool:
-    if e.kind == E.RAT:
-        return False
     flat = quad_flatten(e)
     if flat is not None:
         return flat[1] != 0
-    roots = rational_root_scan(witness)
-    return all(separates(e, root) for root in roots)
-
-
-def _provably_nonzero(e: Expr) -> bool:
-    if e.kind == E.RAT:
-        return e.rat != 0
-    flat = quad_flatten(e)
-    if flat is not None:
-        return flat[0] != 0 or flat[1] != 0
-    return separates(e, Fraction(0))
-
-
-def _provably_not_one(e: Expr) -> bool:
-    if e.kind == E.RAT:
-        return e.rat != 1
-    flat = quad_flatten(e)
-    if flat is not None:
-        return flat != (Fraction(1), Fraction(0), Fraction(0))
-    return separates(e, Fraction(1))
+    return all(separates(e, root) for root in rational_root_scan(witness))
 
 
 # --- the rule base ---------------------------------------------------------------
@@ -447,12 +408,12 @@ def _classify_node(e: Expr, kids) -> Verdict:
     if k == E.EXP:
         arg_w = algebraic_witness(e.arg)
         if e.natural:
-            if arg_w is not None and _provably_nonzero(e.arg):
+            if arg_w is not None and separates(e.arg, 0):
                 return Verdict("transcendental", "hermite-lindemann")
         else:
             base_w = algebraic_witness(e.base)
             if (base_w is not None and arg_w is not None
-                    and _provably_nonzero(e.base) and _provably_not_one(e.base)
+                    and separates(e.base, 0) and separates(e.base, 1)
                     and _provably_irrational(e.arg, arg_w[0])):
                 return Verdict("transcendental", "gelfond-schneider")
     elif k == E.LOG and e.natural:
@@ -460,7 +421,7 @@ def _classify_node(e: Expr, kids) -> Verdict:
         if arg_w is not None:
             if e.arg.is_rat(1) and e.branch != 0:
                 return Verdict("transcendental", "lindemann")
-            if _provably_nonzero(e.arg) and _provably_not_one(e.arg):
+            if separates(e.arg, 0) and separates(e.arg, 1):
                 return Verdict("transcendental", "hermite-lindemann")
     elif k == E.SINPI:
         arg_w = algebraic_witness(e.children[0])
@@ -486,5 +447,5 @@ def _shift_applies(kind, le: Expr, lv: Verdict, re_: Expr, rv: Verdict) -> bool:
     else:
         return False
     if kind in (E.MUL, E.DIV):
-        return _provably_nonzero(alg)
+        return separates(alg, 0)
     return True

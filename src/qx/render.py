@@ -13,6 +13,7 @@ import math
 
 from . import geometry as G
 from .dsl import CompileResult
+from .expr import sign
 
 _MARGIN = 0.08   # fraction of world bounds added as padding
 _DENSITY = 2.0   # curve samples per output pixel
@@ -93,7 +94,7 @@ def _step_drawables(ctx, tool: str, args: list, value) -> list[tuple]:
         out = [("segment", origin, D), ("segment", origin, Ap), ("segment", Ap, Gp),
                ("point", Gb)]
         diff = ctx.sub(b, c)
-        if not diff.is_rat(0) and G._sign_of(diff, cap=256) is not None:
+        if sign(diff):
             O = G.GPoint(zero, ctx.div(ctx.mul(a, b), diff))
             Dp = G.GPoint(ctx.div(ctx.mul(a, ctx.sub(Ap.y, O.y)),
                                   ctx.sub(zero, O.y)), a)

@@ -244,8 +244,11 @@ def test_render_anglesector_program(tmp_path):
     assert 'class="point"' in out.read_text()
 
 
-def _timed_qx(argv):
-    """qx run in a fresh interpreter: the finished process and its wall time in s."""
+def _timed_qx(argv, timeout=None):
+    """qx run in a fresh interpreter: the finished process and its wall time in s.
+
+    A run longer than `timeout` seconds raises subprocess.TimeoutExpired.
+    """
     import subprocess
     import sys
     import time
@@ -256,6 +259,7 @@ def _timed_qx(argv):
         [sys.executable, "-m", "qx.cli", *argv], capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin",
              "PYTHONPATH": str(Path(qx.__file__).resolve().parent.parent)},
+        timeout=timeout,
     )
     return proc, time.perf_counter() - start
 
@@ -444,3 +448,42 @@ def test_verify_rejects_a_compile_certificate_whose_subject_the_program_does_not
     code, _, err = run(["verify", str(forged)])
     assert code == 1
     assert "FAIL m: stored expression is not the one the embedded program builds" in err
+
+
+DEGENERATE = Path(__file__).parent / "degenerate"
+
+
+def test_tangent_circles_compile_to_their_one_touching_point(tmp_path):
+    code, out, err = run(["compile", str(DEGENERATE / "tangent_circles.qdx")])
+    assert code == 0, err
+    emits = json.loads(out)["emits"]
+    assert sorted(emits) == ["t.x", "t.y"]
+    assert emits["t.x"]["verdict"]["status"] == "rational"
+    assert emits["t.x"]["verdict"]["value"] == "1/2"
+    assert emits["t.y"]["verdict"]["witness"] == [-3, 0, 4]
+    cert = tmp_path / "tangent.json"
+    cert.write_text(out)
+    assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n")
+
+
+def test_coincident_lines_exit_5_saying_they_coincide():
+    code, _, err = run(["compile", str(DEGENERATE / "coincident_lines.qdx")])
+    assert code == 5
+    assert "lines coincide" in err
+
+
+def test_classify_sqrt_of_a_31_digit_radicand_is_fast():
+    # trial division of the radicand stops at a fixed bound
+    proc, seconds = _timed_qx(["classify", "sqrt(1000000000000000000000000000057)"], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "quadratic-field" in proc.stdout
+    assert seconds < 1
+
+
+def test_square_cofactor_above_the_trial_bound_is_taken_out():
+    # 7000042000063 = 1000003^2 * 7, and 1000003 is a prime above the bound
+    code, out, err = run(["classify", "sqrt(7000042000063) + sqrt(7)", "--json"])
+    assert code == 0, err
+    verdict = json.loads(out)["subject"]["verdict"]
+    assert verdict["rule"] == "quadratic-field"
+    assert verdict["witness"] == [-7000056000112, 0, 1]

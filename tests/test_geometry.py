@@ -95,6 +95,16 @@ def test_intersection_points_satisfy_equations(ctx):
         assert cross.enclosure(W40).contains_zero()
 
 
+def test_concentric_circles_with_an_exact_zero_offset(ctx):
+    # the centre's x is sqrt(3)*sqrt(3) - 3, exactly 0 but not the constant 0
+    unit = circle(ctx, _pt(ctx, 0, 0), _pt(ctx, 1, 0))
+    cx = ctx.sub(ctx.mul(ctx.sqrt(3), ctx.sqrt(3)), 3)
+    assert not cx.is_rat(0)
+    wide = circle(ctx, GPoint(cx, ctx.rat(0)), _pt(ctx, 2, 0))
+    with pytest.raises(NoIntersection, match="concentric"):
+        intersect(ctx, unit, wide)
+
+
 def test_mean_proportional(ctx):
     assert mean_proportional(ctx, 2, 8).is_rat(4)
     assert to_text(mean_proportional(ctx, 1, 2)) == "sqrt(2)"
@@ -103,6 +113,9 @@ def test_mean_proportional(ctx):
     assert resid.enclosure(W40).contains_zero()
     with pytest.raises(NonPositiveLength):
         mean_proportional(ctx, ctx.rat(-1), ctx.rat(2))
+    exact_zero = ctx.sub(ctx.mul(ctx.sqrt(3), ctx.sqrt(3)), 3)
+    with pytest.raises(NonPositiveLength, match="provably zero"):
+        mean_proportional(ctx, exact_zero, ctx.rat(2))
 
 
 def test_fourth_proportional(ctx):

@@ -177,3 +177,9 @@ def test_precision_ceiling_env(monkeypatch):
     monkeypatch.setenv("QX_PRECISION_CEILING", "64")
     with pytest.raises(MaxPrecision):
         refine(lambda p: CInterval.from_int(2).sqrt(p), F(1, 1 << 128))
+
+
+def test_iv_arith_raises_at_the_precision_ceiling(monkeypatch):
+    monkeypatch.setenv("QX_PRECISION_CEILING", "64")
+    with pytest.raises(MaxPrecision):
+        iv_arith("sqrt", [CInterval.from_int(2)], F(1, 1 << 200))

@@ -1,0 +1,63 @@
+"""The sign oracle: exact in one quadratic field, enclosures elsewhere, None when undecided."""
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+
+from qx.expr import Context, quad_flatten, separates, sign
+
+sympy = pytest.importorskip("sympy")
+
+GRID = [F(k, 3) for k in range(-2, 3)]
+
+
+def _field_value(ctx, u, v, d):
+    return ctx.add(ctx.rat(u), ctx.mul(ctx.rat(v), ctx.sqrt(d)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, -1])
+def test_sign_over_a_grid_matches_sympy(d):
+    ctx = Context()
+    for u, v in product(GRID, GRID):
+        x = _field_value(ctx, u, v, d)
+        if d < 0 and v != 0:
+            assert sign(x) is None
+            continue
+        exact = sympy.Rational(u.numerator, u.denominator) \
+            + sympy.Rational(v.numerator, v.denominator) * sympy.sqrt(d)
+        assert sign(x) == int(sympy.sign(exact)), (u, v, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, -1])
+def test_an_exact_zero_built_two_ways_has_sign_zero(d):
+    ctx = Context()
+    for u, v in product(GRID, GRID):
+        x = _field_value(ctx, u, v, d)
+        # (2u*sqrt(d) + 2v*d) / (2*sqrt(d)) is the same value as a different DAG
+        s = ctx.sqrt(d)
+        y = ctx.div(ctx.add(ctx.mul(2 * u, s), 2 * v * d), ctx.mul(2, s))
+        diff = ctx.sub(x, y)
+        assert sign(diff) == 0 and not separates(diff, 0)
+        assert separates(x, u + 1)
+
+
+def test_values_outside_one_quadratic_field_use_enclosures(ctx):
+    pi = ctx.pi()
+    assert sign(ctx.sub(pi, 3)) == 1
+    assert sign(ctx.sub(ctx.sqrt(ctx.add(2, ctx.sqrt(3))), 2)) == -1
+    assert separates(pi, 3) and not separates(ctx.sqrt(ctx.sqrt(16)), 2)
+
+
+def test_an_undecided_zero_is_none_never_zero(ctx):
+    # sqrt(2 + sqrt(3)) = (sqrt(6) + sqrt(2)) / 2 mixes two fields: no exact path
+    nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
+    mixed = ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2)
+    diff = ctx.sub(nested, mixed)
+    assert quad_flatten(diff) is None
+    assert sign(diff) is None and not separates(diff, 0)
+
+
+def test_nonreal_values_have_no_sign(ctx):
+    assert sign(ctx.sqrt(-2)) is None
+    assert sign(ctx.sqrt(ctx.sub(ctx.sqrt(2), 2))) is None
+    assert separates(ctx.sqrt(-2), 0)
