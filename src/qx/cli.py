@@ -18,6 +18,7 @@ QX_PRECISION_CEILING (bits) caps refinement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -415,7 +416,15 @@ def rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged, so callers share it.
+
+    Each subcommand's `func` default is the *name* of its command function:
+    `main` looks the function up when it runs, so a replaced module attribute
+    (a test's monkeypatch, the bench tracer's wrapper) takes effect even
+    though the parser was built earlier.
+    """
     p = argparse.ArgumentParser(
         prog="qx",
         description="exact construction compiler and certified number classifier")
@@ -427,18 +436,18 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--roundtrip-bits", type=natural, default=30)
     c.add_argument("--json", action="store_true",
                    help="machine-readable diagnostics on stderr")
-    c.set_defaults(func=cmd_compile)
+    c.set_defaults(func="cmd_compile")
 
     e = sub.add_parser("eval", help="evaluate an expression to certified digits")
     e.add_argument("expr")
     e.add_argument("--precision", type=natural, default=16, metavar="DIGITS")
-    e.set_defaults(func=cmd_eval)
+    e.set_defaults(func="cmd_eval")
 
     cl = sub.add_parser("classify", help="classification verdict for an expression")
     cl.add_argument("expr")
     cl.add_argument("--precision", type=natural, default=12)
     cl.add_argument("--json", action="store_true")
-    cl.set_defaults(func=cmd_classify)
+    cl.set_defaults(func="cmd_classify")
 
     ladder = argparse.ArgumentParser(add_help=False)
     ladder.add_argument("expr")
@@ -451,18 +460,18 @@ def _build_parser() -> argparse.ArgumentParser:
     la = sub.add_parser("ladder", parents=[ladder],
                         help="descend (and optionally reduce/ascend) a ladder")
     la.add_argument("--reduce", action="store_true")
-    la.set_defaults(func=cmd_ladder, json=True)
+    la.set_defaults(func="cmd_ladder", json=True)
 
     rd = sub.add_parser("reduce", parents=[ladder],
                         help="ladder with reduction (alias for ladder --reduce)")
-    rd.set_defaults(func=cmd_ladder, json=True, reduce=True)
+    rd.set_defaults(func="cmd_ladder", json=True, reduce=True)
 
     rp = sub.add_parser("report", help="convergence/probe study reports")
     rp.add_argument("kind", choices=("spiral", "clavius"))
     rp.add_argument("--kmin", type=natural, default=3)
     rp.add_argument("--kmax", type=natural, default=12)
     rp.add_argument("--n", type=natural, default=12)
-    rp.set_defaults(func=cmd_report)
+    rp.set_defaults(func="cmd_report")
 
     rn = sub.add_parser("render", help="render a construction to SVG")
     rn.add_argument("path")
@@ -470,11 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--with-curve", choices=("quadratrix", "spiral"))
     rn.add_argument("--width", type=natural, default=640)
     rn.add_argument("--height", type=natural, default=640)
-    rn.set_defaults(func=cmd_render)
+    rn.set_defaults(func="cmd_render")
 
     vf = sub.add_parser("verify", help="re-verify a certificate")
     vf.add_argument("path")
-    vf.set_defaults(func=cmd_verify)
+    vf.set_defaults(func="cmd_verify")
     return p
 
 
@@ -528,7 +537,7 @@ def main(argv=None) -> int:
     """Run one command; the only place an exception becomes an exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except Exception as exc:
         failure = _failure(exc, args)
         if failure is None:

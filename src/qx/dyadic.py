@@ -1,8 +1,10 @@
-"""Exact dyadic rationals man * 2**exp, the endpoint type for all enclosures.
+"""Exact dyadic rationals man * 2**exp, the boundary type of the interval layer.
 
-Dyadics are closed under +, -, * and comparison, all computed in integer
-arithmetic with no rounding. They convert losslessly to and from mpmath's
-raw mpf tuples, which is how the interval layer talks to libmp.
+Enclosures keep their endpoints as libmp mpf tuples (see ``qx.interval``);
+a Dyadic is what they hand out at the boundary: exact decimal strings and
+JSON endpoints, expression selectors, and tests. Dyadics are closed under
++, -, * and comparison, all computed in integer arithmetic with no
+rounding, and convert losslessly to and from mpf tuples.
 """
 from __future__ import annotations
 
@@ -116,10 +118,6 @@ class Dyadic:
 
     def __str__(self) -> str:
         return self.decimal()
-
-
-ZERO = Dyadic(0, 0)
-ONE = Dyadic(1, 0)
 
 
 def floor_div(p: int, q: int, scale_exp: int) -> Dyadic:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .dyadic import Dyadic
+from mpmath.libmp import from_man_exp, mpf_add, mpf_le, mpf_shift, mpf_sub
+
 from .errors import (DivisionByZero, DomainStraddle, InvalidBase, MaxPrecision,
                      NonRealArgument, OutOfDomain)
 from .interval import (CInterval, RInterval, arcsin_over_pi_complex, precision_ceiling,
@@ -183,36 +184,36 @@ class Expr:
         tells on which side of any point the root lies.
         """
         x = self.selector.re
-        sign_lo = _point_sign(coeffs, x.lo, prec)
+        sign_lo = _point_sign(coeffs, x.lo_mpf, prec)
         if sign_lo is None:
             # endpoint sign not certifiable at this precision: the full
             # selector is the only sound enclosure
             return CInterval.real(x)
         deriv = _derivative(coeffs, prec)
-        target = Fraction(1, 1 << prec)
+        target = from_man_exp(1, -prec)
         for _ in range(prec + 64):
-            width = x.width
-            if width <= target:
+            lo, hi = x.lo_mpf, x.hi_mpf
+            width = mpf_sub(hi, lo)  # widths and midpoints are exact
+            if mpf_le(width, target):
                 break
-            m = x.mid()
+            m = mpf_shift(mpf_add(lo, hi), -1)
             slope = _horner(deriv, x, prec)
             if not slope.contains_zero():
-                pm = RInterval.point(m)
+                pm = RInterval.from_mpi((m, m))
                 step = pm.sub(_horner(coeffs, pm, prec).div(slope, prec), prec)
                 if x.intersects(step):
                     narrowed = x.intersect(step)
-                    if narrowed.width <= width / 2:
+                    if mpf_le(mpf_sub(narrowed.hi_mpf, narrowed.lo_mpf), mpf_shift(width, -1)):
                         x = narrowed
                         continue
-            lo, hi = x.lo, x.hi
             s = _point_sign(coeffs, m, prec)
             if s is None:
                 # nudge off a possible root hit: try the 1/4 point
-                m = (lo + m).ldexp(-1)
+                m = mpf_shift(mpf_add(lo, m), -1)
                 s = _point_sign(coeffs, m, prec)
                 if s is None:
                     break
-            x = RInterval(m, hi) if s == sign_lo else RInterval(lo, m)
+            x = RInterval.from_mpi((m, hi) if s == sign_lo else (lo, m))
         return CInterval.real(x)
 
     def enclosure(self, width: Fraction) -> CInterval:
@@ -253,9 +254,9 @@ def _derivative(coeffs, prec: int) -> list[RInterval]:
     return [c.mul(RInterval.from_int(k), prec) for k, c in enumerate(coeffs) if k]
 
 
-def _point_sign(coeffs, t: Dyadic, prec: int) -> Optional[int]:
-    """Sign of the polynomial with these coefficient enclosures at t, if certified."""
-    return _interval_sign(_horner(coeffs, RInterval.point(t), prec))
+def _point_sign(coeffs, t, prec: int) -> Optional[int]:
+    """Sign of the polynomial with these coefficient enclosures at the mpf t, if certified."""
+    return _interval_sign(_horner(coeffs, RInterval.from_mpi((t, t)), prec))
 
 
 def _interval_sign(v: RInterval) -> Optional[int]:
@@ -676,8 +677,8 @@ def _check_isolation(node: Expr):
         raise OutOfDomain("only real root selectors are supported")
     prec = 96
     coeffs = [c.eval(prec).re for c in node.children]
-    lo_sign = _point_sign(coeffs, sel.re.lo, prec)
-    hi_sign = _point_sign(coeffs, sel.re.hi, prec)
+    lo_sign = _point_sign(coeffs, sel.re.lo_mpf, prec)
+    hi_sign = _point_sign(coeffs, sel.re.hi_mpf, prec)
     if lo_sign is None or hi_sign is None or lo_sign == hi_sign:
         raise OutOfDomain("selector endpoints do not bracket a single sign change")
     if _horner(_derivative(coeffs, prec), sel.re, prec).contains_zero():

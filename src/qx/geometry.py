@@ -152,9 +152,15 @@ def _circle_circle(ctx: Context, c1: GCircle, c2: GCircle) -> list[GPoint]:
     d2 = ctx.add(ctx.mul(ux, ux), ctx.mul(uy, uy))
     r1 = _dist2(ctx, c1.center, c1.through)
     r2 = _dist2(ctx, c2.center, c2.through)
-    if sign(d2) == 0:
-        if sign(ctx.sub(r1, r2)) == 0:
+    s = sign(d2)
+    if s is None:
+        raise MaxPrecision("cannot certify the circles are not concentric")
+    if s == 0:
+        s_r = sign(ctx.sub(r1, r2))
+        if s_r == 0:
             raise Coincident("circles coincide")
+        if s_r is None:
+            raise MaxPrecision("cannot separate the radii of concentric circles")
         raise NoIntersection("concentric circles with distinct radii")
     lam = ctx.div(ctx.add(d2, ctx.sub(r1, r2)), ctx.mul(2, d2))
     x0 = GPoint(ctx.add(ax, ctx.mul(lam, ux)), ctx.add(ay, ctx.mul(lam, uy)))

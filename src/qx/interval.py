@@ -1,10 +1,14 @@
-"""Certified real/complex interval arithmetic with dyadic endpoints.
+"""Certified real/complex interval arithmetic on libmp endpoints.
 
 Every operation returns an enclosure guaranteed to contain the exact
-mathematical result (outward rounding throughout). Transcendental
-enclosures are delegated to mpmath's libmp interval primitives, which take
-an explicit working precision and round endpoints outward; rational and
-dyadic steps are exact integer arithmetic.
+mathematical result (outward rounding throughout). An endpoint is a
+normalised libmp mpf tuple: a canonical dyadic rational (odd mantissa, zero
+is ``fzero``), so tuple equality is value equality. The ops call libmp's
+interval and mpf primitives on those tuples directly, with an explicit
+working precision and outward rounding; negation, scaling by 2**k and the
+exact width and midpoint involve no rounding. ``Dyadic`` appears only at
+the boundary: the public ``RInterval(lo, hi)`` constructor and the ``lo``,
+``hi``, ``mid``, ``mag`` and ``mignitude`` views.
 
 Precision is measured as interval *width*, never significand bits. Exact
 zero is never decided here: ``refine`` reports MaxPrecision when a width
@@ -17,9 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import mpmath.libmp as libmp
+from mpmath.libmp import (fhalf, fnone, fone, from_int, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_le, mpf_lt, mpf_neg, mpf_pi, mpf_shift, mpf_sign,
+                          mpf_sub, mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_log,
+                          mpi_mul, mpi_sin, mpi_sqrt, mpi_sub, to_int, to_rational)
 
-from .dyadic import Dyadic, ZERO, ceil_div, floor_div
+from .dyadic import Dyadic, ceil_div
 from .errors import DivisionByZero, DomainStraddle, MaxPrecision
 
 DEFAULT_CEILING_BITS = 4096
@@ -32,143 +39,204 @@ def precision_ceiling() -> int:
     return int(value) if value else DEFAULT_CEILING_BITS
 
 
-@dataclass(frozen=True)
+def _fraction(t) -> Fraction:
+    """Exact value of a finite mpf."""
+    return Fraction(*to_rational(t))
+
+
+def _min(a, b):
+    return a if mpf_le(a, b) else b
+
+
+def _max(a, b):
+    return b if mpf_le(a, b) else a
+
+
+_new = object.__new__
+
+
+def _iv(lo, hi) -> "RInterval":
+    """Interval from mpf endpoints known to be ordered; no check."""
+    r = _new(RInterval)
+    r.lo_mpf = lo
+    r.hi_mpf = hi
+    return r
+
+
 class RInterval:
-    """Closed real interval [lo, hi] with dyadic endpoints."""
+    """Closed real interval [lo, hi] with normalised libmp mpf endpoints.
 
-    lo: Dyadic
-    hi: Dyadic
+    ``RInterval(lo, hi)`` takes Dyadic endpoints and rejects lo > hi. The ops
+    build their results from libmp's, which are ordered, without that check.
+    Instances are immutable by convention and hash by value.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo_mpf", "hi_mpf")
+
+    def __init__(self, lo: Dyadic, hi: Dyadic):
+        a, b = lo.to_mpf(), hi.to_mpf()
+        if mpf_lt(b, a):
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        self.lo_mpf = a
+        self.hi_mpf = b
+
+    def __eq__(self, other):
+        if not isinstance(other, RInterval):
+            return NotImplemented
+        return self.lo_mpf == other.lo_mpf and self.hi_mpf == other.hi_mpf
+
+    def __hash__(self):
+        return hash((self.lo_mpf, self.hi_mpf))
+
+    def __repr__(self):
+        return f"RInterval(lo={self.lo!r}, hi={self.hi!r})"
+
+    # --- Dyadic views, for the decimal and JSON boundary ---
+
+    @property
+    def lo(self) -> Dyadic:
+        return Dyadic.from_mpf(self.lo_mpf)
+
+    @property
+    def hi(self) -> Dyadic:
+        return Dyadic.from_mpf(self.hi_mpf)
 
     # --- constructors ---
 
     @staticmethod
-    def point(d: Dyadic) -> "RInterval":
-        return RInterval(d, d)
-
-    @staticmethod
     def zero() -> "RInterval":
-        return RInterval(ZERO, ZERO)
+        return _ZERO
 
     @staticmethod
     def from_int(n: int) -> "RInterval":
-        return RInterval.point(Dyadic.new(n))
+        t = from_int(n)
+        return _iv(t, t)
 
     @staticmethod
     def from_fraction(fr: Fraction, prec: int) -> "RInterval":
-        den = fr.denominator
+        num, den = fr.numerator, fr.denominator
         if den & (den - 1) == 0:
-            return RInterval.point(Dyadic.from_fraction(fr))
-        scale = -(prec + _GUARD)
-        return RInterval(floor_div(fr.numerator, den, scale), ceil_div(fr.numerator, den, scale))
+            t = from_man_exp(num, 1 - den.bit_length())
+            return _iv(t, t)
+        scale = prec + _GUARD
+        floor = (num << scale) // den
+        return _iv(from_man_exp(floor, -scale),
+                   from_man_exp(-((-num << scale) // den), -scale))
 
     @staticmethod
     def from_mpi(t) -> "RInterval":
-        return RInterval(Dyadic.from_mpf(t[0]), Dyadic.from_mpf(t[1]))
+        """From a libmp interval (lo, hi), which libmp returns ordered; no check."""
+        return _iv(t[0], t[1])
 
     def to_mpi(self):
-        return (self.lo.to_mpf(), self.hi.to_mpf())
+        return (self.lo_mpf, self.hi_mpf)
 
     # --- predicates and measures ---
 
     @property
     def width(self) -> Fraction:
-        return (self.hi - self.lo).to_fraction()
+        return _fraction(mpf_sub(self.hi_mpf, self.lo_mpf))
 
     def mid(self) -> Dyadic:
-        return (self.lo + self.hi).ldexp(-1)
+        return Dyadic.from_mpf(mpf_shift(mpf_add(self.lo_mpf, self.hi_mpf), -1))
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_mpf == self.hi_mpf
 
     def is_zero_point(self) -> bool:
-        return self.lo.is_zero() and self.hi.is_zero()
+        return self.lo_mpf == fzero and self.hi_mpf == fzero
 
     def contains_zero(self) -> bool:
-        return self.lo.sign <= 0 <= self.hi.sign
+        return mpf_sign(self.lo_mpf) <= 0 <= mpf_sign(self.hi_mpf)
 
     def contains_fraction(self, fr: Fraction) -> bool:
-        return self.lo.to_fraction() <= fr <= self.hi.to_fraction()
+        return _fraction(self.lo_mpf) <= fr <= _fraction(self.hi_mpf)
 
     def strictly_positive(self) -> bool:
-        return self.lo.sign > 0
+        return mpf_sign(self.lo_mpf) > 0
 
     def strictly_negative(self) -> bool:
-        return self.hi.sign < 0
+        return mpf_sign(self.hi_mpf) < 0
 
     def intersects(self, other: "RInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        return mpf_le(self.lo_mpf, other.hi_mpf) and mpf_le(other.lo_mpf, self.hi_mpf)
 
     def intersect(self, other: "RInterval") -> "RInterval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return RInterval(lo, hi)
+        lo = _max(self.lo_mpf, other.lo_mpf)
+        hi = _min(self.hi_mpf, other.hi_mpf)
+        if mpf_lt(hi, lo):
+            raise ValueError(f"disjoint intervals {self} and {other}")
+        return _iv(lo, hi)
 
     def hull(self, other: "RInterval") -> "RInterval":
-        return RInterval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return _iv(_min(self.lo_mpf, other.lo_mpf), _max(self.hi_mpf, other.hi_mpf))
 
     def widen(self, delta: Fraction) -> "RInterval":
-        d = _fraction_upper_dyadic(delta)
-        return RInterval(self.lo - d, self.hi + d)
+        d = _fraction_upper_dyadic(delta).to_mpf()
+        return _iv(mpf_sub(self.lo_mpf, d), mpf_add(self.hi_mpf, d))
+
+    def _mag_mpf(self):
+        return _max(mpf_abs(self.lo_mpf), mpf_abs(self.hi_mpf))
 
     def mag(self) -> Dyadic:
         """Upper bound on |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
+        return Dyadic.from_mpf(self._mag_mpf())
 
     def mignitude(self) -> Dyadic:
         """Lower bound on |x| over the interval (0 if it contains 0)."""
         if self.contains_zero():
-            return ZERO
-        return min(abs(self.lo), abs(self.hi))
+            return Dyadic.new(0)
+        return Dyadic.from_mpf(_min(mpf_abs(self.lo_mpf), mpf_abs(self.hi_mpf)))
 
-    # --- exact arithmetic (dyadic closed ops, rounded outward at prec) ---
+    # --- arithmetic, rounded outward at prec ---
 
     def add(self, other: "RInterval", prec: int) -> "RInterval":
-        return RInterval.from_mpi(libmp.mpi_add(self.to_mpi(), other.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_add((self.lo_mpf, self.hi_mpf), (other.lo_mpf, other.hi_mpf),
+                            prec + _GUARD))
 
     def sub(self, other: "RInterval", prec: int) -> "RInterval":
-        return RInterval.from_mpi(libmp.mpi_sub(self.to_mpi(), other.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_sub((self.lo_mpf, self.hi_mpf), (other.lo_mpf, other.hi_mpf),
+                            prec + _GUARD))
 
     def mul(self, other: "RInterval", prec: int) -> "RInterval":
-        return RInterval.from_mpi(libmp.mpi_mul(self.to_mpi(), other.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_mul((self.lo_mpf, self.hi_mpf), (other.lo_mpf, other.hi_mpf),
+                            prec + _GUARD))
 
     def neg(self) -> "RInterval":
-        return RInterval(-self.hi, -self.lo)
+        return _iv(mpf_neg(self.hi_mpf), mpf_neg(self.lo_mpf))
 
     def div(self, other: "RInterval", prec: int) -> "RInterval":
-        if other.contains_zero():
+        if mpf_sign(other.lo_mpf) <= 0 <= mpf_sign(other.hi_mpf):
             raise DomainStraddle("division by an enclosure containing 0")
-        return RInterval.from_mpi(libmp.mpi_div(self.to_mpi(), other.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_div((self.lo_mpf, self.hi_mpf), (other.lo_mpf, other.hi_mpf),
+                            prec + _GUARD))
 
     # --- elementary functions ---
 
     def sqrt_nonneg(self, prec: int) -> "RInterval":
         """Real sqrt; the interval must not be strictly negative."""
-        lo = self.lo if self.lo.sign > 0 else ZERO
-        return RInterval.from_mpi(libmp.mpi_sqrt((lo.to_mpf(), self.hi.to_mpf()), prec + _GUARD))
+        lo = self.lo_mpf if mpf_sign(self.lo_mpf) > 0 else fzero
+        return _iv(*mpi_sqrt((lo, self.hi_mpf), prec + _GUARD))
 
     def exp(self, prec: int) -> "RInterval":
-        return RInterval.from_mpi(libmp.mpi_exp(self.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_exp((self.lo_mpf, self.hi_mpf), prec + _GUARD))
 
     def log_pos(self, prec: int) -> "RInterval":
         if not self.strictly_positive():
             raise DomainStraddle("log of an enclosure touching (-inf, 0]")
-        return RInterval.from_mpi(libmp.mpi_log(self.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_log((self.lo_mpf, self.hi_mpf), prec + _GUARD))
 
     def sin(self, prec: int) -> "RInterval":
-        return RInterval.from_mpi(libmp.mpi_sin(self.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_sin((self.lo_mpf, self.hi_mpf), prec + _GUARD))
 
     def cos(self, prec: int) -> "RInterval":
-        return RInterval.from_mpi(libmp.mpi_cos(self.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_cos((self.lo_mpf, self.hi_mpf), prec + _GUARD))
 
     def atan(self, prec: int) -> "RInterval":
-        return RInterval.from_mpi(libmp.mpi_atan(self.to_mpi(), prec + _GUARD))
+        return _iv(*mpi_atan((self.lo_mpf, self.hi_mpf), prec + _GUARD))
 
     def ldexp(self, k: int) -> "RInterval":
-        return RInterval(self.lo.ldexp(k), self.hi.ldexp(k))
+        return _iv(mpf_shift(self.lo_mpf, k), mpf_shift(self.hi_mpf, k))
 
     def decimal(self) -> str:
         if self.is_point():
@@ -177,6 +245,11 @@ class RInterval:
 
     def __str__(self):
         return self.decimal()
+
+
+_ZERO = _iv(fzero, fzero)
+_UNIT = _iv(fnone, fone)                  # [-1, 1]
+_HALF_UNIT = _iv(mpf_neg(fhalf), fhalf)   # [-1/2, 1/2]
 
 
 def _fraction_upper_dyadic(fr: Fraction) -> Dyadic:
@@ -191,37 +264,36 @@ def _fraction_upper_dyadic(fr: Fraction) -> Dyadic:
 
 def pi_interval(prec: int) -> RInterval:
     p = prec + _GUARD
-    return RInterval(Dyadic.from_mpf(libmp.mpf_pi(p, "d")), Dyadic.from_mpf(libmp.mpf_pi(p, "u")))
+    return _iv(mpf_pi(p, "d"), mpf_pi(p, "u"))
 
 
 def asin_interval(x: RInterval, prec: int) -> RInterval:
     """arcsin on [-1, 1]; endpoints outside [-1, 1] are clamped (outward rounding slack)."""
-    one = Dyadic.new(1)
-    lo = max(x.lo, -one)
-    hi = min(x.hi, one)
-    if lo > hi:
+    lo = _max(x.lo_mpf, fnone)
+    hi = _min(x.hi_mpf, fone)
+    if mpf_lt(hi, lo):
         raise DomainStraddle("arcsin argument enclosure outside [-1, 1]")
-    return RInterval(_asin_endpoint(lo, prec, upper=False), _asin_endpoint(hi, prec, upper=True))
+    return _iv(_asin_endpoint(lo, prec, upper=False), _asin_endpoint(hi, prec, upper=True))
 
 
-def _asin_endpoint(d: Dyadic, prec: int, upper: bool) -> Dyadic:
-    one = Dyadic.new(1)
-    if d >= one:
+def _asin_endpoint(t, prec: int, upper: bool):
+    """Outward bound on arcsin of the mpf t."""
+    if mpf_le(fone, t):
         half_pi = pi_interval(prec).ldexp(-1)
-        return half_pi.hi if upper else half_pi.lo
-    if d <= -one:
+        return half_pi.hi_mpf if upper else half_pi.lo_mpf
+    if mpf_le(t, fnone):
         half_pi = pi_interval(prec).ldexp(-1)
-        return -half_pi.lo if upper else -half_pi.hi
-    # asin(d) = atan(d / sqrt(1 - d^2)), monotone, so a point evaluation suffices
-    pt = RInterval.point(d)
+        return mpf_neg(half_pi.lo_mpf) if upper else mpf_neg(half_pi.hi_mpf)
+    # asin(t) = atan(t / sqrt(1 - t^2)), monotone, so a point evaluation suffices
+    pt = _iv(t, t)
     rad = RInterval.from_int(1).sub(pt.mul(pt, prec), prec).sqrt_nonneg(prec)
     val = pt.div(rad, prec).atan(prec)
-    return val.hi if upper else val.lo
+    return val.hi_mpf if upper else val.lo_mpf
 
 
 def sin_pi_interval(x: RInterval, prec: int) -> RInterval:
     """Enclosure of sin(pi * x)."""
-    extra = int(x.mag().to_fraction()).bit_length() + 4
+    extra = to_int(x._mag_mpf()).bit_length() + 4
     inner = pi_interval(prec + extra)
     return x.mul(inner, prec + extra).sin(prec)
 
@@ -237,7 +309,7 @@ class CInterval:
 
     @staticmethod
     def real(r: RInterval) -> "CInterval":
-        return CInterval(r, RInterval.zero())
+        return CInterval(r, _ZERO)
 
     @staticmethod
     def from_int(n: int) -> "CInterval":
@@ -266,7 +338,7 @@ class CInterval:
         return self.re.contains_fraction(re_fr) and self.im.contains_fraction(im_fr)
 
     def mag_upper(self) -> Fraction:
-        m = max(self.re.mag(), self.im.mag()).to_fraction()
+        m = _fraction(_max(self.re._mag_mpf(), self.im._mag_mpf()))
         return 2 * m  # cheap bound: |z| <= |re| + |im| <= 2*max
 
     # --- arithmetic ---
@@ -310,9 +382,9 @@ class CInterval:
                     # real branch and the +i branch (im >= 0 on the cut)
                     pos = self.re.sqrt_nonneg(prec)
                     neg_mag = self.re.neg().sqrt_nonneg(prec)
-                    return CInterval(RInterval(ZERO, pos.hi), RInterval(ZERO, neg_mag.hi))
+                    return CInterval(_iv(fzero, pos.hi_mpf), _iv(fzero, neg_mag.hi_mpf))
                 return CInterval.real(self.re.sqrt_nonneg(prec))
-            return CInterval(RInterval.zero(), self.re.neg().sqrt_nonneg(prec))
+            return CInterval(_ZERO, self.re.neg().sqrt_nonneg(prec))
         return self.log(0, prec).scale_half().exp(prec)
 
     def scale_half(self) -> "CInterval":
@@ -376,9 +448,7 @@ def sin_pi_complex(x: CInterval, prec: int) -> CInterval:
     through the entire-function formula with no clamping.
     """
     if x.is_real():
-        one = Dyadic.new(1)
-        val = sin_pi_interval(x.re, prec)
-        return CInterval.real(val.intersect(RInterval(-one, one)))
+        return CInterval.real(sin_pi_interval(x.re, prec).intersect(_UNIT))
     if not x.im.contains_zero():
         raise DomainStraddle("sin_pi requires a (near-)real enclosure")
     extra = int(x.mag_upper()).bit_length() + 4
@@ -394,8 +464,7 @@ def arcsin_over_pi_complex(x: CInterval, prec: int) -> CInterval:
     if not x.is_real():
         raise DomainStraddle("arcsin_over_pi requires a real enclosure")
     val = asin_interval(x.re, prec).div(pi_interval(prec), prec)
-    half = Dyadic.new(1, -1)
-    return CInterval.real(val.intersect(RInterval(-half, half)))
+    return CInterval.real(val.intersect(_HALF_UNIT))
 
 
 # --- spec-surface dispatchers ------------------------------------------------

@@ -436,6 +436,18 @@ def test_ladder_and_reduce_share_options_and_defaults():
         "relation_bits": 160, "json": True}
 
 
+def test_main_reuses_one_parser_and_calls_the_current_command_function(monkeypatch, tmp_path):
+    import qx.cli
+    assert run(["eval", "1/2"])[0] == 0
+    parser = qx.cli._build_parser()
+    seen = []
+    monkeypatch.setattr(qx.cli, "cmd_verify", lambda args: seen.append(args.path) or 0)
+    cert = str(tmp_path / "never_read.json")
+    assert main(["verify", cert]) == 0
+    assert seen == [cert]
+    assert qx.cli._build_parser() is parser
+
+
 def test_verify_rejects_a_compile_certificate_whose_subject_the_program_does_not_build(
         tmp_path):
     cert = json.loads((Path(__file__).parent / "golden" / "compile_square_rectangle.json").read_text())

@@ -3,11 +3,16 @@
 `qx.cli.main` runs in-process on random expressions and random .qdx
 programs. A return value, or argparse's SystemExit code, outside
 {0, 2, 3, 4, 5} fails the test, and so does any other exception escaping
-`main` (that is a traceback on the command line).
+`main` (that is a traceback on the command line). A real value that `eval`
+prints is checked digit by digit against mpmath at twice the precision.
 """
+import importlib.util
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +65,64 @@ expressions = st.recursive(_atom, _compound, max_leaves=6)
        st.integers(0, 30))
 def test_expression_commands_end_in_a_documented_exit_code(text, command, digits):
     assert exit_code(command + ["--precision", str(digits), "--", text]) in DOCUMENTED
+
+
+# --- certified digits against an independent evaluation ------------------------------
+
+_ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+_spec = importlib.util.spec_from_file_location("bench_oracles", _ORACLES)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
+
+_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+
+
+def _mpmath_value(text: str):
+    """The fuzz grammar's text evaluated by mpmath, on qx's principal branches.
+
+    The texts the strategy draws parse the same way in Python once ';' is ','
+    and every number is an exact mpf: unary minus binds tighter than * and /,
+    and both grammars associate to the left.
+    """
+    def ln(x, k=0):
+        return mpmath.log(x) + 2j * mpmath.pi * k
+
+    names = {"N": mpmath.mpf, "pi": mpmath.pi, "e": mpmath.e, "i": mpmath.mpc(0, 1),
+             "sqrt": mpmath.sqrt, "exp": mpmath.exp, "ln": ln,
+             "log": lambda x, b, k=0: ln(x, k) / mpmath.log(b),
+             "pow": lambda b, x: mpmath.exp(x * mpmath.log(b)),
+             "sin_pi": lambda x: mpmath.sin(mpmath.pi * x),
+             "arcsin_over_pi": lambda x: mpmath.asin(x) / mpmath.pi}
+    source = _NUMBER.sub(lambda m: f"N('{m.group()}')", text).replace(";", ",")
+    return eval(source, {"__builtins__": {}}, names)
+
+
+def run_eval(text: str, digits: int):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["eval", "--precision", str(digits), "--", text])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().strip()
+
+
+@settings(FUZZ, max_examples=300)  # about a third of the draws print a real value
+@given(expressions, st.integers(0, 30))
+def test_eval_digits_agree_with_mpmath_at_twice_the_precision(text, digits):
+    code, printed = run_eval(text, digits)
+    assert code in DOCUMENTED
+    # polyroot and clavius_x have no closed form here; "i" marks a nonreal print
+    if code != 0 or "polyroot" in text or "clavius_x" in text or printed.endswith("i"):
+        return
+    with mpmath.workdps(2 * digits + 20):
+        try:
+            ref = mpmath.mpmathify(_mpmath_value(text))
+        except (ZeroDivisionError, ValueError):
+            return
+        if mpmath.im(ref) != 0:
+            return
+        assert oracles.decimal_agrees(printed, mpmath.re(ref), digits), (text, printed, ref)
 
 
 # --- the construction language (qx.dsl) ------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qx.errors import (Coincident, DegenerateSecant, NoIntersection,
+from qx.errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
                        NonPositiveLength, NonPositiveSlope, NotOnUnitCircle,
                        OutOfRange)
 from qx.expr import Context, to_text
@@ -103,6 +103,21 @@ def test_concentric_circles_with_an_exact_zero_offset(ctx):
     wide = circle(ctx, GPoint(cx, ctx.rat(0)), _pt(ctx, 2, 0))
     with pytest.raises(NoIntersection, match="concentric"):
         intersect(ctx, unit, wide)
+
+
+def test_an_undecided_zero_is_no_verdict_on_concentric_circles(ctx):
+    # sqrt(2 + sqrt(3)) and (sqrt(6) + sqrt(2))/2 are the same number, but
+    # outside one quadratic field, so their difference has no decided sign
+    nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
+    split = ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2)
+    origin = _pt(ctx, 0, 0)
+    c1 = circle(ctx, origin, GPoint(nested, ctx.rat(0)))
+    c2 = circle(ctx, origin, GPoint(split, ctx.rat(0)))
+    with pytest.raises(MaxPrecision, match="radii"):
+        intersect(ctx, c1, c2)
+    moved = circle(ctx, GPoint(ctx.sub(nested, split), ctx.rat(0)), _pt(ctx, 2, 0))
+    with pytest.raises(MaxPrecision, match="not concentric"):
+        intersect(ctx, c1, moved)
 
 
 def test_mean_proportional(ctx):

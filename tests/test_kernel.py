@@ -183,3 +183,76 @@ def test_iv_arith_raises_at_the_precision_ceiling(monkeypatch):
     monkeypatch.setenv("QX_PRECISION_CEILING", "64")
     with pytest.raises(MaxPrecision):
         iv_arith("sqrt", [CInterval.from_int(2)], F(1, 1 << 200))
+
+
+def _random_dyadic_interval(rng):
+    ends = [Dyadic.new(rng.choice([0, rng.randint(-1 << 40, 1 << 40)]), rng.randint(-70, 10))
+            for _ in range(2)]
+    if rng.random() < 0.2:
+        ends[1] = ends[0]
+    lo, hi = sorted(ends, key=Dyadic.to_fraction)
+    return RInterval(lo, hi)
+
+
+def _bounds(r):
+    return r.lo.to_fraction(), r.hi.to_fraction()
+
+
+def _exact_hull(op, a, b):
+    (alo, ahi), (blo, bhi) = _bounds(a), _bounds(b)
+    if op == "add":
+        return alo + blo, ahi + bhi
+    if op == "sub":
+        return alo - bhi, ahi - blo
+    if op == "mul":
+        corners = [x * y for x in (alo, ahi) for y in (blo, bhi)]
+    else:
+        corners = [x / y for x in (alo, ahi) for y in (blo, bhi)]
+    return min(corners), max(corners)
+
+
+def test_random_dyadic_ops_enclose_the_exact_result():
+    rng = random.Random(90210)
+    checked = 0
+    while checked < 2000:
+        a, b = _random_dyadic_interval(rng), _random_dyadic_interval(rng)
+        prec = rng.choice([1, 8, 53, 64, 200])
+        op = rng.choice(["add", "sub", "mul", "div", "sqrt_nonneg"])
+        if op == "div" and b.contains_zero():
+            with pytest.raises(DomainStraddle):
+                a.div(b, prec)
+            continue
+        if op == "sqrt_nonneg":
+            a = RInterval(Dyadic.new(0), a.hi) if a.lo.sign < 0 <= a.hi.sign else a
+            if a.hi.sign < 0:
+                continue
+            out = a.sqrt_nonneg(prec)
+            lo, hi = _bounds(out)
+            alo, ahi = _bounds(a)
+            assert (lo <= 0 or lo * lo <= alo) and hi >= 0 and hi * hi >= ahi
+        else:
+            out = getattr(a, op)(b, prec)
+            lo, hi = _bounds(out)
+            exact_lo, exact_hi = _exact_hull(op, a, b)
+            assert lo <= exact_lo and exact_hi <= hi
+        assert lo <= hi
+        assert out.width == hi - lo
+        checked += 1
+
+
+def test_eval_builds_no_dyadic(monkeypatch):
+    from qx.expr import Context
+    calls = []
+    for name in ("new", "from_mpf"):
+        original = getattr(Dyadic, name)
+
+        def counted(*args, original=original):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(Dyadic, name, staticmethod(counted))
+    ctx = Context()
+    values = [ctx.sin_pi(F(3, 7)), ctx.exp(2, ctx.sqrt(3)), ctx.ln(5)]
+    assert all(v.kind != "rat" for v in values)
+    for value in values:
+        assert value.enclosure(F(1, 10**1000)).width <= F(1, 10**1000)
+    assert calls == []
