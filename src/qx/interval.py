@@ -17,7 +17,6 @@ target is unreachable and leaves the decision to symbolic layers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -298,12 +297,30 @@ def sin_pi_interval(x: RInterval, prec: int) -> RInterval:
     return x.mul(inner, prec + extra).sin(prec)
 
 
-@dataclass(frozen=True)
 class CInterval:
-    """Rectangular complex enclosure re + i*im."""
+    """Rectangular complex enclosure re + i*im.
 
-    re: RInterval
-    im: RInterval
+    Immutable by convention and compared by value. A real value has the
+    zero point ``_ZERO`` as its imaginary part, and the ops on two real
+    operands keep it without calling libmp.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: RInterval, im: RInterval):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        if not isinstance(other, CInterval):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"CInterval(re={self.re!r}, im={self.im!r})"
 
     # --- constructors ---
 
@@ -344,9 +361,13 @@ class CInterval:
     # --- arithmetic ---
 
     def add(self, other: "CInterval", prec: int) -> "CInterval":
+        if self.is_real() and other.is_real():
+            return CInterval(self.re.add(other.re, prec), _ZERO)
         return CInterval(self.re.add(other.re, prec), self.im.add(other.im, prec))
 
     def sub(self, other: "CInterval", prec: int) -> "CInterval":
+        if self.is_real() and other.is_real():
+            return CInterval(self.re.sub(other.re, prec), _ZERO)
         return CInterval(self.re.sub(other.re, prec), self.im.sub(other.im, prec))
 
     def neg(self) -> "CInterval":
@@ -362,6 +383,8 @@ class CInterval:
 
     def div(self, other: "CInterval", prec: int) -> "CInterval":
         if other.is_real():
+            if self.is_real():
+                return CInterval(self.re.div(other.re, prec), _ZERO)
             return CInterval(self.re.div(other.re, prec), self.im.div(other.re, prec))
         den = other.re.mul(other.re, prec).add(other.im.mul(other.im, prec), prec)
         if den.contains_zero():

@@ -7,10 +7,13 @@ division, a primitive pseudo-remainder gcd, the substitution
 den(x)^n * p(num(x)/den(x)), and evaluation at a rational num/den as the
 homogeneous sum of c_k * num^k * den^(n-k).
 
-The multiple-angle construction follows the classical expansion
-sin(q*theta) = A(x) + y*B(x) with x = sin(theta), y = cos(theta), driven by
-the angle-addition recurrence. Since sin(q*theta) = sin(pi*p) = 0, the
-integer polynomial A^2 - (1 - x^2)*B^2 annihilates sin(pi*p/q).
+The annihilator of sin(pi*p/q) is built from cyclotomic factors. Each value
+sin(pi*j/q) equals cos(2*pi*k/n) with k/n = 1/4 - j/(2q) in lowest terms,
+whose minimal polynomial comes from the cyclotomic polynomial Phi_n through
+z^j + z^-j = V_j(z + 1/z) (W. Watkins and J. Zeitlin, "The minimal
+polynomial of cos(2*pi/n)", Amer. Math. Monthly 100, 1993). The factors of
+degree 1 are exactly those of the rational values 0, +-1/2 and +-1 (Niven),
+so the Olmsted witness is the product of the others.
 
 Verdicts are honest: "unknown" is a first-class outcome and nothing is ever
 decided by numerical coincidence. Enclosures are used only to prove
@@ -207,47 +210,114 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return p.exact_quotient(p.gcd(p.derivative())).primitive().monic_sign()
 
 
-def divide_out_root(p: IntPoly, root: Fraction) -> IntPoly:
-    """Remove every (x - root) factor from p."""
-    linear = IntPoly.new((-root.numerator, root.denominator))
-    while (quot := p.exact_quotient(linear)) is not None:
-        p = quot
-    return p.primitive()
+# --- cyclotomic annihilators ---------------------------------------------------
+
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
-# --- multiple-angle annihilators ---------------------------------------------
+def _cyclotomic(n: int) -> list[int]:
+    """Coefficients of the cyclotomic polynomial Phi_n, constant term first.
+
+    Phi_n is the product of (z^d - 1)^mu(n/d) over d | n, and mu(n/d) is
+    nonzero only when n/d is a product of distinct primes of n. Every factor
+    with mu = +1 is multiplied in before any with mu = -1 is divided out, so
+    each division is exact.
+    """
+    signed = [(1, 1)]  # squarefree e | n with mu(e)
+    for p, _ in _prime_factors(n):
+        signed += [(e * p, -mu) for e, mu in signed]
+    c = [1]
+    for e, mu in sorted(signed, key=lambda t: -t[1]):
+        d = n // e
+        if mu > 0:  # times (z^d - 1)
+            s = [0] * d + c
+            for i, v in enumerate(c):
+                s[i] -= v
+        else:       # over (z^d - 1): s_i = s_(i-d) - c_i
+            s = []
+            for i in range(len(c) - d):
+                s.append((s[i - d] if i >= d else 0) - c[i])
+        c = s
+    return c
+
+
+def _cos_2pi_minpoly(n: int) -> IntPoly:
+    """Minimal polynomial of cos(2*pi*k/n), gcd(k, n) = 1, primitive.
+
+    For n >= 3, Phi_n(z) = z^m * Psi(z + 1/z) with m = phi(n)/2 and Psi the
+    monic minimal polynomial of 2*cos(2*pi/n): Phi_n is palindromic, and
+    z^j + z^-j = V_j(z + 1/z) for V_0 = 2, V_1 = w, V_(j+1) = w*V_j - V_(j-1).
+    Psi is the sum of a_m and a_(m+j)*V_j, summed by Clenshaw's recurrence;
+    Psi(2x), made primitive, is the result (Watkins and Zeitlin, 1993).
+    """
+    if n <= 2:
+        psi = [-2 if n == 1 else 2, 1]
+    else:
+        a = _cyclotomic(n)
+        m = len(a) // 2
+        b1, b2 = [], []  # b_j = a_(m+j) + w*b_(j+1) - b_(j+2), j = m..1
+        for j in range(m, 0, -1):
+            b = [a[m + j]] + b1
+            for i, c in enumerate(b2):
+                b[i] -= c
+            b1, b2 = b, b1
+        psi = [a[m]] + b1  # a_m + w*b_1 - 2*b_2, as V_0 = 2
+        for i, c in enumerate(b2):
+            psi[i] -= 2 * c
+    return IntPoly(tuple(c << i for i, c in enumerate(psi))).primitive()
+
+
+def _sin_pi_factors(q: int) -> list[IntPoly]:
+    """The distinct minimal polynomials of sin(pi*j/q), j = 0..2q-1.
+
+    sin(pi*j/q) = cos(2*pi*(q - 2j)/(4q)), whose minimal polynomial depends
+    only on the reduced denominator n of (q - 2j)/(4q).
+    """
+    ns = {4 * q // gcd(q - 2 * j, 4 * q) for j in range(2 * q)}
+    return [_cos_2pi_minpoly(n) for n in sorted(ns)]
+
+
+def _product(factors) -> IntPoly:
+    out = IntPoly((1,))
+    for f in factors:
+        out = out * f
+    return out
+
 
 def annihilator_sin_pi(r: Fraction) -> IntPoly:
-    """Integer polynomial with sin(pi*r) among its roots.
+    """Squarefree integer polynomial whose roots are sin(pi*j/q), j = 0..2q-1.
 
-    Angle-addition recurrence on (A, B, C, D) with
-    sin(n*t) = A + y*B, cos(n*t) = C + y*D, all in Z[x], y^2 = 1 - x^2.
+    q is the denominator of r. The result is the product of the distinct
+    minimal polynomials of those values, so it is primitive with a positive
+    leading coefficient by Gauss's lemma, and sin(pi*r) is among its roots.
     """
-    q = Fraction(r).denominator
-    x, zero, one = IntPoly((0, 1)), IntPoly(()), IntPoly((1,))
-    one_minus_x2 = IntPoly((1, 0, -1))
-    A, B = x, zero         # sin(t) = x
-    C, D = zero, one       # cos(t) = y
-    for _ in range(q - 1):
-        A, B, C, D = (B * one_minus_x2 + x * C, A + x * D,
-                      D * one_minus_x2 - x * A, C - x * B)
-    p = A if B.is_zero() else A * A - B * B * one_minus_x2
-    return squarefree_part(p.primitive()).monic_sign()
+    return _product(_sin_pi_factors(Fraction(r).denominator))
 
 
 # --- rational root scan -------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in ascending order; [] for 0."""
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    if n == 0:
+        return []
+    divs = [1]
+    for p, e in _prime_factors(n):
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def rational_root_scan(p: IntPoly) -> list[Fraction]:
@@ -282,12 +352,10 @@ def olmsted_classify(r: Fraction) -> Verdict:
     if table_value is not None:
         return Verdict("rational", "olmsted", witness=_linear_witness(table_value),
                        value=table_value)
-    p = annihilator_sin_pi(r)
-    # sin(pi*r) is irrational here, so no rational root can be the value:
-    # strip every rational linear factor to sharpen the witness
-    for root in rational_root_scan(p):
-        p = divide_out_root(p, root)
-    return Verdict("algebraic", "sin-pi-annihilator", witness=p.monic_sign())
+    # Niven: the linear factors are those of the table values, so sin(pi*r)
+    # is a root of a factor of degree > 1, and the witness keeps only those
+    witness = _product(f for f in _sin_pi_factors(r.denominator) if f.degree > 1)
+    return Verdict("algebraic", "sin-pi-annihilator", witness=witness)
 
 
 # --- structural algebraicity witnesses ----------------------------------------

@@ -4,11 +4,13 @@ from math import gcd
 
 import pytest
 
+from qx import minpoly
 from qx.errors import ZeroPolynomial
 from qx.expr import Context
 from qx.interval import CInterval, RInterval, sin_pi_interval
 from qx.minpoly import (IntPoly, annihilator_sin_pi, olmsted_classify,
-                        rational_root_scan, separates, transcendence_rules)
+                        rational_root_scan, separates, squarefree_part,
+                        transcendence_rules)
 
 W40 = F(1, 1 << 40)
 W60 = F(1, 1 << 60)
@@ -48,6 +50,70 @@ def test_annihilator_soundness_all_q_up_to_24():
             val = poly.eval_enclosure(CInterval.real(s), prec)
             assert val.contains_zero()
             assert val.width <= W60
+
+
+def _recurrence_annihilator(q: int) -> IntPoly:
+    """The multiple-angle annihilator of sin(pi*p/q), kept as the reference.
+
+    With x = sin(t), y = cos(t) and y^2 = 1 - x^2, the angle-addition
+    recurrence gives sin(n*t) = A + y*B and cos(n*t) = C + y*D in Z[x]; since
+    sin(q*t) = 0, A^2 - (1 - x^2)*B^2 vanishes at sin(pi*p/q).
+    """
+    x, zero, one = IntPoly((0, 1)), IntPoly(()), IntPoly((1,))
+    one_minus_x2 = IntPoly((1, 0, -1))
+    A, B, C, D = x, zero, zero, one
+    for _ in range(q - 1):
+        A, B, C, D = (B * one_minus_x2 + x * C, A + x * D,
+                      D * one_minus_x2 - x * A, C - x * B)
+    p = A if B.is_zero() else A * A - B * B * one_minus_x2
+    return squarefree_part(p.primitive()).monic_sign()
+
+
+def _stripped_of_rational_roots(p: IntPoly) -> IntPoly:
+    """The reference Olmsted witness: every rational linear factor divided out."""
+    for root in rational_root_scan(p):
+        linear = IntPoly.new((-root.numerator, root.denominator))
+        while (quot := p.exact_quotient(linear)) is not None:
+            p = quot
+    return p.primitive().monic_sign()
+
+
+def test_annihilator_matches_recurrence_reference():
+    for q in range(1, 41):
+        # the annihilator depends only on the denominator of r
+        assert annihilator_sin_pi(F(1, q)).coeffs == _recurrence_annihilator(q).coeffs, q
+
+
+def test_olmsted_witness_matches_recurrence_reference():
+    for q in range(1, 25):
+        reference = _stripped_of_rational_roots(_recurrence_annihilator(q))
+        for p_num in range(0, 2 * q + 1):
+            if gcd(p_num, q) != 1:
+                continue
+            verdict = olmsted_classify(F(p_num, q))
+            if verdict.status == "algebraic":
+                assert verdict.witness.coeffs == reference.coeffs, (p_num, q)
+
+
+def test_sin_pi_annihilators_run_no_gcd_and_no_root_scan(monkeypatch):
+    calls = {"gcd": 0, "pseudo_remainder": 0, "rational_root_scan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("gcd", "pseudo_remainder"):
+        monkeypatch.setattr(IntPoly, name, counted(name, getattr(IntPoly, name)))
+    monkeypatch.setattr(minpoly, "rational_root_scan",
+                        counted("rational_root_scan", minpoly.rational_root_scan))
+    for q in range(1, 33):
+        for p_num in range(0, 2 * q + 1):
+            if gcd(p_num, q) == 1:
+                olmsted_classify(F(p_num, q))
+    assert annihilator_sin_pi(F(1, 512)).degree == 513
+    assert calls == {"gcd": 0, "pseudo_remainder": 0, "rational_root_scan": 0}
 
 
 def test_olmsted_examples():

@@ -1,4 +1,5 @@
-"""IntPoly witnesses, squarefree parts and rational roots cross-checked against sympy.
+"""IntPoly witnesses, squarefree parts, rational roots, cyclotomic minimal
+polynomials and divisors cross-checked against sympy.
 
 The witness coefficients are written into certificates, so the normal form is
 pinned exactly: a witness with rational coefficients is scaled by the least
@@ -16,7 +17,8 @@ from qx.dyadic import Dyadic
 from qx.errors import OutOfDomain
 from qx.expr import Context
 from qx.interval import CInterval, RInterval
-from qx.minpoly import IntPoly, algebraic_witness, rational_root_scan, squarefree_part
+from qx.minpoly import (IntPoly, _cos_2pi_minpoly, _cyclotomic, _divisors,
+                        algebraic_witness, rational_root_scan, squarefree_part)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -139,3 +141,34 @@ def test_rational_root_scan_matches_sympy(factors):
             r = -f.nth(0) / f.nth(1)
             roots.add(F(int(r.p), int(r.q)))
     assert rational_root_scan(p) == sorted(roots)
+
+
+def test_cyclotomic_matches_sympy():
+    # n = 105 is the first with a coefficient outside {-1, 0, 1}
+    for n in range(1, 211):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, X), X)
+        assert tuple(_cyclotomic(n)) == _coeffs(expected), n
+
+
+def test_cos_2pi_factors_match_sympy_minimal_polynomial():
+    for n in range(1, 65):
+        expected = sympy.Poly(sympy.minimal_polynomial(sympy.cos(2 * sympy.pi / n), X), X)
+        expected = expected.primitive()[1]
+        if expected.LC() < 0:
+            expected = -expected
+        assert _cos_2pi_minpoly(n).coeffs == _coeffs(expected), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(1, 10 ** 9),
+                   st.builds(lambda a, p: a * p, st.integers(1, 10 ** 4),
+                             st.sampled_from([65537, 65539, 1000003, 2 ** 31 - 1]))))
+def test_divisors_match_sympy(n):
+    assert _divisors(n) == sympy.divisors(n)
+    assert _divisors(-n) == _divisors(n)
+
+
+def test_divisors_edge_cases():
+    assert _divisors(0) == []
+    assert _divisors(1) == [1] == sympy.divisors(1)
+    assert _divisors(2 ** 32) == [2 ** k for k in range(33)]
