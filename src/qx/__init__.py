@@ -9,7 +9,7 @@ towers with an algebraic base.
 
 from .dyadic import Dyadic
 from .expr import Context, Expr, EulerForm, TowerTag, quad_flatten, to_text
-from .interval import CInterval, RInterval, iv_arith, rat_arith, refine
+from .interval import CInterval, RInterval, refine
 from .ladders import (AscentReport, Ladder, Relation, Rung, ascend, descend,
                       detect_relation, reduce_ladder)
 from .minpoly import (IntPoly, Verdict, annihilator_sin_pi, olmsted_classify,
@@ -21,7 +21,6 @@ __all__ = [
     "AscentReport", "CInterval", "Context", "Dyadic", "Expr", "EulerForm",
     "IntPoly", "Ladder", "RInterval", "Relation", "Rung", "TowerTag",
     "Verdict", "annihilator_sin_pi", "ascend", "descend", "detect_relation",
-    "iv_arith", "olmsted_classify", "quad_flatten", "rat_arith",
-    "rational_root_scan", "reduce_ladder", "refine", "to_text",
-    "transcendence_rules",
+    "olmsted_classify", "quad_flatten", "rational_root_scan", "reduce_ladder",
+    "refine", "to_text", "transcendence_rules",
 ]

@@ -11,8 +11,9 @@ Every input ends in one of six exit codes, never in a traceback: 0 ok,
 1 verification failure, 2 I/O or a malformed option value, 3 syntax,
 4 semantic, 5 domain/precision or one of Python's resource limits (recursion
 depth, memory, number size, the int/str digit limit). Subcommands raise;
-`main` alone turns an exception into an exit code and one stderr message,
-and lets any other exception propagate, since that is a bug.
+`main` alone turns an exception into an exit code and one stderr message
+(a qx error's code is its class's `exit_code`), and lets any other
+exception propagate, since that is a bug.
 QX_PRECISION_CEILING (bits) caps refinement.
 """
 from __future__ import annotations
@@ -25,45 +26,25 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import errors as err
+from .dyadic import fixed_point
 from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .expr import Context, Expr, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, precision_ceiling
-from .ladders import _verify_removal_identity, ascend, descend, reduce_ladder
+from .ladders import ascend, check_removal, descend, reduce_ladder
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
 VERSION = "0.1.0"
 
-_SYNTAX = (err.DslSyntaxError,)
-_SEMANTIC = (err.DslSemanticError, err.InvalidBase, err.ZeroPolynomial,
-             err.NotReduced, err.UnsupportedNode)
-_DOMAIN = (err.MaxPrecision, err.DomainStraddle, err.OutOfDomain, err.OutOfRange,
-           err.DivisionByZero, err.NonRealArgument, err.NonPositiveLength,
-           err.NonPositiveSlope, err.DegenerateSecant, err.NotOnUnitCircle,
-           err.Coincident, err.NoIntersection)
-
-
-def _exit_code(exc: err.QxError) -> int:
-    if isinstance(exc, _SYNTAX):
-        return 3
-    if isinstance(exc, _SEMANTIC):
-        return 4
-    if isinstance(exc, _DOMAIN):
-        return 5
-    return 1
-
 
 # --- decimal formatting --------------------------------------------------------
 
 def _dec_dir(fr: Fraction, places: int, up: bool) -> str:
-    scale = 10**places
-    n = fr * scale
-    val = -((-n.numerator) // n.denominator) if up else n.numerator // n.denominator
-    sign = "-" if val < 0 else ""
-    s = str(abs(val)).rjust(places + 1, "0")
-    return f"{sign}{s[:-places]}.{s[-places:]}" if places else f"{sign}{s}"
+    n = fr * 10**places
+    return fixed_point(-(-n.numerator // n.denominator) if up else n.numerator // n.denominator,
+                       places)
 
 
 def _interval_json(r: RInterval, places: int) -> list[str]:
@@ -80,10 +61,23 @@ def certified_real(r: RInterval, digits: int) -> str:
         scale = 10**d
         tlo, thi = int(lo * scale), int(hi * scale)  # toward zero
         if tlo == thi:
-            sign = "-" if tlo < 0 or (tlo == 0 and hi <= 0 and lo < 0) else ""
-            s = str(abs(tlo)).rjust(d + 1, "0")
-            return f"{sign}{s[:-d]}.{s[-d:]}" if d else f"{sign}{s}"
+            return fixed_point(tlo, d, tlo < 0 or (tlo == 0 and hi <= 0 and lo < 0))
     return f"[{_dec_dir(lo, digits, up=False)}, {_dec_dir(hi, digits, up=True)}]"
+
+
+def _rational_decimal(v: Fraction, digits: int) -> str:
+    """The exact rational v in decimal: all of it when it terminates, as for an
+    exact point enclosure, else its first `digits` places (truncated)."""
+    rest = v.denominator
+    twos = (rest & -rest).bit_length() - 1
+    rest >>= twos
+    fives = 0
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    if rest != 1:
+        return fixed_point(int(v * 10**digits), digits, v < 0)
+    places = max(twos, fives)
+    return fixed_point(v.numerator * 10**places // v.denominator, places)
 
 
 def certified_decimal(ci: CInterval, digits: int) -> str:
@@ -133,9 +127,11 @@ def _verdict_json(v: Verdict) -> dict:
 def expr_certificate(e: Expr, digits: int) -> dict:
     enc = e.enclosure(_digits_width(digits))
     verdict = transcendence_rules(e)
+    exact = verdict.value  # set exactly when the verdict is rational
     return {
         "expr": to_text(e),
-        "decimal": certified_decimal(enc, digits),
+        "decimal": (certified_decimal(enc, digits) if exact is None
+                    else _rational_decimal(exact, digits)),
         "enclosure": _enclosure_json(enc, digits),
         "precision_digits": digits,
         "verdict": _verdict_json(verdict),
@@ -158,10 +154,14 @@ def _ladder_json(ladder) -> dict:
                          "confidence": rm.relation.confidence,
                          "precision_bits": rm.relation.precision_bits},
             "constant": str(rm.constant),
-            "combo": [[j, str(q)] for j, q in rm.combo],
+            "combo": _combo_json(rm.combo),
             "identity_verified": rm.identity_verified,
         } for rm in ladder.removals],
     }
+
+
+def _combo_json(combo) -> list:
+    return [[j, str(q)] for j, q in combo]
 
 
 def _dump(obj) -> str:
@@ -331,7 +331,7 @@ def cmd_verify(args) -> int:
                     failures.append(f"{name}: stored expression is not the one the "
                                     f"embedded program builds")
                 _check_subject(value, sub, failures, name)
-        elif command in ("classify", "eval"):
+        elif command == "classify":
             sub = cert["subject"]
             _check_subject(parse_expr(sub["expr"], Context()), sub, failures, "subject")
         elif command == "ladder":
@@ -365,24 +365,18 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
     if reduced is not None:
         kept = [parse_expr(r["value"], ctx) for r in reduced["rungs"]]
         for rm in reduced["removals"]:
-            coeffs = rm["relation"]["coefficients"]
-            if not any(coeffs):
-                failures.append("ladder: stored removal has a zero relation")
-                continue
             index = rm["index"]
-            combo = [(j, Fraction(q)) for j, q in rm["combo"]]
-            if not _is_index(index, len(stored)):
+            if type(index) is not int or not 0 <= index < len(stored):  # bools and -1 too
                 failures.append(f"malformed certificate: removal index {index!r} is not "
                                 f"a position among the {len(stored)} stored rungs")
                 continue
-            bad = [j for j, _ in combo if not _is_index(j, len(kept))]
-            if bad:
-                failures.append(f"malformed certificate: combo index {bad[0]!r} is not "
-                                f"a position among the {len(kept)} kept rungs")
-                continue
-            removed = parse_expr(stored[index], ctx)
-            if not _verify_removal_identity(ctx, ctx.base, removed,
-                                            Fraction(rm["constant"]), combo, kept):
+            constant, combo, verified = check_removal(
+                ctx, ctx.base, rm["relation"]["coefficients"],
+                parse_expr(stored[index], ctx), kept)
+            if rm["constant"] != str(constant) or rm["combo"] != _combo_json(combo):
+                failures.append(f"malformed certificate: the removal at index {index} "
+                                f"does not store what its relation gives")
+            elif not verified:
                 failures.append(f"ladder: removal identity fails at index {index}")
     if "ascent" in cert:
         asc = cert["ascent"]
@@ -390,11 +384,6 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
             failures.append("ascent: degree does not equal the reduced rung count")
         if not asc["conditional"]:
             failures.append("ascent: report must be Schanuel-conditional")
-
-
-def _is_index(j, n: int) -> bool:
-    """j is a list position in range(n): an int, not a bool, never counted from the end."""
-    return type(j) is int and 0 <= j < n
 
 
 # --- argument parsing -------------------------------------------------------------------
@@ -492,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _failure(exc: Exception, args) -> tuple[int, str] | None:
     """Exit code and message for an exception a command raised; None for a bug."""
     if isinstance(exc, err.QxError):
-        return _exit_code(exc), str(exc)
+        return exc.exit_code, str(exc)
     if isinstance(exc, OSError):
         out = getattr(args, "out", None)  # render's SVG is the only file qx writes
         if out is not None and exc.filename == str(Path(out)):

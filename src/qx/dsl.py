@@ -18,24 +18,28 @@ Grammar:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import geometry as G
-from .errors import (DslSemanticError, DslSyntaxError, MismatchError, QxError)
+from .errors import DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError, QxError
 from .expr import Context, Expr
-from .interval import CInterval, RInterval, asin_interval, pi_interval, sin_pi_interval
+from .interval import (CInterval, RInterval, asin_interval, pi_interval, precision_ceiling,
+                       sin_pi_interval)
 
-TOOLS = ("seg", "point", "line", "circle", "intersect", "meanprop",
-         "fourthprop", "ra", "rra", "bisect", "anglesect")
+# tool name -> (fewest, most) arguments; the keys are the closed set of tools
+_SIGNATURES = {
+    "seg": (1, 1), "point": (2, 2), "line": (2, 2), "circle": (2, 2),
+    "intersect": (2, 3), "meanprop": (2, 2), "fourthprop": (3, 3),
+    "ra": (2, 2), "rra": (1, 1), "bisect": (1, 1), "anglesect": (3, 3),
+}
 
 
 @dataclass(frozen=True)
 class Span:
     line: int
     column: int
-    length: int = 1
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,6 @@ class LetStmt:
 @dataclass(frozen=True)
 class EmitStmt:
     names: tuple[str, ...]
-    spans: tuple[Span, ...]
     span: Span
 
 
@@ -138,10 +141,10 @@ def _tokenize(source: str) -> list[Token]:
         elif kind in ("ws", "comment"):
             col += len(text)
         else:
-            tokens.append(Token(kind, text, Span(line, col, len(text))))
+            tokens.append(Token(kind, text, Span(line, col)))
             col += len(text)
         pos = m.end()
-    tokens.append(Token("eof", "", Span(line, col, 0)))
+    tokens.append(Token("eof", "", Span(line, col)))
     return tokens
 
 
@@ -193,7 +196,7 @@ class _Parser:
             raise DslSyntaxError(Diagnostic(
                 "error", name_tok.span, "expected a name after 'let'"))
         self.advance()
-        if name_tok.text in TOOLS or name_tok.text in ("let", "emit"):
+        if name_tok.text in _SIGNATURES or name_tok.text in ("let", "emit"):
             raise DslSyntaxError(Diagnostic(
                 "error", name_tok.span, f"{name_tok.text!r} is reserved"))
         if name_tok.text in self.bound:
@@ -212,10 +215,10 @@ class _Parser:
 
     def parse_call(self) -> Call:
         tok = self.peek()
-        if tok.kind != "ident" or tok.text not in TOOLS:
+        if tok.kind != "ident" or tok.text not in _SIGNATURES:
             raise DslSyntaxError(Diagnostic(
                 "error", tok.span, f"expected a tool name, found {tok.text or 'end of file'!r}",
-                suggestion="tools: " + ", ".join(TOOLS)))
+                suggestion="tools: " + ", ".join(_SIGNATURES)))
         self.advance()
         self.expect_sym("(", f"after {tok.text!r}")
         args = [self.parse_arg()]
@@ -250,7 +253,7 @@ class _Parser:
 
     def parse_emit(self) -> EmitStmt:
         kw = self.advance()
-        names, spans = [], []
+        names = []
         while True:
             tok = self.peek()
             if tok.kind != "ident":
@@ -261,14 +264,13 @@ class _Parser:
                     "error", tok.span, f"unbound name {tok.text!r}"))
             self.advance()
             names.append(tok.text)
-            spans.append(tok.span)
             tok = self.peek()
             if tok.kind == "sym" and tok.text == ",":
                 self.advance()
                 continue
             break
         self.expect_sym(";", "after the emit list")
-        return EmitStmt(tuple(names), tuple(spans), kw.span)
+        return EmitStmt(tuple(names), kw.span)
 
 
 def parse(source: str) -> ConstructionProgram:
@@ -293,13 +295,6 @@ def _rat_text(value: Fraction) -> str:
 
 
 # --- compiler -------------------------------------------------------------------
-
-_SIGNATURES = {
-    "seg": (1, 1), "point": (2, 2), "line": (2, 2), "circle": (2, 2),
-    "intersect": (2, 3), "meanprop": (2, 2), "fourthprop": (3, 3),
-    "ra": (2, 2), "rra": (1, 1), "bisect": (1, 1), "anglesect": (3, 3),
-}
-
 
 @dataclass
 class CompileResult:
@@ -516,10 +511,24 @@ class _NumericExecutor:
             return self._ra_point(w)
         if tool == "intersect":
             index = int(args[2]) if len(args) == 3 else 0
-            pts = self._intersect(args[0], args[1])
-            pts.sort(key=lambda q: (q[1].re.mid().to_fraction(), q[2].re.mid().to_fraction()))
+            pts = self._ordered(self._intersect(args[0], args[1]))
             return pts[min(index, len(pts) - 1)]
         raise AssertionError(tool)
+
+    @staticmethod
+    def _ordered(pts):
+        """Candidates in `geometry.intersect`'s order (x, then y) where disjoint
+        enclosures decide it; where neither axis does, each is the hull of both."""
+        if len(pts) == 1:
+            return pts
+        a, b = pts
+        for axis in (1, 2):
+            ra, rb = a[axis].re, b[axis].re
+            if not ra.intersects(rb):
+                return [a, b] if ra.hi < rb.lo else [b, a]
+        hull = ("pt", CInterval.real(a[1].re.hull(b[1].re)),
+                CInterval.real(a[2].re.hull(b[2].re)))
+        return [hull, hull]
 
     def _intersect(self, a, b):
         if a[0] == "line" and b[0] == "line":
@@ -585,12 +594,14 @@ class _NumericExecutor:
 def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
     """Re-execute the `let` steps numerically; every emit must overlap at the width.
 
-    Raises MismatchError naming the divergent emits; returns a report of
-    per-name widths otherwise.
+    Raises MismatchError naming the divergent emits, and MaxPrecision when
+    the width is out of reach below the precision ceiling; returns a report
+    of per-name widths otherwise.
     """
     target = Fraction(1, 1 << precision_bits)
     prec = max(64, precision_bits + 16)
-    while prec <= 1 << 14:
+    cap = precision_ceiling()
+    while prec <= cap:
         ex = _NumericExecutor(prec)
         try:
             ex.run(result.steps)
@@ -618,4 +629,5 @@ def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
             return {"precision_bits": precision_bits, "names": sorted(result.values),
                     "widths": widths}
         prec *= 2
-    raise MismatchError(["<width target unreachable>"])
+    raise MaxPrecision(f"round trip: a width of 2^-{precision_bits} is unreachable "
+                       f"within the precision ceiling of {cap} bits")

@@ -105,19 +105,26 @@ class Dyadic:
         """Exact decimal string (dyadics always terminate in base 10)."""
         if self.exp >= 0:
             return str(self.man << self.exp)
-        digits = -self.exp
-        scaled = self.man * 5**digits  # man * 10**digits / 2**digits
-        sign = "-" if scaled < 0 else ""
-        s = str(abs(scaled)).rjust(digits + 1, "0")
-        whole, frac = s[:-digits], s[-digits:]
-        frac = frac.rstrip("0")
-        return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+        # man * 10**k / 2**k for k = -exp; man is odd, so the last digit is a 5
+        return fixed_point(self.man * 5**-self.exp, -self.exp)
 
     def __float__(self) -> float:
         return self.man * 2.0**self.exp
 
     def __str__(self) -> str:
         return self.decimal()
+
+
+def fixed_point(n: int, places: int, negative: bool | None = None) -> str:
+    """Decimal text of n / 10**places, with exactly `places` digits after the point.
+
+    The one writer of fixed-point text in qx; callers round n as they need.
+    `negative` sets the sign (default: n < 0), so a negative value that
+    rounded to n = 0 can keep its "-".
+    """
+    sign = "-" if (n < 0 if negative is None else negative) else ""
+    s = str(abs(n)).rjust(places + 1, "0")
+    return f"{sign}{s[:-places]}.{s[-places:]}" if places else f"{sign}{s}"
 
 
 def floor_div(p: int, q: int, scale_exp: int) -> Dyadic:

@@ -1,28 +1,46 @@
 """Exception hierarchy shared by every qx module.
 
-The CLI maps these onto exit codes: parse errors -> 3, semantic errors -> 4,
-precision/domain failures -> 5.
+Each class owns its CLI exit code as the class attribute `exit_code`:
+syntax errors 3, semantic errors 4 (the `SemanticError` family),
+precision and domain failures 5 (the `DomainError` family), and 1 for
+everything else, which is reserved for a failed verification
+(`MismatchError`). `qx.cli` reads the attribute and keeps no table of its
+own.
 """
 
 
 class QxError(Exception):
     """Base class for all qx errors."""
 
+    exit_code = 1
+
+
+class SemanticError(QxError):
+    """Base for inputs that are well formed but mean nothing qx can compute."""
+
+    exit_code = 4
+
+
+class DomainError(QxError):
+    """Base for values outside an operation's domain or beyond the precision ceiling."""
+
+    exit_code = 5
+
 
 # --- numeric kernel ---------------------------------------------------------
 
-class DivisionByZero(QxError):
+class DivisionByZero(DomainError):
     """Exact rational division by zero."""
 
 
-class DomainStraddle(QxError):
+class DomainStraddle(DomainError):
     """An enclosure straddles a singular point (0 for log/div, a branch cut).
 
     Signals the caller to refine inputs before retrying; never a final verdict.
     """
 
 
-class MaxPrecision(QxError):
+class MaxPrecision(DomainError):
     """Refinement hit the precision ceiling without reaching the target width.
 
     Possible exact zero or ill-conditioning; the ambiguity is reported, never
@@ -32,61 +50,61 @@ class MaxPrecision(QxError):
 
 # --- expression IR ----------------------------------------------------------
 
-class InvalidBase(QxError):
+class InvalidBase(SemanticError):
     """Exp/Log base is the constant 0 or 1."""
 
 
-class NonRealArgument(QxError):
+class NonRealArgument(DomainError):
     """Operation requires a real-valued expression (im enclosure not point 0)."""
 
 
-class OutOfDomain(QxError):
+class OutOfDomain(DomainError):
     """Argument provably outside the operation's domain (e.g. |x| > 1 for arcsin)."""
 
 
 # --- polynomials / verdicts -------------------------------------------------
 
-class ZeroPolynomial(QxError):
+class ZeroPolynomial(SemanticError):
     """Operation undefined for the zero polynomial."""
 
 
 # --- ladders ----------------------------------------------------------------
 
-class UnsupportedNode(QxError):
+class UnsupportedNode(SemanticError):
     """Expression contains a node kind outside the exponential-logarithmic closure."""
 
 
-class NotReduced(QxError):
+class NotReduced(SemanticError):
     """Ascent requires a reduced ladder but a rational relation is present."""
 
 
 # --- geometry ---------------------------------------------------------------
 
-class NonPositiveLength(QxError):
+class NonPositiveLength(DomainError):
     """A construction length is provably zero or negative."""
 
 
-class NotOnUnitCircle(QxError):
+class NotOnUnitCircle(DomainError):
     """Point enclosure provably misses the unit circle."""
 
 
-class OutOfRange(QxError):
+class OutOfRange(DomainError):
     """Curve parameter outside the constructible range (e.g. quadratrix y = 0)."""
 
 
-class NonPositiveSlope(QxError):
+class NonPositiveSlope(DomainError):
     """Radial-line slope must be positive."""
 
 
-class DegenerateSecant(QxError):
+class DegenerateSecant(DomainError):
     """Secant offset encloses 0; no secant line exists."""
 
 
-class Coincident(QxError):
+class Coincident(DomainError):
     """Intersection of an object with itself (or a coincident copy)."""
 
 
-class NoIntersection(QxError):
+class NoIntersection(DomainError):
     """Enclosures prove the objects do not meet."""
 
 
@@ -103,9 +121,13 @@ class DslError(QxError):
 class DslSyntaxError(DslError):
     """Tokenizer/parser failure with source span."""
 
+    exit_code = 3
+
 
 class DslSemanticError(DslError):
     """Name binding, arity, or argument-kind violation with source span."""
+
+    exit_code = SemanticError.exit_code
 
 
 class MismatchError(QxError):

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
                      NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
+from .dyadic import fixed_point
 from .expr import Context, Expr, sign, to_text
 from .interval import precision_ceiling
 
@@ -85,7 +86,7 @@ def _dist2(ctx: Context, a: GPoint, b: GPoint) -> Expr:
 
 
 def intersect(ctx: Context, a, b) -> list[GPoint]:
-    """0, 1 or 2 points, ordered by enclosure midpoint (x then y)."""
+    """0, 1 or 2 points, ordered by exact value (x, then y)."""
     if isinstance(a, GLine) and isinstance(b, GLine):
         return _line_line(ctx, a, b)
     if isinstance(a, GLine) and isinstance(b, GCircle):
@@ -137,8 +138,7 @@ def _line_circle(ctx: Context, l: GLine, c: GCircle) -> list[GPoint]:
     root = ctx.sqrt(disc)
     t1 = ctx.div(ctx.sub(ctx.mul(-1, b), root), ctx.mul(2, a))
     t2 = ctx.div(ctx.add(ctx.mul(-1, b), root), ctx.mul(2, a))
-    pts = [_along(ctx, l.p, t1, dx, dy), _along(ctx, l.p, t2, dx, dy)]
-    return _order_points(pts)
+    return _order_points(ctx, _along(ctx, l.p, t1, dx, dy), _along(ctx, l.p, t2, dx, dy))
 
 
 def _along(ctx: Context, p: GPoint, t: Expr, dx: Expr, dy: Expr) -> GPoint:
@@ -168,12 +168,14 @@ def _circle_circle(ctx: Context, c1: GCircle, c2: GCircle) -> list[GPoint]:
     return _line_circle(ctx, GLine(x0, x1), c1)
 
 
-def _order_points(pts: list[GPoint]) -> list[GPoint]:
-    """Lexicographic by enclosure midpoint at a fixed precision: total and deterministic."""
-    def key(p: GPoint):
-        return (p.x.eval(128).re.mid().to_fraction(),
-                p.y.eval(128).re.mid().to_fraction())
-    return sorted(pts, key=key)
+def _order_points(ctx: Context, p: GPoint, q: GPoint) -> list[GPoint]:
+    """Two distinct points, lexicographic by exact value: x first, then y."""
+    s = sign(ctx.sub(p.x, q.x))
+    if s == 0:
+        s = sign(ctx.sub(p.y, q.y))
+    if s is None:
+        raise MaxPrecision("cannot certify the order of the intersection points")
+    return [q, p] if s > 0 else [p, q]
 
 
 # --- proportion constructions -----------------------------------------------------
@@ -351,7 +353,10 @@ def spiral_probe_report(ctx: Context, R: Expr | int = 1, k_min: int = 3,
     eighth = ctx.div(ctx.mul(R, pi), 4).enclosure(width)
     sub_mid = sub.re.mid().to_fraction()
     eighth_mid = eighth.re.mid().to_fraction()
-    fmt = lambda fr: _fixed(fr, digits)
+
+    def fmt(fr: Fraction) -> str:  # rounded half up
+        return fixed_point(int(abs(fr) * 10**digits + Fraction(1, 2)), digits, fr < 0)
+
     return SpiralProbeReport(
         ks,
         tuple(fmt(m) for m in mids),
@@ -364,13 +369,3 @@ def spiral_probe_report(ctx: Context, R: Expr | int = 1, k_min: int = 3,
         fmt(abs(limit - eighth_mid)),
         float(sub_mid / eighth_mid),
     )
-
-
-def _fixed(fr: Fraction, digits: int) -> str:
-    sign = "-" if fr < 0 else ""
-    scaled = abs(fr) * 10**digits
-    n = int(scaled)
-    if scaled - n >= Fraction(1, 2):
-        n += 1
-    s = str(n).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"

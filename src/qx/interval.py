@@ -26,7 +26,7 @@ from mpmath.libmp import (fhalf, fnone, fone, from_int, from_man_exp, fzero, mpf
                           mpi_mul, mpi_sin, mpi_sqrt, mpi_sub, to_int, to_rational)
 
 from .dyadic import Dyadic, ceil_div
-from .errors import DivisionByZero, DomainStraddle, MaxPrecision
+from .errors import DomainStraddle, MaxPrecision
 
 DEFAULT_CEILING_BITS = 4096
 _GUARD = 8
@@ -488,59 +488,6 @@ def arcsin_over_pi_complex(x: CInterval, prec: int) -> CInterval:
         raise DomainStraddle("arcsin_over_pi requires a real enclosure")
     val = asin_interval(x.re, prec).div(pi_interval(prec), prec)
     return CInterval.real(val.intersect(_HALF_UNIT))
-
-
-# --- spec-surface dispatchers ------------------------------------------------
-
-def rat_arith(op: str, a: Fraction, b: Fraction) -> Fraction:
-    """Exact rational arithmetic; results are canonical by Fraction's invariants."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown rational op {op!r}")
-
-
-_UNARY = {"sqrt", "exp", "sin_pi", "arcsin_over_pi"}
-_BINARY = {"add", "sub", "mul", "div", "pow"}
-
-
-def iv_arith(op: str, args: list, precision: Fraction, branch: int = 0) -> CInterval:
-    """Interval dispatcher; refines the working precision toward the target width."""
-    return refine(lambda prec: _iv_once(op, args, prec, branch), precision)
-
-
-def _iv_once(op: str, args: list, prec: int, branch: int) -> CInterval:
-    if op in _BINARY:
-        a, b = args
-        if op == "add":
-            return a.add(b, prec)
-        if op == "sub":
-            return a.sub(b, prec)
-        if op == "mul":
-            return a.mul(b, prec)
-        if op == "div":
-            return a.div(b, prec)
-        return a.pow(b, prec)
-    if op == "log":
-        (a,) = args
-        return a.log(branch, prec)
-    if op in _UNARY:
-        (a,) = args
-        if op == "sqrt":
-            return a.sqrt(prec)
-        if op == "exp":
-            return a.exp(prec)
-        if op == "sin_pi":
-            return sin_pi_complex(a, prec)
-        return arcsin_over_pi_complex(a, prec)
-    raise ValueError(f"unknown interval op {op!r}")
 
 
 def _bits_for(width: Fraction) -> int:

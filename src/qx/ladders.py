@@ -317,9 +317,9 @@ def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COE
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> Ladder:
     """Remove rungs that are rational-affine combinations of earlier kept rungs.
 
-    Lowest index first; each removal stores its relation and the exponential
-    identity b^{a_k} = b^q * prod (b^{a_j})^{q_j}, verified by enclosure
-    overlap at width 2^-40 (powers read as b^{q_j a_j}, principal values).
+    Lowest index first; each removal stores its relation and what
+    `check_removal` derives from it: the rational-affine combination and
+    whether its exponential identity holds.
     """
     kept: list[Rung] = []
     removals: list[Removal] = list(ladder.removals)
@@ -329,10 +329,9 @@ def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COE
         if rel is None:
             kept.append(rung)
             continue
-        constant, combo = _solve_combo(rel, len(kept))
-        verified = _verify_removal_identity(ctx, ladder.base, rung.value, constant,
-                                            combo, [r.value for r in kept])
-        removals.append(Removal(index, rel, constant, tuple(combo), verified))
+        constant, combo, verified = check_removal(ctx, ladder.base, rel.coefficients,
+                                                  rung.value, [r.value for r in kept])
+        removals.append(Removal(index, rel, constant, combo, verified))
     return Ladder(ladder.base, tuple(kept), tuple(removals))
 
 
@@ -344,19 +343,25 @@ def _relate_to_prefix(prefix: list[Expr], value: Expr, max_coeff: int,
     return rel
 
 
-def _solve_combo(rel: Relation, kept_count: int):
-    ns = rel.coefficients
-    nk = ns[-1]
+def check_removal(ctx: Context, base: Expr, coefficients, a_k: Expr, kept: list[Expr]):
+    """The removal of a_k given by the relation n_0 + sum_j n_j a_j + n_k a_k = 0.
+
+    coefficients is (n_0, n_1..n_m, n_k) and kept[j - 1] is a_j. Returns
+    (q, combo, verified): a_k = q + sum q_j a_j with combo the nonzero
+    (j - 1, q_j), and whether b^{a_k} = b^q * prod (b^{a_j})^{q_j} holds by
+    enclosure overlap at width 2^-40 (powers read as b^{q_j a_j}, principal
+    values). `reduce_ladder` and `qx verify` both decide removals here.
+    Raises ValueError when the relation does not give a_k over kept.
+    """
+    *ns, nk = coefficients
+    m = len(ns) - 1
+    if nk == 0 or not 0 <= m <= len(kept):
+        raise ValueError(f"relation {list(coefficients)} does not give the removed rung "
+                         f"in terms of {len(kept)} kept rungs")
     constant = Fraction(-ns[0], nk)
-    combo = [(j, Fraction(-ns[j + 1], nk)) for j in range(kept_count) if ns[j + 1]]
-    return constant, combo
-
-
-def _verify_removal_identity(ctx: Context, base: Expr, a_k: Expr, q: Fraction,
-                             combo, kept: list[Expr]) -> bool:
-    """b^{a_k} = b^q * prod (b^{a_j})^{q_j} by overlap at width 2^-40; kept[j] is a_j."""
+    combo = tuple((j, Fraction(-ns[j + 1], nk)) for j in range(m) if ns[j + 1])
     lhs = ctx.exp(base, a_k)
-    rhs = ctx.exp(base, ctx.rat(q))
+    rhs = ctx.exp(base, ctx.rat(constant))
     for j, qj in combo:
         rhs = ctx.mul(rhs, ctx.exp(base, ctx.mul(ctx.rat(qj), kept[j])))
     width = Fraction(1, 1 << 40)
@@ -364,8 +369,8 @@ def _verify_removal_identity(ctx: Context, base: Expr, a_k: Expr, q: Fraction,
         left = lhs.enclosure(width)
         right = rhs.enclosure(width)
     except MaxPrecision:
-        return False
-    return left.intersects(right)
+        return constant, combo, False
+    return constant, combo, left.intersects(right)
 
 
 # --- ascent ----------------------------------------------------------------------

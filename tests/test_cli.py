@@ -64,6 +64,19 @@ def test_eval_certified_digits():
     assert out.strip() == "0.95105651629515357211"
 
 
+@pytest.mark.parametrize("text, decimal", [
+    ("314/25", "12.56"),
+    ("sqrt(3)*sqrt(12) - 6 - 1/2", "-0.5"),
+    ("sqrt(3)*sqrt(12) - 6 - 1/3", "-0.333333333333"),
+    ("sqrt(2)*sqrt(8) - 4", "0"),
+], ids=["rational-node", "minus-half", "minus-third", "zero"])
+def test_a_rational_verdict_prints_the_exact_decimal(text, decimal):
+    # these enclosures straddle the value, so their endpoints agree on fewer digits
+    code, out, err = run(["classify", text, "--json"])
+    assert code == 0, err
+    assert json.loads(out)["subject"]["decimal"] == decimal
+
+
 def test_eval_ln_minus_one():
     code, out, _ = run(["eval", "ln(-1)", "--precision", "12"])
     assert code == 0
@@ -317,6 +330,46 @@ def test_verify_malformed_ladder_certificate_fails_without_traceback(tmp_path, m
     assert "Traceback" not in err
 
 
+def test_verify_rejects_a_removal_whose_relation_was_changed(tmp_path):
+    cert = json.loads((Path(__file__).parent / "golden" / "ladder_logs_reduced.json").read_text())
+    cert["reduced"]["removals"][0]["relation"]["coefficients"] = [3, 5, 7, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(bad)])
+    assert code == 1
+    assert "FAIL malformed certificate" in err and "index 2" in err
+
+
+# every qx error class without subclasses, with the exit code the CLI gives it
+EXIT_CODES = {
+    "DivisionByZero": 5, "DomainStraddle": 5, "MaxPrecision": 5, "InvalidBase": 4,
+    "NonRealArgument": 5, "OutOfDomain": 5, "ZeroPolynomial": 4, "UnsupportedNode": 4,
+    "NotReduced": 4, "NonPositiveLength": 5, "NotOnUnitCircle": 5, "OutOfRange": 5,
+    "NonPositiveSlope": 5, "DegenerateSecant": 5, "Coincident": 5, "NoIntersection": 5,
+    "DslSyntaxError": 3, "DslSemanticError": 4, "MismatchError": 1,
+}
+
+
+def test_every_error_class_exits_with_its_code():
+    from qx import errors
+    from qx.cli import _failure
+    from qx.dsl import Diagnostic, Span
+
+    def leaves(cls):
+        subs = cls.__subclasses__()
+        return [c for s in subs for c in leaves(s)] if subs else [cls]
+    assert sorted(c.__name__ for c in leaves(errors.QxError)) == sorted(EXIT_CODES)
+    for name, code in EXIT_CODES.items():
+        cls = getattr(errors, name)
+        if issubclass(cls, errors.DslError):
+            exc = cls(Diagnostic("error", Span(1, 1), "message"))
+        elif cls is errors.MismatchError:
+            exc = cls(["x"])
+        else:
+            exc = cls("message")
+        assert _failure(exc, None)[0] == code, name
+
+
 def test_eval_too_deeply_nested_exits_5_without_traceback():
     import subprocess
     import sys
@@ -472,6 +525,7 @@ def test_tangent_circles_compile_to_their_one_touching_point(tmp_path):
     assert sorted(emits) == ["t.x", "t.y"]
     assert emits["t.x"]["verdict"]["status"] == "rational"
     assert emits["t.x"]["verdict"]["value"] == "1/2"
+    assert emits["t.x"]["decimal"] == "0.5"
     assert emits["t.y"]["verdict"]["witness"] == [-3, 0, 4]
     cert = tmp_path / "tangent.json"
     cert.write_text(out)

@@ -4,10 +4,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qx.dsl import (Arg, compile_program, parse, pretty_print, verify_roundtrip)
-from qx.errors import DslSemanticError, DslSyntaxError, MismatchError
-from qx.expr import Context, to_text
+from qx.errors import (DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
+                       QxError)
+from qx.expr import Context, sign, to_text
 from qx.minpoly import transcendence_rules
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.qdx"))
@@ -111,6 +114,64 @@ def test_roundtrip_detects_corruption():
     with pytest.raises(MismatchError) as ei:
         verify_roundtrip(res, 30)
     assert "m" in ei.value.names
+
+
+def test_roundtrip_stops_at_the_precision_ceiling(monkeypatch):
+    res = compile_program(parse("let a = seg(2); let m = meanprop(a, 3); emit m;"))
+    monkeypatch.setenv("QX_PRECISION_CEILING", "256")
+    verify_roundtrip(res, 100)
+    with pytest.raises(MaxPrecision, match="precision ceiling of 256 bits"):
+        verify_roundtrip(res, 300)
+
+
+def _rotation_chain(k: int) -> str:
+    """p_i is the far meeting point of the circle about p_{i-1} through o with
+    the circle of radius 3/2 about o: a rotation by 60 degrees, then back."""
+    lines = ["let o = point(0, 0);", "let q = point(3/2, 0);", "let c = circle(o, q);",
+             "let p0 = point(3/2, 0);"]
+    for i in range(1, k + 1):
+        lines += [f"let d{i} = circle(p{i - 1}, o);", f"let p{i} = intersect(d{i}, c, 1);"]
+    return "\n".join(lines + [f"emit p{k};"])
+
+
+def test_rotation_chain_picks_the_same_point_at_every_step():
+    # odd steps tie the two candidates in x, so index 1 is the upper one. A
+    # failure reports its message only: pytest would print the values, and
+    # their text grows about 550-fold per step
+    for k in range(1, 13):
+        try:
+            res = compile_program(parse(_rotation_chain(k)))
+            verify_roundtrip(res, 30)
+        except QxError as exc:
+            pytest.fail(f"k = {k}: {type(exc).__name__}: {exc}", pytrace=False)
+        ctx = res.ctx
+        if k % 2:
+            want = (ctx.div(3, 4), ctx.div(ctx.mul(3, ctx.sqrt(3)), 4))
+        else:
+            want = (ctx.rat(F(3, 2)), ctx.rat(0))
+        got = (res.values[f"p{k}.x"], res.values[f"p{k}.y"])
+        signs = [sign(ctx.sub(g, w)) for g, w in zip(got, want)]
+        assert signs == [0, 0], k
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 9), st.integers(2, 9),
+       st.booleans())
+def test_intersections_tied_in_x_are_ordered_by_y(a, b, c, g, swap):
+    # centres (sqrt(a), h) and (sqrt(b), h) on one horizontal line, h = sqrt(g*sqrt(c+1))
+    first, second = ("cb", "ca") if swap else ("ca", "cb")
+    source = f"""
+        let r = meanprop({c + 1}, 1); let h = meanprop(r, {g});
+        let xa = meanprop({a}, 1); let xb = meanprop({a + b}, 1);
+        let pa = point(xa, h); let pb = point(xb, h);
+        let ca = circle(pa, pb); let cb = circle(pb, pa);
+        let lo = intersect({first}, {second}, 0); let hi = intersect({first}, {second}, 1);
+        emit lo, hi;"""
+    res = compile_program(parse(source))
+    verify_roundtrip(res, 30)
+    v, ctx = res.values, res.ctx
+    assert sign(ctx.sub(v["hi.x"], v["lo.x"])) == 0
+    assert sign(ctx.sub(v["hi.y"], v["lo.y"])) == 1
 
 
 def test_pretty_print_parse_idempotent():

@@ -7,8 +7,8 @@ import pytest
 
 from qx.dyadic import Dyadic
 from qx.errors import DivisionByZero, DomainStraddle, MaxPrecision
-from qx.interval import (CInterval, RInterval, asin_interval, iv_arith,
-                         pi_interval, rat_arith, refine, sin_pi_interval)
+from qx.interval import (CInterval, RInterval, arcsin_over_pi_complex, asin_interval,
+                         pi_interval, refine, sin_pi_complex, sin_pi_interval)
 
 W33 = F(1, 1 << 33)
 W40 = F(1, 1 << 40)
@@ -20,14 +20,16 @@ SIN_2PI5 = F("0.95105651629515357211643933337938214340569863412575")
 PI_MINUS_355_113 = F("-2.6676418906242231237e-7")
 
 
-def test_rat_arith_examples():
-    assert rat_arith("add", F(1, 2), F(1, 3)) == F(5, 6)
-    assert rat_arith("mul", F(2, 5), F(5, 2)) == F(1)
+def test_rat_arith_examples(ctx):
+    # rational operands fold to one exact rational node
+    assert ctx.add(F(1, 2), F(1, 3)).rat == F(5, 6)
+    assert ctx.mul(F(2, 5), F(5, 2)).rat == F(1)
     with pytest.raises(DivisionByZero):
-        rat_arith("div", F(1, 2), F(0))
+        ctx.div(F(1, 2), F(0))
 
 
-def test_rat_arith_canonical_random():
+def test_rat_arith_canonical_random(ctx):
+    ops = {"add": ctx.add, "sub": ctx.sub, "mul": ctx.mul, "div": ctx.div}
     rng = random.Random(7)
     for _ in range(500):
         a = F(rng.randint(-50, 50), rng.randint(1, 50))
@@ -35,7 +37,7 @@ def test_rat_arith_canonical_random():
         op = rng.choice(["add", "sub", "mul", "div"])
         if op == "div" and b == 0:
             continue
-        r = rat_arith(op, a, b)
+        r = ops[op](a, b).rat
         assert r.denominator > 0
         assert gcd(abs(r.numerator), r.denominator) == 1
 
@@ -51,7 +53,7 @@ def test_dyadic_roundtrip_and_order():
 
 
 def test_iv_sqrt_point_two_oracle():
-    out = iv_arith("sqrt", [CInterval.from_int(2)], W33)
+    out = refine(lambda p: CInterval.from_int(2).sqrt(p), W33)
     assert out.width <= W33
     assert out.contains_fraction(SQRT2 + F(1, 10**45)) or out.contains_fraction(SQRT2)
 
@@ -152,24 +154,24 @@ def test_monotone_refinement():
 
 
 def test_iv_arith_log_branches():
-    principal = iv_arith("log", [CInterval.from_int(-1)], W40)
+    principal = refine(lambda p: CInterval.from_int(-1).log(0, p), W40)
     assert principal.re.contains_zero()
     pi_enc = pi_interval(96)
     assert principal.im.intersects(pi_enc)
-    shifted = iv_arith("log", [CInterval.from_int(-1)], W40, branch=-1)
+    shifted = refine(lambda p: CInterval.from_int(-1).log(-1, p), W40)
     # -1 branch: i*pi - 2*pi*i = -i*pi
     assert shifted.im.intersects(pi_enc.neg())
 
 
 def test_iv_arith_pow():
-    out = iv_arith("pow", [CInterval.from_int(2), CInterval.from_int(3)], W40)
+    out = refine(lambda p: CInterval.from_int(2).pow(CInterval.from_int(3), p), W40)
     assert out.contains_fraction(F(8))
 
 
 def test_iv_arith_sin_pi_and_arcsin_dispatch():
-    out = iv_arith("sin_pi", [CInterval.from_fraction(F(2, 5), 96)], W40)
+    out = refine(lambda p: sin_pi_complex(CInterval.from_fraction(F(2, 5), 96), p), W40)
     assert out.contains_fraction(SIN_2PI5 + F(1, 10**51)) or out.contains_fraction(SIN_2PI5)
-    out = iv_arith("arcsin_over_pi", [CInterval.from_int(1)], W40)
+    out = refine(lambda p: arcsin_over_pi_complex(CInterval.from_int(1), p), W40)
     assert out.contains_fraction(F(1, 2))
 
 
@@ -182,7 +184,7 @@ def test_precision_ceiling_env(monkeypatch):
 def test_iv_arith_raises_at_the_precision_ceiling(monkeypatch):
     monkeypatch.setenv("QX_PRECISION_CEILING", "64")
     with pytest.raises(MaxPrecision):
-        iv_arith("sqrt", [CInterval.from_int(2)], F(1, 1 << 200))
+        refine(lambda p: CInterval.from_int(2).sqrt(p), F(1, 1 << 200))
 
 
 def _random_dyadic_interval(rng):
