@@ -26,8 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import errors as err
-from .dyadic import fixed_point
 from .dsl import compile_program, parse, pretty_print, verify_roundtrip
+from .dyadic import fixed_point
 from .expr import Context, Expr, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dyadic import fixed_point
 from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
                      NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
-from .dyadic import fixed_point
 from .expr import Context, Expr, sign, to_text
 from .interval import precision_ceiling
 
