@@ -124,14 +124,19 @@ def _verdict_json(v: Verdict) -> dict:
     return out
 
 
+def _subject_decimal(enc: CInterval, verdict: Verdict, digits: int) -> str:
+    """A certificate's "decimal": the exact value of a rational verdict, else the
+    digits the enclosure certifies."""
+    exact = verdict.value  # set exactly when the verdict is rational
+    return certified_decimal(enc, digits) if exact is None else _rational_decimal(exact, digits)
+
+
 def expr_certificate(e: Expr, digits: int) -> dict:
     enc = e.enclosure(_digits_width(digits))
     verdict = transcendence_rules(e)
-    exact = verdict.value  # set exactly when the verdict is rational
     return {
         "expr": to_text(e),
-        "decimal": (certified_decimal(enc, digits) if exact is None
-                    else _rational_decimal(exact, digits)),
+        "decimal": _subject_decimal(enc, verdict, digits),
         "enclosure": _enclosure_json(enc, digits),
         "precision_digits": digits,
         "verdict": _verdict_json(verdict),
@@ -306,6 +311,8 @@ def _check_subject(e: Expr, sub: dict, failures: list[str], label: str):
     now = transcendence_rules(e)
     if now.status != v["status"]:
         failures.append(f"{label}: verdict status changed ({v['status']} -> {now.status})")
+    if sub["decimal"] != _subject_decimal(enc, now, digits):
+        failures.append(f"{label}: stored decimal is not the one the recomputation prints")
     if v.get("witness"):
         poly = IntPoly.new(v["witness"])
         val = poly.eval_enclosure(e.enclosure(Fraction(1, 1 << 60)), 128)

@@ -13,6 +13,7 @@ complex enclosure at a requested working precision.
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,7 +239,8 @@ class Expr:
                     stack.append((child, False))
 
     def __repr__(self):
-        return f"<Expr {to_text(self)}>"
+        # bounded: the full text can be exponential in the depth of sharing
+        return f"<Expr {_text_prefix(self, _REPR_CHARS)}>"
 
 
 def _horner(coeffs, x: RInterval, prec: int) -> RInterval:
@@ -294,6 +296,8 @@ def fold(root: Expr, key, combine, select=None):
 
 
 _SYMBOLS = {ADD: "+", SUB: "-", MUL: "*", DIV: "/"}
+_REPR_CHARS = 160  # text characters in a repr, which adds at most 12 more
+_CHILD_MARK = re.compile("([\ue000-\uf8ff])")  # private use: never in canonical text
 
 
 def to_text(e: Expr) -> str:
@@ -326,6 +330,28 @@ def _text_node(e: Expr, kids) -> str:
                         (sel.re.lo, sel.re.hi, sel.im.lo, sel.im.hi))
         return f"polyroot({', '.join(kids)}; {pts})"
     raise AssertionError(k)
+
+
+def _text_prefix(e: Expr, limit: int) -> str:
+    """The first `limit` characters of to_text(e), then "..." if there are more.
+
+    Builds the text left to right and stops at the limit, so the cost is
+    bounded even where the full text is exponential in the DAG depth. Each
+    node's own text comes from `_text_node`, with a private-use character
+    standing in for the text of each child.
+    """
+    out, size, stack = [], 0, [e]
+    while stack and size <= limit:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            size += len(item)
+        else:
+            text = _text_node(item, [chr(0xE000 + i) for i in range(len(item.children))])
+            stack += reversed([item.children[ord(p) - 0xE000] if i % 2 else p
+                               for i, p in enumerate(_CHILD_MARK.split(text))])
+    text = "".join(out)
+    return text if not stack and size <= limit else text[:limit] + "..."
 
 
 class Context:

@@ -3,9 +3,15 @@ and the unconditional transcendence rule base.
 
 Every polynomial is an `IntPoly`: integer coefficients, constant term first.
 Its operations stay in exact integer arithmetic: ring operations, exact
-division, a primitive pseudo-remainder gcd, the substitution
-den(x)^n * p(num(x)/den(x)), and evaluation at a rational num/den as the
-homogeneous sum of c_k * num^k * den^(n-k).
+division, a primitive pseudo-remainder gcd, and evaluation at a rational
+num/den as the homogeneous sum of c_k * num^k * den^(n-k). Enclosures of
+p(z) cost one interval product per nonzero coefficient plus O(log) per run
+of zeros.
+
+Structural witness steps are maps on the coefficient tuple: interleaving
+zeros for a square root, scaling coefficient k by u^k * v^(n-k) for a
+rational factor, reversal for a reciprocal, and one integer Taylor shift for
+a rational translate.
 
 The annihilator of sin(pi*p/q) is built from cyclotomic factors. Each value
 sin(pi*j/q) equals cos(2*pi*k/n) with k/n = 1/4 - j/(2q) in lowest terms,
@@ -104,7 +110,11 @@ class IntPoly:
 
     def divide_content(self, d: int) -> "IntPoly":
         """Divide out the greatest common factor of d and the content."""
-        g = gcd(d, self.content())
+        g = abs(d)
+        for c in self.coeffs:
+            if g == 1:
+                return self
+            g = gcd(g, c)
         if g <= 1:
             return self
         return IntPoly(tuple(c // g for c in self.coeffs))
@@ -153,19 +163,24 @@ class IntPoly:
             a, b = b, a.pseudo_remainder(b).primitive()
         return a.monic_sign()
 
-    def substitute(self, num: "IntPoly", den: "IntPoly") -> "IntPoly":
-        """den^n * p(num/den) for n = deg p, in Z[x]."""
-        return IntPoly._lift(_homogeneous(self.coeffs, num, den))
-
     def eval_fraction(self, x: Fraction) -> Fraction:
         return Fraction(_homogeneous(self.coeffs, x.numerator, x.denominator),
                         x.denominator ** max(self.degree, 0))
 
     def eval_enclosure(self, z: CInterval, prec: int) -> CInterval:
-        acc = CInterval.from_int(0)
-        for c in reversed(self.coeffs):
-            acc = acc.mul(z, prec).add(CInterval.from_int(c), prec)
-        return acc
+        """Enclosure of p(z): Horner's rule over the nonzero coefficients only.
+
+        A run of g - 1 zero coefficients between two nonzero ones becomes one
+        factor z^g, by repeated squaring.
+        """
+        acc, top = CInterval.from_int(0), None
+        for k in range(self.degree, -1, -1):
+            c = self.coeffs[k]
+            if c:
+                if top is not None:
+                    acc = acc.mul(_power(z, top - k, prec), prec)
+                acc, top = acc.add(CInterval.from_int(c), prec), k
+        return acc if not top else acc.mul(_power(z, top, prec), prec)
 
     def __str__(self):
         if self.is_zero():
@@ -180,11 +195,48 @@ class IntPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _homogeneous(coeffs, num, den):
-    """Sum of c_k * num^k * den^(n-k) over k, n = len(coeffs) - 1, by Horner's rule.
+def _power(z: CInterval, g: int, prec: int) -> CInterval:
+    """z^g for g >= 1 by repeated squaring: at most 2*log2(g) products."""
+    out = None
+    while True:
+        if g & 1:
+            out = z if out is None else out.mul(z, prec)
+        g >>= 1
+        if not g:
+            return out
+        z = z.mul(z, prec)
 
-    num and den are both ints or both IntPolys.
+
+def _scaled(coeffs, u: int, v: int) -> list[int]:
+    """c_k * u^k * v^(n-k) for each k, n = len(coeffs) - 1."""
+    n = len(coeffs) - 1
+    vpow = [1] * (n + 1)  # vpow[j] = v^j
+    for j in range(1, n + 1):
+        vpow[j] = vpow[j - 1] * v
+    out, upow = [], 1
+    for k, c in enumerate(coeffs):
+        out.append(c * upow * vpow[n - k] if c else 0)
+        upow *= u
+    return out
+
+
+def _taylor_shift(coeffs, c: int) -> list[int]:
+    """Coefficients of Q(x + c) from those of Q, for an integer c.
+
+    Horner's scheme: n passes of synthetic division, n(n+1)/2 multiply-adds
+    on plain ints (J. von zur Gathen and J. Gerhard, "Fast algorithms for
+    Taylor shifts and certain difference equations", ISSAC 1997).
     """
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
+
+
+def _homogeneous(coeffs, num: int, den: int) -> int:
+    """Sum of c_k * num^k * den^(n-k) over k, n = len(coeffs) - 1, by Horner's rule."""
     acc, dpow = 0, 1
     for c in reversed(coeffs):
         acc = acc * num + c * dpow
@@ -365,13 +417,18 @@ def _affine_image(p: IntPoly, s: Fraction, h: Fraction) -> IntPoly:
 
     That is s^n * p((x - h)/s) times the least positive integer that clears
     its denominators. For s = a/b and h = c/d in lowest terms,
-    (x - h)/s = b(dx - c) / (da), so the substitution below is (bd)^n times
-    s^n * p((x - h)/s); dividing out the common factor of (bd)^n and its
+    (x - h)/s = b(dx - c) / (da), so (bd)^n * s^n * p((x - h)/s) is
+    sum p_k * b^k * (da)^(n-k) * (dx - c)^k = Q(dx - c): scale, shift by -c,
+    then scale x by d. Dividing out the common factor of (bd)^n and its
     content leaves that least multiple.
     """
-    num = IntPoly.new((-s.denominator * h.numerator, s.denominator * h.denominator))
-    den = IntPoly.new((h.denominator * s.numerator,))
-    return p.substitute(num, den).divide_content((h.denominator * s.denominator) ** p.degree)
+    a, b, c, d = s.numerator, s.denominator, h.numerator, h.denominator
+    q = _scaled(p.coeffs, b, d * a)
+    if c:
+        q = _taylor_shift(q, -c)
+    if d != 1:
+        q = _scaled(q, d, 1)
+    return IntPoly.new(q).divide_content((b * d) ** p.degree)
 
 
 def algebraic_witness(e: Expr) -> Optional[tuple[IntPoly, str]]:
@@ -379,12 +436,13 @@ def algebraic_witness(e: Expr) -> Optional[tuple[IntPoly, str]]:
 
     No resultant machinery: covers rationals, one quadratic extension,
     square-root towers, sin(pi*rational), rational-coefficient poly roots,
-    and rational-affine images of those. Each step is one `IntPoly`
-    substitution into the operand's witness p: p(x^2) for a square root,
-    p at the inverse affine map for t*a, t/a, t + a, t - a and a - t, and
-    x^n * p(a/x) for a/t. A witness with rational coefficients is scaled by
-    the least positive integer that makes it integral; certificates record
-    these exact coefficients.
+    and rational-affine images of those. Each step maps the coefficients of
+    the operand's witness p: p(x^2) for a square root interleaves zeros,
+    t*a and t/a scale coefficient k, t + a, t - a and a - t scale and then
+    Taylor-shift (`_affine_image`), and x^n * p(a/x) for a/t scales and
+    reverses. A witness with rational coefficients is scaled by the least
+    positive integer that makes it integral; certificates record these exact
+    coefficients.
     """
     return fold(e, "algebraic_witness", _witness_node, _witness_operands)
 
@@ -421,7 +479,9 @@ def _witness_node(e: Expr, kids) -> Optional[tuple[IntPoly, str]]:
         return None
     p = kids[0][0]
     if k == E.SQRT:
-        return p.substitute(IntPoly((0, 0, 1)), IntPoly((1,))), "sqrt-tower"
+        spread = [0] * (2 * p.degree + 1)
+        spread[::2] = p.coeffs
+        return IntPoly(tuple(spread)), "sqrt-tower"
     left, right = e.children
     on_right = right.kind == E.RAT  # t op a; otherwise a op t
     a = right.rat if on_right else left.rat
@@ -434,9 +494,10 @@ def _witness_node(e: Expr, kids) -> Optional[tuple[IntPoly, str]]:
     elif on_right:
         poly = _affine_image(p, 1 / a, Fraction(0))
     elif a != 0 and separates(right, 0):
-        # x^n * p(a/x), times m'^n by the substitution for a = m/m'
-        poly = p.substitute(IntPoly.new((a.numerator,)), IntPoly.new((0, a.denominator))
-                            ).divide_content(a.denominator ** p.degree)
+        # x^n * p(a/x) times m'^n for a = m/m': p_k * m^k * m'^(n-k) at x^(n-k);
+        # a root 0 of p drops the degree
+        poly = IntPoly.new(reversed(_scaled(p.coeffs, a.numerator, a.denominator))
+                           ).divide_content(a.denominator ** p.degree)
     else:
         poly = None
     return None if poly is None else (poly, "affine-combination")

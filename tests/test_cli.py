@@ -171,6 +171,11 @@ def test_verify_golden_certificates():
 # the command line each golden certificate was made with
 GOLDEN_ARGV = {
     "classify_sin_2pi5.json": ["classify", "sin_pi(2/5)", "--json"],
+    # its degree-48 witness goes through every witness step: a/t on a witness
+    # with root 0, t + a, t*a, t/a, t - a, a - t and three square roots
+    "classify_witness_steps.json": [
+        "classify", "sqrt(sqrt(sqrt(7/2 - ((((((3 / sin_pi(2/7)) + 1/3) * 2) / 5) / 3) - 1/4))))",
+        "--json"],
     "compile_square_rectangle.json": ["compile", str(CORPUS / "01_square_rectangle.qdx")],
     "ladder_gs.json": ["ladder", "pow(-1, sqrt(2))", "--base", "-1", "--reduce", "--ascend"],
     "ladder_log3.json": ["ladder", "log(3; -1; 0)", "--base", "-1"],
@@ -184,6 +189,16 @@ def test_golden_certificate_regenerates_byte_for_byte(path):
     code, out, err = run(GOLDEN_ARGV[path.name])
     assert code == 0, err
     assert out.encode("utf-8") == path.read_bytes()
+
+
+def test_verify_rejects_a_stored_decimal_the_enclosure_does_not_print(tmp_path):
+    cert = json.loads((Path(__file__).parent / "golden" / "compile_square_rectangle.json").read_text())
+    cert["emits"]["m"]["decimal"] = "7.5"  # the value is 4
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(bad)])
+    assert code == 1
+    assert "FAIL m: stored decimal is not the one the recomputation prints" in err
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

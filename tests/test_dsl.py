@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qx import expr
 from qx.dsl import (Arg, compile_program, parse, pretty_print, verify_roundtrip)
 from qx.errors import (DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
                        QxError)
-from qx.expr import Context, sign, to_text
+from qx.expr import Context, fold, sign, to_text
 from qx.minpoly import transcendence_rules
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.qdx"))
@@ -152,6 +153,21 @@ def test_rotation_chain_picks_the_same_point_at_every_step():
         got = (res.values[f"p{k}.x"], res.values[f"p{k}.y"])
         signs = [sign(ctx.sub(g, w)) for g, w in zip(got, want)]
         assert signs == [0, 0], k
+
+
+def test_repr_of_a_deep_value_is_bounded_and_builds_no_full_text(monkeypatch):
+    res = compile_program(parse(_rotation_chain(3)))
+    y = res.values["p3.y"]
+    length = fold(y, "text length", lambda n, kids: sum(kids) + len(
+        expr._text_node(n, [""] * len(n.children))))
+    assert length > 9 * 10 ** 6  # 9.6 million characters of canonical text
+
+    def refuse(e):
+        raise AssertionError("repr built the full text")
+    monkeypatch.setattr(expr, "to_text", refuse)
+    text = repr(y)
+    assert len(text) <= 200 and text.startswith("<Expr (") and text.endswith("...>")
+    assert y not in res.ctx._memos["to_text"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

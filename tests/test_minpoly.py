@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from qx import minpoly
+from qx.dsl import compile_program, parse
 from qx.errors import ZeroPolynomial
 from qx.expr import Context
 from qx.interval import CInterval, RInterval, sin_pi_interval
@@ -114,6 +115,77 @@ def test_sin_pi_annihilators_run_no_gcd_and_no_root_scan(monkeypatch):
                 olmsted_classify(F(p_num, q))
     assert annihilator_sin_pi(F(1, 512)).degree == 513
     assert calls == {"gcd": 0, "pseudo_remainder": 0, "rational_root_scan": 0}
+
+
+def _meanprop_chain(n: int):
+    """s_i = meanprop(s_(i-1), 3/2 or 2/3) from s_0 = 2: a product of powers of 2 and
+    3 with exponents over 2^n, whose witness is the binomial x^(2^n) - c."""
+    lines = ["let s0 = seg(2);"]
+    lines += [f"let s{i} = meanprop(s{i - 1}, {'3/2' if i % 2 else '2/3'});"
+              for i in range(1, n + 1)]
+    return "\n".join(lines + [f"emit s{n};"]) + "\n"
+
+
+def test_meanprop_witness_steps_multiply_no_polynomials(monkeypatch):
+    calls = {"mul": 0}
+    original = IntPoly.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(IntPoly, "__mul__", counted)
+    monkeypatch.setattr(IntPoly, "__rmul__", counted)
+    res = compile_program(parse(_meanprop_chain(12)))
+    witness, rule = minpoly.algebraic_witness(res.values["s12"])
+    assert rule == "sqrt-tower" and witness.degree == 4096
+    assert sum(1 for c in witness.coeffs if c) == 2
+    assert calls == {"mul": 0}
+
+
+def test_sparse_witness_encloses_in_logarithmic_products(monkeypatch):
+    res = compile_program(parse(_meanprop_chain(12)))
+    value = res.values["s12"]
+    witness, _ = minpoly.algebraic_witness(value)
+    z = value.enclosure(F(1, 1 << 60))
+    calls = {"mul": 0}
+    original = CInterval.mul
+
+    def counted(self, other, prec):
+        calls["mul"] += 1
+        return original(self, other, prec)
+
+    monkeypatch.setattr(CInterval, "mul", counted)
+    assert witness.eval_enclosure(z, 128).contains_zero()
+    assert calls["mul"] <= 28  # dense Horner made 4096
+
+
+def test_meanprop_chain_compiles_and_verifies_up_to_the_digit_limit(tmp_path):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from qx.cli import main
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    results = {}
+    for n in (14, 15):
+        program = tmp_path / f"meanprop{n}.qdx"
+        program.write_text(_meanprop_chain(n))
+        results[n] = run(["compile", str(program)])
+    code, out, err = results[14]
+    assert code == 0, err
+    cert = tmp_path / "meanprop14.json"
+    cert.write_text(out)
+    assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n")
+    # at n = 15 a witness coefficient is past Python's int/str digit limit
+    code, out, err = results[15]
+    assert code == 5 and out == ""
+    assert "4300 digits" in err and "Traceback" not in err
 
 
 def test_olmsted_examples():

@@ -18,7 +18,7 @@ from qx.errors import OutOfDomain
 from qx.expr import Context
 from qx.interval import CInterval, RInterval
 from qx.minpoly import (IntPoly, _cos_2pi_minpoly, _cyclotomic, _divisors,
-                        algebraic_witness, rational_root_scan, squarefree_part)
+                        algebraic_witness, rational_root_scan, separates, squarefree_part)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -101,6 +101,43 @@ def test_witnesses_match_sympy_clear_denoms(coeffs, a, op):
     assert rule in ("affine-combination", "sqrt-tower", "poly-root")
     P = sympy.Poly([int(c) for c in reversed(base.coeffs)], X).as_expr()
     assert witness.coeffs == _cleared(compose(P, base.degree, _qq(a)))
+
+
+def _composed(coeffs: tuple[int, ...], op: str, a: F) -> tuple[int, ...]:
+    """sympy's cleared witness of op applied to a root of the integer polynomial coeffs."""
+    P = sympy.Poly([int(c) for c in reversed(coeffs)], X).as_expr()
+    return _cleared(OPS[op][1](P, len(coeffs) - 1, _qq(a)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(coeffs=rational_polys,
+       steps=st.lists(st.tuples(st.sampled_from(sorted(OPS)), nonzero_rationals),
+                      min_size=1, max_size=6))
+def test_witness_chains_match_sympy_clear_denoms(coeffs, steps):
+    assume(sum(op == "sqrt" for op, _ in steps) <= 4)  # degree at most 4 * 2^4
+    ctx = Context()
+    t = _polyroot(ctx, coeffs)
+    assume(t is not None)
+    expected = _cleared(_sympy_poly(coeffs).as_expr())
+    for op, a in steps:
+        # a/t needs t provably nonzero; a square root of 0 is rational
+        assume(op not in ("a/t", "sqrt") or separates(t, F(0)))
+        t = OPS[op][0](ctx, t, ctx.rat(a))
+        expected = _composed(expected, op, a)
+    witness, rule = algebraic_witness(t)
+    assert rule in ("affine-combination", "sqrt-tower", "poly-root")
+    assert witness.coeffs == expected
+
+
+def test_reciprocal_of_a_witness_with_root_zero_drops_the_degree():
+    ctx = Context()
+    t = ctx.sin_pi(F(2, 7))
+    base, _ = algebraic_witness(t)
+    assert base.degree == 7 and base.coeffs[0] == 0
+    witness, rule = algebraic_witness(ctx.div(3, t))
+    assert rule == "affine-combination"
+    assert witness.degree == 6
+    assert witness.coeffs == _composed(base.coeffs, "a/t", F(3))
 
 
 int_factors = st.builds(lambda cs, lead: IntPoly.new(cs + [lead]),
