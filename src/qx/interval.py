@@ -10,6 +10,19 @@ exact width and midpoint involve no rounding. ``Dyadic`` appears only at
 the boundary: the public ``RInterval(lo, hi)`` constructor and the ``lo``,
 ``hi``, ``mid``, ``mag`` and ``mignitude`` views.
 
+exp, log, sin, cos and atan of a narrow operand (see ``_narrow``) make one
+libmp evaluation: at the exact midpoint m, at prec + _GUARD bits, returning
+f(m) ± (2 ulp + L*r) rounded outward, where r is the exact radius and L
+bounds |f'| on the operand (Arb's midpoint-radius arithmetic). The pad
+trusts libmp's kernel to within one ulp, with one ulp to spare; libmp makes
+that assumption itself: it evaluates with 10 to 20 guard bits and rounds once, and ``mpi_cos_sin`` pads
+by only a relative 2**(10 - wp). Wide operands, and operands centred where
+f is rational (0 for exp, sin, cos and atan, 1 for log), keep libmp's
+two-endpoint interval functions, so exp(0), log(1), sin(0), cos(0) and
+atan(0) stay exact points; by Hermite-Lindemann f is irrational at every
+other dyadic point, so no point enclosure is lost. arcsin passes the
+monotone x / sqrt(1 - x^2) to the same atan kernel.
+
 Precision is measured as interval *width*, never significand bits. Exact
 zero is never decided here: ``refine`` reports MaxPrecision when a width
 target is unreachable and leaves the decision to symbolic layers.
@@ -21,9 +34,10 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath.libmp import (fhalf, fnone, fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_le, mpf_lt, mpf_neg, mpf_pi, mpf_shift, mpf_sign,
-                          mpf_sub, mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_log,
-                          mpi_mul, mpi_sin, mpi_sqrt, mpi_sub, to_int, to_rational)
+                          mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp, mpf_le, mpf_log,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sign, mpf_sub,
+                          mpi_add, mpi_atan, mpi_cos_sin, mpi_div, mpi_exp, mpi_log, mpi_mul,
+                          mpi_sqrt, mpi_sub, to_int, to_rational)
 
 from .dyadic import Dyadic, ceil_div
 from .errors import DomainStraddle, MaxPrecision
@@ -217,22 +231,52 @@ class RInterval:
         lo = self.lo_mpf if mpf_sign(self.lo_mpf) > 0 else fzero
         return _iv(*mpi_sqrt((lo, self.hi_mpf), prec + _GUARD))
 
+    def _mid_rad(self):
+        """Exact midpoint and radius."""
+        lo, hi = self.lo_mpf, self.hi_mpf
+        return mpf_shift(mpf_add(lo, hi), -1), mpf_shift(mpf_sub(hi, lo), -1)
+
     def exp(self, prec: int) -> "RInterval":
-        return _iv(*mpi_exp((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        m, r = self._mid_rad()
+        if m == fzero or not _narrow(r, fone):
+            return _iv(*mpi_exp((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        # on the operand exp' <= exp(m) * e**r <= (v + ulp) * (1 + 2**-8), and the
+        # second ulp of the pad covers ulp * e**r * r
+        wp = prec + _GUARD
+        v = mpf_exp(m, wp, "n")
+        return _ball(v, mpf_mul(mpf_mul(v, r, wp, "u"), _EXP_SLOPE, wp, "u"), wp)
 
     def log_pos(self, prec: int) -> "RInterval":
         if not self.strictly_positive():
             raise DomainStraddle("log of an enclosure touching (-inf, 0]")
-        return _iv(*mpi_log((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        m, r = self._mid_rad()
+        if m == fone or not _narrow(r, self.lo_mpf):
+            return _iv(*mpi_log((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        wp = prec + _GUARD
+        return _ball(mpf_log(m, wp, "n"), mpf_div(r, self.lo_mpf, wp, "u"), wp)
+
+    def cos_sin(self, prec: int) -> tuple["RInterval", "RInterval"]:
+        """(cos, sin) of the interval from one libmp evaluation; both lie in [-1, 1]."""
+        m, r = self._mid_rad()
+        if m == fzero or not _narrow(r, fone):
+            c, s = mpi_cos_sin((self.lo_mpf, self.hi_mpf), prec + _GUARD)
+            return _iv(*c), _iv(*s)
+        wp = prec + _GUARD
+        c, s = mpf_cos_sin(m, wp, "n")
+        return _ball(c, r, wp).intersect(_UNIT), _ball(s, r, wp).intersect(_UNIT)
 
     def sin(self, prec: int) -> "RInterval":
-        return _iv(*mpi_sin((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        return self.cos_sin(prec)[1]
 
     def cos(self, prec: int) -> "RInterval":
-        return _iv(*mpi_cos((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        return self.cos_sin(prec)[0]
 
     def atan(self, prec: int) -> "RInterval":
-        return _iv(*mpi_atan((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        m, r = self._mid_rad()
+        if m == fzero or not _narrow(r, fone):
+            return _iv(*mpi_atan((self.lo_mpf, self.hi_mpf), prec + _GUARD))
+        wp = prec + _GUARD
+        return _ball(mpf_atan(m, wp, "n"), r, wp)
 
     def ldexp(self, k: int) -> "RInterval":
         return _iv(mpf_shift(self.lo_mpf, k), mpf_shift(self.hi_mpf, k))
@@ -249,6 +293,28 @@ class RInterval:
 _ZERO = _iv(fzero, fzero)
 _UNIT = _iv(fnone, fone)                  # [-1, 1]
 _HALF_UNIT = _iv(mpf_neg(fhalf), fhalf)   # [-1/2, 1/2]
+_NARROW = -10                             # narrow: radius <= 2**_NARROW * scale
+_EXP_SLOPE = from_man_exp(257, -8)        # 1 + 2**-8 > e**(2**-10)
+
+
+def _narrow(r, scale) -> bool:
+    """Is the radius r at most 2**-10 * scale?
+
+    scale is the distance over which the slope bound L stays close to |f'|:
+    1 for exp, sin, cos and atan, lo for log, 1 - max|x| for arcsin.
+    """
+    return mpf_le(r, mpf_shift(scale, _NARROW))
+
+
+def _ball(v, err, wp: int) -> RInterval:
+    """v ± (err + 2 ulp of v at wp bits), rounded outward.
+
+    v is libmp's value of f at the midpoint, trusted to within one ulp; err
+    bounds |f(x) - f(m)| over the operand.
+    """
+    _, _, exp, bc = v
+    e = mpf_add(err, from_man_exp(1, exp + bc + 1 - wp), wp, "u")
+    return _iv(mpf_sub(v, e, wp, "f"), mpf_add(v, e, wp, "c"))
 
 
 def _fraction_upper_dyadic(fr: Fraction) -> Dyadic:
@@ -272,21 +338,23 @@ def asin_interval(x: RInterval, prec: int) -> RInterval:
     hi = _min(x.hi_mpf, fone)
     if mpf_lt(hi, lo):
         raise DomainStraddle("arcsin argument enclosure outside [-1, 1]")
+    x = _iv(lo, hi)
+    gap = mpf_sub(fone, _max(mpf_neg(lo), hi))  # 1 - max|x|, exact
+    if mpf_sign(gap) > 0 and _narrow(x._mid_rad()[1], gap):
+        # asin(x) = atan(x / sqrt(1 - x^2)): the monotone inner map encloses
+        # tightly, and atan takes one evaluation at its midpoint
+        one = RInterval.from_int(1)
+        return x.div(one.sub(x.mul(x, prec), prec).sqrt_nonneg(prec), prec).atan(prec)
     return _iv(_asin_endpoint(lo, prec, upper=False), _asin_endpoint(hi, prec, upper=True))
 
 
 def _asin_endpoint(t, prec: int, upper: bool):
-    """Outward bound on arcsin of the mpf t."""
-    if mpf_le(fone, t):
-        half_pi = pi_interval(prec).ldexp(-1)
-        return half_pi.hi_mpf if upper else half_pi.lo_mpf
-    if mpf_le(t, fnone):
-        half_pi = pi_interval(prec).ldexp(-1)
-        return mpf_neg(half_pi.lo_mpf) if upper else mpf_neg(half_pi.hi_mpf)
-    # asin(t) = atan(t / sqrt(1 - t^2)), monotone, so a point evaluation suffices
-    pt = _iv(t, t)
-    rad = RInterval.from_int(1).sub(pt.mul(pt, prec), prec).sqrt_nonneg(prec)
-    val = pt.div(rad, prec).atan(prec)
+    """Outward bound on arcsin of the mpf t in [-1, 1]; arcsin is monotone."""
+    if mpf_lt(mpf_abs(t), fone):
+        val = asin_interval(_iv(t, t), prec)  # a point inside (-1, 1) takes the narrow path
+    else:
+        val = pi_interval(prec).ldexp(-1)
+        val = val if mpf_sign(t) > 0 else val.neg()
     return val.hi_mpf if upper else val.lo_mpf
 
 
@@ -417,7 +485,8 @@ class CInterval:
         r = self.re.exp(prec)
         if self.im.is_zero_point():
             return CInterval.real(r)
-        return CInterval(r.mul(self.im.cos(prec), prec), r.mul(self.im.sin(prec), prec))
+        cos, sin = self.im.cos_sin(prec)
+        return CInterval(r.mul(cos, prec), r.mul(sin, prec))
 
     def arg(self, prec: int) -> RInterval:
         """Principal argument in (-pi, pi]; DomainStraddle on the branch cut."""

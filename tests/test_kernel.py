@@ -1,10 +1,17 @@
 """Numeric-kernel tests: exact rationals, dyadics, certified intervals, refine."""
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from math import gcd
 
+import mpmath.libmp.libmpi as libmpi
 import pytest
+from mpmath import iv, mp
+from mpmath.libmp import from_man_exp, fone, fzero, mpf_add, mpf_le, mpf_sub
 
+import qx.interval
+from qx.cli import main
 from qx.dyadic import Dyadic
 from qx.errors import DivisionByZero, DomainStraddle, MaxPrecision
 from qx.interval import (CInterval, RInterval, arcsin_over_pi_complex, asin_interval,
@@ -258,3 +265,110 @@ def test_eval_builds_no_dyadic(monkeypatch):
     for value in values:
         assert value.enclosure(F(1, 10**1000)).width <= F(1, 10**1000)
     assert calls == []
+
+
+# --- transcendental ops: one libmp evaluation at the midpoint of a narrow operand ---
+
+_MONOTONE = {"exp": mp.exp, "log_pos": mp.log, "atan": mp.atan, "asin": mp.asin}
+_PERIODIC = {"sin": iv.sin, "cos": iv.cos, "sin_pi": lambda x: iv.sin(iv.pi * x)}
+
+
+def _apply(fn, x, prec):
+    if fn == "asin":
+        return asin_interval(x, prec)
+    if fn == "sin_pi":
+        return sin_pi_interval(x, prec)
+    return getattr(x, fn)(prec)
+
+
+def _random_operand(rng, fn, prec):
+    """A point, or a radius 2**-k times f's scale: far below, at either side of, or above the
+    narrow/wide rule (radius <= 2**-10 * scale); for arcsin also at and across +-1."""
+    sign = rng.choice([-1, 1])
+    if fn == "log_pos":
+        sign = 1
+    top = {"exp": 5, "log_pos": 20, "asin": 0}.get(fn, 6)
+    c = from_man_exp(sign * (rng.getrandbits(prec) | 1 << (prec - 1)),
+                     rng.randint(-20, top) - prec)
+    if fn == "asin":
+        c = rng.choice([c, from_man_exp(sign * ((1 << prec) - 1), -prec), from_man_exp(sign, 0)])
+    scale = {"log_pos": c, "asin": mpf_sub(fone, from_man_exp(1, c[2] + c[3]))}.get(fn, fone)
+    if scale == fzero:  # arcsin at exactly +-1
+        scale = from_man_exp(1, -prec)
+    kind = rng.choice(["point", "tiny", "edge", "wide"])
+    shift = {"point": None, "tiny": -prec - rng.randint(0, 8), "edge": rng.randint(-11, -9),
+             "wide": rng.randint(-8, -1 if fn == "log_pos" else 2)}[kind]
+    if shift is None:
+        return qx.interval._iv(c, c)
+    r = from_man_exp(scale[1], scale[2] + shift)
+    return qx.interval._iv(mpf_sub(c, r), mpf_add(c, r))
+
+
+def _assert_encloses(fn, x, out, prec):
+    """The image of x under fn, computed at 2 * prec + 64 bits, lies inside out."""
+    lo, hi = mp.make_mpf(out.lo_mpf), mp.make_mpf(out.hi_mpf)
+    with mp.workprec(2 * prec + 64):
+        a, b = mp.make_mpf(x.lo_mpf), mp.make_mpf(x.hi_mpf)
+        if fn in _MONOTONE:
+            if fn == "asin":
+                a, b = max(a, -1), min(b, 1)
+            ref_lo, ref_hi = _MONOTONE[fn](a), _MONOTONE[fn](b)
+            slack = mp.ldexp(1, 4 - mp.prec)  # relative error of the reference
+            assert lo <= ref_lo - slack * abs(ref_lo) and ref_hi + slack * abs(ref_hi) <= hi, (
+                fn, x, out)
+            return
+        saved = iv.prec
+        iv.prec = mp.prec
+        try:
+            ref = _PERIODIC[fn](iv.mpf([a, b]))
+        finally:
+            iv.prec = saved
+        assert lo <= ref.a and ref.b <= hi, (fn, x, out)
+
+
+def test_transcendental_ops_enclose_their_image_on_random_operands():
+    rng = random.Random(20261018)
+    for _ in range(2100):
+        fn = rng.choice(["exp", "log_pos", "sin", "cos", "atan", "asin", "sin_pi"])
+        prec = rng.choice([53, 53, 64, 64, 128, 200, 400, 1000, 3000])
+        x = _random_operand(rng, fn, prec)
+        out = _apply(fn, x, prec)
+        _assert_encloses(fn, x, out, prec)
+        if x.is_point() and fn != "asin":
+            # one evaluation, 2-ulp pad: still tight at prec bits
+            assert out.width <= max(abs(out.hi.to_fraction()), 1) * F(1, 2 ** (prec - 2))
+
+
+def test_transcendental_ops_at_their_exact_points_stay_points():
+    zero, one = RInterval.from_int(0), RInterval.from_int(1)
+    for prec in (53, 1000):
+        assert zero.exp(prec) == one and one.log_pos(prec) == zero
+        assert zero.sin(prec) == zero and zero.cos(prec) == one and zero.atan(prec) == zero
+        assert zero.cos_sin(prec) == (one, zero)
+        assert asin_interval(zero, prec) == zero and sin_pi_interval(zero, prec) == zero
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("text, kernel, prefix", [
+    ("ln(23/7)", "mpf_log", "1.18958406687383638"),   # two calls with two endpoints
+    ("exp(7/5)", "mpf_exp", "4.05519996684467458"),   # two
+    ("arcsin_over_pi(3/7)", "mpf_atan", "0.14098296402862390"),  # four
+])
+def test_one_kernel_evaluation_per_transcendental_op(monkeypatch, text, kernel, prefix):
+    calls = []
+    original = getattr(libmpi, kernel)
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+    monkeypatch.setattr(qx.interval, kernel, counted)
+    monkeypatch.setattr(libmpi, kernel, counted)  # inside the mpi_* of wide operands
+    code, out = _run(["eval", text, "--precision", "1000"])
+    assert code == 0 and out.startswith(prefix)
+    assert len(calls) == 1
