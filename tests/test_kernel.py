@@ -8,7 +8,7 @@ from math import gcd
 import mpmath.libmp.libmpi as libmpi
 import pytest
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, fone, fzero, mpf_add, mpf_le, mpf_sub
+from mpmath.libmp import from_man_exp, fone, fzero, mpf_abs, mpf_add, mpf_sub
 
 import qx.interval
 from qx.cli import main
@@ -292,7 +292,7 @@ def _random_operand(rng, fn, prec):
                      rng.randint(-20, top) - prec)
     if fn == "asin":
         c = rng.choice([c, from_man_exp(sign * ((1 << prec) - 1), -prec), from_man_exp(sign, 0)])
-    scale = {"log_pos": c, "asin": mpf_sub(fone, from_man_exp(1, c[2] + c[3]))}.get(fn, fone)
+    scale = {"log_pos": c, "asin": mpf_sub(fone, mpf_abs(c))}.get(fn, fone)
     if scale == fzero:  # arcsin at exactly +-1
         scale = from_man_exp(1, -prec)
     kind = rng.choice(["point", "tiny", "edge", "wide"])
@@ -332,7 +332,13 @@ def test_transcendental_ops_enclose_their_image_on_random_operands():
         fn = rng.choice(["exp", "log_pos", "sin", "cos", "atan", "asin", "sin_pi"])
         prec = rng.choice([53, 53, 64, 64, 128, 200, 400, 1000, 3000])
         x = _random_operand(rng, fn, prec)
-        out = _apply(fn, x, prec)
+        try:
+            out = _apply(fn, x, prec)
+        except DomainStraddle:
+            # 1 - t^2 at an endpoint t within 2**-prec of +-1 rounds to an
+            # enclosure of 0; refine retries at a higher precision
+            assert fn == "asin" and not x.is_point()
+            continue
         _assert_encloses(fn, x, out, prec)
         if x.is_point() and fn != "asin":
             # one evaluation, 2-ulp pad: still tight at prec bits
@@ -356,16 +362,16 @@ def _run(argv):
 
 
 @pytest.mark.parametrize("text, kernel, prefix", [
-    ("ln(23/7)", "mpf_log", "1.18958406687383638"),   # two calls with two endpoints
-    ("exp(7/5)", "mpf_exp", "4.05519996684467458"),   # two
-    ("arcsin_over_pi(3/7)", "mpf_atan", "0.14098296402862390"),  # four
+    ("ln(23/7)", "mpf_log", "1.18958406687383638"),
+    ("exp(7/5)", "mpf_exp", "4.05519996684467458"),
+    ("arcsin_over_pi(3/7)", "mpf_atan", "0.14098296402862390"),
 ])
 def test_one_kernel_evaluation_per_transcendental_op(monkeypatch, text, kernel, prefix):
     calls = []
     original = getattr(libmpi, kernel)
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args)
         return original(*args)
     monkeypatch.setattr(qx.interval, kernel, counted)
     monkeypatch.setattr(libmpi, kernel, counted)  # inside the mpi_* of wide operands
