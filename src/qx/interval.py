@@ -15,13 +15,13 @@ libmp evaluation: at the exact midpoint m, at prec + _GUARD bits, returning
 f(m) ± (2 ulp + L*r) rounded outward, where r is the exact radius and L
 bounds |f'| on the operand (Arb's midpoint-radius arithmetic). The pad
 trusts libmp's kernel to within one ulp, with one ulp to spare; libmp makes
-that assumption itself: it evaluates with 10 to 20 guard bits and rounds once, and ``mpi_cos_sin`` pads
-by only a relative 2**(10 - wp). Wide operands, and operands centred where
-f is rational (0 for exp, sin, cos and atan, 1 for log), keep libmp's
-two-endpoint interval functions, so exp(0), log(1), sin(0), cos(0) and
-atan(0) stay exact points; by Hermite-Lindemann f is irrational at every
-other dyadic point, so no point enclosure is lost. arcsin passes the
-monotone x / sqrt(1 - x^2) to the same atan kernel.
+that assumption itself: it evaluates with 10 to 20 guard bits and rounds
+once, and ``mpi_cos_sin`` pads by only a relative 2**(10 - wp). Wide
+operands, and operands centred where f is rational (0 for exp, sin, cos and
+atan, 1 for log), keep libmp's two-endpoint interval functions, so exp(0),
+log(1), sin(0), cos(0) and atan(0) stay exact points; by Hermite-Lindemann
+f is irrational at every other dyadic point, so no point enclosure is lost.
+arcsin passes the monotone x / sqrt(1 - x^2) to the same atan kernel.
 
 Precision is measured as interval *width*, never significand bits. Exact
 zero is never decided here: ``refine`` reports MaxPrecision when a width
