@@ -1,9 +1,11 @@
 """Command-line surface: compile, eval, classify, ladder, reduce, report,
 render, verify.
 
-Certificates are self-contained JSON: expressions in canonical text,
-enclosures as exact decimal endpoints (outward-rounded), witnesses and
-relations embedded, so `qx verify` can re-check everything offline.
+Certificates are self-contained JSON: expressions in canonical text
+(`qx-certificate/1`: classify and ladder) or, for compile, as one node table
+of the emitted DAGs (`qx-certificate/2`); enclosures as exact decimal
+endpoints (outward-rounded); witnesses and relations embedded, so `qx verify`
+can re-check everything offline.
 Printed decimal digits are certified only: a digit is shown when the whole
 enclosure agrees on it.
 
@@ -28,7 +30,7 @@ from pathlib import Path
 from . import errors as err
 from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .dyadic import fixed_point
-from .expr import Context, Expr, to_text
+from .expr import Context, Expr, to_table, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, precision_ceiling
@@ -37,6 +39,8 @@ from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
 VERSION = "0.1.0"
+TEXT_FORMAT = "qx-certificate/1"        # subjects as canonical text
+NODE_TABLE_FORMAT = "qx-certificate/2"  # compile emits as rows of one node table
 
 
 # --- decimal formatting --------------------------------------------------------
@@ -131,11 +135,11 @@ def _subject_decimal(enc: CInterval, verdict: Verdict, digits: int) -> str:
     return certified_decimal(enc, digits) if exact is None else _rational_decimal(exact, digits)
 
 
-def expr_certificate(e: Expr, digits: int) -> dict:
+def _subject_json(e: Expr, digits: int) -> dict:
+    """What a certificate states about one value, apart from how it names the value."""
     enc = e.enclosure(_digits_width(digits))
     verdict = transcendence_rules(e)
     return {
-        "expr": to_text(e),
         "decimal": _subject_decimal(enc, verdict, digits),
         "enclosure": _enclosure_json(enc, digits),
         "precision_digits": digits,
@@ -144,8 +148,19 @@ def expr_certificate(e: Expr, digits: int) -> dict:
     }
 
 
+def expr_certificate(e: Expr, digits: int) -> dict:
+    return {"expr": to_text(e), **_subject_json(e, digits)}
+
+
+def _emit_table(values: dict) -> tuple[list, dict]:
+    """The node table of the emitted values, in sorted name order, and each name's row."""
+    names = sorted(values)
+    nodes, rows = to_table([values[n] for n in names])
+    return nodes, dict(zip(names, rows))
+
+
 def _meta() -> dict:
-    return {"tool": "qx", "version": VERSION, "format": "qx-certificate/1"}
+    return {"tool": "qx", "version": VERSION, "format": TEXT_FORMAT}
 
 
 def _ladder_json(ladder) -> dict:
@@ -183,15 +198,17 @@ def cmd_compile(args) -> int:
     prog = parse(_read(args.path))
     result = compile_program(prog)
     roundtrip = verify_roundtrip(result, args.roundtrip_bits)
+    nodes, rows = _emit_table(result.values)
     cert = {
         "command": "compile",
-        "meta": _meta(),
+        "meta": {**_meta(), "format": NODE_TABLE_FORMAT},
         "program": pretty_print(prog),
         "trace": [{"tool": st.call.tool,
                    "inputs": [str(a.value) for a in st.call.args],
                    "outputs": [st.name]} for st, _ in result.steps],
         "roundtrip": roundtrip,
-        "emits": {name: expr_certificate(e, args.precision)
+        "nodes": nodes,
+        "emits": {name: {"node": rows[name], **_subject_json(e, args.precision)}
                   for name, e in result.values.items()},
     }
     sys.stdout.write(_dump(cert))
@@ -326,25 +343,18 @@ def cmd_verify(args) -> int:
     command = cert.get("command") if isinstance(cert, dict) else None
     # a qx error or a malformed field while re-checking is a verification failure
     try:
-        if command == "compile":
-            result = compile_program(parse(cert["program"]))
-            verify_roundtrip(result, 30)
-            for name, sub in cert["emits"].items():
-                value = result.values.get(name)
-                if value is None:
-                    failures.append(f"{name}: not produced by the embedded program")
-                    continue
-                if to_text(value) != sub["expr"]:
-                    failures.append(f"{name}: stored expression is not the one the "
-                                    f"embedded program builds")
-                _check_subject(value, sub, failures, name)
+        if command not in _FORMATS:
+            failures.append(f"unknown certificate command {command!r}")
+        elif cert["meta"]["format"] not in _FORMATS[command]:
+            failures.append(f"unknown certificate format {cert['meta']['format']!r} "
+                            f"for {command}")
+        elif command == "compile":
+            _verify_compile_cert(cert, failures)
         elif command == "classify":
             sub = cert["subject"]
             _check_subject(parse_expr(sub["expr"], Context()), sub, failures, "subject")
-        elif command == "ladder":
-            _verify_ladder_cert(cert, failures)
         else:
-            failures.append(f"unknown certificate command {command!r}")
+            _verify_ladder_cert(cert, failures)
     except err.QxError as exc:
         failures.append(f"re-verification raised: {exc}")
     except KeyError as exc:
@@ -357,6 +367,39 @@ def cmd_verify(args) -> int:
         return 1
     print("certificate verified")
     return 0
+
+
+# the certificate formats verify reads, per command
+_FORMATS = {"compile": (TEXT_FORMAT, NODE_TABLE_FORMAT), "classify": (TEXT_FORMAT,),
+            "ladder": (TEXT_FORMAT,)}
+
+
+def _verify_compile_cert(cert: dict, failures: list[str]):
+    """Each emit must name the value the embedded program builds, then pass
+    `_check_subject`: by its canonical text under /1, by its row of the node
+    table under /2, whose every row must be the one `compile` would write."""
+    result = compile_program(parse(cert["program"]))
+    verify_roundtrip(result, 30)
+    by_table = cert["meta"]["format"] == NODE_TABLE_FORMAT
+    if by_table:
+        nodes, rows = _emit_table(result.values)
+        # compared as JSON text, since in Python true == 1 and 1.0 == 1
+        if json.dumps(cert["nodes"]) != json.dumps(nodes):
+            failures.append("stored node table is not the one the embedded program builds")
+    for name, sub in cert["emits"].items():
+        value = result.values.get(name)
+        if value is None:
+            failures.append(f"{name}: not produced by the embedded program")
+            continue
+        if by_table:
+            row = sub["node"]
+            if type(row) is not int or row != rows[name]:  # bools and floats too
+                failures.append(f"{name}: stored node {row!r} is not the row of the value "
+                                f"the embedded program builds")
+        elif to_text(value) != sub["expr"]:
+            failures.append(f"{name}: stored expression is not the one the "
+                            f"embedded program builds")
+        _check_subject(value, sub, failures, name)
 
 
 def _verify_ladder_cert(cert: dict, failures: list[str]):

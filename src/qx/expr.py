@@ -224,8 +224,17 @@ class Expr:
 
     def walk(self) -> Iterator["Expr"]:
         """Post-order over unique nodes."""
-        seen = set()
-        stack = [(self, False)]
+        return post_order((self,))
+
+    def __repr__(self):
+        return f"<Expr {short_text(self)}>"
+
+
+def post_order(roots) -> Iterator[Expr]:
+    """Each unique node below roots once, children first, the roots in the order given."""
+    seen = set()
+    for root in roots:
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if id(node) in seen:
@@ -237,10 +246,6 @@ class Expr:
                 stack.append((node, True))
                 for child in reversed(node.children):
                     stack.append((child, False))
-
-    def __repr__(self):
-        # bounded: the full text can be exponential in the depth of sharing
-        return f"<Expr {_text_prefix(self, _REPR_CHARS)}>"
 
 
 def _horner(coeffs, x: RInterval, prec: int) -> RInterval:
@@ -332,6 +337,14 @@ def _text_node(e: Expr, kids) -> str:
     raise AssertionError(k)
 
 
+def short_text(e: Expr) -> str:
+    """The text of e cut after _REPR_CHARS characters, for reprs and error messages.
+
+    Bounded: the full text can be exponential in the depth of sharing.
+    """
+    return _text_prefix(e, _REPR_CHARS)
+
+
 def _text_prefix(e: Expr, limit: int) -> str:
     """The first `limit` characters of to_text(e), then "..." if there are more.
 
@@ -352,6 +365,38 @@ def _text_prefix(e: Expr, limit: int) -> str:
                                for i, p in enumerate(_CHILD_MARK.split(text))])
     text = "".join(out)
     return text if not stack and size <= limit else text[:limit] + "..."
+
+
+def to_table(roots) -> tuple[list, list[int]]:
+    """The node table of the DAGs below roots, and the row of each root.
+
+    Each unique node is one row, in post-order over the roots in the order
+    given, so a row's children are earlier rows. A rational is its string,
+    "p/q" or "p"; any other node is [kind, extras..., child rows...], where the
+    extras are `natural` for exp, `natural` and `branch` for log, and the
+    selector's four exact endpoints for polyroot. Its size is linear in the
+    number of nodes, where `to_text` can be exponential in the depth of sharing.
+    """
+    index: dict = {}
+    rows: list = []
+    for node in post_order(roots):
+        index[node] = len(rows)
+        rows.append(_table_row(node, [index[c] for c in node.children]))
+    return rows, [index[r] for r in roots]
+
+
+def _table_row(e: Expr, kids: list[int]):
+    k = e.kind
+    if k == RAT:
+        return str(e.rat)
+    if k == EXP:
+        return [k, e.natural, *kids]
+    if k == LOG:
+        return [k, e.natural, e.branch, *kids]
+    if k == POLYROOT:
+        sel = e.selector
+        return [k, [d.decimal() for d in (sel.re.lo, sel.re.hi, sel.im.lo, sel.im.hi)], *kids]
+    return [k, *kids]
 
 
 class Context:
@@ -590,13 +635,13 @@ class Context:
 
     def _require_real(self, x: Expr, op: str):
         if not x.eval(64).is_real():
-            raise NonRealArgument(f"{op} requires a real argument, got {to_text(x)}")
+            raise NonRealArgument(f"{op} requires a real argument, got {short_text(x)}")
 
     def _require_near_real(self, x: Expr, op: str):
         # real values built through complex subterms keep a sliver of
         # imaginary rounding slack; only a provably nonreal argument is rejected
         if not x.eval(64).im.contains_zero():
-            raise NonRealArgument(f"{op} requires a real argument, got {to_text(x)}")
+            raise NonRealArgument(f"{op} requires a real argument, got {short_text(x)}")
 
     def _require_unit_domain(self, x: Expr):
         def inside(enc: CInterval) -> Optional[bool]:

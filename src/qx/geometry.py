@@ -24,7 +24,7 @@ from fractions import Fraction
 from .dyadic import fixed_point
 from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
                      NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
-from .expr import Context, Expr, sign, to_text
+from .expr import Context, Expr, short_text, sign
 from .interval import precision_ceiling
 
 
@@ -224,7 +224,8 @@ def reverse_anglesect(ctx: Context, p: GPoint) -> Expr:
 def _check_unit_circle(ctx: Context, p: GPoint) -> None:
     resid = ctx.sub(_dist2(ctx, GPoint(ctx.rat(0), ctx.rat(0)), p), 1)
     if sign(resid):
-        raise NotOnUnitCircle(f"x^2 + y^2 - 1 is provably nonzero for ({to_text(p.x)}, {to_text(p.y)})")
+        raise NotOnUnitCircle(f"x^2 + y^2 - 1 is provably nonzero for "
+                              f"({short_text(p.x)}, {short_text(p.y)})")
     # a residual that is 0, or encloses 0 down to the sign cap, is accepted (necessary check)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import gcd, lcm
 from typing import Optional
 
@@ -381,13 +381,30 @@ def rational_root_scan(p: IntPoly) -> list[Fraction]:
     trimmed = IntPoly(p.coeffs[shift:])
     if trimmed.degree == 0:
         return roots
+    # Gauss: for a root num/den in lowest terms, den*x - num divides the
+    # trimmed polynomial t in Z[x], so den*k - num divides t(k) at every
+    # integer k. Sieve at the two k nearest 0 with t(k) != 0 (sin-pi
+    # annihilators vanish at +-1); there den*k = num is no root either.
+    sieve = []
+    for k in (k for m in count(1) for k in (m, -m)):
+        value = _homogeneous(trimmed.coeffs, k, 1)
+        if value:
+            sieve.append((k, value))
+            if len(sieve) == 2:
+                break
+
+    def survives(num: int, den: int) -> bool:
+        return all(den * k != num and value % (den * k - num) == 0 for k, value in sieve)
+
     # a root num/den in lowest terms has num | c_0 and den | c_n
     for num in _divisors(trimmed.coeffs[0]):
         for den in _divisors(trimmed.coeffs[-1]):
             if gcd(num, den) == 1:
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if trimmed.eval_fraction(cand) == 0:
-                        roots.append(cand)
+                for signed in (num, -num):
+                    if survives(signed, den):
+                        cand = Fraction(signed, den)
+                        if trimmed.eval_fraction(cand) == 0:
+                            roots.append(cand)
     return sorted(roots)
 
 

@@ -24,7 +24,8 @@ def test_compile_ok_and_exit_zero():
     code, out, _ = run(["compile", str(CORPUS / "01_square_rectangle.qdx")])
     assert code == 0
     cert = json.loads(out)
-    assert cert["emits"]["m"]["expr"] == "4"
+    assert cert["meta"]["format"] == "qx-certificate/2"
+    assert cert["nodes"] == ["4"] and cert["emits"]["m"]["node"] == 0
     assert cert["emits"]["m"]["verdict"]["status"] == "rational"
 
 
@@ -168,7 +169,10 @@ def test_verify_golden_certificates():
         assert code == 0, (path.name, err)
 
 
-# the command line each golden certificate was made with
+# golden certificates in a format that compile no longer writes; verify still reads them
+LEGACY_GOLDEN = {"compile_square_rectangle.json"}  # qx-certificate/1, emits as text
+
+# the command line each other golden certificate was made with
 GOLDEN_ARGV = {
     "classify_sin_2pi5.json": ["classify", "sin_pi(2/5)", "--json"],
     # its degree-48 witness goes through every witness step: a/t on a witness
@@ -176,7 +180,7 @@ GOLDEN_ARGV = {
     "classify_witness_steps.json": [
         "classify", "sqrt(sqrt(sqrt(7/2 - ((((((3 / sin_pi(2/7)) + 1/3) * 2) / 5) / 3) - 1/4))))",
         "--json"],
-    "compile_square_rectangle.json": ["compile", str(CORPUS / "01_square_rectangle.qdx")],
+    "compile_square_rectangle_v2.json": ["compile", str(CORPUS / "01_square_rectangle.qdx")],
     "ladder_gs.json": ["ladder", "pow(-1, sqrt(2))", "--base", "-1", "--reduce", "--ascend"],
     "ladder_log3.json": ["ladder", "log(3; -1; 0)", "--base", "-1"],
     "ladder_logs_reduced.json": ["ladder", "((log(6; -1; 0) + log(2; -1; 0)) + log(3; -1; 0))",
@@ -184,7 +188,8 @@ GOLDEN_ARGV = {
 }
 
 
-@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in GOLDEN if p.name not in LEGACY_GOLDEN],
+                         ids=lambda p: p.name)
 def test_golden_certificate_regenerates_byte_for_byte(path):
     code, out, err = run(GOLDEN_ARGV[path.name])
     assert code == 0, err
@@ -568,3 +573,200 @@ def test_square_cofactor_above_the_trial_bound_is_taken_out():
     verdict = json.loads(out)["subject"]["verdict"]
     assert verdict["rule"] == "quadratic-field"
     assert verdict["witness"] == [-7000056000112, 0, 1]
+
+
+# --- qx-certificate/2: the compile node table ----------------------------------------
+
+def rotation_chain(k: int) -> str:
+    """p_i is p_{i-1} turned about the circle of radius 3/2 by the circle through o."""
+    lines = ["let o = point(0, 0);", "let q = point(3/2, 0);", "let c = circle(o, q);",
+             "let p0 = point(3/2, 0);"]
+    for i in range(1, k + 1):
+        lines += [f"let d{i} = circle(p{i - 1}, o);", f"let p{i} = intersect(d{i}, c, 1);"]
+    return "\n".join(lines + [f"emit p{k};"]) + "\n"
+
+
+def bisect_chain(k: int) -> str:
+    lines = ["let p0 = ra(3, 4);"] + [f"let p{i} = bisect(p{i - 1});" for i in range(1, k + 1)]
+    return "\n".join(lines + [f"emit p{k};"]) + "\n"
+
+
+def read_node_table(rows, ctx):
+    """The value of every row, built through Context constructors alone."""
+    from fractions import Fraction
+
+    from qx.dyadic import Dyadic
+    from qx.interval import CInterval, RInterval
+
+    built = []
+    for at, row in enumerate(rows):
+        if isinstance(row, str):
+            built.append(ctx.rat(Fraction(row)))
+            continue
+        kind, *rest = row
+        extras = {"exp": 1, "log": 2, "polyroot": 1}.get(kind, 0)
+        assert all(type(i) is int and 0 <= i < at for i in rest[extras:]), row
+        kids = [built[i] for i in rest[extras:]]
+        if kind in ("add", "sub", "mul", "div", "sqrt", "sin_pi", "arcsin_over_pi"):
+            value = getattr(ctx, kind)(*kids)
+        elif kind == "exp":
+            value = ctx.exp(None, *kids) if rest[0] else ctx.exp(*kids)
+        elif kind == "log":
+            natural, branch = rest[:2]
+            value = ctx.log(None if natural else kids[0], kids[-1], branch)
+        else:
+            assert kind == "polyroot", row
+            lo, hi, ilo, ihi = (Dyadic.from_fraction(Fraction(d)) for d in rest[0])
+            value = ctx.polyroot(kids, CInterval(RInterval(lo, hi), RInterval(ilo, ihi)))
+        built.append(value)
+    return built
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.qdx")), ids=lambda p: p.stem)
+def test_the_node_table_alone_rebuilds_every_emit(path):
+    from qx.dsl import compile_program, parse
+    from qx.expr import Context, to_text
+
+    code, out, err = run(["compile", str(path)])
+    assert code == 0, err
+    cert = json.loads(out)
+    built = read_node_table(cert["nodes"], Context())
+    values = compile_program(parse(path.read_text())).values
+    assert sorted(cert["emits"]) == sorted(values)
+    for name, sub in cert["emits"].items():
+        assert to_text(built[sub["node"]]) == to_text(values[name]), name
+
+
+def test_the_node_table_carries_exp_log_and_polyroot_rows():
+    from qx.expr import Context, to_table, to_text
+    from qx.exprtext import parse_expr
+
+    ctx = Context()
+    roots = [parse_expr(t, ctx) for t in (
+        "pow(2, sqrt(3)) + exp(1/3)", "ln(5; 1) * log(7; 3; -1)",
+        "polyroot(-2, 0, 1; 1, 2) + polyroot(-3, 1/2, 0, 1; 1, 5/2)")]
+    rows, at = to_table(roots)
+    assert json.loads(json.dumps(rows)) == rows
+    kinds = {row[0] for row in rows if isinstance(row, list)}
+    assert {"exp", "log", "polyroot"} <= kinds
+    built = read_node_table(rows, Context())
+    assert [to_text(built[i]) for i in at] == [to_text(r) for r in roots]
+
+
+CHAIN_DEPTHS = (*range(1, 9), 16, 32, 64)
+
+
+@pytest.mark.parametrize("chain", [rotation_chain, bisect_chain],
+                         ids=["rotation", "bisect"])
+def test_certificate_bytes_grow_linearly_in_dag_nodes(tmp_path, chain):
+    # /1 text of the rotation chain was 19 MB at k = 3 and ran out of memory at k = 4
+    for k in CHAIN_DEPTHS:
+        prog = tmp_path / f"k{k}.qdx"
+        prog.write_text(chain(k))
+        if k == CHAIN_DEPTHS[-1]:  # a fresh interpreter: the default recursion limit
+            proc, _ = _timed_qx(["compile", str(prog)])
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            code, out, err = run(["compile", str(prog)])
+        assert code == 0, (k, err)
+        assert len(out.encode()) <= 80 * len(json.loads(out)["nodes"]) + 2048, k
+        cert = tmp_path / f"k{k}.json"
+        cert.write_text(out)
+        if k == CHAIN_DEPTHS[-1]:
+            proc, _ = _timed_qx(["verify", str(cert)])
+            assert (proc.returncode, proc.stdout) == (0, "certificate verified\n"), proc.stderr
+        else:
+            assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n"), k
+
+
+def test_the_rotation_chain_at_k4_compiles_fast_to_a_small_certificate(tmp_path):
+    prog = tmp_path / "rotation4.qdx"
+    prog.write_text(rotation_chain(4))
+    proc, seconds = _timed_qx(["compile", str(prog)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 1 and len(proc.stdout.encode()) < 20_000
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_an_error_names_a_deep_value_in_bounded_text(tmp_path, k):
+    # the unbounded text of the offending point was 19 MB at k = 3
+    prog = tmp_path / "off_unit_circle.qdx"
+    prog.write_text(rotation_chain(k).replace(f"emit p{k};", f"let t = rra(p{k});\nemit t;"))
+    proc, seconds = _timed_qx(["compile", str(prog)], timeout=30)
+    assert proc.returncode == 5, proc.stderr
+    assert "provably nonzero" in proc.stderr and "Traceback" not in proc.stderr
+    assert seconds < 1 and len(proc.stderr.encode()) < 1024
+
+
+def _compiled(tmp_path, source: str) -> dict:
+    prog = tmp_path / "p.qdx"
+    prog.write_text(source)
+    code, out, err = run(["compile", str(prog)])
+    assert code == 0, err
+    return json.loads(out)
+
+
+def _forge_leaf(cert):
+    # the value is 4: every stored field changed to agree with 5
+    m = cert["emits"]["m"]
+    cert["nodes"][m["node"]] = m["decimal"] = "5"
+    m["enclosure"]["re"] = ["5.0", "5.0"]
+    m["verdict"]["value"], m["verdict"]["witness"] = "5", [-5, 1]
+
+
+def _forge_row(index, row):
+    def forge(cert):
+        cert["nodes"][index] = row
+    return forge
+
+
+def _forge_emit_node(cert):
+    cert["emits"]["p.x"]["node"] = cert["emits"]["p.y"]["node"]
+
+
+def _forge_emit_node_type(cert):
+    cert["emits"]["p.y"]["node"] = float(cert["emits"]["p.y"]["node"])
+
+
+def _forge_format(cert):
+    cert["meta"]["format"] = "qx-certificate/3"
+
+
+# corpus 07 is ra(1, 2): rows "1/3", ["sin_pi", 0], "1/2"
+TRISECT = "let p = ra(1, 2);\nemit p;\n"
+
+
+@pytest.mark.parametrize("source, forge, needle", [
+    (None, _forge_leaf, "FAIL stored node table is not the one"),
+    (TRISECT, _forge_emit_node, "FAIL p.x: stored node 2 is not the row"),
+    (TRISECT, _forge_emit_node_type, "FAIL p.y: stored node 2.0 is not the row"),
+    (TRISECT, _forge_row(1, ["sin_pi", 1]), "FAIL stored node table is not the one"),
+    (TRISECT, _forge_row(1, ["sin_pi", 2]), "FAIL stored node table is not the one"),
+    (TRISECT, _forge_row(1, ["cos_pi", 0]), "FAIL stored node table is not the one"),
+    (TRISECT, _forge_row(1, ["sin_pi", True]), "FAIL stored node table is not the one"),
+    (TRISECT, _forge_format, "FAIL unknown certificate format 'qx-certificate/3'"),
+], ids=["rational-leaf", "emit-node", "emit-node-float", "child-at-own-row",
+        "child-after-own-row", "unknown-kind", "child-true", "unknown-format"])
+def test_verify_rejects_a_forged_node_table_certificate(tmp_path, source, forge, needle):
+    if source is None:
+        cert = json.loads((Path(__file__).parent / "golden"
+                           / "compile_square_rectangle_v2.json").read_text())
+    else:
+        cert = _compiled(tmp_path, source)
+    forge(cert)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(forged)])
+    assert code == 1
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_verify_reads_node_tables_for_compile_certificates_only(tmp_path):
+    cert = json.loads((Path(__file__).parent / "golden" / "classify_sin_2pi5.json").read_text())
+    cert["meta"]["format"] = "qx-certificate/2"
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(forged)])
+    assert code == 1
+    assert "FAIL unknown certificate format 'qx-certificate/2' for classify" in err

@@ -4,10 +4,13 @@
 programs. A return value, or argparse's SystemExit code, outside
 {0, 2, 3, 4, 5} fails the test, and so does any other exception escaping
 `main` (that is a traceback on the command line). A real value that `eval`
-prints is checked digit by digit against mpmath at twice the precision.
+prints is checked digit by digit against mpmath at twice the precision. A
+program that compiles must also verify, and each decimal it emits is checked
+the same way against bench's mpmath interpreter of .qdx programs.
 """
 import importlib.util
 import io
+import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,12 +25,19 @@ DOCUMENTED = {0, 2, 3, 4, 5}
 FUZZ = settings(derandomize=True, deadline=None, max_examples=60)
 
 
-def exit_code(argv) -> int:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+def run_cli(argv) -> tuple[int, str]:
+    """The exit code, or argparse's SystemExit code, and stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
+
+
+def exit_code(argv) -> int:
+    return run_cli(argv)[0]
 
 
 # --- the expression grammar (qx.exprtext) -----------------------------------------
@@ -98,13 +108,8 @@ def _mpmath_value(text: str):
 
 
 def run_eval(text: str, digits: int):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(["eval", "--precision", str(digits), "--", text])
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue().strip()
+    code, out = run_cli(["eval", "--precision", str(digits), "--", text])
+    return code, out.strip()
 
 
 @settings(FUZZ, max_examples=300)  # about a third of the draws print a real value
@@ -176,9 +181,28 @@ def programs(draw):
     return source[:cut] + source[cut + 1:]
 
 
-@FUZZ
+COMPILE_DIGITS = 12  # qx compile's default --precision
+
+
+@settings(FUZZ, max_examples=300)  # about one draw in ten compiles
 @given(programs(), st.sampled_from([[], ["--json"]]))
 def test_compile_ends_in_a_documented_exit_code(tmp_path_factory, source, flags):
-    path = tmp_path_factory.mktemp("fuzz") / "p.qdx"
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "p.qdx"
     path.write_text(source)
-    assert exit_code(["compile", str(path)] + flags) in DOCUMENTED
+    code, out = run_cli(["compile", str(path)] + flags)
+    assert code in DOCUMENTED
+    if code != 0:
+        return
+    # the round trip closes: the certificate verifies, and its decimals are certified
+    cert = work / "p.json"
+    cert.write_text(out)
+    assert run_cli(["verify", str(cert)]) == (0, "certificate verified\n"), source
+    emits = json.loads(out)["emits"]
+    dps = 2 * COMPILE_DIGITS + 10
+    ref = oracles.qdx_reference(source, dps)
+    assert sorted(emits) == sorted(ref), source
+    with mpmath.workdps(dps):
+        for name, sub in emits.items():
+            assert oracles.decimal_agrees(sub["decimal"], ref[name], COMPILE_DIGITS), (
+                source, name, sub["decimal"], ref[name])

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qx import minpoly
 from qx.dsl import compile_program, parse
@@ -204,6 +206,45 @@ def test_rational_root_scan_examples():
     assert rational_root_scan(IntPoly.new((-2, 0, 1))) == []
     with pytest.raises(ZeroPolynomial):
         rational_root_scan(IntPoly.new(()))
+
+
+def _reference_rational_root_scan(p: IntPoly) -> list[F]:
+    """The scan before its sieve: every candidate of the rational-root theorem
+    evaluated exactly. Kept as the reference the sieved scan must equal."""
+    shift = next(k for k, c in enumerate(p.coeffs) if c)
+    roots = [F(0)] if shift else []
+    trimmed = IntPoly(p.coeffs[shift:])
+    if trimmed.degree == 0:
+        return roots
+    for num in minpoly._divisors(trimmed.coeffs[0]):
+        for den in minpoly._divisors(trimmed.coeffs[-1]):
+            if gcd(num, den) == 1:
+                for cand in (F(num, den), F(-num, den)):
+                    if trimmed.eval_fraction(cand) == 0:
+                        roots.append(cand)
+    return sorted(roots)
+
+
+def test_sieved_root_scan_equals_the_reference_on_sin_pi_annihilators():
+    # these vanish at +-1, so the sieve must look further for t(k) != 0
+    for q in range(1, 41):
+        p = annihilator_sin_pi(F(1, q))
+        assert rational_root_scan(p) == _reference_rational_root_scan(p), q
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=4),
+       st.integers(0, 2))
+def test_sieved_root_scan_equals_the_reference_with_planted_roots(coeffs, planted, shift):
+    p = IntPoly.new([0] * shift + coeffs)
+    for num, den in planted:
+        p = p * IntPoly.new((-num, den))
+    if p.is_zero():
+        return
+    roots = rational_root_scan(p)
+    assert roots == _reference_rational_root_scan(p)
+    assert {F(num, den) for num, den in planted} <= set(roots)
 
 
 def test_golden_transcendental_list(ctx):
