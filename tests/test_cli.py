@@ -743,10 +743,10 @@ TRISECT = "let p = ra(1, 2);\nemit p;\n"
     (TRISECT, _forge_row(1, ["sin_pi", 1]), "FAIL stored node table is not the one"),
     (TRISECT, _forge_row(1, ["sin_pi", 2]), "FAIL stored node table is not the one"),
     (TRISECT, _forge_row(1, ["cos_pi", 0]), "FAIL stored node table is not the one"),
-    (TRISECT, _forge_row(1, ["sin_pi", True]), "FAIL stored node table is not the one"),
+    (TRISECT, _forge_row(1, ["sin_pi", False]), "FAIL stored node table is not the one"),
     (TRISECT, _forge_format, "FAIL unknown certificate format 'qx-certificate/3'"),
 ], ids=["rational-leaf", "emit-node", "emit-node-float", "child-at-own-row",
-        "child-after-own-row", "unknown-kind", "child-true", "unknown-format"])
+        "child-after-own-row", "unknown-kind", "child-false-for-0", "unknown-format"])
 def test_verify_rejects_a_forged_node_table_certificate(tmp_path, source, forge, needle):
     if source is None:
         cert = json.loads((Path(__file__).parent / "golden"
