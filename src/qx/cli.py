@@ -197,15 +197,12 @@ def _read(path: str) -> str:
 def cmd_compile(args) -> int:
     prog = parse(_read(args.path))
     result = compile_program(prog)
-    roundtrip = verify_roundtrip(result, args.roundtrip_bits)
+    roundtrip = verify_roundtrip(result)
     nodes, rows = _emit_table(result.values)
     cert = {
         "command": "compile",
         "meta": {**_meta(), "format": NODE_TABLE_FORMAT},
         "program": pretty_print(prog),
-        "trace": [{"tool": st.call.tool,
-                   "inputs": [str(a.value) for a in st.call.args],
-                   "outputs": [st.name]} for st, _ in result.steps],
         "roundtrip": roundtrip,
         "nodes": nodes,
         "emits": {name: {"node": rows[name], **_subject_json(e, args.precision)}
@@ -379,7 +376,7 @@ def _verify_compile_cert(cert: dict, failures: list[str]):
     `_check_subject`: by its canonical text under /1, by its row of the node
     table under /2, whose every row must be the one `compile` would write."""
     result = compile_program(parse(cert["program"]))
-    verify_roundtrip(result, 30)
+    verify_roundtrip(result)
     by_table = cert["meta"]["format"] == NODE_TABLE_FORMAT
     if by_table:
         nodes, rows = _emit_table(result.values)
@@ -472,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="compile a .qdx construction to certificates")
     c.add_argument("path")
     c.add_argument("--precision", type=natural, default=12, metavar="DIGITS")
-    c.add_argument("--roundtrip-bits", type=natural, default=30)
     c.add_argument("--json", action="store_true",
                    help="machine-readable diagnostics on stderr")
     c.set_defaults(func="cmd_compile")

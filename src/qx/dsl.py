@@ -23,10 +23,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import geometry as G
-from .errors import DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError, QxError
+from .errors import DslSemanticError, DslSyntaxError, MismatchError, QxError
 from .expr import Context, Expr
-from .interval import (CInterval, RInterval, asin_interval, pi_interval, precision_ceiling,
-                       sin_pi_interval)
+from .interval import CInterval, RInterval, asin_interval, escalate, pi_interval, sin_pi_interval
 
 # tool name -> (fewest, most) arguments; the keys are the closed set of tools
 _SIGNATURES = {
@@ -599,35 +598,28 @@ def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
     of per-name widths otherwise.
     """
     target = Fraction(1, 1 << precision_bits)
-    prec = max(64, precision_bits + 16)
-    cap = precision_ceiling()
-    while prec <= cap:
+
+    def run(prec: int) -> dict:
+        """name -> (numeric, symbolic) enclosure of every emit at prec."""
         ex = _NumericExecutor(prec)
-        try:
-            ex.run(result.steps)
-        except QxError:
-            prec *= 2
-            continue
-        failures = []
-        widths = {}
-        pending = False
+        ex.run(result.steps)
+        pairs = {}
         for name, sym in result.values.items():
-            base = name.split(".")[0]
-            nv = ex.env.get(base)
+            nv = ex.env.get(name.split(".")[0])
             if isinstance(nv, tuple):
                 nv = nv[1] if name.endswith(".x") else nv[2]
-            sv = sym.eval(prec)
-            if nv.width > target or sv.width > target:
-                pending = True
-                break
-            widths[name] = str(float(max(nv.width, sv.width)))
-            if not nv.intersects(sv):
-                failures.append(name)
-        if not pending:
-            if failures:
-                raise MismatchError(sorted(failures))
-            return {"precision_bits": precision_bits, "names": sorted(result.values),
-                    "widths": widths}
-        prec *= 2
-    raise MaxPrecision(f"round trip: a width of 2^-{precision_bits} is unreachable "
-                       f"within the precision ceiling of {cap} bits")
+            pairs[name] = (nv, sym.eval(prec))
+        return pairs
+
+    def settled(pairs: dict) -> Optional[dict]:
+        return None if any(nv.width > target or sv.width > target
+                           for nv, sv in pairs.values()) else pairs
+
+    pairs = escalate(run, settled, f"round trip at a width of 2^-{precision_bits}",
+                     start=max(64, precision_bits + 16))
+    failures = [name for name, (nv, sv) in pairs.items() if not nv.intersects(sv)]
+    if failures:
+        raise MismatchError(sorted(failures))
+    return {"precision_bits": precision_bits, "names": sorted(result.values),
+            "widths": {name: str(float(max(nv.width, sv.width)))
+                       for name, (nv, sv) in pairs.items()}}

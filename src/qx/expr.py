@@ -8,7 +8,10 @@ closures) and the exponential-logarithmic tower over an algebraic base.
 A level of None means "this syntax does not witness membership at all".
 
 Values are never trusted as floats: every node evaluates to a certified
-complex enclosure at a requested working precision.
+complex enclosure at a requested working precision. Zero is never decided
+numerically: `sign` and `separates` are exact in one quadratic field and
+otherwise raise the precision through `interval.escalate`, retrying a
+DomainStraddle, up to 1024 bits, past which they answer "undecided".
 """
 from __future__ import annotations
 
@@ -21,10 +24,9 @@ from typing import Iterator, Optional
 
 from mpmath.libmp import from_man_exp, mpf_add, mpf_le, mpf_shift, mpf_sub
 
-from .errors import (DivisionByZero, DomainStraddle, InvalidBase, MaxPrecision,
-                     NonRealArgument, OutOfDomain)
-from .interval import (CInterval, RInterval, arcsin_over_pi_complex, precision_ceiling,
-                       refine, sin_pi_complex)
+from .errors import DivisionByZero, InvalidBase, MaxPrecision, NonRealArgument, OutOfDomain
+from .interval import (CInterval, RInterval, arcsin_over_pi_complex, escalate, refine,
+                       sin_pi_complex)
 
 RAT = "rat"
 ADD = "add"
@@ -438,8 +440,7 @@ class Context:
                             _top_max(tags[0].el, tags[1].el))
         if kind == SQRT:
             t = tags[0]
-            positive = _is_provably_positive(children[0])
-            bump = _plus1 if positive else (lambda _lv: None)
+            bump = _plus1 if sign(children[0]) == 1 else (lambda _lv: None)
             return TowerTag(bump(t.s), bump(t.a), bump(t.sa), _top_max(1, t.el))
         if kind == POLYROOT:
             el = _top_max(1, *(t.el for t in tags))
@@ -509,16 +510,9 @@ class Context:
         elif kind == DIV:
             if y.is_rat(1):
                 return x
-            if x is y and self._provably_nonzero_enclosure(x):
+            if x is y and separates(x, 0):
                 return self.rat(1)
         return self._intern(kind, children=(x, y))
-
-    def _provably_nonzero_enclosure(self, x: Expr) -> bool:
-        try:
-            enc = x.eval(64)
-        except (DomainStraddle, MaxPrecision):
-            return False
-        return not enc.contains_zero()
 
     def add(self, x, y) -> Expr:
         return self._field(ADD, self._coerce(x), self._coerce(y))
@@ -649,10 +643,7 @@ class Context:
             if lo > 1 or hi < -1:
                 return False
             return True if -1 <= lo and hi <= 1 else None
-        verdict = _escalate(x, inside, precision_ceiling())
-        if verdict is None:
-            raise MaxPrecision("cannot place arcsin argument inside [-1, 1]")
-        if not verdict:
+        if not escalate(x.eval, inside, "arcsin argument inside [-1, 1]"):
             raise OutOfDomain("arcsin argument provably outside [-1, 1]")
 
     # --- derived forms ---
@@ -729,16 +720,6 @@ class EulerForm:
 
     cos_part: Expr
     sin_part: Expr
-
-
-def _is_provably_positive(x: Expr) -> bool:
-    if x.kind == RAT:
-        return x.rat > 0
-    try:
-        enc = x.eval(64)
-    except (DomainStraddle, MaxPrecision):
-        return False
-    return enc.is_real() and enc.re.strictly_positive()
 
 
 def _check_isolation(node: Expr):
@@ -844,18 +825,12 @@ def _quad_norm(u: Fraction, v: Fraction, d: Fraction):
 _SIGN_CAP = 1024  # bits spent before a sign or separation test gives up
 
 
-def _escalate(x: Expr, test, cap: int = _SIGN_CAP):
-    """The first non-None test(x.eval(prec)) for prec = 64, 128, ... up to cap, else None."""
-    prec = 64
-    while prec <= cap:
-        try:
-            verdict = test(x.eval(prec))
-        except (DomainStraddle, MaxPrecision):
-            return None
-        if verdict is not None:
-            return verdict
-        prec *= 2
-    return None
+def _escalate(x: Expr, test):
+    """The first non-None test(x.eval(prec)) up to _SIGN_CAP bits, else None."""
+    try:
+        return escalate(x.eval, test, "a sign or separation test", cap=_SIGN_CAP)
+    except MaxPrecision:
+        return None
 
 
 def sign(x: Expr) -> Optional[int]:

@@ -23,15 +23,19 @@ log(1), sin(0), cos(0) and atan(0) stay exact points; by Hermite-Lindemann
 f is irrational at every other dyadic point, so no point enclosure is lost.
 arcsin passes the monotone x / sqrt(1 - x^2) to the same atan kernel.
 
-Precision is measured as interval *width*, never significand bits. Exact
-zero is never decided here: ``refine`` reports MaxPrecision when a width
-target is unreachable and leaves the decision to symbolic layers.
+Precision is measured as interval *width*, never significand bits.
+``escalate`` is the one loop in qx that raises precision: it doubles the
+bits until the caller's test accepts a value, retries a DomainStraddle at the
+next precision, and past its cap raises MaxPrecision naming what it could not
+settle and the bits it tried. ``refine`` is ``escalate`` with a width target.
+Exact zero is never decided here: an unreachable target is reported, and the
+decision is left to the symbolic layers.
 """
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional, TypeVar
 
 from mpmath.libmp import (fhalf, fnone, fone, from_int, from_man_exp, fzero, mpf_abs,
                           mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp, mpf_le, mpf_log,
@@ -44,6 +48,8 @@ from .errors import DomainStraddle, MaxPrecision
 
 DEFAULT_CEILING_BITS = 4096
 _GUARD = 8
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def precision_ceiling() -> int:
@@ -565,27 +571,40 @@ def _bits_for(width: Fraction) -> int:
     return max(1, (width.denominator // max(width.numerator, 1)).bit_length())
 
 
+def escalate(thunk: Callable[[int], T], accept: Callable[[T], Optional[R]], what: str,
+             start: int = 64, cap: Optional[int] = None) -> R:
+    """The first accept(thunk(prec)) that is not None, for prec = start, 2*start, ...
+
+    The one loop in qx that raises precision. A DomainStraddle from thunk or
+    accept moves on to the next precision. Past cap (default: the precision
+    ceiling) it raises MaxPrecision naming `what`, the bits tried and a
+    straddle that persisted to the last of them.
+    """
+    cap = precision_ceiling() if cap is None else cap
+    prec, straddle = start, None
+    while prec <= cap:
+        try:
+            verdict = accept(thunk(prec))
+        except DomainStraddle as exc:
+            straddle = exc
+        else:
+            if verdict is not None:
+                return verdict
+            straddle = None
+        prec *= 2
+    tried = f"tried {start} to {prec // 2} bits" if prec > start else "no bits tried"
+    persists = f"; a domain straddle persists: {straddle}" if straddle else ""
+    raise MaxPrecision(f"{what}: not settled within the precision ceiling of {cap} bits "
+                       f"({tried}){persists}")
+
+
 def refine(thunk: Callable[[int], CInterval], target: Fraction) -> CInterval:
     """Re-evaluate thunk at growing precision until the width target is met.
 
     Raises MaxPrecision at the ceiling; a tiny-but-nonpoint enclosure around a
     possibly-exact zero is reported this way, never silently decided.
     """
-    cap = precision_ceiling()
-    prec = max(64, _bits_for(target) + 32)
-    last_domain_error = None
-    while prec <= cap:
-        try:
-            value = thunk(prec)
-        except DomainStraddle as exc:
-            last_domain_error = exc
-            prec *= 2
-            continue
-        if value.width <= target:
-            return value
-        prec *= 2
-    if last_domain_error is not None:
-        raise MaxPrecision(
-            f"precision ceiling {cap} bits hit while a domain straddle persists: {last_domain_error}")
+    bits = _bits_for(target)
     # in bits: str() of a fine target can pass Python's int-to-str digit limit
-    raise MaxPrecision(f"width target of {_bits_for(target)} bits unreachable within {cap} bits")
+    return escalate(thunk, lambda value: value if value.width <= target else None,
+                    f"a width of 2^-{bits}", start=max(64, bits + 32))

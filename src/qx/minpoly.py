@@ -523,6 +523,13 @@ def _witness_node(e: Expr, kids) -> Optional[tuple[IntPoly, str]]:
 # --- exact inequality proofs ----------------------------------------------------
 
 def _provably_irrational(e: Expr, witness: IntPoly) -> bool:
+    """Prove that e, whose structural witness is `witness`, is irrational."""
+    # a field op with a witness is s*t + h or a/t of its one operand t, with
+    # s and a nonzero, so it is irrational exactly when t is; t's witness has
+    # smaller coefficients than the shifted one, and fewer divisors to scan
+    while e.kind in E.FIELD_OPS and quad_flatten(e) is None:
+        (e,) = _witness_operands(e)
+        witness = algebraic_witness(e)[0]
     flat = quad_flatten(e)
     if flat is not None:
         return flat[1] != 0

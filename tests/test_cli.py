@@ -457,8 +457,6 @@ _SEVENS = "7" * 2200
     (["ladder", "pi", "--base", "1/0"], 2, "--base"),
     (["eval", "pi", "--precision", "-1"], 2, "--precision"),
     (["classify", "pi", "--precision", "-2"], 2, "--precision"),
-    (["compile", str(CORPUS / "01_square_rectangle.qdx"), "--roundtrip-bits", "-5"], 2,
-     "--roundtrip-bits"),
     (["reduce", "log(6;-1)+log(2;-1)", "--relation-bits", "-1"], 2, "--relation-bits"),
     (["report", "spiral", "--kmin", "-2", "--kmax", "3"], 2, "--kmin"),
     (["report", "spiral", "--kmin", "5", "--kmax", "4"], 5, "two stages"),
@@ -466,7 +464,7 @@ _SEVENS = "7" * 2200
     (["classify", f"{_SEVENS}*{_SEVENS}"], 5, "4300 digits"),
     (["eval", "pow(2,pow(2,pow(2,100)))"], 5, "size limit"),
 ], ids=["base-abc", "base-1/0", "eval-precision-negative", "classify-precision-negative",
-        "roundtrip-bits-negative", "relation-bits-negative", "kmin-negative",
+        "relation-bits-negative", "kmin-negative",
         "kmax-below-kmin", "eval-5001-digits", "classify-4400-digit-value",
         "overflow-in-pow"])
 def test_bad_input_ends_in_its_exit_code_without_traceback(argv, code, needle):
@@ -548,6 +546,16 @@ def test_tangent_circles_compile_to_their_one_touching_point(tmp_path):
     assert emits["t.x"]["decimal"] == "0.5"
     assert emits["t.y"]["verdict"]["witness"] == [-3, 0, 4]
     cert = tmp_path / "tangent.json"
+    cert.write_text(out)
+    assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n")
+
+
+def test_a_near_parallel_intersection_compiles_and_verifies(tmp_path):
+    # the discriminant's sign straddles a division at 64 bits and is decided at 128
+    code, out, err = run(["compile", str(DEGENERATE / "near_parallel_circle.qdx")])
+    assert code == 0, err
+    assert sorted(json.loads(out)["emits"]) == ["y.x", "y.y"]
+    cert = tmp_path / "near_parallel.json"
     cert.write_text(out)
     assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n")
 

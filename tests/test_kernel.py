@@ -14,7 +14,7 @@ import qx.interval
 from qx.cli import main
 from qx.dyadic import Dyadic
 from qx.errors import DivisionByZero, DomainStraddle, MaxPrecision
-from qx.interval import (CInterval, RInterval, arcsin_over_pi_complex, asin_interval,
+from qx.interval import (CInterval, RInterval, arcsin_over_pi_complex, asin_interval, escalate,
                          pi_interval, refine, sin_pi_complex, sin_pi_interval)
 
 W33 = F(1, 1 << 33)
@@ -180,6 +180,40 @@ def test_iv_arith_sin_pi_and_arcsin_dispatch():
     assert out.contains_fraction(SIN_2PI5 + F(1, 10**51)) or out.contains_fraction(SIN_2PI5)
     out = refine(lambda p: arcsin_over_pi_complex(CInterval.from_int(1), p), W40)
     assert out.contains_fraction(F(1, 2))
+
+
+def test_escalate_moves_past_a_straddle_to_the_first_accepted_precision():
+    seen = []
+
+    def thunk(p):
+        seen.append(p)
+        if p < 256:
+            raise DomainStraddle("division by an enclosure containing 0")
+        return p
+
+    assert escalate(thunk, lambda p: p if p >= 512 else None, "a test") == 512
+    assert seen == [64, 128, 256, 512]
+
+
+def test_escalate_names_what_the_bits_tried_and_a_persisting_straddle():
+    def straddles(p):
+        raise DomainStraddle("log of an enclosure containing 0")
+
+    with pytest.raises(MaxPrecision, match=r"^a test: not settled within the precision "
+                       r"ceiling of 256 bits \(tried 64 to 256 bits\); a domain straddle "
+                       r"persists: log of an enclosure containing 0$"):
+        escalate(straddles, lambda v: v, "a test", cap=256)
+    with pytest.raises(MaxPrecision, match=r"of 256 bits \(tried 128 to 256 bits\)$"):
+        escalate(lambda p: p, lambda v: None, "a test", start=128, cap=256)
+
+    def straddles_at_64(p):
+        if p == 64:
+            raise DomainStraddle("division by an enclosure containing 0")
+        return p
+
+    # a straddle that later precisions got past is not reported
+    with pytest.raises(MaxPrecision, match=r"of 256 bits \(tried 64 to 256 bits\)$"):
+        escalate(straddles_at_64, lambda v: None, "a test", cap=256)
 
 
 def test_precision_ceiling_env(monkeypatch):

@@ -292,9 +292,30 @@ def test_unknowns_never_misclassified(ctx):
         ctx.ln(ctx.pi()),
         ctx.log(ctx.rat(2), ctx.rat(3), 0),
         ctx.exp(ctx.rat(2), ctx.pi()),
+        # 0/t has no witness, so t's irrationality says nothing about it
+        ctx.exp(ctx.rat(2), ctx.div(0, ctx.sin_pi(F(1, 7)))),
     ]
     for e in unknowns:
         assert transcendence_rules(e).status == "unknown"
+
+
+def test_irrationality_scans_the_leaf_witness_not_the_shifted_one(ctx, monkeypatch):
+    # the shifted witness's constant term has the offset's digits in every
+    # power: scanning its divisors took 9.5 s at 5 digits and over 100 s at 6
+    scanned = []
+
+    def recorded(p):
+        scanned.append(p)
+        return rational_root_scan(p)
+
+    monkeypatch.setattr(minpoly, "rational_root_scan", recorded)
+    leaf = ctx.sin_pi(F(1, 7))
+    shifted = ctx.sub(leaf, F(43388, 100000))
+    for exponent in (shifted, ctx.add(ctx.div(3, shifted), F(1, 2))):
+        scanned.clear()
+        v = transcendence_rules(ctx.exp(ctx.rat(2), exponent))
+        assert (v.status, v.rule) == ("transcendental", "gelfond-schneider")
+        assert scanned == [annihilator_sin_pi(F(1, 7))]
 
 
 def test_shift_rule_composes_with_algebraic(ctx):

@@ -61,3 +61,12 @@ def test_nonreal_values_have_no_sign(ctx):
     assert sign(ctx.sqrt(-2)) is None
     assert sign(ctx.sqrt(ctx.sub(ctx.sqrt(2), 2))) is None
     assert separates(ctx.sqrt(-2), 0)
+
+
+def test_a_straddle_moves_the_sign_test_on_to_more_bits(ctx):
+    # sin(pi/7) - r is about 6e-50: its reciprocal's enclosure divides by one
+    # holding 0 until the precision separates the difference from 0
+    r = F("0.4338837391175581204757683328483587546099907277874")
+    diff = ctx.sub(ctx.sin_pi(F(1, 7)), r)
+    assert sign(diff) == 1
+    assert sign(ctx.div(1, diff)) == 1 and separates(ctx.div(1, diff), 0)
