@@ -300,8 +300,8 @@ def test_unknowns_never_misclassified(ctx):
 
 
 def test_irrationality_scans_the_leaf_witness_not_the_shifted_one(ctx, monkeypatch):
-    # the shifted witness's constant term has the offset's digits in every
-    # power: scanning its divisors took 9.5 s at 5 digits and over 100 s at 6
+    # the shifted witness's coefficients carry the offset's digits in every
+    # power, and the divisors of its end coefficients to scan grow with them
     scanned = []
 
     def recorded(p):
