@@ -97,7 +97,7 @@ class NonPositiveSlope(DomainError):
 
 
 class DegenerateSecant(DomainError):
-    """Secant offset encloses 0; no secant line exists."""
+    """Secant offset h is not inside (0, theta0); no secant line exists."""
 
 
 class Coincident(DomainError):

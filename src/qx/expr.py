@@ -9,9 +9,10 @@ A level of None means "this syntax does not witness membership at all".
 
 Values are never trusted as floats: every node evaluates to a certified
 complex enclosure at a requested working precision. Zero is never decided
-numerically: `sign` and `separates` are exact in one quadratic field and
-otherwise raise the precision through `interval.escalate`, retrying a
-DomainStraddle, up to 1024 bits, past which they answer "undecided".
+numerically: `decide_sign` and `separates` are exact in one quadratic field
+and otherwise raise the precision through `interval.escalate`, retrying a
+DomainStraddle, up to 1024 bits, past which they answer "undecided". Every
+domain precondition takes its enclosures from `escalate` too.
 """
 from __future__ import annotations
 
@@ -628,14 +629,18 @@ class Context:
     # --- checked preconditions ---
 
     def _require_real(self, x: Expr, op: str):
-        if not x.eval(64).is_real():
-            raise NonRealArgument(f"{op} requires a real argument, got {short_text(x)}")
+        if not self._require_near_real(x, op).is_real():
+            # proving a value built through complex subterms real waits on an exact test
+            raise NonRealArgument(f"{op} requires a real argument; {short_text(x)} "
+                                  f"is not proven real")
 
-    def _require_near_real(self, x: Expr, op: str):
+    def _require_near_real(self, x: Expr, op: str) -> CInterval:
         # real values built through complex subterms keep a sliver of
         # imaginary rounding slack; only a provably nonreal argument is rejected
-        if not x.eval(64).im.contains_zero():
+        enc = escalate(x.eval, lambda enc: enc, f"the argument of {op}")
+        if not enc.im.contains_zero():
             raise NonRealArgument(f"{op} requires a real argument, got {short_text(x)}")
+        return enc
 
     def _require_unit_domain(self, x: Expr):
         def inside(enc: CInterval) -> Optional[bool]:
@@ -727,13 +732,17 @@ def _check_isolation(node: Expr):
     sel = node.selector
     if not sel.im.is_zero_point():
         raise OutOfDomain("only real root selectors are supported")
-    prec = 96
-    coeffs = [c.eval(prec).re for c in node.children]
-    lo_sign = _point_sign(coeffs, sel.re.lo_mpf, prec)
-    hi_sign = _point_sign(coeffs, sel.re.hi_mpf, prec)
-    if lo_sign is None or hi_sign is None or lo_sign == hi_sign:
+
+    def endpoint_signs(prec: int):
+        coeffs = [c.eval(prec).re for c in node.children]
+        return (_point_sign(coeffs, sel.re.lo_mpf, prec), _point_sign(coeffs, sel.re.hi_mpf, prec),
+                _horner(_derivative(coeffs, prec), sel.re, prec).contains_zero())
+    lo_sign, hi_sign, may_vanish = escalate(
+        endpoint_signs, lambda signs: None if None in signs[:2] else signs,
+        "a sign change bracketed by the polyroot selector", start=96)
+    if lo_sign == hi_sign:
         raise OutOfDomain("selector endpoints do not bracket a single sign change")
-    if _horner(_derivative(coeffs, prec), sel.re, prec).contains_zero():
+    if may_vanish:
         raise OutOfDomain("derivative may vanish on the selector; root not isolated")
 
 
@@ -825,29 +834,37 @@ def _quad_norm(u: Fraction, v: Fraction, d: Fraction):
 _SIGN_CAP = 1024  # bits spent before a sign or separation test gives up
 
 
-def _escalate(x: Expr, test):
-    """The first non-None test(x.eval(prec)) up to _SIGN_CAP bits, else None."""
+def decide_sign(x: Expr, what: str) -> int:
+    """-1, 0 or +1 for x; NonRealArgument or MaxPrecision naming `what` otherwise.
+
+    u + v*sqrt(d) in one real quadratic field is compared exactly (u^2 !=
+    v^2*d, as d is never a square), and only there can the answer be 0. Any
+    other value gets the sign of the first enclosure, up to _SIGN_CAP bits,
+    whose real part excludes 0: x counts as real while its imaginary enclosure
+    contains 0, and one that excludes 0 raises NonRealArgument at once.
+    """
+    flat = quad_flatten(x)
+    if flat is not None and (flat[1] == 0 or flat[2] > 0):
+        u, v, d = flat
+        w = u if v == 0 or u * u > v * v * d else v
+        return (w > 0) - (w < 0)
+
+    def real_sign(enc: CInterval) -> Optional[int]:
+        if not enc.im.contains_zero():
+            raise NonRealArgument(f"{what} needs a real value, got {short_text(x)}")
+        return _interval_sign(enc.re)
     try:
-        return escalate(x.eval, test, "a sign or separation test", cap=_SIGN_CAP)
-    except MaxPrecision:
-        return None
+        return escalate(x.eval, real_sign, what, cap=_SIGN_CAP)
+    except MaxPrecision as exc:
+        raise MaxPrecision(f"{exc}; the value is {short_text(x)}") from None
 
 
 def sign(x: Expr) -> Optional[int]:
-    """-1, 0 or +1 for a real x; None when x is nonreal or undecided.
-
-    u + v*sqrt(d) in one quadratic field is compared exactly (u^2 != v^2*d,
-    as d is never a square), and only there can the answer be 0. Any other
-    value gets a sign once an enclosure excludes 0.
-    """
-    flat = quad_flatten(x)
-    if flat is None:
-        return _escalate(x, lambda enc: _interval_sign(enc.re) if enc.im.contains_zero() else None)
-    u, v, d = flat
-    if v != 0 and d < 0:
+    """decide_sign(x), or None when x is nonreal or its sign is undecided."""
+    try:
+        return decide_sign(x, "a sign test")
+    except (NonRealArgument, MaxPrecision):
         return None
-    w = u if v == 0 or u * u > v * v * d else v
-    return (w > 0) - (w < 0)
 
 
 def separates(x: Expr, value: Fraction) -> bool:
@@ -855,4 +872,8 @@ def separates(x: Expr, value: Fraction) -> bool:
     flat = quad_flatten(x)
     if flat is not None:
         return flat != (value, 0, 0)
-    return bool(_escalate(x, lambda enc: not enc.contains_fraction(value) or None))
+    try:
+        return escalate(x.eval, lambda enc: not enc.contains_fraction(value) or None,
+                        "a separation test", cap=_SIGN_CAP)
+    except MaxPrecision:
+        return False

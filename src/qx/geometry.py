@@ -7,11 +7,12 @@ quadratrix terminal point exists only as a limit: the y = 0 parameter is a
 hard domain error, and the probes expose only finite-stage data (Clavius
 bisection points, spiral secant intercepts) for the caller to study.
 
-Every zero and sign test (do two circles touch, are two lines parallel) is
-`expr.sign`: exact for values in one quadratic field Q(sqrt(d)), so a
-tangency or a coincidence built from such values is decided; any other value
-needs an enclosure that excludes 0. An undecided tangency, parallelism or
-positivity test raises MaxPrecision.
+Every zero and sign test (do two circles touch, are two lines parallel, is
+a length positive) is `expr.decide_sign`: exact for values in one quadratic
+field Q(sqrt(d)), so a tangency or a coincidence built from such values is
+decided; any other value needs an enclosure that excludes 0. An undecided
+test raises MaxPrecision naming the test, the value and the bits tried; it
+is never reported as a domain fault.
 
 This layer only computes: a tool returns its value and draws nothing.
 Drawing a construction is `render`'s job, from the record of compiled steps.
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import fixed_point
-from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
-                     NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
-from .expr import Context, Expr, short_text, sign
+from .errors import (Coincident, DegenerateSecant, NoIntersection, NonPositiveLength,
+                     NonPositiveSlope, NotOnUnitCircle, OutOfRange)
+from .expr import Context, Expr, decide_sign, short_text, sign
 from .interval import precision_ceiling
 
 
@@ -53,11 +54,7 @@ def _require_positive(e: Expr, what: str) -> None:
         if e.rat <= 0:
             raise NonPositiveLength(f"{what} must be positive, got {e.rat}")
         return
-    if not e.eval(64).im.contains_zero():
-        raise NonPositiveLength(f"{what} must be a real positive length")
-    s = sign(e)
-    if s is None:
-        raise MaxPrecision(f"cannot certify positivity of {what}")
+    s = decide_sign(e, f"positivity of {what}")
     if s != 1:
         raise NonPositiveLength(f"{what} is provably {'negative' if s else 'zero'}")
 
@@ -102,17 +99,11 @@ def _line_line(ctx: Context, l1: GLine, l2: GLine) -> list[GPoint]:
     d1x, d1y = ctx.sub(l1.q.x, l1.p.x), ctx.sub(l1.q.y, l1.p.y)
     d2x, d2y = ctx.sub(l2.q.x, l2.p.x), ctx.sub(l2.q.y, l2.p.y)
     denom = ctx.sub(ctx.mul(d1x, d2y), ctx.mul(d1y, d2x))
-    s = sign(denom)
-    if s == 0:
-        s_off = sign(ctx.sub(ctx.mul(ctx.sub(l2.p.x, l1.p.x), d1y),
-                             ctx.mul(ctx.sub(l2.p.y, l1.p.y), d1x)))
-        if s_off == 0:
+    if decide_sign(denom, "the lines are not parallel") == 0:
+        off = ctx.sub(ctx.mul(ctx.sub(l2.p.x, l1.p.x), d1y), ctx.mul(ctx.sub(l2.p.y, l1.p.y), d1x))
+        if decide_sign(off, "parallel lines are distinct") == 0:
             raise Coincident("lines coincide")
-        if s_off is not None:
-            raise NoIntersection("parallel distinct lines")
-        raise MaxPrecision("cannot separate parallel lines")
-    if s is None:
-        raise MaxPrecision("cannot certify the lines are not parallel")
+        raise NoIntersection("parallel distinct lines")
     t = ctx.div(ctx.sub(ctx.mul(ctx.sub(l2.p.x, l1.p.x), d2y),
                         ctx.mul(ctx.sub(l2.p.y, l1.p.y), d2x)), denom)
     return [GPoint(ctx.add(l1.p.x, ctx.mul(t, d1x)),
@@ -127,14 +118,12 @@ def _line_circle(ctx: Context, l: GLine, c: GCircle) -> list[GPoint]:
     r2 = _dist2(ctx, c.center, c.through)
     cc = ctx.sub(ctx.add(ctx.mul(fx, fx), ctx.mul(fy, fy)), r2)
     disc = ctx.sub(ctx.mul(b, b), ctx.mul(4, ctx.mul(a, cc)))
-    s = sign(disc)
+    s = decide_sign(disc, "tangency vs crossing")
     if s == 0:
         t = ctx.div(ctx.mul(-1, b), ctx.mul(2, a))
         return [_along(ctx, l.p, t, dx, dy)]
     if s == -1:
         raise NoIntersection("line provably misses the circle")
-    if s is None:
-        raise MaxPrecision("cannot certify tangency vs crossing")
     root = ctx.sqrt(disc)
     t1 = ctx.div(ctx.sub(ctx.mul(-1, b), root), ctx.mul(2, a))
     t2 = ctx.div(ctx.add(ctx.mul(-1, b), root), ctx.mul(2, a))
@@ -152,15 +141,9 @@ def _circle_circle(ctx: Context, c1: GCircle, c2: GCircle) -> list[GPoint]:
     d2 = ctx.add(ctx.mul(ux, ux), ctx.mul(uy, uy))
     r1 = _dist2(ctx, c1.center, c1.through)
     r2 = _dist2(ctx, c2.center, c2.through)
-    s = sign(d2)
-    if s is None:
-        raise MaxPrecision("cannot certify the circles are not concentric")
-    if s == 0:
-        s_r = sign(ctx.sub(r1, r2))
-        if s_r == 0:
+    if decide_sign(d2, "the circles are not concentric") == 0:
+        if decide_sign(ctx.sub(r1, r2), "the radii of concentric circles differ") == 0:
             raise Coincident("circles coincide")
-        if s_r is None:
-            raise MaxPrecision("cannot separate the radii of concentric circles")
         raise NoIntersection("concentric circles with distinct radii")
     lam = ctx.div(ctx.add(d2, ctx.sub(r1, r2)), ctx.mul(2, d2))
     x0 = GPoint(ctx.add(ax, ctx.mul(lam, ux)), ctx.add(ay, ctx.mul(lam, uy)))
@@ -170,11 +153,9 @@ def _circle_circle(ctx: Context, c1: GCircle, c2: GCircle) -> list[GPoint]:
 
 def _order_points(ctx: Context, p: GPoint, q: GPoint) -> list[GPoint]:
     """Two distinct points, lexicographic by exact value: x first, then y."""
-    s = sign(ctx.sub(p.x, q.x))
+    s = decide_sign(ctx.sub(p.x, q.x), "the order of the intersection points")
     if s == 0:
-        s = sign(ctx.sub(p.y, q.y))
-    if s is None:
-        raise MaxPrecision("cannot certify the order of the intersection points")
+        s = decide_sign(ctx.sub(p.y, q.y), "the order of the intersection points")
     return [q, p] if s > 0 else [p, q]
 
 
@@ -247,14 +228,11 @@ def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr) -> Expr:
     """
     yv, R = ctx._coerce(yv), ctx._coerce(R)
     _require_positive(R, "quadratrix parameter R")
-    s_y = sign(yv)
+    s_y = decide_sign(yv, "quadratrix height 0 < y")
     if s_y == 0:
         raise OutOfRange("the quadratrix has no generated point at y = 0")
-    s_top = sign(ctx.sub(R, yv))
-    if s_y == -1 or s_top == -1:
+    if s_y == -1 or decide_sign(ctx.sub(R, yv), "quadratrix height y < R") == -1:
         raise OutOfRange("quadratrix height must satisfy 0 < y < R")
-    if s_y is None or s_top is None:
-        raise MaxPrecision("cannot certify 0 < y < R")
     t = ctx.div(yv, R)
     half = Fraction(1, 2)
     return ctx.mul(yv, ctx.div(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
@@ -264,7 +242,7 @@ def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr) -> Expr:
 def quadratrix_y_of_slope(ctx: Context, m: Expr) -> Expr:
     """Height of quadratrix (R=1) meeting the radial line y = m*x: (2/pi) arctan(m)."""
     m = ctx._coerce(m)
-    if sign(m) != 1:
+    if decide_sign(m, "positivity of the radial slope") != 1:
         raise NonPositiveSlope("radial slope must be positive")
     sine = ctx.div(m, ctx.sqrt(ctx.add(1, ctx.mul(m, m))))
     return ctx.mul(2, ctx.arcsin_over_pi(sine))
@@ -295,9 +273,8 @@ def spiral_secant_cut(ctx: Context, theta0: Expr, h: Expr, R: Expr) -> Expr:
     line; only the secant data is exposed, a tangent is not constructible.
     """
     theta0, h, R = ctx._coerce(theta0), ctx._coerce(h), ctx._coerce(R)
-    if h.is_rat(0) or h.eval(96).re.contains_zero():
-        raise DegenerateSecant("secant offset encloses 0")
-    if sign(h) != 1 or sign(ctx.sub(theta0, h)) != 1:
+    if (decide_sign(h, "secant offset 0 < h") != 1
+            or decide_sign(ctx.sub(theta0, h), "secant offset h < theta0") != 1):
         raise DegenerateSecant("need 0 < h < theta0")
     p0 = spiral_point(ctx, theta0, R)
     p1 = spiral_point(ctx, ctx.sub(theta0, h), R)

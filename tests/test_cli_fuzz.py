@@ -3,10 +3,12 @@
 `qx.cli.main` runs in-process on random expressions and random .qdx
 programs. A return value, or argparse's SystemExit code, outside
 {0, 2, 3, 4, 5} fails the test, and so does any other exception escaping
-`main` (that is a traceback on the command line). A real value that `eval`
-prints is checked digit by digit against mpmath at twice the precision. A
-program that compiles must also verify, and each decimal it emits is checked
-the same way against bench's mpmath interpreter of .qdx programs.
+`main` (that is a traceback on the command line), and so does a
+DomainStraddle reaching `main`'s error boundary: a straddle only asks for
+more bits, so it is never a verdict. A real value that `eval` prints is
+checked digit by digit against mpmath at twice the precision. A program that
+compiles must also verify, and each decimal it emits is checked the same way
+against bench's mpmath interpreter of .qdx programs.
 """
 import importlib.util
 import io
@@ -16,23 +18,40 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qx.cli
 from qx.cli import main
+from qx.errors import DomainStraddle
+from qx.interval import precision_ceiling
 
 DOCUMENTED = {0, 2, 3, 4, 5}
 FUZZ = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def run_cli(argv) -> tuple[int, str]:
-    """The exit code, or argparse's SystemExit code, and stdout."""
+    """The exit code, or argparse's SystemExit code, and stdout.
+
+    Fails when a DomainStraddle reaches `qx.cli._failure`, the error boundary.
+    """
     out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    failure, seen = qx.cli._failure, []
+
+    def spy(exc, args):
+        seen.append(exc)
+        return failure(exc, args)
+    qx.cli._failure = spy
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        qx.cli._failure = failure
+    assert not any(isinstance(exc, DomainStraddle) for exc in seen), (argv, seen)
     return code, out.getvalue()
 
 
@@ -44,7 +63,11 @@ def exit_code(argv) -> int:
 
 _number = st.one_of(st.integers(0, 12).map(str),
                     st.sampled_from(["0.5", "2.25", "1/3", "-2", "10/7"]))
-_atom = st.one_of(_number, st.sampled_from(["pi", "e", "i"]))
+# sin(pi/7) - NEAR is about 6e-50: at 64 bits its reciprocal divides by an
+# enclosure holding 0, so every decision on it must take more bits
+NEAR = "4338837391175581204757683328483587546099907277874/" + "1" + "0" * 49
+TINY = f"(sin_pi(1/7) - {NEAR})"
+_atom = st.one_of(_number, st.sampled_from(["pi", "e", "i", TINY]))
 
 
 def _compound(inner):
@@ -107,6 +130,11 @@ def _mpmath_value(text: str):
     return eval(source, {"__builtins__": {}}, names)
 
 
+# qx prints digits only from an enclosure it reached within its precision
+# ceiling, so a reference this many digits finer survives any cancellation qx did
+CANCELLATION_DIGITS = precision_ceiling() * 30103 // 100000 + 1
+
+
 def run_eval(text: str, digits: int):
     code, out = run_cli(["eval", "--precision", str(digits), "--", text])
     return code, out.strip()
@@ -120,7 +148,7 @@ def test_eval_digits_agree_with_mpmath_at_twice_the_precision(text, digits):
     # polyroot and clavius_x have no closed form here; "i" marks a nonreal print
     if code != 0 or "polyroot" in text or "clavius_x" in text or printed.endswith("i"):
         return
-    with mpmath.workdps(2 * digits + 20):
+    with mpmath.workdps(2 * digits + 20 + CANCELLATION_DIGITS):
         try:
             ref = mpmath.mpmathify(_mpmath_value(text))
         except (ZeroDivisionError, ValueError):
@@ -206,3 +234,69 @@ def test_compile_ends_in_a_documented_exit_code(tmp_path_factory, source, flags)
         for name, sub in emits.items():
             assert oracles.decimal_agrees(sub["decimal"], ref[name], COMPILE_DIGITS), (
                 source, name, sub["decimal"], ref[name])
+
+
+# --- straddling inputs: more bits decide them, and no straddle reaches main --------------
+
+def _tiny():
+    """sin(pi/7) - NEAR at the working precision."""
+    num, den = NEAR.split("/")
+    return mpmath.sin(mpmath.pi / 7) - mpmath.mpf(num) / mpmath.mpf(den)
+
+
+STRADDLING = [(f"sin_pi(1/{TINY})", lambda: mpmath.sin(mpmath.pi / _tiny())),
+              (f"polyroot(-2, 1/{TINY}; 0, 1)", lambda: 2 * _tiny())]
+
+
+@pytest.mark.parametrize("text, reference", STRADDLING)
+def test_a_straddling_argument_is_evaluated_at_more_bits(text, reference):
+    # a one-shot 64-bit evaluation of 1/TINY divides by an enclosure holding 0
+    digits = 60
+    code, printed = run_eval(text, digits)
+    assert code == 0, printed
+    with mpmath.workdps(2 * digits + 20 + CANCELLATION_DIGITS):
+        assert oracles.decimal_agrees(printed, reference(), digits), (text, printed)
+    assert exit_code(["classify", text]) in DOCUMENTED
+
+
+# q is where the unit circle meets the ray towards `far`, the point at which the
+# line through (0, NEAR) and (cos(pi/7), sin(pi/7)) crosses y = -1: its height,
+# about 1e-49, divides by TINY, and so does the segment t = rra(q)
+NEAR_PROGRAM = f"""let o = point(0, 0);
+let u = point(1, 0);
+let p = ra(2, 5);
+let a = point(0, {NEAR});
+let tilted = line(a, p);
+let b = point(0, -1);
+let c = point(1, -1);
+let low = line(b, c);
+let far = intersect(tilted, low);
+let ray = line(o, far);
+let unit = circle(o, u);
+let q = intersect(ray, unit, 1);
+let t = rra(q);
+"""
+
+
+@pytest.mark.parametrize("tail", [
+    "emit t, q;",
+    "let s = seg(t);\nemit s;",
+    "let m = meanprop(t, 1);\nemit m;",
+    "let r = ra(t, 1);\nemit r;",
+    "let f = fourthprop(1, t, 1);\nlet r = ra(f, 1);\nemit r;",
+])
+def test_a_segment_built_from_a_near_cancelling_value_compiles(tmp_path, tail):
+    source = NEAR_PROGRAM + tail + "\n"
+    path = tmp_path / "near.qdx"
+    path.write_text(source)
+    code, out = run_cli(["compile", str(path)])
+    assert code == 0, source
+    cert = tmp_path / "near.json"
+    cert.write_text(out)
+    assert run_cli(["verify", str(cert)]) == (0, "certificate verified\n")
+    dps = 2 * COMPILE_DIGITS + 10 + CANCELLATION_DIGITS
+    ref = oracles.qdx_reference(source, dps)
+    with mpmath.workdps(dps):
+        for name, sub in json.loads(out)["emits"].items():
+            assert oracles.decimal_agrees(sub["decimal"], ref[name], COMPILE_DIGITS), (
+                name, sub["decimal"], ref[name])

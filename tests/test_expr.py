@@ -117,6 +117,16 @@ def test_sin_pi_nonreal_rejected(ctx):
         ctx.sin_pi(ctx.i())
 
 
+def test_a_real_argument_not_proven_real_is_reported_as_such(ctx):
+    # (pow(-1, 1/3) + pow(-1, -1/3))/2 is exactly 1/2, but its imaginary
+    # enclosure is not the point 0
+    half = ctx.div(ctx.add(ctx.exp(ctx.rat(-1), F(1, 3)), ctx.exp(ctx.rat(-1), F(-1, 3))), 2)
+    with pytest.raises(NonRealArgument, match="is not proven real$"):
+        ctx.arcsin_over_pi(half)
+    with pytest.raises(NonRealArgument, match="requires a real argument, got sqrt"):
+        ctx.arcsin_over_pi(ctx.sqrt(-3))
+
+
 def test_arcsin_examples(ctx):
     assert ctx.arcsin_over_pi(1).is_rat(F(1, 2))
     assert near(ctx.arcsin_over_pi(F(1, 3)).enclosure(W40), ASIN13_OVER_PI)

@@ -120,6 +120,30 @@ def test_an_undecided_zero_is_no_verdict_on_concentric_circles(ctx):
         intersect(ctx, c1, moved)
 
 
+def test_an_undecided_tangency_names_the_test_the_value_and_the_bits(ctx):
+    # the vertical line x = (sqrt(6) + sqrt(2))/2 touches the circle of radius
+    # sqrt(2 + sqrt(3)) about the origin: its discriminant is an exact zero
+    # outside one quadratic field
+    nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
+    split = ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2)
+    c = circle(ctx, _pt(ctx, 0, 0), GPoint(nested, ctx.rat(0)))
+    tangent = line(ctx, GPoint(split, ctx.rat(0)), GPoint(split, ctx.rat(1)))
+    with pytest.raises(MaxPrecision, match=r"^tangency vs crossing: not settled .* "
+                                           r"\(tried 64 to 1024 bits\); the value is \(0 - "):
+        intersect(ctx, tangent, c)
+
+
+def test_an_undecided_slope_or_offset_is_no_domain_fault(ctx):
+    nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
+    zero = ctx.sub(nested, ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2))
+    with pytest.raises(MaxPrecision, match="radial slope"):
+        quadratrix_y_of_slope(ctx, zero)
+    with pytest.raises(MaxPrecision, match="secant offset"):
+        spiral_secant_cut(ctx, ctx.div(ctx.pi(), 2), zero, ctx.rat(1))
+    with pytest.raises(DegenerateSecant, match="need 0 < h < theta0"):
+        spiral_secant_cut(ctx, ctx.div(ctx.pi(), 2), ctx.rat(0), ctx.rat(1))
+
+
 def test_mean_proportional(ctx):
     assert mean_proportional(ctx, 2, 8).is_rat(4)
     assert to_text(mean_proportional(ctx, 1, 2)) == "sqrt(2)"

@@ -1,10 +1,15 @@
-"""The sign oracle: exact in one quadratic field, enclosures elsewhere, None when undecided."""
+"""The sign oracle: exact in one quadratic field, enclosures elsewhere, None when undecided.
+
+`decide_sign` is its raising form: NonRealArgument for a proven nonreal value,
+MaxPrecision naming the test, the value and the bits for an undecided one.
+"""
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from qx.expr import Context, quad_flatten, separates, sign
+from qx.errors import MaxPrecision, NonRealArgument
+from qx.expr import Context, decide_sign, quad_flatten, separates, sign
 
 sympy = pytest.importorskip("sympy")
 
@@ -70,3 +75,19 @@ def test_a_straddle_moves_the_sign_test_on_to_more_bits(ctx):
     diff = ctx.sub(ctx.sin_pi(F(1, 7)), r)
     assert sign(diff) == 1
     assert sign(ctx.div(1, diff)) == 1 and separates(ctx.div(1, diff), 0)
+
+
+def test_a_value_proven_nonreal_costs_one_evaluation(ctx):
+    x = ctx.add(ctx.sqrt(ctx.sub(ctx.sqrt(2), 2)), ctx.sin_pi(ctx.sqrt(2)))
+    assert sign(x) is None
+    assert [key for key in ctx._memos if key[0] == "eval"] == [("eval", 64)]
+    with pytest.raises(NonRealArgument, match=r"^the test needs a real value, got \(sqrt"):
+        decide_sign(x, "the test")
+
+
+def test_an_undecided_sign_names_the_test_the_value_and_the_bits(ctx):
+    nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
+    mixed = ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2)
+    with pytest.raises(MaxPrecision, match=r"^the test: .*\(tried 64 to 1024 bits\); "
+                                           r"the value is \(sqrt\(\(2 \+ sqrt\(3\)\)\) - "):
+        decide_sign(ctx.sub(nested, mixed), "the test")
