@@ -6,7 +6,8 @@ programs. A return value, or argparse's SystemExit code, outside
 `main` (that is a traceback on the command line), and so does a
 DomainStraddle reaching `main`'s error boundary: a straddle only asks for
 more bits, so it is never a verdict. A real value that `eval` prints is
-checked digit by digit against mpmath at twice the precision. A program that
+checked digit by digit against mpmath at twice the precision, plus the digits
+a cancellation within qx's precision ceiling can cost. A program that
 compiles must also verify, and each decimal it emits is checked the same way
 against bench's mpmath interpreter of .qdx programs.
 """
@@ -248,7 +249,7 @@ STRADDLING = [(f"sin_pi(1/{TINY})", lambda: mpmath.sin(mpmath.pi / _tiny())),
               (f"polyroot(-2, 1/{TINY}; 0, 1)", lambda: 2 * _tiny())]
 
 
-@pytest.mark.parametrize("text, reference", STRADDLING)
+@pytest.mark.parametrize("text, reference", STRADDLING, ids=["sin_pi", "polyroot"])
 def test_a_straddling_argument_is_evaluated_at_more_bits(text, reference):
     # a one-shot 64-bit evaluation of 1/TINY divides by an enclosure holding 0
     digits = 60
@@ -284,7 +285,7 @@ let t = rra(q);
     "let m = meanprop(t, 1);\nemit m;",
     "let r = ra(t, 1);\nemit r;",
     "let f = fourthprop(1, t, 1);\nlet r = ra(f, 1);\nemit r;",
-])
+], ids=["rra", "seg", "meanprop", "ra", "fourthprop"])
 def test_a_segment_built_from_a_near_cancelling_value_compiles(tmp_path, tail):
     source = NEAR_PROGRAM + tail + "\n"
     path = tmp_path / "near.qdx"
