@@ -25,6 +25,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import errors as err
@@ -185,7 +186,54 @@ def _combo_json(combo) -> list:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    CPython runs an indented `json.dumps` in its pure-Python encoder; this
+    walks the value once and escapes strings with the C encoder's
+    `encode_basestring_ascii`. Every key is a string.
+    """
+    out: list = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(v, newline: str, out: list) -> None:
+    """Append the JSON text of v; `newline` is a newline plus v's own indent."""
+    if type(v) is str:
+        out.append(_encode_str(v))
+    elif type(v) is int:
+        out.append(repr(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in v:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(v.items()):
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    else:
+        out.append(json.dumps(v))  # floats, subclasses; TypeError for the rest
 
 
 # --- subcommands ---------------------------------------------------------------------

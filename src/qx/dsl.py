@@ -612,8 +612,8 @@ def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
         return pairs
 
     def settled(pairs: dict) -> Optional[dict]:
-        return None if any(nv.width > target or sv.width > target
-                           for nv, sv in pairs.values()) else pairs
+        return pairs if all(nv.width_at_most(target) and sv.width_at_most(target)
+                            for nv, sv in pairs.values()) else None
 
     pairs = escalate(run, settled, f"round trip at a width of 2^-{precision_bits}",
                      start=max(64, precision_bits + 16))

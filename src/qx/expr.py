@@ -21,7 +21,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from mpmath.libmp import from_man_exp, mpf_add, mpf_le, mpf_shift, mpf_sub
 
@@ -83,8 +83,7 @@ def _plus1(level: Optional[int]) -> Optional[int]:
     return None if level is None else level + 1
 
 
-@dataclass(frozen=True)
-class TowerTag:
+class TowerTag(NamedTuple):
     """Syntactic level upper bounds; None marks 'not representable by this syntax'."""
 
     s: Optional[int]
@@ -94,7 +93,7 @@ class TowerTag:
 
     @staticmethod
     def rational() -> "TowerTag":
-        return TowerTag(0, 0, 0, 0)
+        return _RATIONAL_TAG
 
     def dominates(self, other: "TowerTag") -> bool:
         """Monotonicity check: every level here is >= the other's (None is top)."""
@@ -104,6 +103,9 @@ class TowerTag:
             return y is not None and x >= y
         return (ge(self.s, other.s) and ge(self.a, other.a)
                 and ge(self.sa, other.sa) and ge(self.el, other.el))
+
+
+_RATIONAL_TAG = TowerTag(0, 0, 0, 0)  # shared by every rational node
 
 
 class Expr:
@@ -137,7 +139,7 @@ class Expr:
     def is_rat(self, value=None) -> bool:
         if self.kind != RAT:
             return False
-        return value is None or self.rat == Fraction(value)
+        return value is None or self.rat == value
 
     # --- evaluation ---
 
@@ -267,6 +269,13 @@ def _derivative(coeffs, prec: int) -> list[RInterval]:
 def _point_sign(coeffs, t, prec: int) -> Optional[int]:
     """Sign of the polynomial with these coefficient enclosures at the mpf t, if certified."""
     return _interval_sign(_horner(coeffs, RInterval.from_mpi((t, t)), prec))
+
+
+def _rational_poly_at(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    v = Fraction(0)
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
 
 
 def _interval_sign(v: RInterval) -> Optional[int]:
@@ -414,26 +423,24 @@ class Context:
     def __init__(self, base: Fraction | int = Fraction(-1)):
         self._table: dict = {}
         self._memos = defaultdict(dict)  # fold key -> {node: result}
-        self.base = self.rat(Fraction(base))
+        self.base = self.rat(base)
         if self.base.rat in (0, 1):
             raise InvalidBase("session base must differ from 0 and 1")
 
     # --- interning ---
 
-    def _intern(self, kind, rat=None, children=(), natural=False, branch=0,
-                selector=None) -> Expr:
-        key = (kind, rat, tuple(id(c) for c in children), natural, branch, selector)
+    def _intern(self, kind, children=(), natural=False, branch=0, selector=None) -> Expr:
+        """The one node of a non-rational kind over these children; `rat` interns rationals."""
+        key = (kind, tuple(map(id, children)), natural, branch, selector)
         node = self._table.get(key)
         if node is None:
-            tag = self._tag_for(kind, rat, children, natural)
-            node = Expr(self, kind, rat, tuple(children), natural, branch, selector, tag)
+            tag = self._tag_for(kind, children, natural)
+            node = Expr(self, kind, None, tuple(children), natural, branch, selector, tag)
             self._table[key] = node
         return node
 
-    def _tag_for(self, kind, rat, children, natural) -> TowerTag:
+    def _tag_for(self, kind, children, natural) -> TowerTag:
         tags = [c.tag for c in children]
-        if kind == RAT:
-            return TowerTag.rational()
         if kind in FIELD_OPS:
             return TowerTag(_top_max(tags[0].s, tags[1].s),
                             _top_max(tags[0].a, tags[1].a),
@@ -475,7 +482,20 @@ class Context:
     # --- constructors ---
 
     def rat(self, value) -> Expr:
-        return self._intern(RAT, rat=Fraction(value))
+        """The one rational node of this value, keyed by its numerator and denominator.
+
+        An int or a Fraction needs no new Fraction on a hit; any other value
+        (a float, a string) goes through Fraction first.
+        """
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(value)
+        key = (RAT, value.numerator, value.denominator)
+        node = self._table.get(key)
+        if node is None:
+            rat = value if type(value) is Fraction else Fraction(value)
+            node = Expr(self, RAT, rat, tag=_RATIONAL_TAG)
+            self._table[key] = node
+        return node
 
     def _field(self, kind, x: Expr, y: Expr) -> Expr:
         if x.kind == RAT and y.kind == RAT:
@@ -732,6 +752,11 @@ def _check_isolation(node: Expr):
     sel = node.selector
     if not sel.im.is_zero_point():
         raise OutOfDomain("only real root selectors are supported")
+    if all(c.kind == RAT for c in node.children):
+        # exact: a rational polynomial at a dyadic endpoint
+        for end in (sel.re.lo, sel.re.hi):
+            if _rational_poly_at([c.rat for c in node.children], end.to_fraction()) == 0:
+                raise OutOfDomain("selector endpoint is a root")
 
     def endpoint_signs(prec: int):
         coeffs = [c.eval(prec).re for c in node.children]

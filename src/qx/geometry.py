@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import fixed_point
-from .errors import (Coincident, DegenerateSecant, NoIntersection, NonPositiveLength,
-                     NonPositiveSlope, NotOnUnitCircle, OutOfRange)
+from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
+                     NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
 from .expr import Context, Expr, decide_sign, short_text, sign
 from .interval import precision_ceiling
 
@@ -62,16 +62,21 @@ def _require_positive(e: Expr, what: str) -> None:
 # --- intersections ---------------------------------------------------------------
 
 def line(ctx: Context, p: GPoint, q: GPoint) -> GLine:
-    dx = ctx.sub(q.x, p.x)
-    dy = ctx.sub(q.y, p.y)
-    if sign(dx) == 0 and sign(dy) == 0:
-        raise Coincident("line endpoints coincide")
-    return GLine(p, q)
+    """The line through p and q, once one coordinate difference is proven nonzero."""
+    undecided = None
+    for d in (ctx.sub(q.x, p.x), ctx.sub(q.y, p.y)):
+        try:
+            if decide_sign(d, "line endpoints coincide"):
+                return GLine(p, q)
+        except MaxPrecision as exc:
+            undecided = exc
+    if undecided:
+        raise undecided
+    raise Coincident("line endpoints coincide")
 
 
 def circle(ctx: Context, center: GPoint, through: GPoint) -> GCircle:
-    r2 = _dist2(ctx, center, through)
-    if sign(r2) == 0:
+    if decide_sign(_dist2(ctx, center, through), "circle radius is zero") == 0:
         raise Coincident("circle radius is zero")
     return GCircle(center, through)
 

@@ -156,6 +156,16 @@ class RInterval:
     def width(self) -> Fraction:
         return _fraction(mpf_sub(self.hi_mpf, self.lo_mpf))
 
+    def width_at_most(self, target: Fraction) -> bool:
+        """width <= target, in integers: man*2^exp <= p/q as man*q*2^exp <= p, by shifts."""
+        _, man, exp, bc = mpf_sub(self.hi_mpf, self.lo_mpf)
+        if bc < 0:
+            return False  # an infinite or NaN width
+        p, q = target.numerator, target.denominator
+        if exp >= 0:
+            return (man * q) << exp <= p
+        return man * q <= p << -exp
+
     def mid(self) -> Dyadic:
         return Dyadic.from_mpf(mpf_shift(mpf_add(self.lo_mpf, self.hi_mpf), -1))
 
@@ -416,6 +426,9 @@ class CInterval:
     def width(self) -> Fraction:
         return max(self.re.width, self.im.width)
 
+    def width_at_most(self, target: Fraction) -> bool:
+        return self.re.width_at_most(target) and self.im.width_at_most(target)
+
     def is_real(self) -> bool:
         return self.im.is_zero_point()
 
@@ -606,5 +619,5 @@ def refine(thunk: Callable[[int], CInterval], target: Fraction) -> CInterval:
     """
     bits = _bits_for(target)
     # in bits: str() of a fine target can pass Python's int-to-str digit limit
-    return escalate(thunk, lambda value: value if value.width <= target else None,
+    return escalate(thunk, lambda value: value if value.width_at_most(target) else None,
                     f"a width of 2^-{bits}", start=max(64, bits + 32))

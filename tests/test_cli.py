@@ -6,7 +6,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qx.cli
 from qx.cli import main
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.json"))
@@ -778,3 +781,36 @@ def test_verify_reads_node_tables_for_compile_certificates_only(tmp_path):
     code, _, err = run(["verify", str(forged)])
     assert code == 1
     assert "FAIL unknown certificate format 'qx-certificate/2' for classify" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "classify"])
+def test_a_rational_polyroot_with_a_root_at_a_selector_endpoint_exits_5(command):
+    # x over [0, 1]: the endpoint 0 is exactly a root, decided without escalating
+    code, out, err = run([command, "polyroot(0, 1; 0, 1)"])
+    assert (code, out) == (5, "")
+    assert err == "error: selector endpoint is a root\n"
+    code, out, _ = run(["eval", "polyroot(-2, 0, 1; 1, 2)"])
+    assert code == 0 and out.startswith("1.41421356")
+
+
+_json_text = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f a\u00e9\u2028\ud800\U0001f600')
+                     | st.characters())
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 300), 2 ** 300)
+                | st.floats() | _json_text)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, kids, max_size=4),
+    max_leaves=40)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_json_trees)
+def test_the_certificate_writer_is_json_dumps_indented_and_sorted(value):
+    assert qx.cli._dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_certificate_writer_keeps_empty_containers_on_one_line():
+    value = {"b": [], "a": {}, "c": [{}, [[]], ()], "d": {"x": []}}
+    assert qx.cli._dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert '"a": {},' in qx.cli._dump(value)

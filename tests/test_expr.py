@@ -339,3 +339,36 @@ def test_every_pass_is_linear_in_unique_nodes_of_a_shared_dag(ctx):
     enc = x.eval(211)  # a precision no construction step used
     assert enc.width < F(1, 1 << 190)
     assert enc.intersects(ctx.add(1, ctx.sqrt(2)).eval(211))
+
+
+def _fraction_constructions(monkeypatch) -> list:
+    """Record every call of Fraction.__new__ from now on."""
+    calls, original = [], F.__new__
+
+    def spy(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", staticmethod(spy))
+    return calls
+
+
+def test_a_rational_hit_and_is_rat_build_no_fraction(monkeypatch):
+    ctx = Context()
+    assert len(ctx._table) == 1  # the session base -1
+    h = F(3, 2)
+    three, half3, minus1 = ctx.rat(3), ctx.rat(h), ctx.rat(-1)
+    s = ctx.sqrt(2)
+    assert len(ctx._table) == 5  # -1, 3, 3/2, 2 and sqrt(2)
+    calls = _fraction_constructions(monkeypatch)
+    assert ctx.rat(3) is three and ctx.rat(h) is half3 and ctx.rat(-1) is minus1
+    assert minus1 is ctx.base
+    assert three.is_rat(3) and not three.is_rat(0) and not three.is_rat(1)
+    assert ctx.rat(0).is_rat(0) and ctx.rat(1).is_rat(1)
+    assert not s.is_rat(0) and not s.is_rat(1)
+    assert calls == [(0,), (1,)]  # only the two new rationals 0 and 1
+    assert len(ctx._table) == 7
+    assert ctx.rat(0.5) is ctx.rat(F(1, 2)) is ctx.rat("2/4")
+    assert ctx.rat(True) is ctx.rat(1) and ctx.rat(F(6, 2)) is three
+    assert type(three.rat) is F and three.rat == 3 and half3.rat == F(3, 2)
+    assert three.tag is ctx.rat(F(5, 7)).tag is expr_mod.TowerTag.rational()
+    assert len(ctx._table) == 9  # and 1/2, 5/7

@@ -307,3 +307,31 @@ def test_spiral_probe_report(ctx):
     assert rep.factor_between_readings == pytest.approx(2.0, abs=1e-9)
     assert all(rep.shrink_factors[i] < rep.shrink_factors[i + 1]
                for i in range(len(rep.shrink_factors) - 1))
+
+
+def _undecided_zero(ctx):
+    # sqrt(2 + sqrt(3)) - (sqrt(6) + sqrt(2))/2 is exactly 0, outside one quadratic field
+    nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
+    return ctx.sub(nested, ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2))
+
+
+def test_a_line_through_an_undecided_zero_offset_is_no_line(ctx):
+    z = _undecided_zero(ctx)
+    with pytest.raises(MaxPrecision, match=r"^line endpoints coincide: not settled .*1024 bits"):
+        line(ctx, _pt(ctx, 0, 0), GPoint(z, z))
+
+
+def test_a_circle_through_an_undecided_zero_radius_is_no_circle(ctx):
+    z = _undecided_zero(ctx)
+    with pytest.raises(MaxPrecision, match=r"^circle radius is zero: not settled .*1024 bits"):
+        circle(ctx, _pt(ctx, 0, 0), GPoint(z, ctx.rat(0)))
+
+
+def test_one_proven_nonzero_difference_makes_a_line(ctx):
+    z = _undecided_zero(ctx)
+    origin = _pt(ctx, 0, 0)
+    assert line(ctx, origin, GPoint(z, ctx.rat(1))).q.y.is_rat(1)
+    with pytest.raises(Coincident, match="line endpoints coincide"):
+        line(ctx, origin, _pt(ctx, 0, 0))
+    with pytest.raises(Coincident, match="circle radius is zero"):
+        circle(ctx, origin, origin)

@@ -7,6 +7,8 @@ from math import gcd
 
 import mpmath.libmp.libmpi as libmpi
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, fone, fzero, mpf_abs, mpf_add, mpf_sub
 
@@ -412,3 +414,36 @@ def test_one_kernel_evaluation_per_transcendental_op(monkeypatch, text, kernel, 
     code, out = _run(["eval", text, "--precision", "1000"])
     assert code == 0 and out.startswith(prefix)
     assert len(calls) == 1
+
+
+def _mpf(draw):
+    sign = draw(st.sampled_from((1, -1)))
+    return from_man_exp(sign * draw(st.integers(0, 2 ** 80)), draw(st.integers(-200, 60)))
+
+
+@st.composite
+def _interval_and_target(draw):
+    a, b = _mpf(draw), _mpf(draw)
+    iv_ = RInterval.from_mpi((a, b) if mpf_sub(b, a)[0] == 0 else (b, a))
+    width = iv_.width
+    mode = draw(st.sampled_from(("any", "dyadic", "exact", "near")))
+    if mode == "any" or width == 0:
+        target = draw(st.fractions(min_value=F(1, 10 ** 60), max_value=10 ** 30))
+    elif mode == "dyadic":
+        target = F(draw(st.integers(1, 2 ** 64)), 2 ** draw(st.integers(0, 260)))
+    elif mode == "exact":
+        target = width
+    else:
+        target = width + F(draw(st.sampled_from((1, -1))), draw(st.integers(2 ** 200, 2 ** 300)))
+    if target <= 0:
+        target = width
+    return iv_, target
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_interval_and_target(), _interval_and_target())
+def test_width_at_most_is_the_exact_width_test(re_case, im_case):
+    (x, target), (y, _) = re_case, im_case
+    assert x.width_at_most(target) == (x.width <= target)
+    z = CInterval(x, y)
+    assert z.width_at_most(target) == (z.width <= target)
