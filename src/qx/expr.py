@@ -754,9 +754,9 @@ def _check_isolation(node: Expr):
         raise OutOfDomain("only real root selectors are supported")
     if all(c.kind == RAT for c in node.children):
         # exact: a rational polynomial at a dyadic endpoint
-        for end in (sel.re.lo, sel.re.hi):
-            if _rational_poly_at([c.rat for c in node.children], end.to_fraction()) == 0:
-                raise OutOfDomain("selector endpoint is a root")
+        coeffs = [c.rat for c in node.children]
+        if any(_rational_poly_at(coeffs, end.to_fraction()) == 0 for end in (sel.re.lo, sel.re.hi)):
+            raise OutOfDomain("selector endpoint is a root")
 
     def endpoint_signs(prec: int):
         coeffs = [c.eval(prec).re for c in node.children]
