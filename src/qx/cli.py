@@ -31,11 +31,12 @@ from pathlib import Path
 from . import errors as err
 from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .dyadic import fixed_point
-from .expr import Context, Expr, to_table, to_text
+from .expr import Context, Expr, quad_flatten, to_table, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, precision_ceiling
-from .ladders import ascend, check_removal, descend, reduce_ladder
+from .ladders import (Ladder, Relation, Removal, _verify_exact, ascend, check_removal,
+                      descend, reduce_ladder)
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
@@ -129,19 +130,18 @@ def _verdict_json(v: Verdict) -> dict:
     return out
 
 
-def _subject_decimal(enc: CInterval, verdict: Verdict, digits: int) -> str:
-    """A certificate's "decimal": the exact value of a rational verdict, else the
-    digits the enclosure certifies."""
-    exact = verdict.value  # set exactly when the verdict is rational
-    return certified_decimal(enc, digits) if exact is None else _rational_decimal(exact, digits)
-
-
 def _subject_json(e: Expr, digits: int) -> dict:
-    """What a certificate states about one value, apart from how it names the value."""
+    """What a certificate states about one value, apart from how it names the value.
+
+    Its "decimal" is the exact value of a rational verdict, else the digits
+    the enclosure certifies.
+    """
     enc = e.enclosure(_digits_width(digits))
     verdict = transcendence_rules(e)
+    exact = verdict.value  # set exactly when the verdict is rational
     return {
-        "decimal": _subject_decimal(enc, verdict, digits),
+        "decimal": (certified_decimal(enc, digits) if exact is None
+                    else _rational_decimal(exact, digits)),
         "enclosure": _enclosure_json(enc, digits),
         "precision_digits": digits,
         "verdict": _verdict_json(verdict),
@@ -183,6 +183,17 @@ def _ladder_json(ladder) -> dict:
 
 def _combo_json(combo) -> list:
     return [[j, str(q)] for j, q in combo]
+
+
+def _ascent_json(report) -> dict:
+    return {
+        "choices": [to_text(c) for c in report.choices],
+        "kinds": list(report.kinds),
+        "degree": report.degree,
+        "conditional": report.conditional,
+        "notes": list(report.notes),
+        "crosschecks": [None if v is None else _verdict_json(v) for v in report.crosschecks],
+    }
 
 
 def _dump(obj) -> str:
@@ -262,8 +273,10 @@ def cmd_compile(args) -> int:
 
 def cmd_eval(args) -> int:
     e = parse_expr(args.expr, Context())
-    enc = e.enclosure(_digits_width(args.precision))
-    print(certified_decimal(enc, args.precision))
+    width = _digits_width(args.precision)
+    flat = quad_flatten(e)  # (u, 0, 0): proven rational, so printed exactly
+    print(_rational_decimal(flat[0], args.precision) if flat is not None and flat[1:] == (0, 0)
+          else certified_decimal(e.enclosure(width), args.precision))
     return 0
 
 
@@ -294,16 +307,7 @@ def cmd_ladder(args) -> int:
         reduced = reduce_ladder(ladder, ctx, args.max_coeff, args.relation_bits)
         cert["reduced"] = _ladder_json(reduced)
     if args.ascend:
-        report = ascend(reduced, ctx)
-        cert["ascent"] = {
-            "choices": [to_text(c) for c in report.choices],
-            "kinds": list(report.kinds),
-            "degree": report.degree,
-            "conditional": report.conditional,
-            "notes": list(report.notes),
-            "crosschecks": [None if v is None else _verdict_json(v)
-                            for v in report.crosschecks],
-        }
+        cert["ascent"] = _ascent_json(ascend(reduced, ctx))
     sys.stdout.write(_dump(cert))
     return 0
 
@@ -359,27 +363,56 @@ def cmd_render(args) -> int:
 
 # --- certificate verification ---------------------------------------------------------
 
+_sorted_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(x, sort_keys=True)
+
+
+def _same_json(a, b) -> bool:
+    """Equal as JSON text, since in Python true == 1 and 1.0 == 1."""
+    return _sorted_json(a) == _sorted_json(b)
+
+
+# the subject fields `_check_subject` checks on their own, and those naming the value
+_CHECKED_APART = {"decimal", "enclosure", "verdict", "verdict.status", "verdict.witness",
+                  "expr", "node"}
+
+
 def _check_subject(e: Expr, sub: dict, failures: list[str], label: str):
+    """Every field of sub must be the one `_subject_json` writes for e, but two.
+
+    The stored enclosure need only meet the recomputed one, and a witness
+    need only annihilate the value, though it must be stored exactly when the
+    recomputation has one: old certificates keep verifying when a witness
+    changes. The field naming the value ("expr" or "node") is the caller's.
+    """
     digits = sub["precision_digits"]
-    enc = e.enclosure(_digits_width(digits))
-    lo, hi = (Fraction(s) for s in sub["enclosure"]["re"])
-    if not (enc.re.lo.to_fraction() <= hi and lo <= enc.re.hi.to_fraction()):
-        failures.append(f"{label}: stored real enclosure does not meet recomputation")
-    if "im" in sub["enclosure"]:
-        ilo, ihi = (Fraction(s) for s in sub["enclosure"]["im"])
-        if not (enc.im.lo.to_fraction() <= ihi and ilo <= enc.im.hi.to_fraction()):
-            failures.append(f"{label}: stored imaginary enclosure does not meet recomputation")
-    v = sub["verdict"]
-    now = transcendence_rules(e)
-    if now.status != v["status"]:
-        failures.append(f"{label}: verdict status changed ({v['status']} -> {now.status})")
-    if sub["decimal"] != _subject_decimal(enc, now, digits):
+    if type(digits) is not int:
+        raise TypeError(f"precision_digits {digits!r} is not an integer")
+    want = _subject_json(e, digits)
+    enc = e.enclosure(_digits_width(digits))  # memoized by `_subject_json`
+    stored_enc = {"im": ["0", "0"], **sub["enclosure"]}  # no "im": a real value
+    for part, name in (("re", "real"), ("im", "imaginary")):
+        lo, hi = (Fraction(s) for s in stored_enc[part])
+        got = getattr(enc, part)
+        if not (got.lo.to_fraction() <= hi and lo <= got.hi.to_fraction()):
+            failures.append(f"{label}: stored {name} enclosure does not meet recomputation")
+    v, now = sub["verdict"], want["verdict"]
+    if now["status"] != v["status"]:
+        failures.append(f"{label}: verdict status changed ({v['status']} -> {now['status']})")
+    if sub["decimal"] != want["decimal"]:
         failures.append(f"{label}: stored decimal is not the one the recomputation prints")
-    if v.get("witness"):
+    if ("witness" in v) != ("witness" in now):
+        failures.append(f"{label}: a witness is stored exactly when the recomputation has one")
+    elif "witness" in v:
         poly = IntPoly.new(v["witness"])
         val = poly.eval_enclosure(e.enclosure(Fraction(1, 1 << 60)), 128)
-        if not val.contains_zero():
+        if poly.is_zero() or not val.contains_zero():
             failures.append(f"{label}: witness polynomial does not annihilate the value")
+    # every other field exactly, the verdict's one by one
+    stored, written = ({**d, **{f"verdict.{k}": x for k, x in d["verdict"].items()}}
+                       for d in (sub, want))
+    for key in sorted((stored.keys() | written.keys()) - _CHECKED_APART):
+        if key not in stored or key not in written or not _same_json(stored[key], written[key]):
+            failures.append(f"{label}: stored {key} is not the one the recomputation writes")
 
 
 def cmd_verify(args) -> int:
@@ -424,12 +457,12 @@ def _verify_compile_cert(cert: dict, failures: list[str]):
     `_check_subject`: by its canonical text under /1, by its row of the node
     table under /2, whose every row must be the one `compile` would write."""
     result = compile_program(parse(cert["program"]))
-    verify_roundtrip(result)
+    if not _same_json(cert["roundtrip"], verify_roundtrip(result)):
+        failures.append("stored round-trip report is not the one the embedded program gives")
     by_table = cert["meta"]["format"] == NODE_TABLE_FORMAT
     if by_table:
         nodes, rows = _emit_table(result.values)
-        # compared as JSON text, since in Python true == 1 and 1.0 == 1
-        if json.dumps(cert["nodes"]) != json.dumps(nodes):
+        if not _same_json(cert["nodes"], nodes):
             failures.append("stored node table is not the one the embedded program builds")
     for name, sub in cert["emits"].items():
         value = result.values.get(name)
@@ -448,6 +481,9 @@ def _verify_compile_cert(cert: dict, failures: list[str]):
 
 
 def _verify_ladder_cert(cert: dict, failures: list[str]):
+    """The subject; the ladder `descend` writes; each removal, re-derived from its
+    relation over the rungs kept before it; the reduced ladder, which is the
+    descent's without the removed rungs; and the report `ascend` gives on it."""
     ctx = Context(base=Fraction(cert["ladder"]["base"]))
     sub = cert["subject"]
     subject = parse_expr(sub["expr"], ctx)
@@ -456,29 +492,51 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
     stored = [r["value"] for r in cert["ladder"]["rungs"]]
     if [to_text(r.value) for r in ladder.rungs] != stored:
         failures.append("ladder: descent does not reproduce the stored rungs")
-    reduced = cert.get("reduced")
-    if reduced is not None:
-        kept = [parse_expr(r["value"], ctx) for r in reduced["rungs"]]
-        for rm in reduced["removals"]:
-            index = rm["index"]
-            if type(index) is not int or not 0 <= index < len(stored):  # bools and -1 too
-                failures.append(f"malformed certificate: removal index {index!r} is not "
-                                f"a position among the {len(stored)} stored rungs")
-                continue
-            constant, combo, verified = check_removal(
-                ctx, ctx.base, rm["relation"]["coefficients"],
-                parse_expr(stored[index], ctx), kept)
-            if rm["constant"] != str(constant) or rm["combo"] != _combo_json(combo):
-                failures.append(f"malformed certificate: the removal at index {index} "
-                                f"does not store what its relation gives")
-            elif not verified:
-                failures.append(f"ladder: removal identity fails at index {index}")
+        return  # everything below is derived from the descent
+    if not _same_json(cert["ladder"], _ladder_json(ladder)):
+        failures.append("ladder: stored ladder is not the one the descent writes")
+    if "reduced" not in cert and "ascent" not in cert:
+        return
+    reduced = cert["reduced"]
+    removed = {rm["index"] for rm in reduced["removals"]  # not bools, -1 or past the end
+               if type(rm["index"]) is int and 0 <= rm["index"] < len(stored)}
+    removals = []
+    for rm in reduced["removals"]:
+        index, rel = rm["index"], rm["relation"]
+        if type(index) is not int or index not in removed:
+            failures.append(f"malformed certificate: removal index {index!r} is not "
+                            f"a position among the {len(stored)} stored rungs")
+            continue
+        coefficients = tuple(rel["coefficients"])
+        if any(type(n) is not int for n in coefficients):
+            raise TypeError(f"relation coefficients {list(coefficients)} are not all integers")
+        kept = [r.value for i, r in enumerate(ladder.rungs[:index]) if i not in removed]
+        a_k = ladder.rungs[index].value
+        constant, combo, verified = check_removal(ctx, ctx.base, coefficients, a_k, kept)
+        if rm["constant"] != str(constant) or rm["combo"] != _combo_json(combo):
+            failures.append(f"malformed certificate: the removal at index {index} "
+                            f"does not store what its relation gives")
+        elif not verified:
+            failures.append(f"ladder: removal identity fails at index {index}")
+        elif (rel["confidence"] == "exact"
+              and not _verify_exact(coefficients, kept[:len(coefficients) - 2] + [a_k])):
+            failures.append(f"ladder: the relation at index {index} is labelled exact "
+                            f"but does not hold exactly")
+        removals.append(Removal(index, Relation(coefficients, rel["confidence"],
+                                                rel["precision_bits"]),
+                                constant, combo, verified))
+    rungs = tuple(r for i, r in enumerate(ladder.rungs) if i not in removed)
+    if not _same_json(reduced, _ladder_json(Ladder(ladder.base, rungs, tuple(removals)))):
+        failures.append("reduced: stored ladder is not the descent's without its removed rungs")
     if "ascent" in cert:
         asc = cert["ascent"]
-        if asc["degree"] != len(cert["reduced"]["rungs"]):
+        if asc["degree"] != len(reduced["rungs"]):
             failures.append("ascent: degree does not equal the reduced rung count")
         if not asc["conditional"]:
             failures.append("ascent: report must be Schanuel-conditional")
+        if not _same_json(asc, _ascent_json(ascend(Ladder(ladder.base, rungs), ctx))):
+            failures.append("ascent: stored report is not the one ascend gives on the "
+                            "reduced ladder")
 
 
 # --- argument parsing -------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Construction-language front end: tokenizer, recursive-descent parser,
+"""Construction-language front end: lexer, recursive-descent parser,
 compiler to named expressions, and the dual-execution round-trip check.
+The lexer and token cursor also serve the expression parser (`exprtext`).
 
 Programs are finite SSA step sequences: `let` binds a name once, tools are
 a closed set, rational literals are the only source-level numbers, and
@@ -18,12 +19,14 @@ Grammar:
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 from . import geometry as G
-from .errors import DslSemanticError, DslSyntaxError, MismatchError, QxError
+from .errors import DslError, DslSemanticError, DslSyntaxError, MismatchError, QxError
 from .expr import Context, Expr
 from .interval import CInterval, RInterval, asin_interval, escalate, pi_interval, sin_pi_interval
 
@@ -104,56 +107,51 @@ class ConstructionProgram:
         return tuple(sig)
 
 
-# --- tokenizer -----------------------------------------------------------------
+# --- lexer and token cursor ------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
+    (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
   | (?P<rational>-?\d+(?:/\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<sym>[()=,;])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    span: Span
+    pos: int  # offset of the first character in the source
 
 
-def _tokenize(source: str) -> list[Token]:
+def lex(source: str, pattern: re.Pattern, what: str = "") -> list[Token]:
+    """One pass of pattern over source: its tokens but whitespace and comments, then eof.
+
+    Each pattern ends in a one-character `bad` group, so every character is
+    matched; a `bad` one is a syntax error ("unexpected character", plus what).
+    """
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise DslSyntaxError(Diagnostic(
-                "error", Span(line, col), f"unexpected character {source[pos]!r}"))
+    for m in pattern.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            tokens.append(Token(kind, text, Span(line, col)))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", Span(line, col)))
+        if kind == "bad":
+            pos = m.start()
+            raise DslSyntaxError(Diagnostic(
+                "error", Span(source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)),
+                f"unexpected character {source[pos]!r}{what}"))
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(source)))
     return tokens
 
 
-# --- parser -------------------------------------------------------------------
+class _Cursor:
+    """The tokens of one source, read front to back, and where its lines start."""
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str, pattern: re.Pattern, what: str = ""):
+        self.tokens = lex(source, pattern, what)
         self.pos = 0
-        self.bound: set[str] = set()
+        self.line_starts = [0, *accumulate(len(line) + 1 for line in source.split("\n"))]
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -163,134 +161,128 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def span(self, tok: Token) -> Span:
+        line = bisect_right(self.line_starts, tok.pos)
+        return Span(line, tok.pos - self.line_starts[line - 1] + 1)
+
+    def error(self, tok: Token, message: str, suggestion: Optional[str] = None,
+              cls: type = DslSyntaxError) -> DslError:
+        """The error to raise at tok."""
+        return cls(Diagnostic("error", self.span(tok), message, suggestion))
+
+
+# --- parser -------------------------------------------------------------------
+
+class _Parser(_Cursor):
+    def __init__(self, source: str):
+        super().__init__(source, _TOKEN_RE)
+        self.bound: set[str] = set()
+
     def expect_sym(self, sym: str, context: str) -> Token:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == sym:
+        if tok.text == sym:
             return self.advance()
-        raise DslSyntaxError(Diagnostic(
-            "error", tok.span, f"expected {sym!r} {context}, found {tok.text or 'end of file'!r}",
-            suggestion=f"insert {sym!r}"))
+        raise self.error(tok, f"expected {sym!r} {context}, found {tok.text or 'end of file'!r}",
+                         f"insert {sym!r}")
 
     def parse_program(self) -> ConstructionProgram:
         statements = []
         while self.peek().kind != "eof":
             statements.append(self.parse_statement())
         if not statements:
-            raise DslSyntaxError(Diagnostic("error", self.peek().span, "empty program"))
+            raise self.error(self.peek(), "empty program")
         return ConstructionProgram(tuple(statements))
 
     def parse_statement(self):
         tok = self.peek()
-        if tok.kind == "ident" and tok.text == "let":
+        if tok.text == "let":
             return self.parse_let()
-        if tok.kind == "ident" and tok.text == "emit":
+        if tok.text == "emit":
             return self.parse_emit()
-        raise DslSyntaxError(Diagnostic(
-            "error", tok.span, f"expected 'let' or 'emit', found {tok.text!r}"))
+        raise self.error(tok, f"expected 'let' or 'emit', found {tok.text!r}")
 
     def parse_let(self) -> LetStmt:
         kw = self.advance()
         name_tok = self.peek()
         if name_tok.kind != "ident":
-            raise DslSyntaxError(Diagnostic(
-                "error", name_tok.span, "expected a name after 'let'"))
+            raise self.error(name_tok, "expected a name after 'let'")
         self.advance()
         if name_tok.text in _SIGNATURES or name_tok.text in ("let", "emit"):
-            raise DslSyntaxError(Diagnostic(
-                "error", name_tok.span, f"{name_tok.text!r} is reserved"))
+            raise self.error(name_tok, f"{name_tok.text!r} is reserved")
         if name_tok.text in self.bound:
-            raise DslSemanticError(Diagnostic(
-                "error", name_tok.span, f"duplicate name {name_tok.text!r}",
-                suggestion="names bind once; pick a fresh name"))
+            raise self.error(name_tok, f"duplicate name {name_tok.text!r}",
+                             "names bind once; pick a fresh name", DslSemanticError)
         tok = self.peek()
-        if not (tok.kind == "sym" and tok.text == "="):
-            raise DslSyntaxError(Diagnostic(
-                "error", tok.span, f"expected '=', found {tok.text or 'end of file'!r}"))
+        if tok.text != "=":
+            raise self.error(tok, f"expected '=', found {tok.text or 'end of file'!r}")
         self.advance()
         call = self.parse_call()
         self.expect_sym(";", "after the tool call")
         self.bound.add(name_tok.text)
-        return LetStmt(name_tok.text, call, kw.span)
+        return LetStmt(name_tok.text, call, self.span(kw))
 
     def parse_call(self) -> Call:
         tok = self.peek()
         if tok.kind != "ident" or tok.text not in _SIGNATURES:
-            raise DslSyntaxError(Diagnostic(
-                "error", tok.span, f"expected a tool name, found {tok.text or 'end of file'!r}",
-                suggestion="tools: " + ", ".join(_SIGNATURES)))
+            raise self.error(tok, f"expected a tool name, found {tok.text or 'end of file'!r}",
+                             "tools: " + ", ".join(_SIGNATURES))
         self.advance()
         self.expect_sym("(", f"after {tok.text!r}")
         args = [self.parse_arg()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
+        while self.peek().text == ",":
             self.advance()
             args.append(self.parse_arg())
         self.expect_sym(")", "to close the argument list")
-        return Call(tok.text, tuple(args), tok.span)
+        return Call(tok.text, tuple(args), self.span(tok))
 
     def parse_arg(self) -> Arg:
         tok = self.peek()
         if tok.kind == "rational":
             self.advance()
-            if "/" in tok.text:
-                num, den = tok.text.split("/")
-                if int(den) == 0:
-                    raise DslSyntaxError(Diagnostic(
-                        "error", tok.span, "rational literal with denominator 0"))
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(int(tok.text))
-            return Arg("rat", value, tok.span)
+            num, _, den = tok.text.partition("/")
+            if den and int(den) == 0:
+                raise self.error(tok, "rational literal with denominator 0")
+            return Arg("rat", Fraction(int(num), int(den or 1)), self.span(tok))
         if tok.kind == "ident":
             self.advance()
             if tok.text not in self.bound:
-                raise DslSemanticError(Diagnostic(
-                    "error", tok.span, f"unbound name {tok.text!r}",
-                    suggestion="bind it with 'let' before use"))
-            return Arg("name", tok.text, tok.span)
-        raise DslSyntaxError(Diagnostic(
-            "error", tok.span, f"expected an argument, found {tok.text or 'end of file'!r}"))
+                raise self.error(tok, f"unbound name {tok.text!r}",
+                                 "bind it with 'let' before use", DslSemanticError)
+            return Arg("name", tok.text, self.span(tok))
+        raise self.error(tok, f"expected an argument, found {tok.text or 'end of file'!r}")
 
     def parse_emit(self) -> EmitStmt:
         kw = self.advance()
-        names = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "ident":
-                raise DslSyntaxError(Diagnostic(
-                    "error", tok.span, "expected a name to emit"))
-            if tok.text not in self.bound:
-                raise DslSemanticError(Diagnostic(
-                    "error", tok.span, f"unbound name {tok.text!r}"))
+        names = [self.parse_emitted()]
+        while self.peek().text == ",":
             self.advance()
-            names.append(tok.text)
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == ",":
-                self.advance()
-                continue
-            break
+            names.append(self.parse_emitted())
         self.expect_sym(";", "after the emit list")
-        return EmitStmt(tuple(names), kw.span)
+        return EmitStmt(tuple(names), self.span(kw))
+
+    def parse_emitted(self) -> str:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise self.error(tok, "expected a name to emit")
+        if tok.text not in self.bound:
+            raise self.error(tok, f"unbound name {tok.text!r}", cls=DslSemanticError)
+        return self.advance().text
 
 
 def parse(source: str) -> ConstructionProgram:
     """Parse .qdx source; deterministic, no backtracking."""
-    return _Parser(_tokenize(source)).parse_program()
+    return _Parser(source).parse_program()
 
 
 def pretty_print(prog: ConstructionProgram) -> str:
     lines = []
     for st in prog.statements:
         if isinstance(st, LetStmt):
-            args = ", ".join(
-                (a.value if a.kind == "name" else _rat_text(a.value)) for a in st.call.args)
+            args = ", ".join(str(a.value) for a in st.call.args)  # a name or a Fraction
             lines.append(f"let {st.name} = {st.call.tool}({args});")
         else:
             lines.append("emit " + ", ".join(st.names) + ";")
     return "\n".join(lines) + "\n"
-
-
-def _rat_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 # --- compiler -------------------------------------------------------------------

@@ -17,7 +17,6 @@ domain precondition takes its enclosures from `escalate` too.
 from __future__ import annotations
 
 import math
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,7 +313,6 @@ def fold(root: Expr, key, combine, select=None):
 
 _SYMBOLS = {ADD: "+", SUB: "-", MUL: "*", DIV: "/"}
 _REPR_CHARS = 160  # text characters in a repr, which adds at most 12 more
-_CHILD_MARK = re.compile("([\ue000-\uf8ff])")  # private use: never in canonical text
 
 
 def to_text(e: Expr) -> str:
@@ -325,8 +323,7 @@ def to_text(e: Expr) -> str:
 def _text_node(e: Expr, kids) -> str:
     k = e.kind
     if k == RAT:
-        r = e.rat
-        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+        return str(e.rat)  # "p" or "p/q"
     if k in FIELD_OPS:
         return f"({kids[0]} {_SYMBOLS[k]} {kids[1]})"
     if k == SQRT:
@@ -342,41 +339,26 @@ def _text_node(e: Expr, kids) -> str:
     if k in (SINPI, ARCSINPI):
         return f"{k}({kids[0]})"
     if k == POLYROOT:
-        sel = e.selector
-        pts = ", ".join(d.decimal() for d in
-                        (sel.re.lo, sel.re.hi, sel.im.lo, sel.im.hi))
-        return f"polyroot({', '.join(kids)}; {pts})"
+        return f"polyroot({', '.join(kids)}; {', '.join(_selector_decimals(e))})"
     raise AssertionError(k)
 
 
 def short_text(e: Expr) -> str:
     """The text of e cut after _REPR_CHARS characters, for reprs and error messages.
 
-    Bounded: the full text can be exponential in the depth of sharing.
+    The `to_text` fold with every node's text cut after _REPR_CHARS + 1
+    characters: a prefix of each child's text fixes the same prefix of its
+    parent's, so the cut is exact, and it is bounded where the full text is
+    exponential in the depth of sharing.
     """
-    return _text_prefix(e, _REPR_CHARS)
+    text = fold(e, "short_text", lambda n, kids: _text_node(n, kids)[:_REPR_CHARS + 1])
+    return text if len(text) <= _REPR_CHARS else text[:_REPR_CHARS] + "..."
 
 
-def _text_prefix(e: Expr, limit: int) -> str:
-    """The first `limit` characters of to_text(e), then "..." if there are more.
-
-    Builds the text left to right and stops at the limit, so the cost is
-    bounded even where the full text is exponential in the DAG depth. Each
-    node's own text comes from `_text_node`, with a private-use character
-    standing in for the text of each child.
-    """
-    out, size, stack = [], 0, [e]
-    while stack and size <= limit:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            size += len(item)
-        else:
-            text = _text_node(item, [chr(0xE000 + i) for i in range(len(item.children))])
-            stack += reversed([item.children[ord(p) - 0xE000] if i % 2 else p
-                               for i, p in enumerate(_CHILD_MARK.split(text))])
-    text = "".join(out)
-    return text if not stack and size <= limit else text[:limit] + "..."
+def _selector_decimals(e: Expr) -> list[str]:
+    """The four exact endpoints of a polyroot's selector, re then im, low then high."""
+    sel = e.selector
+    return [d.decimal() for d in (sel.re.lo, sel.re.hi, sel.im.lo, sel.im.hi)]
 
 
 def to_table(roots) -> tuple[list, list[int]]:
@@ -406,8 +388,7 @@ def _table_row(e: Expr, kids: list[int]):
     if k == LOG:
         return [k, e.natural, e.branch, *kids]
     if k == POLYROOT:
-        sel = e.selector
-        return [k, [d.decimal() for d in (sel.re.lo, sel.re.hi, sel.im.lo, sel.im.hi)], *kids]
+        return [k, _selector_decimals(e), *kids]
     return [k, *kids]
 
 

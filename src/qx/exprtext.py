@@ -18,12 +18,10 @@ exactly).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import Dyadic
-from .errors import DslSyntaxError
-from .dsl import Diagnostic, Span
+from .dsl import Token, _Cursor
 from .expr import Context, Expr
 from .geometry import clavius_point
 from .interval import CInterval, RInterval
@@ -33,50 +31,22 @@ _TOKEN = re.compile(r"""
   | (?P<number>\d+(?:\.\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[()+\-*/,;])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    pos: int
-
-
-def _lex(src: str) -> list[_Tok]:
-    out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            raise DslSyntaxError(Diagnostic(
-                "error", Span(1, pos + 1), f"unexpected character {src[pos]!r} in expression"))
-        if m.lastgroup != "ws":
-            out.append(_Tok(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    out.append(_Tok("eof", "", pos))
-    return out
-
-
-class _P:
-    def __init__(self, tokens: list[_Tok], ctx: Context):
-        self.toks = tokens
-        self.i = 0
+class _P(_Cursor):
+    def __init__(self, text: str, ctx: Context):
+        super().__init__(text, _TOKEN, " in expression")
         self.ctx = ctx
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def take(self, text=None) -> _Tok:
-        tok = self.toks[self.i]
-        if text is not None and tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        self.i += 1
-        return tok
+    def take(self, text=None) -> Token:
+        if text is not None and self.peek().text != text:
+            self.fail(f"expected {text!r}, found {self.peek().text or 'end of input'!r}")
+        return self.advance()
 
     def fail(self, message: str):
-        raise DslSyntaxError(Diagnostic(
-            "error", Span(1, self.peek().pos + 1), message))
+        raise self.error(self.peek(), message)
 
     def expr(self) -> Expr:
         node = self.term()
@@ -141,12 +111,11 @@ class _P:
             if len(groups) not in n_groups or len(main) not in n_main:
                 self.fail(f"wrong arguments for {name}")
 
-        if name == "sqrt":
+        unary = {"sqrt": ctx.sqrt, "exp": lambda x: ctx.exp(None, x), "sin_pi": ctx.sin_pi,
+                 "arcsin_over_pi": ctx.arcsin_over_pi}
+        if name in unary:
             arity({1}, {1})
-            return ctx.sqrt(main[0])
-        if name == "exp":
-            arity({1}, {1})
-            return ctx.exp(None, main[0])
+            return unary[name](main[0])
         if name == "pow":
             arity({1}, {2})
             return ctx.exp(main[0], main[1])
@@ -157,12 +126,6 @@ class _P:
             if len(groups) not in (2, 3) or len(main) != 1:
                 self.fail("log takes log(x; base) or log(x; base; branch)")
             return ctx.log(groups[1][0], main[0], self._branch(groups, 2))
-        if name == "sin_pi":
-            arity({1}, {1})
-            return ctx.sin_pi(main[0])
-        if name == "arcsin_over_pi":
-            arity({1}, {1})
-            return ctx.arcsin_over_pi(main[0])
         if name == "clavius_x":
             arity({1}, {1})
             n = main[0]
@@ -198,7 +161,7 @@ class _P:
 
 
 def parse_expr(text: str, ctx: Context) -> Expr:
-    p = _P(_lex(text), ctx)
+    p = _P(text, ctx)
     node = p.expr()
     if p.peek().kind != "eof":
         p.fail(f"trailing input starting at {p.peek().text!r}")

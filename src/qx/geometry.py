@@ -25,7 +25,7 @@ from fractions import Fraction
 from .dyadic import fixed_point
 from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
                      NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
-from .expr import Context, Expr, decide_sign, short_text, sign
+from .expr import RAT, Context, Expr, decide_sign, short_text, sign
 from .interval import precision_ceiling
 
 
@@ -62,9 +62,9 @@ def _require_positive(e: Expr, what: str) -> None:
 # --- intersections ---------------------------------------------------------------
 
 def line(ctx: Context, p: GPoint, q: GPoint) -> GLine:
-    """The line through p and q, once one coordinate difference is proven nonzero."""
+    """The line through p and q, once a coordinate difference, rational first, is proven nonzero."""
     undecided = None
-    for d in (ctx.sub(q.x, p.x), ctx.sub(q.y, p.y)):
+    for d in sorted((ctx.sub(q.x, p.x), ctx.sub(q.y, p.y)), key=lambda d: d.kind != RAT):
         try:
             if decide_sign(d, "line endpoints coincide"):
                 return GLine(p, q)

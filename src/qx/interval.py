@@ -59,7 +59,9 @@ def precision_ceiling() -> int:
 
 
 def _fraction(t) -> Fraction:
-    """Exact value of a finite mpf."""
+    """Exact value of a finite mpf; ValueError for an infinity or NaN."""
+    if t[3] < 0:  # libmp's special values have a negative bit count; zero has 0
+        raise ValueError("an infinite or NaN endpoint has no exact value")
     return Fraction(*to_rational(t))
 
 

@@ -814,3 +814,145 @@ def test_the_certificate_writer_keeps_empty_containers_on_one_line():
     value = {"b": [], "a": {}, "c": [{}, [[]], ()], "d": {"x": []}}
     assert qx.cli._dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert '"a": {},' in qx.cli._dump(value)
+
+
+def _set(*path_and_value):
+    """A forgery that sets the field at the key path to the value."""
+    *path, last, value = path_and_value
+
+    def forge(cert):
+        for key in path:
+            cert = cert[key]
+        cert[last] = value
+    return forge
+
+
+def _drop(*path):
+    def forge(cert):
+        for key in path[:-1]:
+            cert = cert[key]
+        del cert[path[-1]]
+    return forge
+
+
+def _forge_reduced_rungs(count):
+    # the reduced ladder keeps `count` copies of its only rung; the ascent agrees
+    def forge(cert):
+        cert["reduced"]["rungs"] = cert["reduced"]["rungs"] * count
+        cert["ascent"]["degree"] = count
+    return forge
+
+
+_LINDEMANN = {"conditional": False, "rule": "lindemann", "status": "transcendental"}
+
+
+@pytest.mark.parametrize("source, forge, needle", [
+    ("07_trisect_right.qdx", _set("emits", "p.x", "tower", {"a": 0, "el": 0, "s": 0, "sa": 0}),
+     "FAIL p.x: stored tower is not the one the recomputation writes"),
+    ("07_trisect_right.qdx", _set("emits", "p.x", "verdict", "rule", "lindemann"),
+     "FAIL p.x: stored verdict.rule is not"),
+    ("07_trisect_right.qdx", _set("emits", "p.x", "verdict", "conditional", True),
+     "FAIL p.x: stored verdict.conditional is not"),
+    ("07_trisect_right.qdx", _set("emits", "p.y", "verdict", "conditional", 0),
+     "FAIL p.y: stored verdict.conditional is not"),
+    ("07_trisect_right.qdx", _set("roundtrip", {}),
+     "FAIL stored round-trip report is not the one the embedded program gives"),
+    ("07_trisect_right.qdx", _set("emits", "p.x", "precision_digits", True),
+     "FAIL malformed certificate: precision_digits True is not an integer"),
+    ("07_trisect_right.qdx", _set("emits", "p.y", "origin", "forged"),
+     "FAIL p.y: stored origin is not"),
+    ("compile_square_rectangle_v2.json", _set("emits", "m", "verdict", "value", "5"),
+     "FAIL m: stored verdict.value is not"),
+    ("compile_square_rectangle_v2.json", _set("emits", "m", "verdict", "witness", [0]),
+     "FAIL m: witness polynomial does not annihilate the value"),
+    ("classify_sin_2pi5.json", _set("subject", "tower", "s", 2),
+     "FAIL subject: stored tower is not"),
+    ("classify_sin_2pi5.json", _set("subject", "verdict", "rule", "sqrt-tower"),
+     "FAIL subject: stored verdict.rule is not"),
+    ("classify_sin_2pi5.json", _drop("subject", "verdict", "witness"),
+     "FAIL subject: a witness is stored exactly when the recomputation has one"),
+    ("ladder_gs.json", _drop("subject", "enclosure", "im"),
+     "FAIL subject: stored imaginary enclosure does not meet recomputation"),
+    ("ladder_gs.json", _forge_reduced_rungs(0),
+     "FAIL reduced: stored ladder is not the descent's without its removed rungs"),
+    ("ladder_gs.json", _forge_reduced_rungs(2),
+     "FAIL reduced: stored ladder is not the descent's without its removed rungs"),
+    ("ladder_logs_reduced.json", _set("ladder", "rungs", 1, "kind", "element-algebraic"),
+     "FAIL ladder: stored ladder is not the one the descent writes"),
+    ("ladder_logs_reduced.json", _set("reduced", "rungs", 1, "kind", "element-algebraic"),
+     "FAIL reduced: stored ladder is not"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "identity_verified", False),
+     "FAIL reduced: stored ladder is not"),
+    ("ladder_logs_reduced.json", _set("ascent", "kinds", ["element-algebraic"] * 2),
+     "FAIL ascent: stored report is not the one ascend gives on the reduced ladder"),
+    ("ladder_logs_reduced.json", _set("ascent", "crosschecks", [_LINDEMANN] * 2),
+     "FAIL ascent: stored report is not"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", "confidence", "exact"),
+     "FAIL ladder: the relation at index 2 is labelled exact but does not hold exactly"),
+    ("ladder_logs_reduced.json",
+     _set("reduced", "removals", 0, "relation", "coefficients", [0, -1, True, 1]),
+     "FAIL malformed certificate: relation coefficients"),
+], ids=["tower", "rule", "conditional", "conditional-0-for-false", "roundtrip",
+        "precision-true", "extra-field", "value", "zero-witness", "classify-tower",
+        "classify-rule", "classify-witness-dropped", "imaginary-part-dropped", "no-reduced-rung",
+        "duplicated-reduced-rung", "ladder-kind", "reduced-kind", "identity-verified",
+        "ascent-kinds", "crosschecks", "exact-label", "bool-coefficient"])
+def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
+    if source.endswith(".qdx"):
+        cert = _compiled(tmp_path, (CORPUS / source).read_text())
+    else:
+        cert = json.loads((Path(__file__).parent / "golden" / source).read_text())
+    forge(cert)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(forged)])
+    assert code == 1
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_a_ladder_whose_reduction_keeps_an_exact_relation(tmp_path):
+    # the third rung is 1 + 2*sqrt(2): dropping its removal keeps a relation ascend refuses
+    code, out, err = run(["ladder", "pow(-1, sqrt(2)) * pow(-1, (1 + 2*sqrt(2)))",
+                          "--base", "-1", "--reduce", "--ascend"])
+    assert code == 0, err
+    cert = json.loads(out)
+    assert [rm["index"] for rm in cert["reduced"]["removals"]] == [1]
+    cert["reduced"]["removals"] = []
+    cert["reduced"]["rungs"] = cert["ladder"]["rungs"]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(forged)])
+    assert code == 1
+    assert "FAIL re-verification raised: rational relation" in err
+
+
+def test_compile_certificates_of_every_corpus_program_verify(tmp_path):
+    for path in sorted(CORPUS.glob("*.qdx")):
+        cert = tmp_path / "cert.json"
+        code, out, err = run(["compile", str(path)])
+        assert code == 0, (path.name, err)
+        cert.write_text(out)
+        assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n"), path.name
+
+
+@pytest.mark.parametrize("text, digits, decimal", [
+    ("1/5", 16, "0.2"), ("7/5", 16, "1.4"), ("-7/5", 16, "-1.4"),
+    ("1/3", 16, "0.3333333333333333"), ("sqrt(2)*sqrt(2)/4", 30, "0.5"),
+    ("(sqrt(5)-1)*(sqrt(5)+1)/8", 16, "0.5"),
+])
+def test_eval_prints_the_exact_decimal_of_a_quadratic_field_rational(text, digits, decimal):
+    code, out, err = run(["eval", "--precision", str(digits), "--", text])
+    assert (code, out) == (0, decimal + "\n"), err
+    code, out, err = run(["classify", "--json", "--precision", str(digits), "--", text])
+    assert code == 0, err
+    assert json.loads(out)["subject"]["decimal"] == decimal
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("1 +\n $", "error: 2:2: unexpected character '$' in expression\n"),
+    ("sqrt(2)\n  + (1", "error: 2:7: expected ')', found 'end of input'\n"),
+    ("1 + $", "error: 1:5: unexpected character '$' in expression\n"),
+])
+def test_an_expression_error_names_its_line_and_column(text, rendered):
+    assert run(["eval", text]) == (3, "", rendered)

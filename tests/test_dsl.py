@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qx import expr
 from qx.dsl import (Arg, compile_program, parse, pretty_print, verify_roundtrip)
-from qx.errors import (DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
+from qx.errors import (DslError, DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
                        QxError)
 from qx.expr import Context, fold, sign, to_text
 from qx.minpoly import transcendence_rules
@@ -264,3 +264,18 @@ def test_compile_interns_only_the_nodes_of_the_values():
     assert [b - a for a, b in zip(counts, counts[1:])] == [2] * 7
     # the base -1, the literals 3, 2 and 4, then a*c = 12 and 12/2 = 6
     assert _interned("let x = fourthprop(3, 2, 4); emit x;") == 6
+
+
+@pytest.mark.parametrize("source, rendered", [
+    ("let a = seg(1);\r\n# c\r\nlet b = seg(2)\r\nemit b;",
+     "error: 4:1: expected ';' after the tool call, found 'emit' (hint: insert ';')"),
+    ("let a = seg(1);\n\tlet b = seg(1);\f emit a;", "error: 2:17: unexpected character '\\x0c'"),
+    ("let a = seg(1);\vemit a;", "error: 1:16: unexpected character '\\x0b'"),
+    ("# only\n\n  ", "error: 3:3: empty program"),
+    ("let a = seg(1);\n# x \f y\nemit a, c;", "error: 3:9: unbound name 'c'"),
+], ids=["crlf-and-comment", "form-feed", "vertical-tab", "empty", "form-feed-in-comment"])
+def test_diagnostics_name_the_line_and_column_of_the_offending_token(source, rendered):
+    # whitespace is exactly space, tab, CR and LF; a comment runs to the end of its line
+    with pytest.raises(DslError) as info:
+        parse(source)
+    assert info.value.diagnostic.render() == rendered

@@ -7,7 +7,7 @@ import pytest
 from qx.errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
                        NonPositiveLength, NonPositiveSlope, NotOnUnitCircle,
                        OutOfRange)
-from qx.expr import Context, to_text
+from qx.expr import Context, Expr, to_text
 from qx.geometry import (GPoint, circle, clavius_point, fourth_proportional,
                          general_anglesect, intersect, line, mean_proportional,
                          quadratrix_x_of_y, quadratrix_y_of_slope,
@@ -325,6 +325,18 @@ def test_a_circle_through_an_undecided_zero_radius_is_no_circle(ctx):
     z = _undecided_zero(ctx)
     with pytest.raises(MaxPrecision, match=r"^circle radius is zero: not settled .*1024 bits"):
         circle(ctx, _pt(ctx, 0, 0), GPoint(z, ctx.rat(0)))
+
+
+def test_a_rational_coordinate_difference_makes_a_line_without_evaluating(ctx, monkeypatch):
+    z = _undecided_zero(ctx)
+    origin = _pt(ctx, 0, 0)
+    evaluated = []
+    real_eval = Expr.eval
+    monkeypatch.setattr(Expr, "eval", lambda e, prec: evaluated.append(prec) or real_eval(e, prec))
+    for q in (GPoint(z, ctx.rat(1)), GPoint(ctx.rat(1), z)):
+        got = line(ctx, origin, q)
+        assert got.p is origin and got.q is q
+    assert evaluated == []
 
 
 def test_one_proven_nonzero_difference_makes_a_line(ctx):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, fone, fzero, mpf_abs, mpf_add, mpf_sub
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fone, fzero, mpf_abs, mpf_add,
+                          mpf_sub)
 
 import qx.interval
 from qx.cli import main
@@ -447,3 +448,17 @@ def test_width_at_most_is_the_exact_width_test(re_case, im_case):
     assert x.width_at_most(target) == (x.width <= target)
     z = CInterval(x, y)
     assert z.width_at_most(target) == (z.width <= target)
+
+
+@pytest.mark.parametrize("lo, hi", [(fzero, finf), (fninf, fone), (fninf, finf), (fnan, fnan)],
+                         ids=["to-inf", "from-minus-inf", "both", "nan"])
+def test_an_infinite_or_nan_endpoint_has_no_exact_value(lo, hi):
+    x = RInterval.from_mpi((lo, hi))
+    with pytest.raises(ValueError, match="infinite or NaN"):
+        x.width
+    with pytest.raises(ValueError, match="infinite or NaN"):
+        x.contains_fraction(F(0))
+    with pytest.raises(ValueError, match="infinite or NaN"):
+        CInterval(x, RInterval.zero()).mag_upper()
+    assert not x.width_at_most(F(1))
+    assert not CInterval(RInterval.zero(), x).width_at_most(F(1))
