@@ -35,8 +35,8 @@ from .expr import Context, Expr, quad_flatten, to_table, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, precision_ceiling
-from .ladders import (Ladder, Relation, Removal, _verify_exact, ascend, check_removal,
-                      descend, reduce_ladder)
+from .ladders import (Ladder, Relation, Removal, ascend, check_removal, descend,
+                      reduce_ladder, relation_holds)
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
@@ -453,9 +453,10 @@ _FORMATS = {"compile": (TEXT_FORMAT, NODE_TABLE_FORMAT), "classify": (TEXT_FORMA
 
 
 def _verify_compile_cert(cert: dict, failures: list[str]):
-    """Each emit must name the value the embedded program builds, then pass
-    `_check_subject`: by its canonical text under /1, by its row of the node
-    table under /2, whose every row must be the one `compile` would write."""
+    """The stored emits must be the embedded program's, each naming the value
+    the program builds, then passing `_check_subject`: by its canonical text
+    under /1, by its row of the node table under /2, whose every row must be
+    the one `compile` would write."""
     result = compile_program(parse(cert["program"]))
     if not _same_json(cert["roundtrip"], verify_roundtrip(result)):
         failures.append("stored round-trip report is not the one the embedded program gives")
@@ -464,6 +465,8 @@ def _verify_compile_cert(cert: dict, failures: list[str]):
         nodes, rows = _emit_table(result.values)
         if not _same_json(cert["nodes"], nodes):
             failures.append("stored node table is not the one the embedded program builds")
+    for name in sorted(result.values.keys() - cert["emits"].keys()):
+        failures.append(f"{name}: emitted by the embedded program but not stored")
     for name, sub in cert["emits"].items():
         value = result.values.get(name)
         if value is None:
@@ -481,9 +484,11 @@ def _verify_compile_cert(cert: dict, failures: list[str]):
 
 
 def _verify_ladder_cert(cert: dict, failures: list[str]):
-    """The subject; the ladder `descend` writes; each removal, re-derived from its
-    relation over the rungs kept before it; the reduced ladder, which is the
-    descent's without the removed rungs; and the report `ascend` gives on it."""
+    """The subject; the ladder `descend` writes; each removal, in increasing
+    index order, re-derived from its relation over the rungs kept before it,
+    whose relation must hold as its label says (`relation_holds`); the reduced
+    ladder, which is the descent's without the removed rungs; and the report
+    `ascend` gives on it."""
     ctx = Context(base=Fraction(cert["ladder"]["base"]))
     sub = cert["subject"]
     subject = parse_expr(sub["expr"], ctx)
@@ -500,16 +505,32 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
     reduced = cert["reduced"]
     removed = {rm["index"] for rm in reduced["removals"]  # not bools, -1 or past the end
                if type(rm["index"]) is int and 0 <= rm["index"] < len(stored)}
-    removals = []
+    removals, last = [], -1
     for rm in reduced["removals"]:
         index, rel = rm["index"], rm["relation"]
         if type(index) is not int or index not in removed:
             failures.append(f"malformed certificate: removal index {index!r} is not "
                             f"a position among the {len(stored)} stored rungs")
             continue
+        if index <= last:
+            failures.append(f"malformed certificate: removal index {index} does not "
+                            f"follow the index {last} before it")
+            continue
+        last = index
         coefficients = tuple(rel["coefficients"])
+        confidence, bits = rel["confidence"], rel["precision_bits"]
         if any(type(n) is not int for n in coefficients):
             raise TypeError(f"relation coefficients {list(coefficients)} are not all integers")
+        if confidence == "exact":
+            if bits is not None:
+                failures.append(f"malformed certificate: the exact relation at index {index} "
+                                f"states precision_bits {bits!r}")
+        elif confidence != "heuristic":
+            raise ValueError(f"relation confidence {confidence!r} is neither exact nor heuristic")
+        elif type(bits) is not int or not 1 <= bits <= precision_ceiling():
+            raise ValueError(f"relation precision_bits {bits!r} is not an integer from 1 "
+                             f"to the precision ceiling")
+        relation = Relation(coefficients, confidence, bits)
         kept = [r.value for i, r in enumerate(ladder.rungs[:index]) if i not in removed]
         a_k = ladder.rungs[index].value
         constant, combo, verified = check_removal(ctx, ctx.base, coefficients, a_k, kept)
@@ -518,13 +539,11 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
                             f"does not store what its relation gives")
         elif not verified:
             failures.append(f"ladder: removal identity fails at index {index}")
-        elif (rel["confidence"] == "exact"
-              and not _verify_exact(coefficients, kept[:len(coefficients) - 2] + [a_k])):
-            failures.append(f"ladder: the relation at index {index} is labelled exact "
-                            f"but does not hold exactly")
-        removals.append(Removal(index, Relation(coefficients, rel["confidence"],
-                                                rel["precision_bits"]),
-                                constant, combo, verified))
+        elif not relation_holds(relation, kept[:len(coefficients) - 2] + [a_k]):
+            failures.append(f"ladder: the relation at index {index} is labelled {confidence} "
+                            f"but does not hold " + ("exactly" if confidence == "exact"
+                                                      else f"to 2^-{bits}"))
+        removals.append(Removal(index, relation, constant, combo, verified))
     rungs = tuple(r for i, r in enumerate(ladder.rungs) if i not in removed)
     if not _same_json(reduced, _ladder_json(Ladder(ladder.base, rungs, tuple(removals)))):
         failures.append("reduced: stored ladder is not the descent's without its removed rungs")

@@ -164,12 +164,12 @@ class Expr:
             z = kids[-1]
             if self.natural:
                 return z.exp(prec)
-            return z.mul(kids[0].log(0, prec), prec).exp(prec)
+            return z.mul(self._base_log(prec, kids[0]), prec).exp(prec)
         if k == LOG:
             val = kids[-1].log(self.branch, prec)
             if self.natural:
                 return val
-            return val.div(kids[0].log(0, prec), prec)
+            return val.div(self._base_log(prec, kids[0]), prec)
         if k == SINPI:
             return sin_pi_complex(kids[0], prec)
         if k == ARCSINPI:
@@ -177,6 +177,11 @@ class Expr:
         if k == POLYROOT:
             return self._refine_root(prec, [c.re for c in kids])
         raise AssertionError(f"unhandled kind {k}")
+
+    def _base_log(self, prec: int, base: CInterval) -> CInterval:
+        """The principal log of this node's base enclosure, once per base node and precision."""
+        return fold(self.children[0], ("base log", prec), lambda n, _: base.log(0, prec),
+                    lambda n: ())
 
     def _refine_root(self, prec: int, coeffs) -> CInterval:
         """Safeguarded interval Newton from the selector down to width 2^-prec.
@@ -849,6 +854,24 @@ def decide_sign(x: Expr, what: str) -> int:
     whose real part excludes 0: x counts as real while its imaginary enclosure
     contains 0, and one that excludes 0 raises NonRealArgument at once.
     """
+    try:
+        return _sign(x, what)
+    except NonRealArgument:
+        raise NonRealArgument(f"{what} needs a real value, got {short_text(x)}") from None
+    except MaxPrecision as exc:
+        raise MaxPrecision(f"{exc}; the value is {short_text(x)}") from None
+
+
+def sign(x: Expr) -> Optional[int]:
+    """decide_sign(x), or None when x is nonreal or its sign is undecided."""
+    try:
+        return _sign(x, "a sign test")
+    except (NonRealArgument, MaxPrecision):
+        return None
+
+
+def _sign(x: Expr, what: str) -> int:
+    """decide_sign without the value's text in its errors, which `sign` throws away."""
     flat = quad_flatten(x)
     if flat is not None and (flat[1] == 0 or flat[2] > 0):
         u, v, d = flat
@@ -857,20 +880,9 @@ def decide_sign(x: Expr, what: str) -> int:
 
     def real_sign(enc: CInterval) -> Optional[int]:
         if not enc.im.contains_zero():
-            raise NonRealArgument(f"{what} needs a real value, got {short_text(x)}")
+            raise NonRealArgument(what)
         return _interval_sign(enc.re)
-    try:
-        return escalate(x.eval, real_sign, what, cap=_SIGN_CAP)
-    except MaxPrecision as exc:
-        raise MaxPrecision(f"{exc}; the value is {short_text(x)}") from None
-
-
-def sign(x: Expr) -> Optional[int]:
-    """decide_sign(x), or None when x is nonreal or its sign is undecided."""
-    try:
-        return decide_sign(x, "a sign test")
-    except (NonRealArgument, MaxPrecision):
-        return None
+    return escalate(x.eval, real_sign, what, cap=_SIGN_CAP)
 
 
 def separates(x: Expr, value: Fraction) -> bool:

@@ -581,9 +581,10 @@ def arcsin_over_pi_complex(x: CInterval, prec: int) -> CInterval:
 
 
 def _bits_for(width: Fraction) -> int:
+    """The least b >= 1 with 2^-b <= width: for 0 < width < 1, 2^-b <= width < 2^-(b-1)."""
     if width <= 0:
         raise ValueError("target width must be positive")
-    return max(1, (width.denominator // max(width.numerator, 1)).bit_length())
+    return max(1, (-(-width.denominator // width.numerator) - 1).bit_length())
 
 
 def escalate(thunk: Callable[[int], T], accept: Callable[[T], Optional[R]], what: str,

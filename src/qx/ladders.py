@@ -268,7 +268,7 @@ def _detect_pslq(values: list[Expr], max_coeff: int,
                  precision_bits: int) -> Optional[Relation]:
     work = precision_bits + 48
     try:
-        encs = [refine(v.eval, Fraction(1, 1 << work)) for v in values]
+        encs = _enclosures(values, precision_bits)
     except MaxPrecision:
         return None
     res = [e.re.mid() for e in encs]
@@ -299,6 +299,22 @@ def _detect_pslq(values: list[Expr], max_coeff: int,
             neg = tuple(-c for c in cand)
             return Relation(min(neg, cand), "heuristic", precision_bits)
     return None
+
+
+def _enclosures(values: list[Expr], precision_bits: int) -> list[CInterval]:
+    """The values to width 2^-(precision_bits + 48): what PSLQ reads and
+    `_verify_heuristic` checks a relation on."""
+    width = Fraction(1, 1 << (precision_bits + 48))
+    return [refine(v.eval, width) for v in values]
+
+
+def relation_holds(rel: Relation, values: list[Expr]) -> bool:
+    """Re-check rel on the values it relates: an exact relation in rational
+    arithmetic, a heuristic one by enclosure at its stated precision."""
+    if rel.confidence == "exact":
+        return _verify_exact(rel.coefficients, values)
+    return _verify_heuristic(rel.coefficients, _enclosures(values, rel.precision_bits),
+                             rel.precision_bits)
 
 
 def _verify_heuristic(coeffs, encs: list[CInterval], precision_bits: int) -> bool:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import qx.cli
 from qx.cli import main
+from qx.expr import Expr
+from qx.interval import CInterval
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.json"))
 CORPUS = Path(__file__).parent / "corpus"
@@ -846,6 +848,17 @@ def _forge_reduced_rungs(count):
 _LINDEMANN = {"conditional": False, "rule": "lindemann", "status": "transcendental"}
 
 
+def _removal_twice(cert):
+    removals = cert["reduced"]["removals"]
+    removals.append(dict(removals[0]))
+
+
+def _false_by_two(cert):
+    # off by 2, which the removal identity cannot see: (-1)^2 = 1
+    removal = cert["reduced"]["removals"][0]
+    removal["relation"]["coefficients"], removal["constant"] = [-2, -1, 1, 1], "2"
+
+
 @pytest.mark.parametrize("source, forge, needle", [
     ("07_trisect_right.qdx", _set("emits", "p.x", "tower", {"a": 0, "el": 0, "s": 0, "sa": 0}),
      "FAIL p.x: stored tower is not the one the recomputation writes"),
@@ -892,11 +905,25 @@ _LINDEMANN = {"conditional": False, "rule": "lindemann", "status": "transcendent
     ("ladder_logs_reduced.json",
      _set("reduced", "removals", 0, "relation", "coefficients", [0, -1, True, 1]),
      "FAIL malformed certificate: relation coefficients"),
+    ("07_trisect_right.qdx", _drop("emits", "p.y"),
+     "FAIL p.y: emitted by the embedded program but not stored"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", "confidence", "proven"),
+     "FAIL malformed certificate: relation confidence 'proven' is neither exact nor heuristic"),
+    ("ladder_logs_reduced.json", _removal_twice,
+     "FAIL malformed certificate: removal index 2 does not follow the index 2 before it"),
+    ("ladder_logs_reduced.json", _false_by_two,
+     "FAIL ladder: the relation at index 2 is labelled heuristic but does not hold to 2^-160"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", "precision_bits", True),
+     "FAIL malformed certificate: relation precision_bits True is not an integer"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", "precision_bits", 0),
+     "FAIL malformed certificate: relation precision_bits 0 is not an integer"),
 ], ids=["tower", "rule", "conditional", "conditional-0-for-false", "roundtrip",
         "precision-true", "extra-field", "value", "zero-witness", "classify-tower",
         "classify-rule", "classify-witness-dropped", "imaginary-part-dropped", "no-reduced-rung",
         "duplicated-reduced-rung", "ladder-kind", "reduced-kind", "identity-verified",
-        "ascent-kinds", "crosschecks", "exact-label", "bool-coefficient"])
+        "ascent-kinds", "crosschecks", "exact-label", "bool-coefficient", "emit-dropped",
+        "unknown-confidence", "removal-twice", "false-heuristic-relation", "bool-bits",
+        "zero-bits"])
 def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
     if source.endswith(".qdx"):
         cert = _compiled(tmp_path, (CORPUS / source).read_text())
@@ -909,6 +936,46 @@ def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
     assert code == 1
     assert needle in err
     assert "Traceback" not in err
+
+
+def test_a_ladder_command_evaluates_each_node_at_one_low_precision(tmp_path, monkeypatch):
+    # reduce's 12-digit certificate and its 2^-40 removal check share one
+    # precision, and each base's log is taken once per precision; PSLQ runs
+    # above 200 bits
+    low = {}        # node -> the precisions below 200 bits it was computed at
+    base_logs = {}  # (base node, precision) -> logs of its enclosure
+    computing = []
+    compute, log = Expr._compute, CInterval.log
+
+    def spy_compute(node, prec, kids):
+        if prec < 200:
+            low.setdefault(node, set()).add(prec)
+        computing.append((node, kids))
+        try:
+            return compute(node, prec, kids)
+        finally:
+            computing.pop()
+
+    def spy_log(enc, branch, prec):
+        node, kids = computing[-1] if computing else (None, ())
+        if node is not None and node.base is not None and enc is kids[0]:
+            key = (node.base, prec)
+            base_logs[key] = base_logs.get(key, 0) + 1
+        return log(enc, branch, prec)
+
+    monkeypatch.setattr(Expr, "_compute", spy_compute)
+    monkeypatch.setattr(CInterval, "log", spy_log)
+    planted = ("pow(-1, sqrt(2)) * pow(-1, log(3; -1)) "
+               "* pow(-1, ((1/2) + 2*sqrt(2) - log(3; -1)))")
+    code, out, err = run(["reduce", planted, "--ascend"])
+    assert code == 0, err
+    assert [rm["index"] for rm in json.loads(out)["reduced"]["removals"]] == [2]
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n")
+    assert low and base_logs
+    assert {node: precs for node, precs in low.items() if len(precs) > 1} == {}
+    assert set(base_logs.values()) == {1}
 
 
 def test_verify_rejects_a_ladder_whose_reduction_keeps_an_exact_relation(tmp_path):
@@ -925,6 +992,19 @@ def test_verify_rejects_a_ladder_whose_reduction_keeps_an_exact_relation(tmp_pat
     code, _, err = run(["verify", str(forged)])
     assert code == 1
     assert "FAIL re-verification raised: rational relation" in err
+
+
+def test_verify_rejects_an_exact_relation_that_states_a_precision(tmp_path):
+    code, out, err = run(["reduce", "pow(-1, sqrt(2)) * pow(-1, (1 + 2*sqrt(2)))", "--ascend"])
+    assert code == 0, err
+    cert = json.loads(out)
+    assert cert["reduced"]["removals"][0]["relation"]["precision_bits"] is None
+    cert["reduced"]["removals"][0]["relation"]["precision_bits"] = 160
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    code, _, err = run(["verify", str(forged)])
+    assert (code, err) == (1, "FAIL malformed certificate: the exact relation at index 1 "
+                              "states precision_bits 160\n")
 
 
 def test_compile_certificates_of_every_corpus_program_verify(tmp_path):

@@ -17,8 +17,8 @@ import qx.interval
 from qx.cli import main
 from qx.dyadic import Dyadic
 from qx.errors import DivisionByZero, DomainStraddle, MaxPrecision
-from qx.interval import (CInterval, RInterval, arcsin_over_pi_complex, asin_interval, escalate,
-                         pi_interval, refine, sin_pi_complex, sin_pi_interval)
+from qx.interval import (CInterval, RInterval, _bits_for, arcsin_over_pi_complex, asin_interval,
+                         escalate, pi_interval, refine, sin_pi_complex, sin_pi_interval)
 
 W33 = F(1, 1 << 33)
 W40 = F(1, 1 << 40)
@@ -217,6 +217,26 @@ def test_escalate_names_what_the_bits_tried_and_a_persisting_straddle():
     # a straddle that later precisions got past is not reported
     with pytest.raises(MaxPrecision, match=r"of 256 bits \(tried 64 to 256 bits\)$"):
         escalate(straddles_at_64, lambda v: None, "a test", cap=256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(min_value=0, max_value=1).filter(lambda w: 0 < w < 1),
+                 st.integers(1, 400).map(lambda k: F(1, 1 << k))))
+def test_bits_for_is_the_least_b_with_two_to_the_minus_b_within_the_width(w):
+    b = _bits_for(w)
+    assert F(1, 1 << b) <= w < F(1, 1 << (b - 1))
+
+
+def test_bits_for_a_decimal_width_is_the_bit_length_of_its_power_of_ten():
+    # 10^d is not a power of two, so 2^-b <= 10^-d starts at b = bit_length(10^d)
+    assert all(_bits_for(F(1, 10**d)) == (10**d).bit_length() for d in range(1, 1301))
+
+
+def test_refine_names_a_power_of_two_target_by_its_own_exponent(monkeypatch):
+    monkeypatch.setenv("QX_PRECISION_CEILING", "64")
+    with pytest.raises(MaxPrecision, match=r"^a width of 2\^-40: not settled within the "
+                                           r"precision ceiling of 64 bits \(no bits tried\)$"):
+        refine(lambda p: CInterval.from_int(2).sqrt(p), W40)
 
 
 def test_precision_ceiling_env(monkeypatch):

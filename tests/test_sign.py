@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+import qx.expr
 from qx.errors import MaxPrecision, NonRealArgument
 from qx.expr import Context, decide_sign, quad_flatten, separates, sign
 
@@ -91,3 +92,19 @@ def test_an_undecided_sign_names_the_test_the_value_and_the_bits(ctx):
     with pytest.raises(MaxPrecision, match=r"^the test: .*\(tried 64 to 1024 bits\); "
                                            r"the value is \(sqrt\(\(2 \+ sqrt\(3\)\)\) - "):
         decide_sign(ctx.sub(nested, mixed), "the test")
+
+
+def test_sign_formats_no_text_for_the_error_it_discards(ctx, monkeypatch):
+    calls = []
+    text_node = qx.expr._text_node
+    monkeypatch.setattr(qx.expr, "_text_node", lambda *a: calls.append(a) or text_node(*a))
+    nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
+    undecided = ctx.sub(nested, ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2))
+    nonreal = ctx.add(ctx.sqrt(ctx.sub(ctx.sqrt(2), 2)), ctx.sin_pi(ctx.sqrt(2)))
+    assert sign(undecided) is None and sign(nonreal) is None
+    assert calls == []
+    with pytest.raises(MaxPrecision, match=r"; the value is \(sqrt\(\(2 \+ sqrt\(3\)\)\) - "):
+        decide_sign(undecided, "the test")
+    with pytest.raises(NonRealArgument, match=r"^the test needs a real value, got \(sqrt"):
+        decide_sign(nonreal, "the test")
+    assert calls
