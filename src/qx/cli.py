@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -371,6 +372,21 @@ def _same_json(a, b) -> bool:
     return _sorted_json(a) == _sorted_json(b)
 
 
+# verify reads an enclosure endpoint and a ladder base only in the syntax qx
+# writes them in (`fixed_point`, `to_text` of a rational): Fraction alone
+# would also take "1e10000000", and spend seconds expanding it
+_ENDPOINT = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_BASE = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _stored_number(text, syntax: re.Pattern, what: str) -> Fraction:
+    if type(text) is not str or not syntax.fullmatch(text):
+        raise ValueError(f"{what} {text!r} is not of the form {syntax.pattern}")
+    return Fraction(text)
+
+
+_WITNESS_WIDTH = Fraction(1, 1 << 60)  # a stored witness is re-checked on this width or finer
+
 # the subject fields `_check_subject` checks on their own, and those naming the value
 _CHECKED_APART = {"decimal", "enclosure", "verdict", "verdict.status", "verdict.witness",
                   "expr", "node"}
@@ -391,7 +407,7 @@ def _check_subject(e: Expr, sub: dict, failures: list[str], label: str):
     enc = e.enclosure(_digits_width(digits))  # memoized by `_subject_json`
     stored_enc = {"im": ["0", "0"], **sub["enclosure"]}  # no "im": a real value
     for part, name in (("re", "real"), ("im", "imaginary")):
-        lo, hi = (Fraction(s) for s in stored_enc[part])
+        lo, hi = (_stored_number(s, _ENDPOINT, "enclosure endpoint") for s in stored_enc[part])
         got = getattr(enc, part)
         if not (got.lo.to_fraction() <= hi and lo <= got.hi.to_fraction()):
             failures.append(f"{label}: stored {name} enclosure does not meet recomputation")
@@ -404,7 +420,9 @@ def _check_subject(e: Expr, sub: dict, failures: list[str], label: str):
         failures.append(f"{label}: a witness is stored exactly when the recomputation has one")
     elif "witness" in v:
         poly = IntPoly.new(v["witness"])
-        val = poly.eval_enclosure(e.enclosure(Fraction(1, 1 << 60)), 128)
+        # on an enclosure no wider than 2^-60: the certificate's one when it is
+        fine = enc if enc.width_at_most(_WITNESS_WIDTH) else e.enclosure(_WITNESS_WIDTH)
+        val = poly.eval_enclosure(fine, 128)
         if poly.is_zero() or not val.contains_zero():
             failures.append(f"{label}: witness polynomial does not annihilate the value")
     # every other field exactly, the verdict's one by one
@@ -465,6 +483,8 @@ def _verify_compile_cert(cert: dict, failures: list[str]):
         nodes, rows = _emit_table(result.values)
         if not _same_json(cert["nodes"], nodes):
             failures.append("stored node table is not the one the embedded program builds")
+    if type(cert["emits"]) is not dict:
+        raise TypeError("emits is not an object from names to subjects")
     for name in sorted(result.values.keys() - cert["emits"].keys()):
         failures.append(f"{name}: emitted by the embedded program but not stored")
     for name, sub in cert["emits"].items():
@@ -489,7 +509,7 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
     whose relation must hold as its label says (`relation_holds`); the reduced
     ladder, which is the descent's without the removed rungs; and the report
     `ascend` gives on it."""
-    ctx = Context(base=Fraction(cert["ladder"]["base"]))
+    ctx = Context(base=_stored_number(cert["ladder"]["base"], _BASE, "ladder base"))
     sub = cert["subject"]
     subject = parse_expr(sub["expr"], ctx)
     _check_subject(subject, sub, failures, "subject")

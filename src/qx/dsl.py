@@ -28,7 +28,8 @@ from typing import NamedTuple, Optional
 from . import geometry as G
 from .errors import DslError, DslSemanticError, DslSyntaxError, MismatchError, QxError
 from .expr import Context, Expr
-from .interval import CInterval, RInterval, asin_interval, escalate, pi_interval, sin_pi_interval
+from .interval import (CInterval, RInterval, asin_interval, escalate, pi_interval, sin_pi_interval,
+                       start_bits)
 
 # tool name -> (fewest, most) arguments; the keys are the closed set of tools
 _SIGNATURES = {
@@ -608,7 +609,7 @@ def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
                             for nv, sv in pairs.values()) else None
 
     pairs = escalate(run, settled, f"round trip at a width of 2^-{precision_bits}",
-                     start=max(64, precision_bits + 16))
+                     start=start_bits(precision_bits))
     failures = [name for name, (nv, sv) in pairs.items() if not nv.intersects(sv)]
     if failures:
         raise MismatchError(sorted(failures))

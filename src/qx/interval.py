@@ -614,13 +614,22 @@ def escalate(thunk: Callable[[int], T], accept: Callable[[T], Optional[R]], what
                        f"({tried}){persists}")
 
 
+def start_bits(bits: int) -> int:
+    """The first precision tried for a width of 2^-bits: 24 guard bits, and at
+    least the 64 bits every sign, domain and round-trip test starts at, so a
+    low-precision width target shares their evaluation."""
+    return max(64, bits + 24)
+
+
 def refine(thunk: Callable[[int], CInterval], target: Fraction) -> CInterval:
     """Re-evaluate thunk at growing precision until the width target is met.
 
+    It starts at `start_bits(b)`, b the least integer with 2^-b <= target:
+    at 64 bits for 10^-12 and 2^-40, 84 for 2^-60 and 357 for 10^-100.
     Raises MaxPrecision at the ceiling; a tiny-but-nonpoint enclosure around a
     possibly-exact zero is reported this way, never silently decided.
     """
     bits = _bits_for(target)
     # in bits: str() of a fine target can pass Python's int-to-str digit limit
     return escalate(thunk, lambda value: value if value.width_at_most(target) else None,
-                    f"a width of 2^-{bits}", start=max(64, bits + 32))
+                    f"a width of 2^-{bits}", start=start_bits(bits))

@@ -917,13 +917,29 @@ def _false_by_two(cert):
      "FAIL malformed certificate: relation precision_bits True is not an integer"),
     ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", "precision_bits", 0),
      "FAIL malformed certificate: relation precision_bits 0 is not an integer"),
+    ("07_trisect_right.qdx", _set("emits", "p.x", "enclosure", "re", 1, "1/0"),
+     "FAIL malformed certificate: enclosure endpoint '1/0' is not of the form"),
+    ("ladder_logs_reduced.json", _set("ladder", "base", "1/0"),
+     "FAIL malformed certificate: ladder base '1/0' is not of the form"),
+    ("07_trisect_right.qdx", _set("emits", []),
+     "FAIL malformed certificate: emits is not an object"),
+    # Fraction alone reads an exponent, and would expand 1e10000000 for seconds
+    ("07_trisect_right.qdx", _set("emits", "p.x", "enclosure", "re", 1, "1e5"),
+     "FAIL malformed certificate: enclosure endpoint '1e5' is not of the form"),
+    ("ladder_logs_reduced.json", _set("subject", "enclosure", "im", 0, "-1e5"),
+     "FAIL malformed certificate: enclosure endpoint '-1e5' is not of the form"),
+    ("ladder_logs_reduced.json", _set("ladder", "base", "-1e0"),
+     "FAIL malformed certificate: ladder base '-1e0' is not of the form"),
+    ("ladder_logs_reduced.json", _set("ladder", "base", -1),
+     "FAIL malformed certificate: ladder base -1 is not of the form"),
 ], ids=["tower", "rule", "conditional", "conditional-0-for-false", "roundtrip",
         "precision-true", "extra-field", "value", "zero-witness", "classify-tower",
         "classify-rule", "classify-witness-dropped", "imaginary-part-dropped", "no-reduced-rung",
         "duplicated-reduced-rung", "ladder-kind", "reduced-kind", "identity-verified",
         "ascent-kinds", "crosschecks", "exact-label", "bool-coefficient", "emit-dropped",
         "unknown-confidence", "removal-twice", "false-heuristic-relation", "bool-bits",
-        "zero-bits"])
+        "zero-bits", "zero-denominator-endpoint", "zero-denominator-base", "emits-list",
+        "exponent-endpoint", "exponent-ladder-endpoint", "exponent-base", "integer-base"])
 def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
     if source.endswith(".qdx"):
         cert = _compiled(tmp_path, (CORPUS / source).read_text())
@@ -976,6 +992,51 @@ def test_a_ladder_command_evaluates_each_node_at_one_low_precision(tmp_path, mon
     assert low and base_logs
     assert {node: precs for node, precs in low.items() if len(precs) > 1} == {}
     assert set(base_logs.values()) == {1}
+
+
+def _meanprop_chain(n: int) -> str:
+    lines = ["let s0 = seg(2);"]
+    lines += [f"let s{i} = meanprop(s{i - 1}, {('2/3', '3/2')[i % 2]});" for i in range(1, n + 1)]
+    return "\n".join(lines + [f"emit s{n};"]) + "\n"
+
+
+_CHAINS = {"bisect-5": bisect_chain(5), "meanprop-8": _meanprop_chain(8)}
+
+
+@pytest.mark.parametrize("source", [*(p.read_text() for p in sorted(CORPUS.glob("*.qdx"))),
+                                    *_CHAINS.values()],
+                         ids=[*(p.stem for p in sorted(CORPUS.glob("*.qdx"))), *_CHAINS])
+def test_compile_and_verify_evaluate_each_node_at_one_low_precision(tmp_path, monkeypatch, source):
+    # the round trip, the 12-digit certificate and verify's witness check
+    # share the 64-bit evaluation of the sign and domain tests
+    low = {}  # node -> the precisions below 128 bits it was computed at
+    computed = [0]
+    compute = Expr._compute
+
+    def spy_compute(node, prec, kids):
+        if prec < 128:
+            low.setdefault(node, set()).add(prec)
+        computed[0] += 1
+        return compute(node, prec, kids)
+
+    def verify(cert) -> tuple[int, str]:
+        """The evaluations verify of cert makes, and what it prints."""
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        computed[0] = 0
+        out = run(["verify", str(path)])[1]
+        return computed[0], out
+
+    monkeypatch.setattr(Expr, "_compute", spy_compute)
+    cert = _compiled(tmp_path, source)
+    evaluations, out = verify(cert)
+    assert out == "certificate verified\n"
+    assert low
+    assert {node: precs for node, precs in low.items() if len(precs) > 1} == {}
+    # the witness check makes no evaluation: verify makes as many without it
+    for sub in cert["emits"].values():
+        sub["verdict"].pop("witness", None)
+    assert verify(cert)[0] == evaluations
 
 
 def test_verify_rejects_a_ladder_whose_reduction_keeps_an_exact_relation(tmp_path):

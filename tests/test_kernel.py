@@ -233,10 +233,24 @@ def test_bits_for_a_decimal_width_is_the_bit_length_of_its_power_of_ten():
 
 
 def test_refine_names_a_power_of_two_target_by_its_own_exponent(monkeypatch):
+    # 2^-41 starts at 65 bits, past a 64-bit ceiling
     monkeypatch.setenv("QX_PRECISION_CEILING", "64")
-    with pytest.raises(MaxPrecision, match=r"^a width of 2\^-40: not settled within the "
+    with pytest.raises(MaxPrecision, match=r"^a width of 2\^-41: not settled within the "
                                            r"precision ceiling of 64 bits \(no bits tried\)$"):
-        refine(lambda p: CInterval.from_int(2).sqrt(p), W40)
+        refine(lambda p: CInterval.from_int(2).sqrt(p), F(1, 1 << 41))
+
+
+@pytest.mark.parametrize("target, start", [(F(1, 10**12), 64), (W40, 64), (F(1, 1 << 60), 84),
+                                           (F(1, 10**100), 357)])
+def test_refine_starts_at_the_64_bit_working_precision_or_24_bits_past_the_target(target, start):
+    tried = []
+
+    def thunk(p):
+        tried.append(p)
+        return CInterval.from_int(2).sqrt(p)
+
+    refine(thunk, target)
+    assert tried[0] == start
 
 
 def test_precision_ceiling_env(monkeypatch):
