@@ -36,8 +36,8 @@ from .expr import Context, Expr, quad_flatten, to_table, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, precision_ceiling
-from .ladders import (Ladder, Relation, Removal, ascend, check_removal, descend,
-                      reduce_ladder, relation_holds)
+from .ladders import (Ladder, Relation, Removal, ascend, atoms_independent, check_removal,
+                      descend, reduce_ladder, relation_holds)
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
@@ -396,7 +396,8 @@ def _check_subject(e: Expr, sub: dict, failures: list[str], label: str):
     """Every field of sub must be the one `_subject_json` writes for e, but two.
 
     The stored enclosure need only meet the recomputed one, and a witness
-    need only annihilate the value, though it must be stored exactly when the
+    need only be a multiple of the recomputed one in Z[x] that annihilates
+    the value on its enclosure, though it must be stored exactly when the
     recomputation has one: old certificates keep verifying when a witness
     changes. The field naming the value ("expr" or "node") is the caller's.
     """
@@ -425,6 +426,10 @@ def _check_subject(e: Expr, sub: dict, failures: list[str], label: str):
         val = poly.eval_enclosure(fine, 128)
         if poly.is_zero() or not val.contains_zero():
             failures.append(f"{label}: witness polynomial does not annihilate the value")
+        elif poly.coeffs != tuple(now["witness"]) and (
+                poly.exact_quotient(IntPoly.new(now["witness"])) is None):
+            failures.append(f"{label}: witness polynomial is not a multiple of the "
+                            f"recomputed witness")
     # every other field exactly, the verdict's one by one
     stored, written = ({**d, **{f"verdict.{k}": x for k, x in d["verdict"].items()}}
                        for d in (sub, want))
@@ -506,7 +511,8 @@ def _verify_compile_cert(cert: dict, failures: list[str]):
 def _verify_ladder_cert(cert: dict, failures: list[str]):
     """The subject; the ladder `descend` writes; each removal, in increasing
     index order, re-derived from its relation over the rungs kept before it,
-    whose relation must hold as its label says (`relation_holds`); the reduced
+    whose relation must hold as its label says (`relation_holds`), and hold
+    exactly when the atoms of those rungs are proven independent; the reduced
     ladder, which is the descent's without the removed rungs; and the report
     `ascend` gives on it."""
     ctx = Context(base=_stored_number(cert["ladder"]["base"], _BASE, "ladder base"))
@@ -554,12 +560,18 @@ def _verify_ladder_cert(cert: dict, failures: list[str]):
         kept = [r.value for i, r in enumerate(ladder.rungs[:index]) if i not in removed]
         a_k = ladder.rungs[index].value
         constant, combo, verified = check_removal(ctx, ctx.base, coefficients, a_k, kept)
+        related = kept[:len(coefficients) - 2] + [a_k]
         if rm["constant"] != str(constant) or rm["combo"] != _combo_json(combo):
             failures.append(f"malformed certificate: the removal at index {index} "
                             f"does not store what its relation gives")
         elif not verified:
             failures.append(f"ladder: removal identity fails at index {index}")
-        elif not relation_holds(relation, kept[:len(coefficients) - 2] + [a_k]):
+        elif (confidence == "heuristic" and atoms_independent(related)
+              and not relation_holds(Relation(coefficients, "exact"), related)):
+            failures.append(f"ladder: the relation at index {index} is labelled heuristic, but "
+                            f"the atoms of the rungs it relates are independent and it does not "
+                            f"hold exactly")
+        elif not relation_holds(relation, related):
             failures.append(f"ladder: the relation at index {index} is labelled {confidence} "
                             f"but does not hold " + ("exactly" if confidence == "exact"
                                                       else f"to 2^-{bits}"))

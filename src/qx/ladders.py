@@ -7,11 +7,17 @@ reduction removes rungs that are rational-affine combinations of earlier
 ones, and ascent records which member of each pair {a_k, b^{a_k}} is the
 new transcendental, conditional on the Schanuel conjecture.
 
-Rational dependence is semi-decidable: reduction uses exact rational
-decomposition when rungs are explicit rational combinations and falls back
-to PSLQ with caller-set bounds; every relation is labeled exact or
-heuristic and heuristic ones are re-verified by enclosure at the stated
-precision. "No relation found" is never a proof of independence.
+Rational dependence is semi-decidable in general. Reduction writes each
+rung exactly as q_0 + sum q_i * atom_i (`linear_decompose`); the rational
+nullspace of those decompositions holds the exact relations. Where the atoms
+are square roots of rationals with distinct squarefree kernels and principal
+logarithms to base -1 of rationals with independent prime-exponent vectors,
+{1} and the atoms are Q-independent (Besicovitch; unique factorization), so
+the nullspace holds every relation and a trivial one proves independence.
+Every other family falls back to PSLQ with caller-set bounds. Each relation
+is labeled exact or heuristic, and heuristic ones are re-verified by
+enclosure at the stated precision: there "no relation found" is never a
+proof of independence.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from mpmath import mp
 
 from . import expr as E
 from .errors import MaxPrecision, NotReduced, UnsupportedNode
-from .expr import Context, Expr, fold
+from .expr import Context, Expr, fold, quad_flatten
 from .interval import CInterval, refine
 from .minpoly import Verdict, transcendence_rules
 
@@ -174,9 +180,8 @@ def _nullspace(columns: list[dict]) -> list[list[Fraction]]:
     seen = set()
     for col in columns:
         for k in col:
-            marker = id(k) if k is not None else None
-            if marker not in seen:
-                seen.add(marker)
+            if k not in seen:
+                seen.add(k)
                 keys.append(k)
     rows = [[col.get(k, Fraction(0)) for col in columns] for k in keys]
     n = len(columns)
@@ -228,18 +233,30 @@ def detect_relation(values: list[Expr], max_coeff: int = DEFAULT_MAX_COEFF,
     """Integer relation n_0 + sum n_j v_j = 0 within the given bounds, or None.
 
     Exact relations come from rational-affine structure and are verified in
-    rational arithmetic; heuristic ones come from PSLQ and are verified by
-    enclosure at the stated precision. None is absence of evidence only.
+    rational arithmetic. When that structure has no relation and its atoms
+    are proven independent (`atoms_independent`), None is a proof that no
+    relation exists, and PSLQ does not run. Otherwise heuristic relations
+    come from PSLQ and are verified by enclosure at the stated precision,
+    and None is absence of evidence only.
     """
-    exact = _detect_exact(values, max_coeff)
+    columns = _columns(values)
+    basis = _nullspace(columns)
+    exact = _detect_exact(values, basis, max_coeff)
     if exact is not None:
         return exact
+    if not basis and _independent(columns):
+        return None
     return _detect_pslq(values, max_coeff, precision_bits)
 
 
-def _detect_exact(values: list[Expr], max_coeff: int) -> Optional[Relation]:
-    columns = [{None: Fraction(1)}] + [linear_decompose(v) for v in values]
-    basis = _nullspace(columns)
+def _columns(values: list[Expr]) -> list[dict]:
+    """The decompositions of 1 and of each value: the matrix `_nullspace` reads."""
+    return [{None: Fraction(1)}] + [linear_decompose(v) for v in values]
+
+
+def _detect_exact(values: list[Expr], basis: list[list[Fraction]],
+                  max_coeff: int) -> Optional[Relation]:
+    """The smallest relation of the nullspace basis within max_coeff, or None."""
     candidates = []
     for vec in basis:
         ints = _canonical_int_vector(vec)
@@ -250,6 +267,84 @@ def _detect_exact(values: list[Expr], max_coeff: int) -> Optional[Relation]:
     best = min(candidates, key=lambda v: (max(abs(c) for c in v), v))
     assert _verify_exact(best, values)
     return Relation(best, "exact")
+
+
+# --- exact independence ----------------------------------------------------------
+
+_KERNEL_BOUND = E._TRIAL_BOUND ** 2  # trial division proves a kernel below this squarefree
+
+
+def atoms_independent(values: list[Expr]) -> bool:
+    """Whether {1} and the atoms of the values' decompositions are proven Q-independent.
+
+    Then every rational relation among the values lies in the exact
+    nullspace of their decompositions. False means "not proven" only.
+    """
+    return _independent(_columns(values))
+
+
+def _independent(columns: list[dict]) -> bool:
+    """The proof for atoms of two kinds, any other atom leaving it unproven.
+
+    sqrt(r) = v*sqrt(d), r a positive rational and d its squarefree kernel,
+    read from `quad_flatten`: square roots of distinct squarefree integers
+    > 1 are Q-independent of each other and of 1 (A. S. Besicovitch,
+    J. London Math. Soc. 15, 1940). log(r; -1) = ln(r)/(i*pi) for a positive
+    rational r: a relation sum b_j ln(r_j) = 0 means prod r_j^b_j = 1, so by
+    unique factorization these logs are independent when the prime-exponent
+    vectors of the r_j are. The roots are real and the logs purely imaginary,
+    so a relation among all of them splits into one among each kind.
+    """
+    kernels: set = set()
+    exponents: list[dict] = []
+    for atom in {k for col in columns[1:] for k in col if k is not None}:
+        generator = fold(atom, "independence generator", lambda n, _: _generator(n),
+                         lambda n: ())
+        if generator is None:
+            return False
+        if isinstance(generator, dict):  # a log's exponent vector
+            exponents.append(generator)
+        elif generator in kernels:       # a root's kernel, seen before
+            return False
+        else:
+            kernels.add(generator)
+    return not _nullspace(exponents)
+
+
+def _generator(atom: Expr):
+    """The squarefree kernel of a covered root, the exponent vector of a covered log, or None."""
+    if atom.kind == E.SQRT:
+        flat = quad_flatten(atom)  # (0, v, d) for a root of a rational that is not a square
+        if flat is not None and flat[1] != 0 and 1 < flat[2] < _KERNEL_BOUND:
+            return flat[2]
+        return None
+    if (atom.kind == E.LOG and not atom.natural and atom.branch == 0
+            and atom.base.is_rat(-1) and atom.arg.kind == E.RAT and atom.arg.rat > 0):
+        r = atom.arg.rat
+        num, den = _prime_exponents(r.numerator), _prime_exponents(r.denominator)
+        if num is None or den is None:
+            return None
+        for p, k in den.items():
+            num[p] = Fraction(-k)
+        return num
+    return None
+
+
+def _prime_exponents(n: int) -> Optional[dict]:
+    """{p: exponent} of n >= 1 by trial division up to `E._TRIAL_BOUND`, or None
+    when a cofactor is left that trial division has not proven prime."""
+    out: dict = {}
+    d = 2
+    while d * d <= n:
+        if d > E._TRIAL_BOUND:
+            return None
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1  # every prime below d is divided out, so n is a new prime
+    return {p: Fraction(k) for p, k in out.items()}
 
 
 def _verify_exact(coeffs: tuple[int, ...], values: list[Expr]) -> bool:
@@ -400,7 +495,7 @@ def ascend(ladder: Ladder, ctx: Context) -> AscentReport:
     """
     values = [r.value for r in ladder.rungs]
     if values:
-        stored = _detect_exact(values, DEFAULT_MAX_COEFF)
+        stored = _detect_exact(values, _nullspace(_columns(values)), DEFAULT_MAX_COEFF)
         if stored is not None:
             raise NotReduced(f"rational relation {stored.coefficients} persists among rungs")
     choices = []

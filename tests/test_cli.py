@@ -1,18 +1,24 @@
 """CLI tests: exit codes, certified digits, determinism, rendering, verify."""
+import importlib.util
 import io
 import json
+import random
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qx.cli
+import qx.ladders
 from qx.cli import main
 from qx.expr import Expr
 from qx.interval import CInterval
+from qx.ladders import Relation
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.json"))
 CORPUS = Path(__file__).parent / "corpus"
@@ -932,6 +938,13 @@ def _false_by_two(cert):
      "FAIL malformed certificate: ladder base '-1e0' is not of the form"),
     ("ladder_logs_reduced.json", _set("ladder", "base", -1),
      "FAIL malformed certificate: ladder base -1 is not of the form"),
+    # linear witnesses that vanish on the enclosure: each says the value is rational
+    ("07_trisect_right.qdx",
+     _set("emits", "p.x", "verdict", "witness", [-866025403784438646763723, 10**24]),
+     "FAIL p.x: witness polynomial is not a multiple of the recomputed witness"),
+    ("classify_sin_2pi5.json",
+     _set("subject", "verdict", "witness", [-951056516295153572116, 10**21]),
+     "FAIL subject: witness polynomial is not a multiple of the recomputed witness"),
 ], ids=["tower", "rule", "conditional", "conditional-0-for-false", "roundtrip",
         "precision-true", "extra-field", "value", "zero-witness", "classify-tower",
         "classify-rule", "classify-witness-dropped", "imaginary-part-dropped", "no-reduced-rung",
@@ -939,7 +952,8 @@ def _false_by_two(cert):
         "ascent-kinds", "crosschecks", "exact-label", "bool-coefficient", "emit-dropped",
         "unknown-confidence", "removal-twice", "false-heuristic-relation", "bool-bits",
         "zero-bits", "zero-denominator-endpoint", "zero-denominator-base", "emits-list",
-        "exponent-endpoint", "exponent-ladder-endpoint", "exponent-base", "integer-base"])
+        "exponent-endpoint", "exponent-ladder-endpoint", "exponent-base", "integer-base",
+        "linear-witness", "classify-linear-witness"])
 def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
     if source.endswith(".qdx"):
         cert = _compiled(tmp_path, (CORPUS / source).read_text())
@@ -952,6 +966,83 @@ def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
     assert code == 1
     assert needle in err
     assert "Traceback" not in err
+
+
+def test_verify_accepts_a_witness_that_is_a_multiple_of_the_recomputed_one(tmp_path):
+    cert = _compiled(tmp_path, (CORPUS / "07_trisect_right.qdx").read_text())
+    verdict = cert["emits"]["p.x"]["verdict"]
+    assert verdict["witness"] == [0, -3, 0, 4]
+    verdict["witness"] = [0, 15, -3, -20, 4]  # times (x - 5)
+    path = tmp_path / "multiple.json"
+    path.write_text(json.dumps(cert))
+    assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
+
+
+SQRT_LADDER = "pow(-1, sqrt(2)) * pow(-1, sqrt(3)) * pow(-1, sqrt(5)) * pow(-1, sqrt(7))"
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24])
+def test_low_relation_bits_remove_no_independent_square_root(bits):
+    # square roots of distinct squarefree integers are independent, so PSLQ's
+    # near-relations at low precision must not remove a rung
+    code, out, err = run(["reduce", SQRT_LADDER, "--relation-bits", str(bits)])
+    assert code == 0, err
+    reduced = json.loads(out)["reduced"]
+    assert reduced["removals"] == []
+    assert [r["value"] for r in reduced["rungs"]] == ["sqrt(2)", "sqrt(3)", "sqrt(5)", "sqrt(7)"]
+
+
+def test_verify_rejects_a_heuristic_removal_among_proven_independent_rungs(tmp_path, monkeypatch):
+    # 28859 + 36203*sqrt(2) - 29716*sqrt(3) - 25320*sqrt(5) + 10594*sqrt(7) is
+    # 2.2e-19, below 2^-60, and the removal identity holds at 2^-40; but no
+    # rational relation exists among 1 and these roots
+    forged = Relation((-28859, -36203, 29716, 25320, -10594), "heuristic", 60)
+    detect = qx.ladders.detect_relation
+
+    def forge(values, max_coeff, precision_bits):
+        return forged if len(values) == 4 else detect(values, max_coeff, precision_bits)
+
+    monkeypatch.setattr(qx.ladders, "detect_relation", forge)
+    code, out, err = run(["reduce", SQRT_LADDER, "--ascend"])
+    monkeypatch.undo()
+    assert code == 0, err
+    removal = json.loads(out)["reduced"]["removals"][0]
+    assert (removal["index"], removal["identity_verified"]) == (3, True)
+    path = tmp_path / "forged.json"
+    path.write_text(out)
+    code, _, err = run(["verify", str(path)])
+    assert code == 1
+    assert err == ("FAIL ladder: the relation at index 3 is labelled heuristic, but the atoms "
+                   "of the rungs it relates are independent and it does not hold exactly\n")
+
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduce_and_verify_of_planted_bench_ladders_run_no_pslq(tmp_path, monkeypatch, seed):
+    # the seven atoms the bench plants relations over are proven independent,
+    # so every relation reduction keeps or drops is decided exactly
+    monkeypatch.syspath_prepend(str(_WORKLOADS.parent))  # workloads imports bench's oracles
+    spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    calls = []
+    pslq = mpmath.pslq
+    monkeypatch.setattr(mpmath, "pslq", lambda v, **k: calls.append(len(v)) or pslq(v, **k))
+    rng = random.Random(seed)
+    for base_count, planted_count in workloads.LADDER_SHAPES:
+        text, atoms, planted = workloads.planted_ladder(rng, base_count, planted_count)
+        code, out, err = run(["reduce", text, "--ascend"])
+        assert code == 0, err
+        removals = json.loads(out)["reduced"]["removals"]
+        assert [rm["index"] for rm in removals] == list(range(base_count,
+                                                              base_count + planted_count))
+        path = tmp_path / f"{base_count}-{planted_count}.json"
+        path.write_text(out)
+        assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
+    assert calls == []
 
 
 def test_a_ladder_command_evaluates_each_node_at_one_low_precision(tmp_path, monkeypatch):

@@ -2,12 +2,14 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from qx.errors import NotReduced, UnsupportedNode
 from qx.expr import Context, to_text
-from qx.ladders import (ELEMENT, EXPONENTIAL, Ladder, Rung, ascend, descend,
-                        detect_relation, linear_decompose, reduce_ladder)
+from qx.ladders import (ELEMENT, EXPONENTIAL, Ladder, Relation, Rung, ascend,
+                        atoms_independent, descend, detect_relation, linear_decompose,
+                        reduce_ladder)
 
 W40 = F(1, 1 << 40)
 
@@ -100,6 +102,43 @@ def test_detect_relation_heuristic_logs(ctx):
     # heuristic relations must re-verify at double precision
     rel2 = detect_relation(logs, max_coeff=100, precision_bits=200)
     assert rel2 is not None
+
+
+@pytest.mark.parametrize("values, relation", [
+    (lambda ctx: [ctx.log(-1, n, 0) for n in (2, 3, 6)], (0, -1, -1, 1)),
+    (lambda ctx: [ctx.sqrt(2), ctx.sqrt(8)], (0, -2, 1)),
+    (lambda ctx: [ctx.sqrt(2), ctx.sqrt(F(1, 2))], (0, -1, 2)),
+    (lambda ctx: [ctx.log(-1, F(1, 4), 0), ctx.log(-1, 2, 0)], (0, -1, -2)),
+], ids=["log-2-3-6", "sqrt-2-8", "sqrt-2-half", "log-quarter-2"])
+def test_pslq_still_decides_what_the_independence_proof_leaves_open(ctx, monkeypatch,
+                                                                     values, relation):
+    # each family has a relation the rational-affine structure does not show
+    calls = []
+    pslq = mpmath.pslq
+    monkeypatch.setattr(mpmath, "pslq", lambda v, **k: calls.append(len(v)) or pslq(v, **k))
+    values = values(ctx)
+    assert not atoms_independent(values)
+    rel = detect_relation(values, max_coeff=100, precision_bits=100)
+    assert calls
+    assert rel == Relation(relation, "heuristic", 100)
+
+
+def test_distinct_square_free_roots_and_independent_logs_are_proven_independent(ctx):
+    m1 = ctx.rat(-1)
+    roots = [ctx.sqrt(n) for n in (2, 3, 5, 7)] + [ctx.sqrt(F(3, 2))]  # kernel 6
+    logs = [ctx.log(m1, ctx.rat(r), 0) for r in (2, 3, F(5, 7))]
+    planted = ctx.add(ctx.rat(F(1, 2)), ctx.sub(ctx.mul(3, roots[0]), logs[2]))
+    assert atoms_independent(roots + logs + [planted])
+    assert detect_relation(roots + logs) is None
+    # a repeated kernel, dependent exponents, another base, another family: not proven
+    assert not atoms_independent([roots[0], ctx.sqrt(18)])
+    assert not atoms_independent([ctx.log(m1, ctx.rat(4), 0), logs[0]])
+    assert not atoms_independent([ctx.log(ctx.rat(2), ctx.rat(3), 0)])
+    assert not atoms_independent([ctx.sin_pi(ctx.sqrt(2))])
+    # a kernel at 2^32 or a cofactor past the trial bound is not proven squarefree or prime
+    assert not atoms_independent([ctx.sqrt(1 << 32 | 1)])
+    assert not atoms_independent([ctx.log(m1, ctx.rat(65537 * 65539), 0)])
+    assert atoms_independent([ctx.log(m1, ctx.rat(65537 * 3), 0)])
 
 
 def test_reduce_explicit_combination(ctx):
