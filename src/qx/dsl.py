@@ -96,17 +96,6 @@ class ConstructionProgram:
                 out.extend(st.names)
         return tuple(out)
 
-    def signature(self):
-        """Span-free structural identity, for print/parse round trips."""
-        sig = []
-        for st in self.statements:
-            if isinstance(st, LetStmt):
-                sig.append(("let", st.name, st.call.tool,
-                            tuple((a.kind, str(a.value)) for a in st.call.args)))
-            else:
-                sig.append(("emit", st.names))
-        return tuple(sig)
-
 
 # --- lexer and token cursor ------------------------------------------------------
 

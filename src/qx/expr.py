@@ -94,15 +94,6 @@ class TowerTag(NamedTuple):
     def rational() -> "TowerTag":
         return _RATIONAL_TAG
 
-    def dominates(self, other: "TowerTag") -> bool:
-        """Monotonicity check: every level here is >= the other's (None is top)."""
-        def ge(x, y):
-            if x is None:
-                return True
-            return y is not None and x >= y
-        return (ge(self.s, other.s) and ge(self.a, other.a)
-                and ge(self.sa, other.sa) and ge(self.el, other.el))
-
 
 _RATIONAL_TAG = TowerTag(0, 0, 0, 0)  # shared by every rational node
 

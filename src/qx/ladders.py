@@ -459,9 +459,11 @@ def check_removal(ctx: Context, base: Expr, coefficients, a_k: Expr, kept: list[
 
     coefficients is (n_0, n_1..n_m, n_k) and kept[j - 1] is a_j. Returns
     (q, combo, verified): a_k = q + sum q_j a_j with combo the nonzero
-    (j - 1, q_j), and whether b^{a_k} = b^q * prod (b^{a_j})^{q_j} holds by
-    enclosure overlap at width 2^-40 (powers read as b^{q_j a_j}, principal
-    values). `reduce_ladder` and `qx verify` both decide removals here.
+    (j - 1, q_j), and whether b^{a_k} = b^q * prod (b^{a_j})^{q_j} holds
+    (powers read as b^{q_j a_j}, principal values): whether the two sides'
+    `enclosure(2^-40)` overlap. Each comes out about 2^-60 wide or narrower
+    at the 64-bit start, so the test is as strict as that precision, not 2^-40.
+    `reduce_ladder` and `qx verify` both decide removals here.
     Raises ValueError when the relation does not give a_k over kept.
     """
     *ns, nk = coefficients

@@ -2,6 +2,7 @@
 import importlib.util
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -214,7 +215,7 @@ def test_verify_rejects_a_stored_decimal_the_enclosure_does_not_print(tmp_path):
     bad.write_text(json.dumps(cert))
     code, _, err = run(["verify", str(bad)])
     assert code == 1
-    assert "FAIL m: stored decimal is not the one the recomputation prints" in err
+    assert "FAIL /emits/m/decimal: " in err
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):
@@ -347,17 +348,20 @@ def _drop_constant(d):
     del d["reduced"]["removals"][0]["constant"]
 
 
-@pytest.mark.parametrize("mutate", [_mutate_combo(7), _mutate_combo(-1), _mutate_removal_index,
-                                    _drop_constant],
-                         ids=["combo-7", "combo-minus-1", "index-99", "dropped-key"])
-def test_verify_malformed_ladder_certificate_fails_without_traceback(tmp_path, mutate):
+@pytest.mark.parametrize("mutate, needle", [
+    (_mutate_combo(7), "FAIL /reduced/removals/0/combo/0/0: stored 7,"),
+    (_mutate_combo(-1), "FAIL /reduced/removals/0/combo/0/0: stored -1,"),
+    (_mutate_removal_index, "FAIL malformed certificate: removal index 99"),
+    (_drop_constant, "FAIL /reduced/removals/0/constant: stored nothing,"),
+], ids=["combo-7", "combo-minus-1", "index-99", "dropped-key"])
+def test_verify_malformed_ladder_certificate_fails_without_traceback(tmp_path, mutate, needle):
     cert = json.loads((Path(__file__).parent / "golden" / "ladder_logs_reduced.json").read_text())
     mutate(cert)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cert))
     code, _, err = run(["verify", str(bad)])
     assert code == 1
-    assert "FAIL malformed certificate" in err
+    assert needle in err
     assert "Traceback" not in err
 
 
@@ -368,7 +372,8 @@ def test_verify_rejects_a_removal_whose_relation_was_changed(tmp_path):
     bad.write_text(json.dumps(cert))
     code, _, err = run(["verify", str(bad)])
     assert code == 1
-    assert "FAIL malformed certificate" in err and "index 2" in err
+    assert "FAIL /reduced/removals/0/constant: " in err
+    assert "FAIL /reduced/removals/0/combo/" in err
 
 
 # every qx error class without subclasses, with the exit code the CLI gives it
@@ -541,7 +546,7 @@ def test_verify_rejects_a_compile_certificate_whose_subject_the_program_does_not
     forged.write_text(json.dumps(cert))
     code, _, err = run(["verify", str(forged)])
     assert code == 1
-    assert "FAIL m: stored expression is not the one the embedded program builds" in err
+    assert "FAIL /emits/m/expr: " in err
 
 
 DEGENERATE = Path(__file__).parent / "degenerate"
@@ -756,13 +761,13 @@ TRISECT = "let p = ra(1, 2);\nemit p;\n"
 
 
 @pytest.mark.parametrize("source, forge, needle", [
-    (None, _forge_leaf, "FAIL stored node table is not the one"),
-    (TRISECT, _forge_emit_node, "FAIL p.x: stored node 2 is not the row"),
-    (TRISECT, _forge_emit_node_type, "FAIL p.y: stored node 2.0 is not the row"),
-    (TRISECT, _forge_row(1, ["sin_pi", 1]), "FAIL stored node table is not the one"),
-    (TRISECT, _forge_row(1, ["sin_pi", 2]), "FAIL stored node table is not the one"),
-    (TRISECT, _forge_row(1, ["cos_pi", 0]), "FAIL stored node table is not the one"),
-    (TRISECT, _forge_row(1, ["sin_pi", False]), "FAIL stored node table is not the one"),
+    (None, _forge_leaf, "FAIL /nodes/0: "),
+    (TRISECT, _forge_emit_node, "FAIL /emits/p.x/node: stored 2,"),
+    (TRISECT, _forge_emit_node_type, "FAIL /emits/p.y/node: stored 2.0,"),
+    (TRISECT, _forge_row(1, ["sin_pi", 1]), "FAIL /nodes/1/1: "),
+    (TRISECT, _forge_row(1, ["sin_pi", 2]), "FAIL /nodes/1/1: "),
+    (TRISECT, _forge_row(1, ["cos_pi", 0]), "FAIL /nodes/1/0: "),
+    (TRISECT, _forge_row(1, ["sin_pi", False]), "FAIL /nodes/1/1: stored false,"),
     (TRISECT, _forge_format, "FAIL unknown certificate format 'qx-certificate/3'"),
 ], ids=["rational-leaf", "emit-node", "emit-node-float", "child-at-own-row",
         "child-after-own-row", "unknown-kind", "child-false-for-0", "unknown-format"])
@@ -865,54 +870,67 @@ def _false_by_two(cert):
     removal["relation"]["coefficients"], removal["constant"] = [-2, -1, 1, 1], "2"
 
 
+def _lo_above_sqrt3_over_2(cert):
+    # p.x is sqrt(3)/2; its real enclosure starts 10^-45 above it, written to 50 places
+    n = math.isqrt(75 * 10**98) + 10**5  # floor(sqrt(3)/2 * 10^50) + 10^5
+    cert["emits"]["p.x"]["enclosure"]["re"][0] = f"0.{n:050d}"
+
+
+def _below_sin_2pi5(cert):
+    # an enclosure from 10^-45 to 10^-46 below sin(2pi/5), written to 50 places
+    with mpmath.workdps(80):
+        n = int(mpmath.floor(mpmath.sinpi(mpmath.mpf(2) / 5) * 10**50))
+    cert["subject"]["enclosure"]["re"] = [f"0.{n - 10**5:050d}", f"0.{n - 10**4:050d}"]
+
+
 @pytest.mark.parametrize("source, forge, needle", [
     ("07_trisect_right.qdx", _set("emits", "p.x", "tower", {"a": 0, "el": 0, "s": 0, "sa": 0}),
-     "FAIL p.x: stored tower is not the one the recomputation writes"),
+     "FAIL /emits/p.x/tower/"),
     ("07_trisect_right.qdx", _set("emits", "p.x", "verdict", "rule", "lindemann"),
-     "FAIL p.x: stored verdict.rule is not"),
+     "FAIL /emits/p.x/verdict/rule: "),
     ("07_trisect_right.qdx", _set("emits", "p.x", "verdict", "conditional", True),
-     "FAIL p.x: stored verdict.conditional is not"),
+     "FAIL /emits/p.x/verdict/conditional: "),
     ("07_trisect_right.qdx", _set("emits", "p.y", "verdict", "conditional", 0),
-     "FAIL p.y: stored verdict.conditional is not"),
+     "FAIL /emits/p.y/verdict/conditional: stored 0,"),
     ("07_trisect_right.qdx", _set("roundtrip", {}),
-     "FAIL stored round-trip report is not the one the embedded program gives"),
+     "FAIL /roundtrip/"),
     ("07_trisect_right.qdx", _set("emits", "p.x", "precision_digits", True),
      "FAIL malformed certificate: precision_digits True is not an integer"),
     ("07_trisect_right.qdx", _set("emits", "p.y", "origin", "forged"),
-     "FAIL p.y: stored origin is not"),
+     "FAIL /emits/p.y/origin: "),
     ("compile_square_rectangle_v2.json", _set("emits", "m", "verdict", "value", "5"),
-     "FAIL m: stored verdict.value is not"),
+     "FAIL /emits/m/verdict/value: "),
     ("compile_square_rectangle_v2.json", _set("emits", "m", "verdict", "witness", [0]),
-     "FAIL m: witness polynomial does not annihilate the value"),
+     "FAIL /emits/m/verdict/witness: "),
     ("classify_sin_2pi5.json", _set("subject", "tower", "s", 2),
-     "FAIL subject: stored tower is not"),
+     "FAIL /subject/tower/s: "),
     ("classify_sin_2pi5.json", _set("subject", "verdict", "rule", "sqrt-tower"),
-     "FAIL subject: stored verdict.rule is not"),
+     "FAIL /subject/verdict/rule: "),
     ("classify_sin_2pi5.json", _drop("subject", "verdict", "witness"),
-     "FAIL subject: a witness is stored exactly when the recomputation has one"),
+     "FAIL /subject/verdict/witness: stored nothing,"),
     ("ladder_gs.json", _drop("subject", "enclosure", "im"),
-     "FAIL subject: stored imaginary enclosure does not meet recomputation"),
+     "FAIL /subject/enclosure/im: enclosure does not contain the value"),
     ("ladder_gs.json", _forge_reduced_rungs(0),
-     "FAIL reduced: stored ladder is not the descent's without its removed rungs"),
+     "FAIL /reduced/rungs: "),
     ("ladder_gs.json", _forge_reduced_rungs(2),
-     "FAIL reduced: stored ladder is not the descent's without its removed rungs"),
+     "FAIL /reduced/rungs: "),
     ("ladder_logs_reduced.json", _set("ladder", "rungs", 1, "kind", "element-algebraic"),
-     "FAIL ladder: stored ladder is not the one the descent writes"),
+     "FAIL /ladder/rungs/1/kind: "),
     ("ladder_logs_reduced.json", _set("reduced", "rungs", 1, "kind", "element-algebraic"),
-     "FAIL reduced: stored ladder is not"),
+     "FAIL /reduced/rungs/1/kind: "),
     ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "identity_verified", False),
-     "FAIL reduced: stored ladder is not"),
+     "FAIL /reduced/removals/0/identity_verified: "),
     ("ladder_logs_reduced.json", _set("ascent", "kinds", ["element-algebraic"] * 2),
-     "FAIL ascent: stored report is not the one ascend gives on the reduced ladder"),
+     "FAIL /ascent/kinds/"),
     ("ladder_logs_reduced.json", _set("ascent", "crosschecks", [_LINDEMANN] * 2),
-     "FAIL ascent: stored report is not"),
+     "FAIL /ascent/crosschecks/0: "),
     ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", "confidence", "exact"),
      "FAIL ladder: the relation at index 2 is labelled exact but does not hold exactly"),
     ("ladder_logs_reduced.json",
      _set("reduced", "removals", 0, "relation", "coefficients", [0, -1, True, 1]),
      "FAIL malformed certificate: relation coefficients"),
     ("07_trisect_right.qdx", _drop("emits", "p.y"),
-     "FAIL p.y: emitted by the embedded program but not stored"),
+     "FAIL /emits/p.y: stored nothing,"),
     ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", "confidence", "proven"),
      "FAIL malformed certificate: relation confidence 'proven' is neither exact nor heuristic"),
     ("ladder_logs_reduced.json", _removal_twice,
@@ -941,10 +959,15 @@ def _false_by_two(cert):
     # linear witnesses that vanish on the enclosure: each says the value is rational
     ("07_trisect_right.qdx",
      _set("emits", "p.x", "verdict", "witness", [-866025403784438646763723, 10**24]),
-     "FAIL p.x: witness polynomial is not a multiple of the recomputed witness"),
+     "FAIL /emits/p.x/verdict/witness: "),
     ("classify_sin_2pi5.json",
      _set("subject", "verdict", "witness", [-951056516295153572116, 10**21]),
-     "FAIL subject: witness polynomial is not a multiple of the recomputed witness"),
+     "FAIL /subject/verdict/witness: "),
+    # enclosures that meet the value's but exclude the value
+    ("07_trisect_right.qdx", _lo_above_sqrt3_over_2,
+     "FAIL /emits/p.x/enclosure/re: enclosure does not contain the value"),
+    ("classify_sin_2pi5.json", _below_sin_2pi5,
+     "FAIL /subject/enclosure/re: enclosure does not contain the value"),
 ], ids=["tower", "rule", "conditional", "conditional-0-for-false", "roundtrip",
         "precision-true", "extra-field", "value", "zero-witness", "classify-tower",
         "classify-rule", "classify-witness-dropped", "imaginary-part-dropped", "no-reduced-rung",
@@ -953,7 +976,8 @@ def _false_by_two(cert):
         "unknown-confidence", "removal-twice", "false-heuristic-relation", "bool-bits",
         "zero-bits", "zero-denominator-endpoint", "zero-denominator-base", "emits-list",
         "exponent-endpoint", "exponent-ladder-endpoint", "exponent-base", "integer-base",
-        "linear-witness", "classify-linear-witness"])
+        "linear-witness", "classify-linear-witness", "enclosure-above-the-value",
+        "classify-enclosure-below-the-value"])
 def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
     if source.endswith(".qdx"):
         cert = _compiled(tmp_path, (CORPUS / source).read_text())
