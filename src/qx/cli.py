@@ -12,7 +12,8 @@ program text and compile emits at different precisions included. It relaxes
 two fields: a stored enclosure need only contain the value, and a witness be a
 nonzero multiple in Z[x] of the recomputed one.
 Printed decimal digits are certified only: a digit is shown when the whole
-enclosure agrees on it.
+enclosure agrees on it. Digits and endpoints are written from each endpoint's
+mpf integers, with one multiply by a power of ten and one shift.
 
 Every input ends in one of six exit codes, never in a traceback: 0 ok,
 1 verification failure, 2 I/O or a malformed option value, 3 syntax,
@@ -34,6 +35,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
+from mpmath.libmp import mpf_sign
+
 from . import errors as err
 from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .dyadic import fixed_point
@@ -53,28 +56,35 @@ NODE_TABLE_FORMAT = "qx-certificate/2"  # compile emits as rows of one node tabl
 
 # --- decimal formatting --------------------------------------------------------
 
-def _dec_dir(fr: Fraction, places: int, up: bool) -> str:
-    n = fr * 10**places
-    return fixed_point(-(-n.numerator // n.denominator) if up else n.numerator // n.denominator,
-                       places)
+def _scaled(t, places: int, up: bool) -> int:
+    """Floor (ceil if up) of the mpf endpoint t times 10**places: one multiply, one shift."""
+    sign, man, exp, bc = t
+    if bc < 0:
+        raise ValueError("an infinite or NaN endpoint has no decimal")
+    n = (-man if sign else man) * 10**places
+    if exp >= 0:
+        return n << exp
+    return -((-n) >> -exp) if up else n >> -exp
 
 
 def _interval_json(r: RInterval, places: int) -> list[str]:
-    return [_dec_dir(r.lo.to_fraction(), places, up=False),
-            _dec_dir(r.hi.to_fraction(), places, up=True)]
+    return [fixed_point(_scaled(r.lo_mpf, places, up=False), places),
+            fixed_point(_scaled(r.hi_mpf, places, up=True), places)]
 
 
 def certified_real(r: RInterval, digits: int) -> str:
     """Decimal string whose digits the whole enclosure agrees on (truncated)."""
     if r.is_point():
         return r.lo.decimal()  # exact value, exact finite decimal
-    lo, hi = r.lo.to_fraction(), r.hi.to_fraction()
+    slo, shi = mpf_sign(r.lo_mpf), mpf_sign(r.hi_mpf)
+    # toward zero (ceil a negative endpoint); trunc(trunc(y) / 10) = trunc(y / 10)
+    tlo, thi = _scaled(r.lo_mpf, digits, up=slo < 0), _scaled(r.hi_mpf, digits, up=shi < 0)
     for d in range(digits, -1, -1):
-        scale = 10**d
-        tlo, thi = int(lo * scale), int(hi * scale)  # toward zero
         if tlo == thi:
-            return fixed_point(tlo, d, tlo < 0 or (tlo == 0 and hi <= 0 and lo < 0))
-    return f"[{_dec_dir(lo, digits, up=False)}, {_dec_dir(hi, digits, up=True)}]"
+            return fixed_point(tlo, d, tlo < 0 or (tlo == 0 and shi <= 0 and slo < 0))
+        tlo = -(-tlo // 10) if tlo < 0 else tlo // 10
+        thi = -(-thi // 10) if thi < 0 else thi // 10
+    return "[{}, {}]".format(*_interval_json(r, digits))
 
 
 def _rational_decimal(v: Fraction, digits: int) -> str:

@@ -1,10 +1,11 @@
 """Exact dyadic rationals man * 2**exp, the boundary type of the interval layer.
 
 Enclosures keep their endpoints as libmp mpf tuples (see ``qx.interval``);
-a Dyadic is what they hand out at the boundary: exact decimal strings and
-JSON endpoints, expression selectors, and tests. Dyadics are closed under
-+, -, * and comparison, all computed in integer arithmetic with no
-rounding, and convert losslessly to and from mpf tuples.
+a Dyadic is what they hand out at the boundary: expression selectors, the
+exact decimal of a point enclosure, and tests. Certified decimals and JSON
+endpoints are written from the mpf integers directly (``qx.cli``). Dyadics
+are closed under +, -, * and comparison, all computed in integer arithmetic
+with no rounding, and convert losslessly to and from mpf tuples.
 """
 from __future__ import annotations
 

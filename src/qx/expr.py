@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from mpmath.libmp import from_man_exp, mpf_add, mpf_le, mpf_shift, mpf_sub
+from mpmath.libmp import fnone, fone, from_man_exp, mpf_add, mpf_le, mpf_lt, mpf_shift, mpf_sub
 
 from .errors import DivisionByZero, InvalidBase, MaxPrecision, NonRealArgument, OutOfDomain
 from .interval import (CInterval, RInterval, arcsin_over_pi_complex, escalate, refine,
@@ -641,10 +641,10 @@ class Context:
 
     def _require_unit_domain(self, x: Expr):
         def inside(enc: CInterval) -> Optional[bool]:
-            lo, hi = enc.re.lo.to_fraction(), enc.re.hi.to_fraction()
-            if lo > 1 or hi < -1:
+            lo, hi = enc.re.lo_mpf, enc.re.hi_mpf
+            if mpf_lt(fone, lo) or mpf_lt(hi, fnone):
                 return False
-            return True if -1 <= lo and hi <= 1 else None
+            return True if mpf_le(fnone, lo) and mpf_le(hi, fone) else None
         if not escalate(x.eval, inside, "arcsin argument inside [-1, 1]"):
             raise OutOfDomain("arcsin argument provably outside [-1, 1]")
 

@@ -8,7 +8,10 @@ interval and mpf primitives on those tuples directly, with an explicit
 working precision and outward rounding; negation, scaling by 2**k and the
 exact width and midpoint involve no rounding. ``Dyadic`` appears only at
 the boundary: the public ``RInterval(lo, hi)`` constructor and the ``lo``,
-``hi``, ``mid``, ``mag`` and ``mignitude`` views.
+``hi``, ``mid``, ``mag`` and ``mignitude`` views, which serve expression
+selectors, a point enclosure's exact decimal, ladder checks, verify and tests.
+Certified decimals and JSON endpoints are written from ``lo_mpf`` and
+``hi_mpf`` themselves (``qx.cli``).
 
 exp, log, sin, cos and atan of a narrow operand (see ``_narrow``) make one
 libmp evaluation: at the exact midpoint m, at prec + _GUARD bits, returning
@@ -43,7 +46,7 @@ from mpmath.libmp import (fhalf, fnone, fone, from_int, from_man_exp, fzero, mpf
                           mpi_add, mpi_atan, mpi_cos_sin, mpi_div, mpi_exp, mpi_log, mpi_mul,
                           mpi_sqrt, mpi_sub, to_int, to_rational)
 
-from .dyadic import Dyadic, ceil_div
+from .dyadic import Dyadic
 from .errors import DomainStraddle, MaxPrecision
 
 DEFAULT_CEILING_BITS = 4096
@@ -202,10 +205,6 @@ class RInterval:
     def hull(self, other: "RInterval") -> "RInterval":
         return _iv(_min(self.lo_mpf, other.lo_mpf), _max(self.hi_mpf, other.hi_mpf))
 
-    def widen(self, delta: Fraction) -> "RInterval":
-        d = _fraction_upper_dyadic(delta).to_mpf()
-        return _iv(mpf_sub(self.lo_mpf, d), mpf_add(self.hi_mpf, d))
-
     def _mag_mpf(self):
         return _max(mpf_abs(self.lo_mpf), mpf_abs(self.hi_mpf))
 
@@ -333,16 +332,6 @@ def _ball(v, err, wp: int) -> RInterval:
     _, _, exp, bc = v
     e = mpf_add(err, from_man_exp(1, exp + bc + 1 - wp), wp, "u")
     return _iv(mpf_sub(v, e, wp, "f"), mpf_add(v, e, wp, "c"))
-
-
-def _fraction_upper_dyadic(fr: Fraction) -> Dyadic:
-    """Smallest convenient dyadic >= fr."""
-    if fr < 0:
-        raise ValueError("nonnegative width expected")
-    den = fr.denominator
-    if den & (den - 1) == 0:
-        return Dyadic.from_fraction(fr)
-    return ceil_div(fr.numerator, den, -(den.bit_length() + 2))
 
 
 def pi_interval(prec: int) -> RInterval:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import qx.cli
 import qx.ladders
 from qx.cli import main
+from qx.dyadic import Dyadic, fixed_point
 from qx.expr import Expr
-from qx.interval import CInterval
+from qx.interval import CInterval, RInterval
 from qx.ladders import Relation
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.json"))
@@ -1212,3 +1213,105 @@ def test_eval_prints_the_exact_decimal_of_a_quadratic_field_rational(text, digit
 ])
 def test_an_expression_error_names_its_line_and_column(text, rendered):
     assert run(["eval", text]) == (3, "", rendered)
+
+
+# --- the decimal writer against the Fraction algorithm it replaced -------------
+
+def _fraction_dec_dir(fr, places: int, up: bool) -> str:
+    n = fr * 10**places
+    return fixed_point(-(-n.numerator // n.denominator) if up else n.numerator // n.denominator,
+                       places)
+
+
+def _fraction_certified_real(r: RInterval, digits: int) -> str:
+    """The reference: both endpoints as Fractions, scaled afresh for every d."""
+    if r.is_point():
+        return r.lo.decimal()
+    lo, hi = r.lo.to_fraction(), r.hi.to_fraction()
+    for d in range(digits, -1, -1):
+        scale = 10**d
+        tlo, thi = int(lo * scale), int(hi * scale)  # toward zero
+        if tlo == thi:
+            return fixed_point(tlo, d, tlo < 0 or (tlo == 0 and hi <= 0 and lo < 0))
+    return f"[{_fraction_dec_dir(lo, digits, False)}, {_fraction_dec_dir(hi, digits, True)}]"
+
+
+def _fraction_certified_decimal(ci: CInterval, digits: int) -> str:
+    re_s = _fraction_certified_real(ci.re, digits)
+    if ci.im.is_zero_point():
+        return re_s
+    im_s = _fraction_certified_real(ci.im, digits)
+    return f"{re_s} - {im_s[1:]}i" if im_s.startswith("-") else f"{re_s} + {im_s}i"
+
+
+def _fraction_enclosure_json(ci: CInterval, digits: int) -> dict:
+    def ends(r):
+        return [_fraction_dec_dir(r.lo.to_fraction(), digits + 6, False),
+                _fraction_dec_dir(r.hi.to_fraction(), digits + 6, True)]
+    out = {"re": ends(ci.re)}
+    if not ci.im.is_zero_point():
+        out["im"] = ends(ci.im)
+    return out
+
+
+@st.composite
+def _intervals(draw) -> RInterval:
+    """Point, [-x, 0], [0, x], zero-crossing, negative, narrow or any interval;
+    exponents up to 40 give integer endpoints."""
+    m1, m2 = draw(st.integers(0, 10**40)), draw(st.integers(0, 10**40))
+    e1, e2 = draw(st.integers(-160, 40)), draw(st.integers(-160, 40))
+    kind = draw(st.sampled_from(["point", "upto0", "from0", "across0", "negative", "narrow",
+                                 "any"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "point":
+        return RInterval(Dyadic.new(sign * m1, e1), Dyadic.new(sign * m1, e1))
+    if kind == "upto0":
+        return RInterval(Dyadic.new(-m1, e1), Dyadic.new(0))
+    if kind == "from0":
+        return RInterval(Dyadic.new(0), Dyadic.new(m1, e1))
+    if kind == "across0":
+        return RInterval(Dyadic.new(-m1, e1), Dyadic.new(m2, e2))
+    if kind == "narrow":  # endpoints that agree on up to about 1000 decimal places
+        shift, gap = draw(st.integers(0, 3400)), draw(st.integers(0, 10**6))
+        return RInterval(Dyadic.new(sign * m1, e1),
+                         Dyadic.new((sign * m1 << shift) + gap, e1 - shift))
+    if kind == "negative":
+        ends = [Dyadic.new(-m1, e1), Dyadic.new(-m2, e2)]
+    else:
+        ends = [Dyadic.new(sign * m1, e1), Dyadic.new(draw(st.sampled_from([1, -1])) * m2, e2)]
+    return RInterval(*sorted(ends, key=Dyadic.to_fraction))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_intervals(), st.one_of(st.just(RInterval.zero()), _intervals()),
+       st.one_of(st.just(0), st.integers(1, 40), st.just(1000)))
+def test_decimal_writer_matches_the_fraction_algorithm(re_part, im_part, digits):
+    ci = CInterval(re_part, im_part)
+    assert qx.cli.certified_real(re_part, digits) == _fraction_certified_real(re_part, digits)
+    assert qx.cli.certified_decimal(ci, digits) == _fraction_certified_decimal(ci, digits)
+    assert qx.cli._enclosure_json(ci, digits) == _fraction_enclosure_json(ci, digits)
+
+
+@pytest.mark.parametrize("lo, hi, digits, decimal", [
+    ((-1, -200), (0, 0), 5, "-0.00000"), ((0, 0), (1, -200), 5, "0.00000"),
+    ((-1, -200), (1, -200), 5, "0.00000"), ((-3, -1), (-5, -2), 2, "-1"),
+    ((-3, -1), (5, -2), 1, "[-1.5, 1.3]"), ((7, 2), (3, 4), 3, "[28.000, 48.000]"),
+])
+def test_certified_real_renders_signs_and_disagreeing_endpoints(lo, hi, digits, decimal):
+    r = RInterval(Dyadic.new(*lo), Dyadic.new(*hi))
+    assert qx.cli.certified_real(r, digits) == decimal
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "sin_pi(3/7)", "--precision", "1000"],
+    ["eval", "pow(5, sqrt(5))", "--precision", "300"],
+    ["classify", "sqrt(2)+sqrt(3)", "--json"],
+    *(["compile", str(p)] for p in sorted(CORPUS.glob("*.qdx"))),
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] != "compile" else Path(argv[1]).stem)
+def test_the_decimal_writer_turns_no_endpoint_into_a_fraction(monkeypatch, argv):
+    calls = []
+    to_fraction = Dyadic.to_fraction
+    monkeypatch.setattr(Dyadic, "to_fraction", lambda d: calls.append(d) or to_fraction(d))
+    code, _, err = run(argv)
+    assert code == 0, err
+    assert calls == []
