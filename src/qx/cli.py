@@ -6,11 +6,13 @@ Certificates are self-contained JSON: expressions in canonical text
 of the emitted DAGs (`qx-certificate/2`); enclosures as exact decimal
 endpoints (outward-rounded); witnesses and relations embedded. One writer per
 command fixes the format: `qx verify` rebuilds the certificate from what it
-embeds with that writer, and prints `FAIL <JSON pointer>: ...` for each field
-the stored JSON states otherwise, a `meta` or `/1` trace edit, non-canonical
-program text and compile emits at different precisions included. It relaxes
-two fields: a stored enclosure need only contain the value, and a witness be a
-nonzero multiple in Z[x] of the recomputed one.
+embeds with that writer and accepts the stored text when it is the rebuilt
+certificate's text, byte for byte. Only when the texts differ does it check the
+two relaxed fields (a stored enclosure need only contain the value, and a
+witness be a nonzero multiple in Z[x] of the recomputed one) and print
+`FAIL <JSON pointer>: ...` for each field the stored JSON states otherwise, a
+`meta` or `/1` trace edit, non-canonical program text and compile emits at
+different precisions included.
 Printed decimal digits are certified only: a digit is shown when the whole
 enclosure agrees on it. Digits and endpoints are written from each endpoint's
 mpf integers, with one multiply by a power of ten and one shift.
@@ -394,10 +396,20 @@ _ENDPOINT = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 _BASE = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def _stored_number(text, syntax: re.Pattern, what: str) -> Fraction:
+def _stored(text, syntax: re.Pattern, what: str) -> str:
     if type(text) is not str or not syntax.fullmatch(text):
         raise ValueError(f"{what} {text!r} is not of the form {syntax.pattern}")
-    return Fraction(text)
+    return text
+
+
+def _stored_endpoint(text) -> tuple[int, int]:
+    """A stored enclosure endpoint as (n, places): its value is n / 10**places.
+
+    Each side of the point is read on its own, as `Fraction` reads a decimal,
+    so the int/str digit limit applies to the same digits."""
+    whole, _, frac = _stored(text, _ENDPOINT, "enclosure endpoint").lstrip("-").partition(".")
+    n = int(whole) * 10**len(frac) + (int(frac) if frac else 0)
+    return (-n if text[0] == "-" else n), len(frac)
 
 
 def _stored_digits(sub) -> int:
@@ -408,9 +420,9 @@ def _stored_digits(sub) -> int:
 
 def cmd_verify(args) -> int:
     """Rebuild the certificate from what it embeds with its command's writer,
-    and require the stored JSON to equal it, field by field, but for the two
-    fields `_relax` checks on their own."""
-    cert = json.loads(_read(args.path))
+    and check the stored text against it (`_check`)."""
+    text = _read(args.path)
+    cert = json.loads(text)
     failures: list[str] = []
     command = cert.get("command") if isinstance(cert, dict) else None
     # a qx error or a malformed field while re-checking is a verification failure
@@ -421,8 +433,7 @@ def cmd_verify(args) -> int:
             failures.append(f"unknown certificate format {cert['meta']['format']!r} "
                             f"for {command}")
         else:
-            written = _REBUILD[command][1](cert, failures)  # relaxes cert first
-            failures.extend(_diff(cert, written, ""))
+            _check(cert, text, _REBUILD[command][1], failures)
     except err.QxError as exc:
         failures.append(f"re-verification raised: {exc}")
     except KeyError as exc:
@@ -435,6 +446,36 @@ def cmd_verify(args) -> int:
         return 1
     print("certificate verified")
     return 0
+
+
+def _check(cert: dict, text: str, rebuild, failures: list[str]) -> None:
+    """Rebuild cert, the JSON of `text`; return if `text` is the rebuilt
+    certificate's text, else append a line per failed check.
+
+    Equal text means every field is what the writer writes (`_dump` is
+    type-strict and injective on JSON values), and `_relax` would accept those
+    fields: qx's enclosure contains the value, a witness divides itself.
+    Otherwise each relaxed subject is checked, and the stored JSON must equal
+    the rebuilt one field by field but for the fields `_relax` accepted. The
+    subjects come first, then the rebuild's own failures and error: the order
+    in which they arise when each subject is checked as soon as it is rebuilt.
+    """
+    rebuilt: list[str] = []
+    relaxed: list[tuple] = []  # (stored, written, value, pointer) per rebuilt subject
+    try:
+        written = rebuild(cert, rebuilt, relaxed)
+    except Exception as exc:  # raised again after the subjects rebuilt before it
+        raised = exc
+    else:
+        if not rebuilt and _dump(written) == text:
+            return
+        raised = None
+    for item in relaxed:
+        _relax(*item, failures)
+    failures.extend(rebuilt)
+    if raised is not None:
+        raise raised
+    failures.extend(_diff(cert, written, ""))
 
 
 def _pointer(at: str, key) -> str:  # RFC 6901: emit names hold dots, not slashes
@@ -483,13 +524,18 @@ def _relax(sub, written: dict, e: Expr, at: str, failures: list[str]):
 
 
 def _contains(e: Expr, digits: int, part: str, bounds, at: str, failures: list[str]) -> bool:
-    """Whether the stored bounds of e's part ("re" or "im") contain its value."""
-    lo, hi = (_stored_number(s, _ENDPOINT, "enclosure endpoint") for s in bounds)
+    """Whether the stored bounds of e's part ("re" or "im") contain its value.
+
+    In integers: for lo = n / 10**p, lo <= x exactly when n <= floor(x * 10**p),
+    and x <= hi = m / 10**q exactly when ceil(x * 10**q) <= m."""
+    (n, p), (m, q) = (_stored_endpoint(s) for s in bounds)
 
     def settle(ci: CInterval):  # None while the two only meet
         r = getattr(ci, part)
-        rlo, rhi = r.lo.to_fraction(), r.hi.to_fraction()
-        return (lo <= rlo and rhi <= hi) or (None if lo <= rhi and rlo <= hi else False)
+        rlo, rhi = r.lo_mpf, r.hi_mpf
+        return ((n <= _scaled(rlo, p, False) and _scaled(rhi, q, True) <= m)
+                or (None if n <= _scaled(rhi, p, False) and _scaled(rlo, q, True) <= m
+                    else False))
 
     try:  # from the precision the certificate enclosure was refined from
         if escalate(e.eval, settle, at, start=start_bits(_bits_for(_digits_width(digits)))):
@@ -500,36 +546,40 @@ def _contains(e: Expr, digits: int, part: str, bounds, at: str, failures: list[s
     return False
 
 
-def _rebuilt_compile(cert: dict, failures: list[str]) -> dict:
+# Each `_rebuilt_*` returns the certificate its command's writer writes from
+# what cert embeds, appends a line per failed check of what it embeds to
+# `failures`, and appends the (stored, written, value, pointer) of each subject
+# it rebuilds to `relaxed`, whose relaxed fields `_check` decides.
+
+def _rebuilt_compile(cert: dict, failures: list[str], relaxed: list) -> dict:
     emits = cert["emits"]
     if type(emits) is not dict:
         raise TypeError("emits is not an object from names to subjects")
     # compile states one precision for every emit; an empty `emits` differs at any
     digits = _stored_digits(emits[min(emits)]) if emits else 0
     written, values = _compile_cert(parse(cert["program"]), digits, cert["meta"]["format"])
-    for name in sorted(emits.keys() & values.keys()):
-        _relax(emits[name], written["emits"][name], values[name],
-               _pointer("/emits", name), failures)
+    relaxed.extend((emits[name], written["emits"][name], values[name], _pointer("/emits", name))
+                   for name in sorted(emits.keys() & values.keys()))
     return written
 
 
-def _rebuilt_subject(cert: dict, ctx: Context, failures: list[str]) -> tuple[Expr, dict]:
+def _rebuilt_subject(cert: dict, ctx: Context, relaxed: list) -> tuple[Expr, dict]:
     sub = cert["subject"]
     e = parse_expr(sub["expr"], ctx)
     written = expr_certificate(e, _stored_digits(sub))
-    _relax(sub, written, e, "/subject", failures)
+    relaxed.append((sub, written, e, "/subject"))
     return e, written
 
 
-def _rebuilt_classify(cert: dict, failures: list[str]) -> dict:
-    return _classify_cert(_rebuilt_subject(cert, Context(), failures)[1])
+def _rebuilt_classify(cert: dict, failures: list[str], relaxed: list) -> dict:
+    return _classify_cert(_rebuilt_subject(cert, Context(), relaxed)[1])
 
 
-def _rebuilt_ladder(cert: dict, failures: list[str]) -> dict:
+def _rebuilt_ladder(cert: dict, failures: list[str], relaxed: list) -> dict:
     """The subject, the descent, the reduction its stored removals give and
     the ascent on it, each present when stored."""
-    ctx = Context(base=_stored_number(cert["ladder"]["base"], _BASE, "ladder base"))
-    e, subject = _rebuilt_subject(cert, ctx, failures)
+    ctx = Context(base=Fraction(_stored(cert["ladder"]["base"], _BASE, "ladder base")))
+    e, subject = _rebuilt_subject(cert, ctx, relaxed)
     ladder = descend(e, ctx)
     reduced = (_rederived(ladder, cert["reduced"]["removals"], ctx, failures)
                if "reduced" in cert or "ascent" in cert else None)

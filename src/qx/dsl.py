@@ -25,6 +25,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
+from mpmath.libmp import mpf_sub
+
 from . import geometry as G
 from .errors import DslError, DslSemanticError, DslSyntaxError, MismatchError, QxError
 from .expr import Context, Expr
@@ -572,6 +574,17 @@ class _NumericExecutor:
         return tx.mul(tx, p).add(ty.mul(ty, p), p)
 
 
+def _width_text(nv: CInterval, sv: CInterval) -> str:
+    """str(float(max(nv.width, sv.width))) without a Fraction: each exact mpf
+    width to its nearest float by one integer true division, which rounds as
+    float(Fraction) does, then the largest, since rounding is monotone."""
+    def nearest(r: RInterval) -> float:
+        _, man, exp, _ = mpf_sub(r.hi_mpf, r.lo_mpf)
+        man = int(man)  # a gmpy mantissa would divide in its own float type
+        return float(man << exp) if exp >= 0 else man / (1 << -exp)
+    return str(max(nearest(r) for r in (nv.re, nv.im, sv.re, sv.im)))
+
+
 def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
     """Re-execute the `let` steps numerically; every emit must overlap at the width.
 
@@ -603,5 +616,4 @@ def verify_roundtrip(result: CompileResult, precision_bits: int = 30) -> dict:
     if failures:
         raise MismatchError(sorted(failures))
     return {"precision_bits": precision_bits, "names": sorted(result.values),
-            "widths": {name: str(float(max(nv.width, sv.width)))
-                       for name, (nv, sv) in pairs.items()}}
+            "widths": {name: _width_text(nv, sv) for name, (nv, sv) in pairs.items()}}

@@ -780,11 +780,12 @@ def test_verify_rejects_a_forged_node_table_certificate(tmp_path, source, forge,
         cert = _compiled(tmp_path, source)
     forge(cert)
     forged = tmp_path / "forged.json"
-    forged.write_text(json.dumps(cert))
-    code, _, err = run(["verify", str(forged)])
-    assert code == 1
-    assert needle in err
-    assert "Traceback" not in err
+    for layout in (json.dumps, qx.cli._dump):  # qx's own layout reaches the text comparison
+        forged.write_text(layout(cert))
+        code, _, err = run(["verify", str(forged)])
+        assert code == 1
+        assert needle in err
+        assert "Traceback" not in err
 
 
 def test_verify_reads_node_tables_for_compile_certificates_only(tmp_path):
@@ -986,11 +987,12 @@ def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
         cert = json.loads((Path(__file__).parent / "golden" / source).read_text())
     forge(cert)
     forged = tmp_path / "forged.json"
-    forged.write_text(json.dumps(cert))
-    code, _, err = run(["verify", str(forged)])
-    assert code == 1
-    assert needle in err
-    assert "Traceback" not in err
+    for layout in (json.dumps, qx.cli._dump):  # qx's own layout reaches the text comparison
+        forged.write_text(layout(cert))
+        code, _, err = run(["verify", str(forged)])
+        assert code == 1
+        assert needle in err
+        assert "Traceback" not in err
 
 
 def test_verify_accepts_a_witness_that_is_a_multiple_of_the_recomputed_one(tmp_path):
@@ -1307,11 +1309,136 @@ def test_certified_real_renders_signs_and_disagreeing_endpoints(lo, hi, digits, 
     ["eval", "pow(5, sqrt(5))", "--precision", "300"],
     ["classify", "sqrt(2)+sqrt(3)", "--json"],
     *(["compile", str(p)] for p in sorted(CORPUS.glob("*.qdx"))),
+    ["verify", "widened.json"],
 ], ids=lambda argv: " ".join(argv[:2]) if argv[0] != "compile" else Path(argv[1]).stem)
-def test_the_decimal_writer_turns_no_endpoint_into_a_fraction(monkeypatch, argv):
+def test_the_decimal_writer_turns_no_endpoint_into_a_fraction(monkeypatch, tmp_path, argv):
+    if argv[0] == "verify":  # corpus 07's certificate, p.x = sqrt(3)/2 stored in [0.8, 0.9]
+        cert = _compiled(tmp_path, (CORPUS / "07_trisect_right.qdx").read_text())
+        cert["emits"]["p.x"]["enclosure"]["re"] = ["0.8", "0.9"]
+        argv = ["verify", str(tmp_path / argv[1])]
+        Path(argv[1]).write_text(qx.cli._dump(cert))
     calls = []
     to_fraction = Dyadic.to_fraction
     monkeypatch.setattr(Dyadic, "to_fraction", lambda d: calls.append(d) or to_fraction(d))
     code, _, err = run(argv)
     assert code == 0, err
     assert calls == []
+
+
+# --- verify: the stored text against the rebuilt text, then the relaxed fields ----------
+
+def _spied(monkeypatch, *names: str) -> dict:
+    """The number of calls to each of the named qx.cli functions, as they happen."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(qx.cli, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(qx.cli, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("source", [
+    *GOLDEN,
+    *(["compile", str(p)] for p in sorted(CORPUS.glob("*.qdx"))),
+    ["classify", "sqrt(2)+sqrt(3)", "--json"],
+    ["reduce", "log(6; -1) + log(2; -1) + log(3; -1)", "--ascend"],
+], ids=lambda s: s.name if isinstance(s, Path) else Path(s[1]).stem if s[0] == "compile"
+   else s[0])
+def test_verify_accepts_the_text_qx_writes_without_relaxing_or_diffing(monkeypatch, tmp_path,
+                                                                        source):
+    if isinstance(source, Path):
+        path = source
+    else:
+        code, out, err = run(source)
+        assert code == 0, err
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+    calls = _spied(monkeypatch, "_relax", "_diff", "_contains")
+    assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
+    assert calls == {"_relax": 0, "_diff": 0, "_contains": 0}
+
+
+@pytest.mark.parametrize("indent", [None, 4])
+def test_a_certificate_in_another_layout_verifies_through_the_relaxed_checks(
+        monkeypatch, tmp_path, indent):
+    cert = _compiled(tmp_path, (CORPUS / "07_trisect_right.qdx").read_text())
+    path = tmp_path / "relaid.json"
+    path.write_text(json.dumps(cert, indent=indent))
+    calls = _spied(monkeypatch, "_relax", "_diff")
+    assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
+    assert calls["_relax"] == len(cert["emits"]) and calls["_diff"] > 0
+
+
+def _fraction_contains(bounds, r: RInterval):
+    """The reference: stored bounds and endpoints as Fractions; None while the two only meet."""
+    from fractions import Fraction
+    lo, hi = map(Fraction, bounds)
+    rlo, rhi = r.lo.to_fraction(), r.hi.to_fraction()
+    return (lo <= rlo and rhi <= hi) or (None if lo <= rhi and rlo <= hi else False)
+
+
+@st.composite
+def _bound_near(draw, r: RInterval) -> str:
+    """A stored endpoint in verify's syntax within a few units of the last
+    place from one of r's endpoints, which it may equal; "-0" and leading
+    zeros included."""
+    end = draw(st.sampled_from([r.lo, r.hi])).to_fraction()
+    places = draw(st.integers(0, 170))
+    n = math.floor(end * 10**places) + draw(st.integers(-2, 2))
+    sign = "-" if n < 0 or (n == 0 and draw(st.booleans())) else ""
+    return sign + "0" * draw(st.integers(0, 2)) + fixed_point(abs(n), places)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_containment_in_integers_matches_the_fraction_comparison(data):
+    r = data.draw(_intervals())
+    bounds = [data.draw(_bound_near(r)), data.draw(_bound_near(r))]
+    value = type("Value", (), {"eval": lambda self, prec: CInterval.real(r)})()
+    failures = []
+    contained = qx.cli._contains(value, 12, "re", bounds, "/x", failures)
+    expected = _fraction_contains(bounds, r)
+    assert contained is (expected is True)
+    assert failures == {True: [], False: ["/x: enclosure does not contain the value"],
+                        None: ["/x: containment not settled within the precision ceiling"]}[
+        expected]
+
+
+def _subject_outside(cert):  # its value is -1.14...i: no real part in [1, 2]
+    cert["subject"]["enclosure"]["re"] = ["1", "2"]
+
+
+def _both(*forges):
+    def forge(cert):
+        for f in forges:
+            f(cert)
+    return forge
+
+
+@pytest.mark.parametrize("forge, stderr", [
+    (_drop("reduced", "removals", 0, "relation"),
+     "FAIL /subject/enclosure/re: enclosure does not contain the value\n"
+     "FAIL malformed certificate: missing field 'relation'\n"),
+    (_both(_drop("reduced", "removals", 0, "relation"),
+           _set("subject", "enclosure", "re", 0, "1e5")),
+     "FAIL malformed certificate: enclosure endpoint '1e5' is not of the form "
+     "-?[0-9]+(\\.[0-9]+)?\n"),
+    (_set("reduced", "removals", 0, "relation", "confidence", "exact"),
+     "FAIL /subject/enclosure/re: enclosure does not contain the value\n"
+     "FAIL malformed certificate: the exact relation at index 2 states precision_bits 160\n"
+     "FAIL ladder: the relation at index 2 is labelled exact but does not hold exactly\n"
+     'FAIL /subject/enclosure/re/0: stored "1", qx writes "0.000000000000000000"\n'
+     'FAIL /subject/enclosure/re/1: stored "2", qx writes "0.000000000000000000"\n'),
+], ids=["removal-raises", "endpoint-raises-first", "removal-fails"])
+def test_verify_reports_the_subject_before_the_ladder_rebuilt_after_it(tmp_path, forge, stderr):
+    """The subject's relaxed fields are checked before what the ladder rebuild
+    finds, as if checked as soon as the subject is rebuilt: an error there
+    ends the check, and an error of the rebuild follows them."""
+    cert = json.loads((Path(__file__).parent / "golden" / "ladder_logs_reduced.json").read_text())
+    _subject_outside(cert)
+    forge(cert)
+    path = tmp_path / "forged.json"
+    for layout in (json.dumps, qx.cli._dump):
+        path.write_text(layout(cert))
+        assert run(["verify", str(path)]) == (1, "", stderr)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qx import expr
+from qx import dsl, expr
 from qx.dsl import LetStmt, compile_program, parse, pretty_print, verify_roundtrip
 from qx.errors import (DslError, DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
                        QxError)
+from qx.dyadic import Dyadic
 from qx.expr import Context, fold, sign, to_text
+from qx.interval import CInterval, RInterval
 from qx.minpoly import transcendence_rules
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.qdx"))
@@ -103,6 +105,49 @@ def test_roundtrip_corpus_at_2_to_30():
         res = compile_program(parse(path.read_text()))
         report = verify_roundtrip(res, 30)
         assert report["precision_bits"] == 30, path.name
+
+
+def _fraction_width_text(nv: CInterval, sv: CInterval) -> str:
+    """The reference: the larger exact width as a Fraction, then as a float."""
+    return str(float(max(nv.width, sv.width)))
+
+
+def test_roundtrip_widths_of_the_corpus_are_the_fraction_widths(monkeypatch):
+    pairs = []
+    width_text = dsl._width_text
+    monkeypatch.setattr(dsl, "_width_text", lambda nv, sv: pairs.append((nv, sv)) or
+                        width_text(nv, sv))
+    for path in CORPUS:
+        verify_roundtrip(compile_program(parse(path.read_text())), 30)
+    assert pairs
+    for nv, sv in pairs:
+        assert width_text(nv, sv) == _fraction_width_text(nv, sv)
+
+
+@st.composite
+def _intervals(draw, scale: int) -> CInterval:
+    """Parts of width up to about 2^(scale + 80), with zero widths."""
+    def part():
+        lo = Dyadic.new(draw(st.integers(-10**30, 10**30)), draw(st.integers(-1200, 40)))
+        width = Dyadic.new(draw(st.integers(0, 1 << 70)), scale + draw(st.integers(-40, 10)))
+        return RInterval(lo, lo + width)
+    return CInterval(part(), draw(st.one_of(st.just(RInterval.zero()), st.builds(part))))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_roundtrip_width_text_matches_the_fraction_formula(data):
+    # subnormal floats (below 2^-1022), rounding to 0, and normal ones
+    scale = data.draw(st.sampled_from([-1150, -1110, -1080, -200, -60, 0]))
+    nv, sv = data.draw(_intervals(scale)), data.draw(_intervals(scale))
+    assert dsl._width_text(nv, sv) == _fraction_width_text(nv, sv)
+
+
+def test_roundtrip_width_text_rounds_a_subnormal_width_once():
+    # 2^-1075 (1 + 2^-60): rounded to 53 bits first it is 2^-1075, a tie that rounds to 0.0
+    tiny = CInterval.real(RInterval(Dyadic.new(0), Dyadic.new((1 << 60) + 1, -1135)))
+    point = CInterval.from_int(1)
+    assert dsl._width_text(tiny, point) == "5e-324" == _fraction_width_text(tiny, point)
 
 
 def test_roundtrip_detects_corruption():
