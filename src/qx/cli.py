@@ -253,7 +253,12 @@ def _dump(obj) -> str:
 
 
 def _write_json(v, newline: str, out: list) -> None:
-    """Append the JSON text of v; `newline` is a newline plus v's own indent."""
+    """Append the JSON text of v; `newline` is a newline plus v's own indent.
+
+    A list whose items are all strings and ints (a node-table row, a witness,
+    a list of names) is written in one join; a dict writes its string and int
+    values in place.
+    """
     if type(v) is str:
         out.append(_encode_str(v))
     elif type(v) is int:
@@ -263,6 +268,17 @@ def _write_json(v, newline: str, out: list) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        texts = []
+        for item in v:
+            if type(item) is str:
+                texts.append(_encode_str(item))
+            elif type(item) is int:
+                texts.append(repr(item))
+            else:
+                break
+        else:
+            out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
         sep = "[" + inner
         for item in v:
             out.append(sep)
@@ -276,8 +292,13 @@ def _write_json(v, newline: str, out: list) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(v.items()):
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(item, inner, out)
+            if type(item) is str:
+                out.append(sep + _encode_str(key) + ": " + _encode_str(item))
+            elif type(item) is int:
+                out.append(sep + _encode_str(key) + ": " + repr(item))
+            else:
+                out.append(sep + _encode_str(key) + ": ")
+                _write_json(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif v is None:
@@ -657,8 +678,14 @@ def natural(text: str) -> int:
     return value
 
 
+# an integer, p/q or a decimal; Fraction alone would also take an exponent
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
 def rational(text: str) -> Fraction:
     """argparse type of --base: an integer, p/q or a decimal."""
+    if not _RATIONAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, p/q or a decimal, got {text!r}")
     _, slash, den = text.partition("/")
     # Fraction raises ZeroDivisionError for q = 0, which argparse would not report
     if slash and int(den) == 0:
@@ -752,7 +779,7 @@ def _failure(exc: Exception, args) -> tuple[int, str] | None:
     if isinstance(exc, json.JSONDecodeError):
         return 3, f"malformed certificate: {exc}"
     # Python's own resource limits
-    if isinstance(exc, RecursionError):  # the parsers are recursive descent
+    if isinstance(exc, RecursionError):  # JSON decoding of a deeply nested certificate
         return 5, (f"input nesting exceeds the depth limit "
                    f"(Python recursion limit {sys.getrecursionlimit()})")
     if isinstance(exc, MemoryError):

@@ -1,6 +1,9 @@
-"""Construction-language front end: lexer, recursive-descent parser,
-compiler to named expressions, and the dual-execution round-trip check.
-The lexer and token cursor also serve the expression parser (`exprtext`).
+"""Construction-language front end: lexer, parser, compiler to named
+expressions, and the dual-execution round-trip check. The lexer also serves
+the expression parser (`exprtext`).
+
+The statement grammar is flat, so the parser is one loop over the token list,
+one statement per turn; an error names the line and column of its token.
 
 Programs are finite SSA step sequences: `let` binds a name once, tools are
 a closed set, rational literals are the only source-level numbers, and
@@ -14,7 +17,7 @@ Grammar:
     arg       := IDENT | RATIONAL
     TOOL      := seg | point | line | circle | intersect | meanprop
                | fourthprop | ra | rra | bisect | anglesect
-    RATIONAL  := INT ("/" POSINT)?
+    RATIONAL  := INT ("/" POSINT)?      (digits are ASCII 0-9)
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import mpf_sub
@@ -41,8 +45,7 @@ _SIGNATURES = {
 }
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     column: int
 
@@ -59,29 +62,25 @@ class Diagnostic:
         return base + (f" (hint: {self.suggestion})" if self.suggestion else "")
 
 
-@dataclass(frozen=True)
-class Arg:
+class Arg(NamedTuple):
     kind: str  # "name" | "rat"
     value: object
     span: Span
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     tool: str
     args: tuple[Arg, ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class LetStmt:
+class LetStmt(NamedTuple):
     name: str
     call: Call
     span: Span
 
 
-@dataclass(frozen=True)
-class EmitStmt:
+class EmitStmt(NamedTuple):
     names: tuple[str, ...]
     span: Span
 
@@ -99,171 +98,135 @@ class ConstructionProgram:
         return tuple(out)
 
 
-# --- lexer and token cursor ------------------------------------------------------
+# --- lexer ----------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<rational>-?\d+(?:/\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<sym>[()=,;])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # offset of the first character in the source
+# Whitespace (exactly space, tab, CR and LF) and comments are skipped inside the
+# match, so each match is one token; the last match is the empty one at the end.
+_TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:(?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+     | (?P<sym>[()=,;])
+     | (?P<rational>-?[0-9]+(?:/[0-9]+)?)
+     | (?P<bad>.)
+     | \Z)""", re.VERBOSE | re.DOTALL)
 
 
-def lex(source: str, pattern: re.Pattern, what: str = "") -> list[Token]:
-    """One pass of pattern over source: its tokens but whitespace and comments, then eof.
+def error_at(source: str, pos: int, message: str, suggestion: Optional[str] = None,
+             cls: type = DslSyntaxError) -> DslError:
+    """The error to raise at offset pos of source; lines are split at LF only."""
+    span = Span(source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
+    return cls(Diagnostic("error", span, message, suggestion))
 
-    Each pattern ends in a one-character `bad` group, so every character is
-    matched; a `bad` one is a syntax error ("unexpected character", plus what).
+
+def lex(source: str, pattern: re.Pattern, what: str = "") -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of one pass of pattern over source, then eof.
+
+    Each match of the pattern skips what separates tokens and then holds one
+    token in the named group of its kind, or none at the end of the source.
+    The group `bad` matches any one character that starts no token: a syntax
+    error ("unexpected character", plus what).
     """
-    tokens = []
-    for m in pattern.finditer(source):
-        kind = m.lastgroup
-        if kind == "bad":
-            pos = m.start()
-            raise DslSyntaxError(Diagnostic(
-                "error", Span(source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)),
-                f"unexpected character {source[pos]!r}{what}"))
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(source)))
+    tokens = [(m.lastgroup, m[i], m.start(i)) for m in pattern.finditer(source)
+              if (i := m.lastindex)]
+    if "bad" in map(itemgetter(0), tokens):
+        pos = next(pos for kind, _, pos in tokens if kind == "bad")
+        raise error_at(source, pos, f"unexpected character {source[pos]!r}{what}")
+    tokens.append(("eof", "", len(source)))
     return tokens
 
 
-class _Cursor:
-    """The tokens of one source, read front to back, and where its lines start."""
-
-    def __init__(self, source: str, pattern: re.Pattern, what: str = ""):
-        self.tokens = lex(source, pattern, what)
-        self.pos = 0
-        self.line_starts = [0, *accumulate(len(line) + 1 for line in source.split("\n"))]
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def span(self, tok: Token) -> Span:
-        line = bisect_right(self.line_starts, tok.pos)
-        return Span(line, tok.pos - self.line_starts[line - 1] + 1)
-
-    def error(self, tok: Token, message: str, suggestion: Optional[str] = None,
-              cls: type = DslSyntaxError) -> DslError:
-        """The error to raise at tok."""
-        return cls(Diagnostic("error", self.span(tok), message, suggestion))
-
-
-# --- parser -------------------------------------------------------------------
-
-class _Parser(_Cursor):
-    def __init__(self, source: str):
-        super().__init__(source, _TOKEN_RE)
-        self.bound: set[str] = set()
-
-    def expect_sym(self, sym: str, context: str) -> Token:
-        tok = self.peek()
-        if tok.text == sym:
-            return self.advance()
-        raise self.error(tok, f"expected {sym!r} {context}, found {tok.text or 'end of file'!r}",
-                         f"insert {sym!r}")
-
-    def parse_program(self) -> ConstructionProgram:
-        statements = []
-        while self.peek().kind != "eof":
-            statements.append(self.parse_statement())
-        if not statements:
-            raise self.error(self.peek(), "empty program")
-        return ConstructionProgram(tuple(statements))
-
-    def parse_statement(self):
-        tok = self.peek()
-        if tok.text == "let":
-            return self.parse_let()
-        if tok.text == "emit":
-            return self.parse_emit()
-        raise self.error(tok, f"expected 'let' or 'emit', found {tok.text!r}")
-
-    def parse_let(self) -> LetStmt:
-        kw = self.advance()
-        name_tok = self.peek()
-        if name_tok.kind != "ident":
-            raise self.error(name_tok, "expected a name after 'let'")
-        self.advance()
-        if name_tok.text in _SIGNATURES or name_tok.text in ("let", "emit"):
-            raise self.error(name_tok, f"{name_tok.text!r} is reserved")
-        if name_tok.text in self.bound:
-            raise self.error(name_tok, f"duplicate name {name_tok.text!r}",
-                             "names bind once; pick a fresh name", DslSemanticError)
-        tok = self.peek()
-        if tok.text != "=":
-            raise self.error(tok, f"expected '=', found {tok.text or 'end of file'!r}")
-        self.advance()
-        call = self.parse_call()
-        self.expect_sym(";", "after the tool call")
-        self.bound.add(name_tok.text)
-        return LetStmt(name_tok.text, call, self.span(kw))
-
-    def parse_call(self) -> Call:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text not in _SIGNATURES:
-            raise self.error(tok, f"expected a tool name, found {tok.text or 'end of file'!r}",
-                             "tools: " + ", ".join(_SIGNATURES))
-        self.advance()
-        self.expect_sym("(", f"after {tok.text!r}")
-        args = [self.parse_arg()]
-        while self.peek().text == ",":
-            self.advance()
-            args.append(self.parse_arg())
-        self.expect_sym(")", "to close the argument list")
-        return Call(tok.text, tuple(args), self.span(tok))
-
-    def parse_arg(self) -> Arg:
-        tok = self.peek()
-        if tok.kind == "rational":
-            self.advance()
-            num, _, den = tok.text.partition("/")
-            if den and int(den) == 0:
-                raise self.error(tok, "rational literal with denominator 0")
-            return Arg("rat", Fraction(int(num), int(den or 1)), self.span(tok))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text not in self.bound:
-                raise self.error(tok, f"unbound name {tok.text!r}",
-                                 "bind it with 'let' before use", DslSemanticError)
-            return Arg("name", tok.text, self.span(tok))
-        raise self.error(tok, f"expected an argument, found {tok.text or 'end of file'!r}")
-
-    def parse_emit(self) -> EmitStmt:
-        kw = self.advance()
-        names = [self.parse_emitted()]
-        while self.peek().text == ",":
-            self.advance()
-            names.append(self.parse_emitted())
-        self.expect_sym(";", "after the emit list")
-        return EmitStmt(tuple(names), self.span(kw))
-
-    def parse_emitted(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(tok, "expected a name to emit")
-        if tok.text not in self.bound:
-            raise self.error(tok, f"unbound name {tok.text!r}", cls=DslSemanticError)
-        return self.advance().text
-
+# --- parser ---------------------------------------------------------------------------
 
 def parse(source: str) -> ConstructionProgram:
-    """Parse .qdx source; deterministic, no backtracking."""
-    return _Parser(source).parse_program()
+    """Parse .qdx source: one loop over its tokens, one statement per turn; deterministic,
+    no backtracking."""
+    tokens = lex(source, _TOKEN_RE)
+    starts = [0, *accumulate(len(line) + 1 for line in source.split("\n"))]
+
+    def span(pos: int) -> Span:
+        line = bisect_right(starts, pos)
+        return Span(line, pos - starts[line - 1] + 1)
+
+    def error(tok, message: str, suggestion: Optional[str] = None,
+              cls: type = DslSyntaxError) -> DslError:
+        return error_at(source, tok[2], message, suggestion, cls)
+
+    def expect(i: int, sym: str, context: str) -> int:
+        """The index after tokens[i], which must be sym."""
+        tok = tokens[i]
+        if tok[1] != sym:
+            raise error(tok, f"expected {sym!r} {context}, found {tok[1] or 'end of file'!r}",
+                        f"insert {sym!r}")
+        return i + 1
+
+    bound: set[str] = set()
+    statements = []
+    i = 0
+    while True:
+        kind, text, pos = tok = tokens[i]
+        if kind == "eof":
+            break
+        if text == "let":
+            kind, name, _ = tok = tokens[i + 1]
+            if kind != "ident":
+                raise error(tok, "expected a name after 'let'")
+            if name in _SIGNATURES or name in ("let", "emit"):
+                raise error(tok, f"{name!r} is reserved")
+            if name in bound:
+                raise error(tok, f"duplicate name {name!r}", "names bind once; pick a fresh name",
+                            DslSemanticError)
+            tok = tokens[i + 2]
+            if tok[1] != "=":
+                raise error(tok, f"expected '=', found {tok[1] or 'end of file'!r}")
+            kind, tool, tool_pos = tok = tokens[i + 3]
+            if kind != "ident" or tool not in _SIGNATURES:
+                raise error(tok, f"expected a tool name, found {tool or 'end of file'!r}",
+                            "tools: " + ", ".join(_SIGNATURES))
+            i = expect(i + 4, "(", f"after {tool!r}")
+            args = []
+            while True:
+                kind, text, arg_pos = tok = tokens[i]
+                if kind == "rational":
+                    num, _, den = text.partition("/")
+                    if not den:
+                        value = Fraction(int(num))
+                    elif int(den) == 0:
+                        raise error(tok, "rational literal with denominator 0")
+                    else:
+                        value = Fraction(int(num), int(den))
+                    args.append(Arg("rat", value, span(arg_pos)))
+                elif kind == "ident":
+                    if text not in bound:
+                        raise error(tok, f"unbound name {text!r}", "bind it with 'let' before use",
+                                    DslSemanticError)
+                    args.append(Arg("name", text, span(arg_pos)))
+                else:
+                    raise error(tok, f"expected an argument, found {text or 'end of file'!r}")
+                if tokens[i + 1][1] != ",":
+                    break
+                i += 2
+            i = expect(i + 1, ")", "to close the argument list")
+            i = expect(i, ";", "after the tool call")
+            bound.add(name)
+            statements.append(LetStmt(name, Call(tool, tuple(args), span(tool_pos)), span(pos)))
+        elif text == "emit":
+            names = []
+            while True:
+                tok = tokens[i + 1]
+                if tok[0] != "ident":
+                    raise error(tok, "expected a name to emit")
+                if tok[1] not in bound:
+                    raise error(tok, f"unbound name {tok[1]!r}", cls=DslSemanticError)
+                names.append(tok[1])
+                i += 2
+                if tokens[i][1] != ",":
+                    break
+            i = expect(i, ";", "after the emit list")
+            statements.append(EmitStmt(tuple(names), span(pos)))
+        else:
+            raise error(tok, f"expected 'let' or 'emit', found {text!r}")
+    if not statements:
+        raise error(tokens[i], "empty program")
+    return ConstructionProgram(tuple(statements))
 
 
 def pretty_print(prog: ConstructionProgram) -> str:

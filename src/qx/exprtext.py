@@ -12,8 +12,12 @@ target: `to_text` output reparses to the identical hash-consed node.
 Operations: sqrt(x), exp(x) [natural base], pow(b, x), ln(x[; branch]),
 log(x; b[; branch]), sin_pi(x), arcsin_over_pi(x), clavius_x(n),
 polyroot(c0..cn; re_lo, re_hi[, im_lo, im_hi]). Numbers are integers or
-finite decimals; rationals are spelled with '/' (ordinary division, folded
-exactly).
+finite decimals in ASCII digits; rationals are spelled with '/' (ordinary
+division, folded exactly).
+
+`parse_expr` reads this grammar without recursion, by operator precedence over
+the token list (V. Pratt, "Top down operator precedence", POPL 1973): nesting
+is bounded by memory, not by Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -21,87 +25,108 @@ import re
 from fractions import Fraction
 
 from .dyadic import Dyadic
-from .dsl import Token, _Cursor
+from .dsl import error_at, lex
 from .expr import Context, Expr
 from .geometry import clavius_point
 from .interval import CInterval, RInterval
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[()+\-*/,;])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# Whitespace is skipped inside the match, so each match is one token (see `dsl.lex`).
+_TOKEN = re.compile(r"""\s*
+    (?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)
+     | (?P<op>[()+\-*/,;])
+     | (?P<number>[0-9]+(?:\.[0-9]+)?)
+     | (?P<bad>.)
+     | \Z)""", re.VERBOSE | re.DOTALL)
 
 
-class _P(_Cursor):
-    def __init__(self, text: str, ctx: Context):
-        super().__init__(text, _TOKEN, " in expression")
-        self.ctx = ctx
+def _number(text: str) -> int | Fraction:
+    """The value of a number token: an int, or a Fraction for a decimal."""
+    whole, _, frac = text.partition(".")
+    if not frac:
+        return int(whole)
+    scale = 10 ** len(frac)
+    return Fraction(int(whole) * scale + int(frac), scale)
 
-    def take(self, text=None) -> Token:
-        if text is not None and self.peek().text != text:
-            self.fail(f"expected {text!r}, found {self.peek().text or 'end of input'!r}")
-        return self.advance()
+
+def parse_expr(text: str, ctx: Context) -> Expr:
+    """The node of text, built in one loop of operator precedence over its tokens.
+
+    Each operand (prefix minus signs, then a number, a constant, a parenthesised
+    expression or a call) is followed by the operations it completes: every pending
+    one that binds at least as tightly as the next operator, innermost first. The
+    nodes are built in the order a recursive-descent parser of the grammar above
+    builds them, and an error is raised where it would raise it.
+    """
+    tokens = lex(text, _TOKEN, " in expression")
+    binary = {"+": (1, ctx.add), "-": (1, ctx.sub), "*": (2, ctx.mul), "/": (2, ctx.div)}
+    levels = []  # per open '(' or call: the operators pending outside it, its name, its groups
+    ops = []     # the (precedence, operation, left operand) pending in the innermost level
+    i = 0
+    while True:
+        kind, word, _ = tokens[i]
+        while word == "-":  # a prefix minus binds tightest: -a*b is (-a)*b
+            ops.append((3, ctx.mul, ctx.rat(-1)))
+            i += 1
+            kind, word, _ = tokens[i]
+        i += 1
+        if kind == "number":
+            node = ctx.rat(_number(word))
+        elif word == "(":
+            levels.append((ops, None, None))
+            ops = []
+            continue
+        elif kind == "name" and tokens[i][1] == "(":
+            levels.append((ops, word, [[]]))
+            ops = []
+            i += 1
+            continue
+        elif word == "pi" or word == "e" or word == "i":
+            node = ctx.pi() if word == "pi" else ctx.e() if word == "e" else ctx.i()
+        elif kind == "name":
+            raise error_at(text, tokens[i][2], f"unknown constant {word!r} (try pi, e, i)")
+        else:
+            raise error_at(text, tokens[i - 1][2],
+                           f"expected an expression, found {word or 'end of input'!r}")
+        while True:  # node is a whole operand
+            word = tokens[i][1]
+            prec, op = binary.get(word, (0, None))
+            while ops and ops[-1][0] >= prec:
+                _, apply, lhs = ops.pop()
+                node = apply(lhs, node)
+            if op is not None:
+                ops.append((prec, op, node))
+                i += 1
+                break
+            if not levels:
+                if tokens[i][0] != "eof":
+                    raise error_at(text, tokens[i][2], f"trailing input starting at {word!r}")
+                return node
+            outer, name, groups = levels[-1]
+            if name is not None and (word == "," or word == ";"):
+                groups[-1].append(node)
+                if word == ";":
+                    groups.append([])
+                i += 1
+                break
+            if word != ")":
+                raise error_at(text, tokens[i][2],
+                               f"expected ')', found {word or 'end of input'!r}")
+            i += 1
+            levels.pop()
+            ops = outer
+            if name is not None:
+                groups[-1].append(node)
+                node = _Call(text, tokens[i][2], ctx).call(name, groups)
+
+
+class _Call:
+    """A named operation applied to its argument groups; errors name the token after ')'."""
+
+    def __init__(self, text: str, pos: int, ctx: Context):
+        self.text, self.pos, self.ctx = text, pos, ctx
 
     def fail(self, message: str):
-        raise self.error(self.peek(), message)
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.take().text
-            rhs = self.term()
-            node = self.ctx.add(node, rhs) if op == "+" else self.ctx.sub(node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().text in ("*", "/"):
-            op = self.take().text
-            rhs = self.unary()
-            node = self.ctx.mul(node, rhs) if op == "*" else self.ctx.div(node, rhs)
-        return node
-
-    def unary(self) -> Expr:
-        if self.peek().text == "-":
-            self.take()
-            return self.ctx.mul(self.ctx.rat(-1), self.unary())
-        return self.primary()
-
-    def primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            return self.ctx.rat(Fraction(tok.text))
-        if tok.text == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        if tok.kind == "name":
-            self.take()
-            name = tok.text
-            if self.peek().text != "(":
-                if name == "pi":
-                    return self.ctx.pi()
-                if name == "e":
-                    return self.ctx.e()
-                if name == "i":
-                    return self.ctx.i()
-                self.fail(f"unknown constant {name!r} (try pi, e, i)")
-            self.take("(")
-            groups: list[list[Expr]] = [[self.expr()]]
-            while self.peek().text in (",", ";"):
-                sep = self.take().text
-                if sep == ",":
-                    groups[-1].append(self.expr())
-                else:
-                    groups.append([self.expr()])
-            self.take(")")
-            return self.call(name, groups)
-        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+        raise error_at(self.text, self.pos, message)
 
     def call(self, name: str, groups: list[list[Expr]]) -> Expr:
         ctx = self.ctx
@@ -159,10 +184,3 @@ class _P(_Cursor):
             vals += [Dyadic.new(0), Dyadic.new(0)]
         return CInterval(RInterval(vals[0], vals[1]), RInterval(vals[2], vals[3]))
 
-
-def parse_expr(text: str, ctx: Context) -> Expr:
-    p = _P(text, ctx)
-    node = p.expr()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input starting at {p.peek().text!r}")
-    return node

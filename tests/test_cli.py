@@ -6,7 +6,9 @@ import math
 import random
 import re
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import qx.cli
 import qx.ladders
-from qx.cli import main
+from qx.cli import main, rational
 from qx.dyadic import Dyadic, fixed_point
 from qx.expr import Expr
 from qx.interval import CInterval, RInterval
@@ -407,21 +409,29 @@ def test_every_error_class_exits_with_its_code():
         assert _failure(exc, None)[0] == code, name
 
 
-def test_eval_too_deeply_nested_exits_5_without_traceback():
+@pytest.mark.parametrize("depth", [1500, 10_000])
+def test_eval_of_a_deep_nest_prints_its_value_without_traceback(depth):
     import subprocess
     import sys
 
     import qx
-    text = "sqrt(" * 1500 + "2" + ")" * 1500
+    text = "sqrt(" * depth + "2" + ")" * depth  # 2^(2^-depth), at the default recursion limit
     proc = subprocess.run(
         [sys.executable, "-m", "qx.cli", "eval", text],
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin",
              "PYTHONPATH": str(Path(qx.__file__).resolve().parent.parent)},
     )
-    assert proc.returncode == 5, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "depth limit" in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.0000000000000000\n", "")
+
+
+def test_verify_of_a_deeply_nested_certificate_exits_5_without_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, err = run_to_exit(["verify", str(path)])
+    assert code == 5, err
+    assert err.startswith("error: input nesting exceeds the depth limit")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("witness", [[-4.9, 1.7], [-4, True], ["-4", "1"]],
@@ -489,6 +499,37 @@ def test_bad_input_ends_in_its_exit_code_without_traceback(argv, code, needle):
     assert got == code, err
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, program, needle", [
+    (["eval", "\u0663"], None, "unexpected character '\u0663' in expression"),
+    (["eval", "sqrt(\uff12)"], None, "unexpected character '\uff12' in expression"),
+    (["compile"], "let s = seg(\u0663);\nemit s;\n", "error: 1:13: unexpected character '\u0663'"),
+], ids=["eval-arabic-indic", "eval-fullwidth", "compile-arabic-indic"])
+def test_a_non_ascii_digit_exits_3(tmp_path, argv, program, needle):
+    if program is not None:
+        path = tmp_path / "digits.qdx"
+        path.write_text(program, encoding="utf-8")
+        argv = argv + [str(path)]
+    code, err = run_to_exit(argv)
+    assert code == 3, err
+    assert needle in err
+
+
+@pytest.mark.parametrize("base", ["1e10000000", "1e3000000", "+2", ".5", "2.", " 2", "2_0", "1/2/3",
+                                  "\u0663", "inf"])
+def test_base_outside_its_documented_forms_exits_2_at_once(base):
+    start = time.perf_counter()
+    code, err = run_to_exit(["ladder", "sqrt(2)", "--base", base])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2, err
+    assert "argument --base: expected an integer, p/q or a decimal" in err
+
+
+@pytest.mark.parametrize("base, value", [("7", F(7)), ("-3/4", F(-3, 4)), ("1.25", F(5, 4)),
+                                         ("-0.50", F(-1, 2)), ("6/4", F(3, 2))])
+def test_base_takes_an_integer_p_over_q_or_a_decimal(base, value):
+    assert rational(base) == value
 
 
 def test_compile_of_a_5001_digit_literal_exits_5(tmp_path):

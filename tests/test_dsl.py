@@ -1,5 +1,7 @@
 """Construction-language tests: parsing, diagnostics, compilation, round trip."""
-from dataclasses import replace
+import importlib.util
+import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qx import dsl, expr
-from qx.dsl import LetStmt, compile_program, parse, pretty_print, verify_roundtrip
+from qx import dsl, expr, exprtext
+from qx.dsl import (Arg, Call, EmitStmt, LetStmt, Span, compile_program, parse, pretty_print,
+                    verify_roundtrip)
 from qx.errors import (DslError, DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
                        QxError)
 from qx.dyadic import Dyadic
-from qx.expr import Context, fold, sign, to_text
+from qx.expr import SQRT, Context, fold, sign, to_text
+from qx.exprtext import parse_expr
 from qx.interval import CInterval, RInterval
 from qx.minpoly import transcendence_rules
 
@@ -35,6 +39,17 @@ def test_parse_examples():
     assert prog.emits == ("m",)
     prog = parse("let p = ra(1,2); emit p;")
     assert prog.statements[0].call.tool == "ra"
+
+
+def test_parse_gives_each_statement_call_and_argument_its_span():
+    prog = parse("let a = seg(2);\n  let b =\n meanprop(a,\t3/4); emit a, b;")
+    assert prog.statements == (
+        LetStmt("a", Call("seg", (Arg("rat", F(2), Span(1, 13)),), Span(1, 9)), Span(1, 1)),
+        LetStmt("b", Call("meanprop", (Arg("name", "a", Span(3, 11)),
+                                       Arg("rat", F(3, 4), Span(3, 14))), Span(3, 2)), Span(2, 3)),
+        EmitStmt(("a", "b"), Span(3, 20)),
+    )
+    assert [type(a.value) for a in prog.statements[1].call.args] == [str, F]
 
 
 def test_parse_missing_semicolon_span():
@@ -155,8 +170,8 @@ def test_roundtrip_detects_corruption():
         "let a = seg(2); let b = seg(8); let m = meanprop(a,b); emit m;"))
     st, value = res.steps[1]  # let b = seg(8)
     (arg,) = st.call.args
-    tampered = replace(st.call, args=(replace(arg, value=F(9)),))
-    res.steps[1] = (replace(st, call=tampered), value)
+    tampered = st.call._replace(args=(arg._replace(value=F(9)),))
+    res.steps[1] = (st._replace(call=tampered), value)
     with pytest.raises(MismatchError) as ei:
         verify_roundtrip(res, 30)
     assert "m" in ei.value.names
@@ -330,3 +345,92 @@ def test_diagnostics_name_the_line_and_column_of_the_offending_token(source, ren
     with pytest.raises(DslError) as info:
         parse(source)
     assert info.value.diagnostic.render() == rendered
+
+
+@pytest.mark.parametrize("source, rendered", [
+    ("let s = seg(\u0663);\nemit s;", "error: 1:13: unexpected character '\u0663'"),
+    ("let s = seg(1/\uff12);\nemit s;", "error: 1:14: unexpected character '/'"),
+], ids=["arabic-indic-three", "fullwidth-two"])
+def test_numbers_are_ascii_digits(source, rendered):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(source)
+    assert info.value.diagnostic.render() == rendered
+
+
+# --- counter gates on the front ends ----------------------------------------------------
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _bench_expression_texts(monkeypatch) -> list[str]:
+    """The texts of every bench digits and classify family, for three seeds."""
+    monkeypatch.syspath_prepend(str(_WORKLOADS.parent))  # workloads imports bench's oracles
+    spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    texts = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        texts += [family[1] for family in workloads.digit_families(rng)]
+        texts += [family[1] for family in workloads.classify_families(rng)]
+    return texts
+
+
+class _CountingPattern:
+    """A token pattern that records each source it is run over."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scanned = pattern, []
+
+    def finditer(self, source):
+        self.scanned.append(source)
+        return self.pattern.finditer(source)
+
+
+def test_each_source_is_scanned_once(monkeypatch):
+    texts = _bench_expression_texts(monkeypatch)
+    qdx = _CountingPattern(dsl._TOKEN_RE)
+    expression = _CountingPattern(exprtext._TOKEN)
+    monkeypatch.setattr(dsl, "_TOKEN_RE", qdx)
+    monkeypatch.setattr(exprtext, "_TOKEN", expression)
+    sources = [path.read_text() for path in CORPUS]
+    for source in sources:
+        parse(source)
+    for text in texts:
+        parse_expr(text, Context())
+    assert qdx.scanned == sources
+    assert expression.scanned == texts
+
+
+def test_the_front_ends_build_no_fraction_from_text(monkeypatch):
+    texts = _bench_expression_texts(monkeypatch)
+    sources = [path.read_text() for path in CORPUS]
+    from_text = []
+    new = F.__new__
+
+    def spy(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(numerator, str):
+            from_text.append(numerator)
+        return new(cls, numerator, denominator, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(spy))
+    assert F("1/3") == F(1, 3) and from_text == ["1/3"]  # the spy sees a text
+    from_text.clear()
+    for source in sources:
+        parse(source)
+    for text in texts + ["1.25 + 0.5*sqrt(2)", "007.0700"]:
+        parse_expr(text, Context())
+    assert from_text == []
+
+
+def test_a_10000_deep_sqrt_nest_parses_with_one_node_per_level():
+    assert sys.getrecursionlimit() <= 1000
+    ctx = Context()
+    before = len(ctx._table)
+    node = parse_expr("sqrt(" * 10_000 + "2" + ")" * 10_000, ctx)
+    assert len(ctx._table) == before + 1 + 10_000  # the literal 2, then one sqrt per level
+    for _ in range(10_000):
+        assert node.kind == SQRT
+        (node,) = node.children
+    assert node.is_rat(2)
