@@ -693,6 +693,19 @@ def rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with every argument that starts with one '-' read as a value but -h.
+
+    Every other qx option is long, so an expression such as -sqrt(2) or a
+    --base of -1/2 needs no '--' before it; '--nope' is still an unknown option.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None  # a positional argument or an option's value
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parsing leaves it unchanged, so callers share it.
@@ -702,7 +715,7 @@ def _build_parser() -> argparse.ArgumentParser:
     (a test's monkeypatch, the bench tracer's wrapper) takes effect even
     though the parser was built earlier.
     """
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qx",
         description="exact construction compiler and certified number classifier")
     sub = p.add_subparsers(dest="command", required=True)

@@ -179,10 +179,15 @@ class Expr:
 
         Every root in X of every polynomial with coefficients in the
         enclosures lies in m - F(m)/F'(X) (mean value theorem), so X meets
-        that set and stays an enclosure. A step that does not halve the
-        width is replaced by a certified-sign bisection step; the isolation
-        check makes F monotone on the selector, so the sign at its low end
-        tells on which side of any point the root lies.
+        that set and stays an enclosure. About a root under 2^E (E >= 0), a
+        step from a width under 2^-b at most doubles the b + E correct bits,
+        so it runs at min(prec, 2(b + E) + 32) bits, and at least 64;
+        rounding outward at fewer bits only loosens it. A
+        step that does not halve the width is retried once at prec, then
+        replaced by a certified-sign bisection step; the isolation check
+        makes F monotone on the selector, so the sign at its low end tells on
+        which side of any point the root lies. The coefficient enclosures
+        and every sign are taken at prec.
         """
         x = self.selector.re
         sign_lo = _point_sign(coeffs, x.lo_mpf, prec)
@@ -198,15 +203,14 @@ class Expr:
             if mpf_le(width, target):
                 break
             m = mpf_shift(mpf_add(lo, hi), -1)
-            slope = _horner(deriv, x, prec)
-            if not slope.contains_zero():
-                pm = RInterval.from_mpi((m, m))
-                step = pm.sub(_horner(coeffs, pm, prec).div(slope, prec), prec)
-                if x.intersects(step):
-                    narrowed = x.intersect(step)
-                    if mpf_le(mpf_sub(narrowed.hi_mpf, narrowed.lo_mpf), mpf_shift(width, -1)):
-                        x = narrowed
-                        continue
+            # width < 2^-b and |m| < 2^E, E >= 0: 2(b + E) + 32 bits
+            wp = min(prec, max(64, 32 + 2 * (max(0, m[2] + m[3]) - width[2] - width[3])))
+            narrowed = _newton_step(coeffs, deriv, x, m, wp)
+            if narrowed is None and wp < prec:
+                narrowed = _newton_step(coeffs, deriv, x, m, prec)
+            if narrowed is not None:
+                x = narrowed
+                continue
             s = _point_sign(coeffs, m, prec)
             if s is None:
                 # nudge off a possible root hit: try the 1/4 point
@@ -254,6 +258,20 @@ def _horner(coeffs, x: RInterval, prec: int) -> RInterval:
     for c in reversed(coeffs):
         v = v.mul(x, prec).add(c, prec)
     return v
+
+
+def _newton_step(coeffs, deriv, x: RInterval, m, wp: int) -> Optional[RInterval]:
+    """X meet m - F(m)/F'(X), computed at wp bits, if it halves X's width; else None."""
+    slope = _horner(deriv, x, wp)
+    if slope.contains_zero():
+        return None
+    pm = RInterval.from_mpi((m, m))
+    step = pm.sub(_horner(coeffs, pm, wp).div(slope, wp), wp)
+    if not x.intersects(step):
+        return None
+    narrowed = x.intersect(step)
+    half = mpf_shift(mpf_sub(x.hi_mpf, x.lo_mpf), -1)
+    return narrowed if mpf_le(mpf_sub(narrowed.hi_mpf, narrowed.lo_mpf), half) else None
 
 
 def _derivative(coeffs, prec: int) -> list[RInterval]:

@@ -26,6 +26,16 @@ log(1), sin(0), cos(0) and atan(0) stay exact points; by Hermite-Lindemann
 f is irrational at every other dyadic point, so no point enclosure is lost.
 arcsin passes the monotone x / sqrt(1 - x^2) to the same atan kernel.
 
+log's kernel (``_log``) calls libmp where libmp uses its cached Taylor
+series. Above that range libmp switches to an AGM that costs two to three
+times an exp at the same precision; ``_log`` instead takes y = log m at half
+the bits and one Newton step on exp, y + 2(m - e^y)/(m + e^y), at 16 guard
+bits plus the bits that m - 1 cancels. If y is off by d, the step is off by
+d - 2 tanh(d/2) = d^3/12 + O(d^5), about 2^-(3wp/2) relative; the step's
+roundings add a few 2^-16 ulp and the last one half an ulp. The result stays
+within the one ulp ``_ball`` trusts libmp for. An m outside [1/2, 2) is first
+rounded to 16 guard bits: libmp misreads a longer m in [1/4, 1/2) (``_log``).
+
 Precision is measured as interval *width*, never significand bits.
 ``escalate`` is the one loop in qx that raises precision: it doubles the
 bits until the caller's test accepts a value, retries a DomainStraddle at the
@@ -42,9 +52,10 @@ from typing import Callable, Optional, TypeVar
 
 from mpmath.libmp import (fhalf, fnone, fone, from_int, from_man_exp, fzero, mpf_abs,
                           mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp, mpf_le, mpf_log,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sign, mpf_sub,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_shift, mpf_sign, mpf_sub,
                           mpi_add, mpi_atan, mpi_cos_sin, mpi_div, mpi_exp, mpi_log, mpi_mul,
                           mpi_sqrt, mpi_sub, to_int, to_rational)
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .dyadic import Dyadic
 from .errors import DomainStraddle, MaxPrecision
@@ -270,7 +281,7 @@ class RInterval:
         if m == fone or not _narrow(r, self.lo_mpf):
             return _iv(*mpi_log((self.lo_mpf, self.hi_mpf), prec + _GUARD))
         wp = prec + _GUARD
-        return _ball(mpf_log(m, wp, "n"), mpf_div(r, self.lo_mpf, wp, "u"), wp)
+        return _ball(_log(m, wp), mpf_div(r, self.lo_mpf, wp, "u"), wp)
 
     def cos_sin(self, prec: int) -> tuple["RInterval", "RInterval"]:
         """(cos, sin) of the interval from one libmp evaluation; both lie in [-1, 1]."""
@@ -332,6 +343,35 @@ def _ball(v, err, wp: int) -> RInterval:
     _, _, exp, bc = v
     e = mpf_add(err, from_man_exp(1, exp + bc + 1 - wp), wp, "u")
     return _iv(mpf_sub(v, e, wp, "f"), mpf_add(v, e, wp, "c"))
+
+
+def _log(m, wp: int):
+    """log of the positive mpf m to within one ulp at wp bits.
+
+    libmp's cached Taylor series serves wp + 20 + c <= LOG_TAYLOR_PREC bits,
+    c the bits that m - 1 cancels; its shortcuts serve a power of two (a
+    multiple of its cached log 2) and c > wp + 20 (log m ~ m - 1). Otherwise
+    y = log m at wp/2 + 32 bits and one Newton step on exp,
+    y + 2(m - e^y)/(m + e^y) at wp + 16 + c bits, replace libmp's AGM.
+
+    libmp also counts cancellation for m in [1/4, 1/2), against 1/4, and
+    past wp + 20 bits returns 4m - 1 for log m. Outside [1/2, 2) |log m| >=
+    log 2, so m is first rounded to wp + 16 bits: that moves log m by under
+    2^-15 ulp and leaves libmp fewer than wp + 20 bits to count.
+    """
+    mag, c = m[2] + m[3], 0
+    if mag in (0, 1):  # m in [1/2, 2): libmp's count of the bits m - 1 cancels
+        t = mpf_sub(m, fone)  # exact
+        c = mag - t[2] - t[3]
+    else:
+        m = mpf_pos(m, wp + 16, "n")
+    if wp + 20 + c <= LOG_TAYLOR_PREC or m[1] == 1 or c > wp + 20:
+        return mpf_log(m, wp, "n")
+    y = _log(m, wp // 2 + 32)
+    sp = wp + 16 + c
+    ey = mpf_exp(y, sp, "n")
+    step = mpf_div(mpf_sub(m, ey, sp, "n"), mpf_add(m, ey, sp, "n"), sp, "n")
+    return mpf_add(y, mpf_shift(step, 1), wp, "n")
 
 
 def pi_interval(prec: int) -> RInterval:

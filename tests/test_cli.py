@@ -526,6 +526,36 @@ def test_base_outside_its_documented_forms_exits_2_at_once(base):
     assert "argument --base: expected an integer, p/q or a decimal" in err
 
 
+@pytest.mark.parametrize("command, expr", [
+    ("eval", "-sqrt(2)"), ("eval", "-pi*2"), ("classify", "-sqrt(2)"), ("classify", "-ln(3)"),
+    ("ladder", "-log(6;-1)+log(2;-1)"), ("reduce", "-log(6;-1)+log(2;-1)"),
+])
+def test_an_expression_that_starts_with_minus_needs_no_double_dash(command, expr):
+    want = run([command, "--precision", "8", "--", expr])
+    assert want[0] == 0, want
+    assert run([command, "--precision", "8", expr]) == want
+    assert run([command, expr, "--precision", "8"]) == want
+
+
+@pytest.mark.parametrize("argv", [["eval", "--nope"], ["eval", "-sqrt(2)", "--nope"],
+                                  ["classify", "--nope", "-sqrt(2)"], ["eval", "--1"]])
+def test_an_unknown_long_option_still_exits_2(argv):
+    code, err = run_to_exit(argv)
+    assert code == 2
+    assert "usage:" in err
+
+
+def test_help_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: qx eval")
+
+
+def test_a_negative_base_needs_no_double_dash():
+    want = run(["ladder", "pow(2, sqrt(2))", "--base", "-1/2"])
+    assert want[0] == 0 and '"base": "-1/2"' in want[1], want
+
+
 @pytest.mark.parametrize("base, value", [("7", F(7)), ("-3/4", F(-3, 4)), ("1.25", F(5, 4)),
                                          ("-0.50", F(-1, 2)), ("6/4", F(3, 2))])
 def test_base_takes_an_integer_p_over_q_or_a_decimal(base, value):

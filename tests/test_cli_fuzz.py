@@ -9,7 +9,9 @@ more bits, so it is never a verdict. A real value that `eval` prints is
 checked digit by digit against mpmath at twice the precision, plus the digits
 a cancellation within qx's precision ceiling can cost. A program that
 compiles must also verify, and each decimal it emits is checked the same way
-against bench's mpmath interpreter of .qdx programs.
+against bench's mpmath interpreter of .qdx programs. An expression, one
+that starts with "-" included, reads the same before or after --precision
+as after "--".
 """
 import importlib.util
 import io
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qx.cli
@@ -99,6 +101,19 @@ expressions = st.recursive(_atom, _compound, max_leaves=6)
        st.integers(0, 30))
 def test_expression_commands_end_in_a_documented_exit_code(text, command, digits):
     assert exit_code(command + ["--precision", str(digits), "--", text]) in DOCUMENTED
+
+
+# an expression that starts with one "-" is a value, not an option, wherever it stands
+@FUZZ
+@given(st.one_of(expressions.map(lambda t: f"-{t}"), expressions),
+       st.sampled_from([["eval"], ["classify", "--json"]]), st.integers(0, 30))
+def test_an_expression_reads_the_same_with_or_without_a_double_dash(text, command, digits):
+    assume(not text.startswith("--"))  # a long option's form: such a text needs the "--"
+    precision = ["--precision", str(digits)]
+    want = run_cli(command + precision + ["--", text])
+    assert want[0] in DOCUMENTED
+    assert run_cli(command + precision + [text]) == want
+    assert run_cli(command[:1] + [text] + command[1:] + precision) == want
 
 
 # --- certified digits against an independent evaluation ------------------------------

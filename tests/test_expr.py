@@ -243,15 +243,18 @@ def _selector(lo=1, hi=2):
     return CInterval.real(RInterval(Dyadic.from_fraction(F(lo)), Dyadic.from_fraction(F(hi))))
 
 
-@pytest.mark.parametrize("text, exact", [
-    ("polyroot(-2, 0, 0, 1; 1, 2)", lambda: mpmath.cbrt(2)),
-    ("polyroot(-sqrt(2), 0, 0, 1; 1, 2)", lambda: mpmath.root(2, 6)),
+@pytest.mark.parametrize("text, exact, digits", [
+    ("polyroot(-2, 0, 0, 1; 1, 2)", lambda: mpmath.cbrt(2), 1000),
+    ("polyroot(-sqrt(2), 0, 0, 1; 1, 2)", lambda: mpmath.root(2, 6), 1000),
+    ("polyroot(-9, 3, 0, 1; 1, 2)", lambda: mpmath.findroot(lambda x: x**3 + 3 * x - 9, 1.6), 1200),
 ])
-def test_polyroot_agrees_with_mpmath_at_1000_digits(ctx, text, exact):
-    enc = parse_expr(text, ctx).enclosure(F(1, 10**1000))
-    assert enc.is_real() and enc.width <= F(1, 10**1000)
-    with mpmath.workdps(2000):
-        assert _encloses(enc, exact(), F(1, 10**1990))
+def test_polyroot_agrees_with_mpmath_at_1000_digits(ctx, monkeypatch, text, exact, digits):
+    # 1200 digits start at 4011 bits; a retry at twice that would pass the default ceiling
+    monkeypatch.setenv("QX_PRECISION_CEILING", "8192")
+    enc = parse_expr(text, ctx).enclosure(F(1, 10**digits))
+    assert enc.is_real() and enc.width <= F(1, 10**digits)
+    with mpmath.workdps(2 * digits):
+        assert _encloses(enc, exact(), F(1, 10**(2 * digits - 10)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,14 +299,51 @@ def test_polyroot_bisection_fallback_encloses_root(ctx, monkeypatch):
         assert _encloses(enc, (-c + mpmath.sqrt(c * c - 2)) / 2, F(1, 1 << 200))
 
 
+def _horner_precisions(monkeypatch) -> list[int]:
+    """The precision of every _horner call from now on."""
+    precisions = []
+    horner = expr_mod._horner
+    monkeypatch.setattr(expr_mod, "_horner",
+                        lambda coeffs, x, prec: precisions.append(prec) or horner(coeffs, x, prec))
+    return precisions
+
+
 def test_polyroot_newton_needs_few_horner_calls(ctx, monkeypatch):
     r = ctx.polyroot([ctx.rat(-2), ctx.rat(0), ctx.rat(0), ctx.rat(1)], _selector())
-    calls = []
-    horner = expr_mod._horner
-    monkeypatch.setattr(expr_mod, "_horner", lambda *a: calls.append(a) or horner(*a))
+    precisions = _horner_precisions(monkeypatch)
     enc = r.eval(3354)  # the working precision of 1000 digits; bisection took ~3400 calls
     assert enc.width <= F(1, 1 << 3354)
-    assert len(calls) <= 64
+    assert len(precisions) <= 64
+    # each step runs at twice the bits of the width it starts from: the sign at the
+    # selector's low end and the last step alone take all 3354 (23 calls at one precision)
+    assert precisions.count(3354) <= 4
+    # a root near 2^100: the step's bits count from the root's magnitude, so no more calls
+    # than with every step at 3354 (29); the width stops near 2^(100 - 3354), and the last
+    # calls, which cannot halve it, run at 3354
+    r = ctx.polyroot([ctx.rat(-2 * 10**90), ctx.rat(0), ctx.rat(0), ctx.rat(1)],
+                     _selector(10**30, 2 * 10**30))
+    precisions.clear()
+    enc = r.eval(3354)
+    assert enc.width <= F(1, 1 << (3354 - 110))
+    assert len(precisions) <= 29 and precisions.count(3354) <= 9
+
+
+@pytest.mark.parametrize("scale", [F(1), F(10**30), F(1, 10**30)])
+def test_polyroot_next_to_a_second_root_takes_no_more_horner_calls(monkeypatch, scale):
+    # (x - a)(x - a - d), d < 2^-40, scaled: F' is about d at the root, so a step at
+    # reduced precision can fail to halve the width and is retried at full precision
+    a, d = F(4, 3), F(1, 3 << 40)
+    ctx = Context()
+    coeffs = [ctx.rat(scale * c) for c in (a * (a + d), -(2 * a + d), 1)]
+    lo = F(int((a + 3 * d / 4) * 2**60), 2**60)  # between the two roots
+    r = ctx.polyroot(coeffs, _selector(lo, 2))
+    precisions = _horner_precisions(monkeypatch)
+    enc = r.eval(3354)
+    assert len(precisions) <= 87  # the count with every step at the full 3354 bits
+    with mpmath.workdps(2100):
+        # coefficient enclosures 2^-3362 wide move the root by up to 2^-3362 * |c| / F'
+        assert _encloses(enc, mpmath.mpf(4) / 3 + mpmath.mpf(1) / (3 << 40))
+    assert enc.width <= F(1, 1 << (3354 - 140))
 
 
 def test_log_branch_values(ctx):

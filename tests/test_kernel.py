@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import iv, mp
 from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fone, fzero, mpf_abs, mpf_add,
                           mpf_sub)
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 import qx.interval
 from qx.cli import main
@@ -423,6 +424,67 @@ def test_transcendental_ops_at_their_exact_points_stay_points():
         assert zero.sin(prec) == zero and zero.cos(prec) == one and zero.atan(prec) == zero
         assert zero.cos_sin(prec) == (one, zero)
         assert asin_interval(zero, prec) == zero and sin_pi_interval(zero, prec) == zero
+
+
+# --- log above libmp's Taylor range: one Newton step on exp ---
+
+# the last prec at which libmp's log takes its Taylor path when m - 1 cancels no bits
+_TAYLOR_TOP = LOG_TAYLOR_PREC - 20 - qx.interval._GUARD
+
+
+def _log_operands(rng, prec):
+    """Random positive dyadics, and m = 1 +- (2^-k + a tiny odd tail), where m - 1 cancels
+    about k bits, for k far below, near and beyond the working precision, and m/4, where
+    libmp counts the bits m/4 - 1/4 cancels; each as a point and with two radii."""
+    wp = prec + qx.interval._GUARD
+    mids = [from_man_exp(rng.getrandbits(prec) | 1 << (prec - 1) | 1, rng.randint(-40, 40) - prec)
+            for _ in range(6)]
+    for k in (1, 10, 100, 1000, wp // 2 + 60, wp - 1, wp + 20, wp + 22):
+        tail = rng.getrandbits(32) | 1
+        for sign in (1, -1):
+            for quarter in (0, 2):
+                man = (1 << (k + 64)) + sign * ((1 << 64) + tail)
+                mids.append(from_man_exp(man, -(k + 64 + quarter)))
+    for m in mids:
+        yield qx.interval._iv(m, m)
+        for shift in (prec + 8, 40):  # a radius of m * 2^-shift, well inside the narrow path
+            r = from_man_exp(m[1], m[2] - shift)
+            yield qx.interval._iv(mpf_sub(m, r), mpf_add(m, r))
+
+
+def _assert_tight_log(x, prec):
+    """log_pos(x) encloses log over x, computed at 2 * prec + 64 bits, and is no wider
+    than 2r/lo + 8 ulp at the working precision."""
+    out = x.log_pos(prec)
+    lo, hi = qx.interval._fraction(x.lo_mpf), qx.interval._fraction(x.hi_mpf)
+    with mp.workprec(2 * prec + 64):
+        a, b = mp.log(mp.make_mpf(x.lo_mpf)), mp.log(mp.make_mpf(x.hi_mpf))
+        slack = mp.ldexp(1, 4 - mp.prec)  # relative error of the reference
+        assert mp.make_mpf(out.lo_mpf) <= a - slack * abs(a), (x, out)
+        assert b + slack * abs(b) <= mp.make_mpf(out.hi_mpf), (x, out)
+        top = max(abs(a), abs(b))
+        ulp = F(2) ** (int(mp.floor(mp.log(top, 2))) + 1 - prec - qx.interval._GUARD)
+    assert out.width <= (hi - lo) / lo + 8 * ulp, (x, out)
+
+
+@pytest.mark.parametrize("prec", [_TAYLOR_TOP - 1, _TAYLOR_TOP, _TAYLOR_TOP + 1, 3354, 6000])
+def test_log_pos_encloses_and_stays_tight_on_both_sides_of_libmps_taylor_range(prec):
+    rng = random.Random(prec)
+    for x in _log_operands(rng, prec):
+        _assert_tight_log(x, prec)
+
+
+@pytest.mark.parametrize("bits", [3354, 6000])
+def test_log_refined_above_the_taylor_range_is_certified(monkeypatch, bits):
+    monkeypatch.setenv("QX_PRECISION_CEILING", "16384")
+    target = F(1, 1 << bits)
+    for arg in (F(17, 9), 1 + F(1, 3 << 3000), F(1, 4) + F(1, 10**600)):
+        enc = refine(lambda p: CInterval.from_fraction(arg, p).log(0, p), target)
+        with mp.workprec(2 * bits + 100):
+            ref = mp.log(mp.mpf(arg.numerator) / arg.denominator)
+            lo, hi = enc.re.lo_mpf, enc.re.hi_mpf
+            assert mp.make_mpf(lo) < ref < mp.make_mpf(hi) and enc.is_real()
+        assert enc.width <= target
 
 
 def _run(argv):
