@@ -25,17 +25,23 @@ depth, memory, number size, the int/str digit limit). Subcommands raise;
 (a qx error's code is its class's `exit_code`), and lets any other
 exception propagate, since that is a bug.
 QX_PRECISION_CEILING (bits) caps refinement.
+
+One table, `_COMMANDS`, holds each command's positional and long options;
+`parse_args` reads argv with it, as argparse would: `--name value`,
+`--name=value` or a unique prefix of the name, the last of a repeated option,
+-h/--help, every argument after `--` and any other that starts with one `-` as
+a value. A usage error writes the usage line and `qx <cmd>: error: ...` to
+stderr and exits 2.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
+from types import SimpleNamespace
 
 from mpmath.libmp import mpf_sign
 
@@ -314,7 +320,9 @@ def _write_json(v, newline: str, out: list) -> None:
 # --- subcommands ---------------------------------------------------------------------
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The UTF-8 text of a file with universal newlines, as text mode reads it."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def cmd_compile(args) -> int:
@@ -644,7 +652,7 @@ def _rederived(ladder: Ladder, stored: list, ctx: Context, failures: list[str]) 
         relation = Relation(coefficients, confidence, bits)
         kept = [r.value for i, r in enumerate(ladder.rungs[:index]) if i not in removed]
         a_k = ladder.rungs[index].value
-        constant, combo, verified = check_removal(ctx, ctx.base, coefficients, a_k, kept)
+        constant, combo, verified = check_removal(ctx, ctx.base, relation, a_k, kept)
         related = kept[:len(coefficients) - 2] + [a_k]
         if not verified:
             failures.append(f"ladder: removal identity fails at index {index}")
@@ -668,13 +676,13 @@ _REBUILD = {"compile": ((TEXT_FORMAT, NODE_TABLE_FORMAT), _rebuilt_compile),
             "ladder": ((TEXT_FORMAT,), _rebuilt_ladder)}
 
 
-# --- argument parsing -------------------------------------------------------------------
+# --- the command line ------------------------------------------------------------------
 
 def natural(text: str) -> int:
-    """argparse type of every int option: a non-negative integer."""
+    """Converter of every int option: a non-negative integer."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -683,97 +691,134 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def rational(text: str) -> Fraction:
-    """argparse type of --base: an integer, p/q or a decimal."""
+    """Converter of --base: an integer, p/q or a decimal."""
     if not _RATIONAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected an integer, p/q or a decimal, got {text!r}")
+        raise ValueError(f"expected an integer, p/q or a decimal, got {text!r}")
     _, slash, den = text.partition("/")
-    # Fraction raises ZeroDivisionError for q = 0, which argparse would not report
-    if slash and int(den) == 0:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+    if slash and int(den) == 0:  # Fraction would raise ZeroDivisionError
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, with every argument that starts with one '-' read as a value but -h.
+_REQUIRED = object()  # the default of an option that must be given
+_LADDER = {"ascend": (None, False), "base": (rational, Fraction(-1)), "precision": (natural, 12),
+           "max-coeff": (natural, 10**6), "relation-bits": (natural, 160)}
+# Per command: the name of its function, looked up when `main` runs (so a
+# monkeypatch or the bench tracer's wrapper takes effect), its help, its one
+# positional (name, converter), its options {name: (converter, default)} and
+# the attributes no option sets. A flag's converter is None; a tuple takes one
+# of its strings.
+_COMMANDS = {
+    "compile": ("cmd_compile", "compile a .qdx construction to certificates", ("path", str),
+                {"precision": (natural, 12), "json": (None, False)}, {}),
+    "eval": ("cmd_eval", "evaluate an expression to certified digits", ("expr", str),
+             {"precision": (natural, 16)}, {}),
+    "classify": ("cmd_classify", "classification verdict for an expression", ("expr", str),
+                 {"precision": (natural, 12), "json": (None, False)}, {}),
+    "ladder": ("cmd_ladder", "descend (and optionally reduce/ascend) a ladder", ("expr", str),
+               {**_LADDER, "reduce": (None, False)}, {"json": True}),
+    "reduce": ("cmd_ladder", "ladder with reduction (alias for ladder --reduce)", ("expr", str),
+               _LADDER, {"json": True, "reduce": True}),
+    "report": ("cmd_report", "convergence/probe study reports", ("kind", ("spiral", "clavius")),
+               {"kmin": (natural, 3), "kmax": (natural, 12), "n": (natural, 12)}, {}),
+    "render": ("cmd_render", "render a construction to SVG", ("path", str),
+               {"out": (str, _REQUIRED), "with-curve": (("quadratrix", "spiral"), None),
+                "width": (natural, 640), "height": (natural, 640)}, {}),
+    "verify": ("cmd_verify", "re-verify a certificate", ("path", str), {}, {}),
+}
 
-    Every other qx option is long, so an expression such as -sqrt(2) or a
-    --base of -1/2 needs no '--' before it; '--nope' is still an unknown option.
-    """
 
-    def _parse_optional(self, arg_string):
-        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
-            return None  # a positional argument or an option's value
-        return super()._parse_optional(arg_string)
+def _exit(name, error: str | None = None):
+    """Exit 2 after qx's (name None) or a command's usage error on stderr, or
+    exit 0 after (error None) its help on stdout."""
+    if name is None:
+        usage = "usage: qx [-h] {" + ",".join(_COMMANDS) + "} ..."
+        about = "commands:\n" + "\n".join(f"  {c:<9} {spec[1]}" for c, spec in _COMMANDS.items())
+    else:
+        _, about, (positional, _), options, _ = _COMMANDS[name]
+        words = [f"usage: qx {name} [-h]"]
+        for o, (conv, default) in options.items():
+            word = f"--{o}" if conv is None else f"--{o} {o.upper()}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        usage = " ".join(words + [positional])
+    if error is None:
+        sys.stdout.write(f"{usage}\n\n{about}\n")
+        raise SystemExit(0)
+    sys.stderr.write(f"{usage}\nqx{'' if name is None else ' ' + name}: error: {error}\n")
+    raise SystemExit(2)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parsing leaves it unchanged, so callers share it.
+def _convert(name, what: str, conv, text: str):
+    try:
+        if type(conv) is not tuple:
+            return conv(text)
+        if text in conv:
+            return text
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, conv))})")
+    except ValueError as exc:
+        _exit(name, f"argument {what}: {exc}")
 
-    Each subcommand's `func` default is the *name* of its command function:
-    `main` looks the function up when it runs, so a replaced module attribute
-    (a test's monkeypatch, the bench tracer's wrapper) takes effect even
-    though the parser was built earlier.
-    """
-    p = _Parser(
-        prog="qx",
-        description="exact construction compiler and certified number classifier")
-    sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compile", help="compile a .qdx construction to certificates")
-    c.add_argument("path")
-    c.add_argument("--precision", type=natural, default=12, metavar="DIGITS")
-    c.add_argument("--json", action="store_true",
-                   help="machine-readable diagnostics on stderr")
-    c.set_defaults(func="cmd_compile")
+def _option(name, arg: str, names) -> tuple | None:
+    """None for a value, else (option, its `=value` or None), or (None, arg)
+    for an unknown option: -h, or `--` and a unique prefix of a name."""
+    if arg[:2] != "--" or arg == "--":
+        return ("help", None) if arg == "-h" else None
+    key, eq, value = arg[2:].partition("=")
+    found = (key,) if key in names else tuple(n for n in names if n.startswith(key))
+    if len(found) > 1:
+        _exit(name, f"ambiguous option: {arg} could match {', '.join('--' + n for n in found)}")
+    if found:
+        return found[0], value if eq else None
+    return None if " " in arg else (None, arg)  # argparse reads `--a b` as a value too
 
-    e = sub.add_parser("eval", help="evaluate an expression to certified digits")
-    e.add_argument("expr")
-    e.add_argument("--precision", type=natural, default=16, metavar="DIGITS")
-    e.set_defaults(func="cmd_eval")
 
-    cl = sub.add_parser("classify", help="classification verdict for an expression")
-    cl.add_argument("expr")
-    cl.add_argument("--precision", type=natural, default=12)
-    cl.add_argument("--json", action="store_true")
-    cl.set_defaults(func="cmd_classify")
-
-    ladder = argparse.ArgumentParser(add_help=False)
-    ladder.add_argument("expr")
-    ladder.add_argument("--ascend", action="store_true")
-    ladder.add_argument("--base", type=rational, default=Fraction(-1))
-    ladder.add_argument("--precision", type=natural, default=12)
-    ladder.add_argument("--max-coeff", type=natural, default=10**6)
-    ladder.add_argument("--relation-bits", type=natural, default=160)
-
-    la = sub.add_parser("ladder", parents=[ladder],
-                        help="descend (and optionally reduce/ascend) a ladder")
-    la.add_argument("--reduce", action="store_true")
-    la.set_defaults(func="cmd_ladder", json=True)
-
-    rd = sub.add_parser("reduce", parents=[ladder],
-                        help="ladder with reduction (alias for ladder --reduce)")
-    rd.set_defaults(func="cmd_ladder", json=True, reduce=True)
-
-    rp = sub.add_parser("report", help="convergence/probe study reports")
-    rp.add_argument("kind", choices=("spiral", "clavius"))
-    rp.add_argument("--kmin", type=natural, default=3)
-    rp.add_argument("--kmax", type=natural, default=12)
-    rp.add_argument("--n", type=natural, default=12)
-    rp.set_defaults(func="cmd_report")
-
-    rn = sub.add_parser("render", help="render a construction to SVG")
-    rn.add_argument("path")
-    rn.add_argument("--out", required=True)
-    rn.add_argument("--with-curve", choices=("quadratrix", "spiral"))
-    rn.add_argument("--width", type=natural, default=640)
-    rn.add_argument("--height", type=natural, default=640)
-    rn.set_defaults(func="cmd_render")
-
-    vf = sub.add_parser("verify", help="re-verify a certificate")
-    vf.add_argument("path")
-    vf.set_defaults(func="cmd_verify")
-    return p
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """What the command table reads from argv, or SystemExit: 0 after help, 2
+    after a usage error. Before the command only -h/--help is read. After it,
+    as in argparse, every argument is told option or value before any is read,
+    and an unknown option or extra value fails at the end."""
+    if argv and _option(None, argv[0], ("help",)) == ("help", None):
+        _exit(None)
+    if not argv:
+        _exit(None, "the following arguments are required: command")
+    name = _convert(None, "command", tuple(_COMMANDS), argv[0])
+    func, _, (positional, pconv), options, fixed = _COMMANDS[name]
+    args = {"command": name, "func": func, **fixed,
+            **{o.replace("-", "_"): default for o, (_, default) in options.items()}}
+    argv = argv[1:]
+    cut = argv.index("--") if "--" in argv else len(argv)  # every argument after it is a value
+    items = [(a, _option(name, a, ("help", *options))) for a in argv[:cut]]
+    items += [(a, None) for a in argv[cut + 1:]]
+    extras, i = [], 0
+    while i < len(items):
+        arg, found = items[i]
+        option, value = found or (None, None)
+        conv = options[option][0] if option in options else None
+        i += 1
+        if found is None and positional not in args:
+            args[positional] = _convert(name, positional, pconv, arg)
+        elif option is None:
+            extras.append(arg)
+        elif conv is None and value is not None:
+            _exit(name, f"argument --{option}: ignored explicit argument {value!r}")
+        elif option == "help":
+            _exit(name)
+        elif conv is None:
+            args[option.replace("-", "_")] = True
+        else:
+            if value is None:
+                if i >= cut or items[i][1] is not None:
+                    _exit(name, f"argument --{option}: expected one argument")
+                value, i = items[i][0], i + 1
+            args[option.replace("-", "_")] = _convert(name, f"--{option}", conv, value)
+    missing = [positional] * (positional not in args) + [
+        f"--{o}" for o in options if args[o.replace("-", "_")] is _REQUIRED]
+    if missing:
+        _exit(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _exit(name, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
 
 
 # --- the error boundary -------------------------------------------------------------------
@@ -824,7 +869,7 @@ def _emit_error(exc: Exception, message: str, as_json: bool):
 
 def main(argv=None) -> int:
     """Run one command; the only place an exception becomes an exit code."""
-    args = _build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return globals()[args.func](args)
     except Exception as exc:

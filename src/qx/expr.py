@@ -186,9 +186,14 @@ class Expr:
         step that does not halve the width is retried once at prec, then
         replaced by a certified-sign bisection step; the isolation check
         makes F monotone on the selector, so the sign at its low end tells on
-        which side of any point the root lies. The coefficient enclosures
-        and every sign are taken at prec.
+        which side of any point the root lies. Every sign is taken at prec,
+        and the coefficient enclosures at prec + s bits, 2^-s (s >= 0) a
+        bound on every |c_k|: as narrow next to the coefficients as those of
+        a coefficient of 1 or more are at prec.
         """
+        s = -max((e[2] + e[3] for c in coeffs for e in (c.lo_mpf, c.hi_mpf) if e[1]), default=0)
+        if s > 0:
+            coeffs = [c.eval(prec + s).re for c in self.children]
         x = self.selector.re
         sign_lo = _point_sign(coeffs, x.lo_mpf, prec)
         if sign_lo is None:

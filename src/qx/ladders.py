@@ -440,8 +440,8 @@ def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COE
         if rel is None:
             kept.append(rung)
             continue
-        constant, combo, verified = check_removal(ctx, ladder.base, rel.coefficients,
-                                                  rung.value, [r.value for r in kept])
+        constant, combo, verified = check_removal(ctx, ladder.base, rel, rung.value,
+                                                  [r.value for r in kept])
         removals.append(Removal(index, rel, constant, combo, verified))
     return Ladder(ladder.base, tuple(kept), tuple(removals))
 
@@ -454,25 +454,30 @@ def _relate_to_prefix(prefix: list[Expr], value: Expr, max_coeff: int,
     return rel
 
 
-def check_removal(ctx: Context, base: Expr, coefficients, a_k: Expr, kept: list[Expr]):
+def check_removal(ctx: Context, base: Expr, relation: Relation, a_k: Expr, kept: list[Expr]):
     """The removal of a_k given by the relation n_0 + sum_j n_j a_j + n_k a_k = 0.
 
-    coefficients is (n_0, n_1..n_m, n_k) and kept[j - 1] is a_j. Returns
+    Its coefficients are (n_0, n_1..n_m, n_k) and kept[j - 1] is a_j. Returns
     (q, combo, verified): a_k = q + sum q_j a_j with combo the nonzero
     (j - 1, q_j), and whether b^{a_k} = b^q * prod (b^{a_j})^{q_j} holds
-    (powers read as b^{q_j a_j}, principal values): whether the two sides'
-    `enclosure(2^-40)` overlap. Each comes out about 2^-60 wide or narrower
-    at the 64-bit start, so the test is as strict as that precision, not 2^-40.
+    (powers read as b^{q_j a_j}, principal values). For an exact relation it
+    is a theorem: a_k = q + sum q_j a_j exactly, and b^z = exp(z Log b) is a
+    homomorphism in z, so nothing is evaluated. For a heuristic one it is
+    whether the two sides' `enclosure(2^-40)` overlap; each comes out about
+    2^-60 wide or narrower at the 64-bit start, so the test is as strict as
+    that precision, not 2^-40.
     `reduce_ladder` and `qx verify` both decide removals here.
     Raises ValueError when the relation does not give a_k over kept.
     """
-    *ns, nk = coefficients
+    *ns, nk = relation.coefficients
     m = len(ns) - 1
     if nk == 0 or not 0 <= m <= len(kept):
-        raise ValueError(f"relation {list(coefficients)} does not give the removed rung "
-                         f"in terms of {len(kept)} kept rungs")
+        raise ValueError(f"relation {list(relation.coefficients)} does not give the removed "
+                         f"rung in terms of {len(kept)} kept rungs")
     constant = Fraction(-ns[0], nk)
     combo = tuple((j, Fraction(-ns[j + 1], nk)) for j in range(m) if ns[j + 1])
+    if relation.confidence == "exact":
+        return constant, combo, True
     lhs = ctx.exp(base, a_k)
     rhs = ctx.exp(base, ctx.rat(constant))
     for j, qj in combo:

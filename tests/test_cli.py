@@ -466,7 +466,7 @@ def test_polyroot_with_nonreal_coefficient_exits_5_without_traceback(command):
 
 
 def run_to_exit(argv):
-    """main's return value, or the code of argparse's SystemExit, with stderr."""
+    """main's return value, or the code of the SystemExit of a usage error, with stderr."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
@@ -551,6 +551,133 @@ def test_help_is_still_an_option(capsys):
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: qx eval")
 
 
+_DEFAULTS = {
+    "compile": {"path": "p.qdx", "precision": 12, "json": False},
+    "eval": {"expr": "pi", "precision": 16},
+    "classify": {"expr": "pi", "precision": 12, "json": False},
+    "ladder": {"expr": "x", "ascend": False, "base": F(-1), "precision": 12,
+               "max_coeff": 10**6, "relation_bits": 160, "reduce": False, "json": True},
+    "reduce": {"expr": "x", "ascend": False, "base": F(-1), "precision": 12,
+               "max_coeff": 10**6, "relation_bits": 160, "reduce": True, "json": True},
+    "report": {"kind": "clavius", "kmin": 3, "kmax": 12, "n": 12},
+    "render": {"path": "p.qdx", "out": "o.svg", "with_curve": None, "width": 640, "height": 640},
+    "verify": {"path": "c.json"},
+}
+_FUNCS = {"ladder": "cmd_ladder", "reduce": "cmd_ladder"}
+_FIRST = {"compile": ["p.qdx"], "eval": ["pi"], "classify": ["pi"], "ladder": ["x"],
+          "reduce": ["x"], "report": ["clavius"], "render": ["p.qdx", "--out", "o.svg"],
+          "verify": ["c.json"]}
+
+
+@pytest.mark.parametrize("argv, changed", [
+    *(([name, *first], {}) for name, first in _FIRST.items()),
+    (["eval", "pi", "--precision=30"], {"precision": 30}),
+    (["eval", "--precision=30", "pi"], {"precision": 30}),
+    (["ladder", "x", "--base=-1/2", "--max-coeff", "7"], {"base": F(-1, 2), "max_coeff": 7}),
+    (["eval", "pi", "--prec", "30"], {"precision": 30}),
+    (["ladder", "x", "--red", "--a"], {"reduce": True, "ascend": True}),
+    (["reduce", "x", "--re", "7", "--m=5"], {"relation_bits": 7, "max_coeff": 5}),
+    (["render", "p.qdx", "--o=o.svg", "--with", "spiral", "--wid", "3", "--hei", "4"],
+     {"with_curve": "spiral", "width": 3, "height": 4}),
+    (["report", "--kmin", "4", "clavius", "--n=2"], {"kmin": 4, "n": 2}),
+    (["eval", "--", "pi"], {}),
+    (["eval", "pi", "--"], {}),
+    (["eval", "--precision", "5", "--", "--2"], {"precision": 5, "expr": "--2"}),
+    (["eval", "--", "-h"], {"expr": "-h"}),
+    (["eval", "-sqrt(2)", "--precision", "5"], {"expr": "-sqrt(2)", "precision": 5}),
+    (["eval", "-"], {"expr": "-"}),
+    (["eval", "--a b"], {"expr": "--a b"}),
+    (["ladder", "x", "--base", "-1/2"], {"base": F(-1, 2)}),
+    (["render", "-p.qdx", "--out", "-o.svg"], {"path": "-p.qdx", "out": "-o.svg"}),
+    (["eval", "pi", "--precision", "5", "--precision", "6"], {"precision": 6}),
+    (["classify", "pi", "--json", "--json"], {"json": True}),
+], ids=[*_FIRST, "equals", "equals-first", "equals-negative-base", "prefix", "flag-prefixes",
+        "reduce-prefixes", "render-prefixes", "option-before-choice", "dashes-before",
+        "dashes-after", "dashes-then-double-dash-value", "dashes-then-h", "minus-value",
+        "lone-minus", "space-value", "negative-base", "minus-paths", "repeated-option",
+        "repeated-flag"])
+def test_the_command_table_reads_argv(argv, changed):
+    name = argv[0]
+    want = {"command": name, "func": _FUNCS.get(name, f"cmd_{name}"), **_DEFAULTS[name], **changed}
+    assert vars(qx.cli.parse_args(argv)) == want
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "qx: error: the following arguments are required: command"),
+    (["nope"], "qx: error: argument command: invalid choice: 'nope' (choose from 'compile', "),
+    (["--x", "eval", "pi"], "qx: error: argument command: invalid choice: '--x'"),
+    (["eval", "pi", "--nope"], "qx eval: error: unrecognized arguments: --nope"),
+    (["verify", "--precision", "5", "c.json"],
+     "qx verify: error: unrecognized arguments: --precision c.json"),
+    (["eval"], "qx eval: error: the following arguments are required: expr"),
+    (["eval", "pi", "--", "--precision"], "qx eval: error: unrecognized arguments: --precision"),
+    (["eval", "pi", "e"], "qx eval: error: unrecognized arguments: e"),
+    (["eval", "pi", "--", "e"], "qx eval: error: unrecognized arguments: e"),
+    (["eval", "pi", "--precision", "x"], "qx eval: error: argument --precision: invalid literal"),
+    (["eval", "pi", "--precision=-1"],
+     "qx eval: error: argument --precision: expected a non-negative integer, got '-1'"),
+    (["ladder", "x", "--base", "1e5"],
+     "qx ladder: error: argument --base: expected an integer, p/q or a decimal, got '1e5'"),
+    (["ladder", "x", "--base", "1/0"], "qx ladder: error: argument --base: zero denominator"),
+    (["report", "bogus"], "qx report: error: argument kind: invalid choice: 'bogus' "
+                          "(choose from 'spiral', 'clavius')"),
+    (["render", "p", "--out", "o", "--with-curve", "circle"],
+     "qx render: error: argument --with-curve: invalid choice: 'circle'"),
+    (["classify", "pi", "--json=yes"],
+     "qx classify: error: argument --json: ignored explicit argument 'yes'"),
+    (["eval", "pi", "--help="], "qx eval: error: argument --help: ignored explicit argument ''"),
+    (["render", "p"], "qx render: error: the following arguments are required: --out"),
+    (["render"], "qx render: error: the following arguments are required: path, --out"),
+    (["ladder", "x", "--re", "1"],
+     "qx ladder: error: ambiguous option: --re could match --relation-bits, --reduce"),
+    (["ladder", "-h", "--re"], "qx ladder: error: ambiguous option: --re could match"),
+    (["render", "p", "--out", "o", "--w=3"], "qx render: error: ambiguous option: --w=3 could"),
+    (["eval", "pi", "--precision"], "qx eval: error: argument --precision: expected one argument"),
+    (["eval", "--precision", "--", "pi"], "qx eval: error: argument --precision: expected one"),
+    (["eval", "--precision", "-h", "pi"], "qx eval: error: argument --precision: expected one"),
+    (["ladder", "x", "--base", "--1"], "qx ladder: error: argument --base: expected one argument"),
+], ids=["no-command", "unknown-command", "option-before-command", "unknown-option",
+        "verify-has-no-precision", "missing-positional", "option-after-dashes-is-a-value",
+        "extra-positional", "extra-after-dashes", "not-an-integer", "negative-natural",
+        "base-exponent", "base-zero-denominator", "bad-choice", "bad-option-choice",
+        "flag-with-value", "help-with-empty-value", "missing-out", "missing-path-and-out",
+        "ambiguous-prefix", "ambiguous-before-help", "ambiguous-with-value",
+        "missing-value", "value-after-dashes", "help-as-value", "double-dash-value"])
+def test_a_usage_error_writes_usage_and_error_and_exits_2(argv, error):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    usage, message = err.getvalue().splitlines()
+    prog = " ".join(["qx", *argv[:1]]) if argv and argv[0] in qx.cli._COMMANDS else "qx"
+    assert usage.startswith(f"usage: {prog} ")
+    assert message.startswith(error)
+
+
+@pytest.mark.parametrize("argv", [[], *([name] for name in qx.cli._COMMANDS)],
+                         ids=["qx", *qx.cli._COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help", "--hel"])
+def test_help_of_qx_and_of_each_command_exits_0(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, *(["--nope"] if argv else [])])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith(" ".join(["usage: qx", *argv]) + " ")
+    names = qx.cli._COMMANDS if not argv else [f"--{o}" for o in qx.cli._COMMANDS[argv[0]][3]]
+    assert all(name in out for name in names)
+
+
+def test_importing_the_cli_leaves_argparse_out():
+    import subprocess
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qx.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(qx.cli.__file__).resolve().parent.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_a_negative_base_needs_no_double_dash():
     want = run(["ladder", "pow(2, sqrt(2))", "--base", "-1/2"])
     assert want[0] == 0 and '"base": "-1/2"' in want[1], want
@@ -577,15 +704,39 @@ def test_input_that_is_not_utf8_exits_2(tmp_path):
         code, err = run_to_exit([command, str(prog)])
         assert code == 2, err
         assert "cannot read" in err
+    # the decode error names the byte's offset in the file, CRLF counting two
+    prog.write_bytes(b"# a\r\n" * 3000 + b"# caf\xe9\r\n")
+    code, err = run_to_exit(["compile", str(prog)])
+    assert code == 2 and "in position 15005:" in err, err
+
+
+def test_crlf_input_reads_as_its_lf_twin(tmp_path):
+    lf = (CORPUS / "01_square_rectangle.qdx").read_text(encoding="utf-8")
+    crlf, cr = tmp_path / "crlf.qdx", tmp_path / "cr.qdx"
+    crlf.write_bytes(lf.replace("\n", "\r\n").encode())
+    cr.write_bytes(lf.replace("\n", "\r").encode())
+    want = run(["compile", str(CORPUS / "01_square_rectangle.qdx")])
+    assert want[0] == 0
+    assert run(["compile", str(crlf)]) == run(["compile", str(cr)]) == want
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(want[1].replace("\n", "\r\n").encode())
+    assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n")
+
+
+def test_a_polyroot_with_tiny_coefficients_prints_what_its_unscaled_twin_prints():
+    tiny = "0.000000000000000000000000000001"
+    want = run(["eval", "polyroot(2, -3, 1; 1.75, 3)", "--precision", "1200"])
+    assert want[0] == 0
+    scaled = f"polyroot(2 * {tiny}, -3 * {tiny}, {tiny}; 1.75, 3)"
+    assert run(["eval", scaled, "--precision", "1200"]) == want
 
 
 def test_ladder_and_reduce_share_options_and_defaults():
     from fractions import Fraction
 
-    from qx.cli import _build_parser
-    parser = _build_parser()
-    ladder = vars(parser.parse_args(["ladder", "x"]))
-    reduce = vars(parser.parse_args(["reduce", "x"]))
+    from qx.cli import parse_args
+    ladder = vars(parse_args(["ladder", "x"]))
+    reduce = vars(parse_args(["reduce", "x"]))
     assert ladder.pop("reduce") is False and reduce.pop("reduce") is True
     assert ladder.pop("command") == "ladder" and reduce.pop("command") == "reduce"
     assert ladder == reduce
@@ -595,16 +746,16 @@ def test_ladder_and_reduce_share_options_and_defaults():
         "relation_bits": 160, "json": True}
 
 
-def test_main_reuses_one_parser_and_calls_the_current_command_function(monkeypatch, tmp_path):
+def test_main_reads_the_table_and_calls_the_current_command_function(monkeypatch, tmp_path):
     import qx.cli
     assert run(["eval", "1/2"])[0] == 0
-    parser = qx.cli._build_parser()
+    table = qx.cli._COMMANDS["verify"]
     seen = []
     monkeypatch.setattr(qx.cli, "cmd_verify", lambda args: seen.append(args.path) or 0)
     cert = str(tmp_path / "never_read.json")
     assert main(["verify", cert]) == 0
     assert seen == [cert]
-    assert qx.cli._build_parser() is parser
+    assert qx.cli._COMMANDS["verify"] is table and table[0] == "cmd_verify"
 
 
 def test_verify_rejects_a_compile_certificate_whose_subject_the_program_does_not_build(
@@ -1129,6 +1280,20 @@ def test_reduce_and_verify_of_planted_bench_ladders_run_no_pslq(tmp_path, monkey
     calls = []
     pslq = mpmath.pslq
     monkeypatch.setattr(mpmath, "pslq", lambda v, **k: calls.append(len(v)) or pslq(v, **k))
+    # and an exact relation's removal identity is a theorem: check_removal computes no node
+    checking, computed = [], []
+    check, compute = qx.ladders.check_removal, Expr._compute
+
+    def spy_check(*args):
+        checking.append(args[2])
+        try:
+            return check(*args)
+        finally:
+            checking.pop()
+    monkeypatch.setattr(qx.ladders, "check_removal", spy_check)
+    monkeypatch.setattr(qx.cli, "check_removal", spy_check)
+    monkeypatch.setattr(Expr, "_compute",
+                        lambda node, *a: computed.extend(checking) or compute(node, *a))
     rng = random.Random(seed)
     for base_count, planted_count in workloads.LADDER_SHAPES:
         text, atoms, planted = workloads.planted_ladder(rng, base_count, planted_count)
@@ -1137,10 +1302,12 @@ def test_reduce_and_verify_of_planted_bench_ladders_run_no_pslq(tmp_path, monkey
         removals = json.loads(out)["reduced"]["removals"]
         assert [rm["index"] for rm in removals] == list(range(base_count,
                                                               base_count + planted_count))
+        assert {rm["relation"]["confidence"] for rm in removals} == {"exact"}
         path = tmp_path / f"{base_count}-{planted_count}.json"
         path.write_text(out)
         assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
     assert calls == []
+    assert computed == []
 
 
 def test_a_ladder_command_evaluates_each_node_at_one_low_precision(tmp_path, monkeypatch):

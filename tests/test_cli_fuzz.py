@@ -1,7 +1,7 @@
 """Fuzz the CLI boundary: every input ends in a documented exit code.
 
 `qx.cli.main` runs in-process on random expressions and random .qdx
-programs. A return value, or argparse's SystemExit code, outside
+programs. A return value, or the SystemExit code of a usage error, outside
 {0, 2, 3, 4, 5} fails the test, and so does any other exception escaping
 `main` (that is a traceback on the command line), and so does a
 DomainStraddle reaching `main`'s error boundary: a straddle only asks for
@@ -35,7 +35,7 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 def run_cli(argv) -> tuple[int, str]:
-    """The exit code, or argparse's SystemExit code, and stdout.
+    """The exit code, or the SystemExit code of a usage error, and stdout.
 
     Fails when a DomainStraddle reaches `qx.cli._failure`, the error boundary.
     """
