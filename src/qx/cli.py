@@ -679,9 +679,9 @@ _REBUILD = {"compile": ((TEXT_FORMAT, NODE_TABLE_FORMAT), _rebuilt_compile),
 # --- the command line ------------------------------------------------------------------
 
 def natural(text: str) -> int:
-    """Converter of every int option: a non-negative integer."""
+    """Converter of every int option: a non-negative integer in ASCII digits."""
     value = int(text)
-    if value < 0:
+    if not (text.isascii() and text.isdigit()):  # int also takes a sign, '_', other digits
         raise ValueError(f"expected a non-negative integer, got {text!r}")
     return value
 

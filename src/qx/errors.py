@@ -92,10 +92,6 @@ class OutOfRange(DomainError):
     """Curve parameter outside the constructible range (e.g. quadratrix y = 0)."""
 
 
-class NonPositiveSlope(DomainError):
-    """Radial-line slope must be positive."""
-
-
 class DegenerateSecant(DomainError):
     """Secant offset h is not inside (0, theta0); no secant line exists."""
 

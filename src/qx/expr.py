@@ -773,28 +773,47 @@ def _check_isolation(node: Expr):
 
 # --- quadratic-field flattening ----------------------------------------------
 
-_TRIAL_BOUND = 1 << 16  # largest trial divisor of a radicand
+_TRIAL_BOUND = 1 << 16  # largest trial divisor of any factorization
+
+
+def factor(n: int) -> tuple[dict, int]:
+    """n >= 1 as ({p: e}, rest), n = rest * prod p^e: qx's one trial division.
+
+    It divides by 2 and the odd d while d*d <= n and d <= _TRIAL_BOUND. Past
+    d*d > n the factorization is complete and rest is 1; otherwise rest has no
+    prime factor up to _TRIAL_BOUND, and whether it is prime is left open.
+    """
+    primes: dict = {}
+    d = 2
+    while d * d <= n:
+        if d > _TRIAL_BOUND:
+            return primes, n
+        count = 0
+        while n % d == 0:
+            n //= d
+            count += 1
+        if count:
+            primes[d] = count
+        d += 1 if d == 2 else 2
+    if n > 1:
+        primes[n] = 1  # every prime below d is divided out, so n is a prime
+    return primes, 1
 
 
 def _square_free_decomp(n: int) -> tuple[int, int]:
     """n = s^2 * m (n > 0) with m = 1 or m not a perfect square.
 
-    Trial division stops at _TRIAL_BOUND; the cofactor above it is taken out
-    when it is a square, else m may keep a squared prime above the bound.
+    From `factor(n)`: a rest is taken out when it is a square, else m keeps
+    it and may keep a squared prime above _TRIAL_BOUND with it.
     """
+    primes, rest = factor(n)
     s, m = 1, 1
-    d = 2
-    while d * d <= n and d <= _TRIAL_BOUND:
-        count = 0
-        while n % d == 0:
-            n //= d
-            count += 1
-        s *= d ** (count // 2)
-        if count % 2:
-            m *= d
-        d += 1 if d == 2 else 2
-    r = math.isqrt(n)
-    return (s * r, m) if r * r == n else (s, m * n)
+    for p, e in primes.items():
+        s *= p ** (e // 2)
+        if e % 2:
+            m *= p
+    r = math.isqrt(rest)
+    return (s * r, m) if r * r == rest else (s, m * rest)
 
 
 def quad_flatten(e: Expr) -> Optional[tuple[Fraction, Fraction, Fraction]]:

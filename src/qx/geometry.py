@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .dyadic import fixed_point
 from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
-                     NonPositiveLength, NonPositiveSlope, NotOnUnitCircle, OutOfRange)
+                     NonPositiveLength, NotOnUnitCircle, OutOfRange)
 from .expr import RAT, Context, Expr, decide_sign, short_text, sign
 from .interval import precision_ceiling
 
@@ -242,15 +242,6 @@ def quadratrix_x_of_y(ctx: Context, yv: Expr, R: Expr) -> Expr:
     half = Fraction(1, 2)
     return ctx.mul(yv, ctx.div(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
                                ctx.sin_pi(ctx.mul(half, t))))
-
-
-def quadratrix_y_of_slope(ctx: Context, m: Expr) -> Expr:
-    """Height of quadratrix (R=1) meeting the radial line y = m*x: (2/pi) arctan(m)."""
-    m = ctx._coerce(m)
-    if decide_sign(m, "positivity of the radial slope") != 1:
-        raise NonPositiveSlope("radial slope must be positive")
-    sine = ctx.div(m, ctx.sqrt(ctx.add(1, ctx.mul(m, m))))
-    return ctx.mul(2, ctx.arcsin_over_pi(sine))
 
 
 def clavius_point(ctx: Context, n: int) -> GPoint:

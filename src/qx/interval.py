@@ -179,6 +179,8 @@ class RInterval:
             return False  # an infinite or NaN width
         p, q = target.numerator, target.denominator
         if exp >= 0:
+            if man and exp >= p.bit_length():
+                return False  # the width is at least 2^exp > p >= p/q: build no such shift
             return (man * q) << exp <= p
         return man * q <= p << -exp
 

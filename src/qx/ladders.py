@@ -271,9 +271,6 @@ def _detect_exact(values: list[Expr], basis: list[list[Fraction]],
 
 # --- exact independence ----------------------------------------------------------
 
-_KERNEL_BOUND = E._TRIAL_BOUND ** 2  # trial division proves a kernel below this squarefree
-
-
 def atoms_independent(values: list[Expr]) -> bool:
     """Whether {1} and the atoms of the values' decompositions are proven Q-independent.
 
@@ -294,6 +291,9 @@ def _independent(columns: list[dict]) -> bool:
     unique factorization these logs are independent when the prime-exponent
     vectors of the r_j are. The roots are real and the logs purely imaginary,
     so a relation among all of them splits into one among each kind.
+
+    Both read `E.factor`: a kernel counts when it factors completely with every
+    exponent 1, a log when r's numerator and denominator factor completely.
     """
     kernels: set = set()
     exponents: list[dict] = []
@@ -315,36 +315,20 @@ def _generator(atom: Expr):
     """The squarefree kernel of a covered root, the exponent vector of a covered log, or None."""
     if atom.kind == E.SQRT:
         flat = quad_flatten(atom)  # (0, v, d) for a root of a rational that is not a square
-        if flat is not None and flat[1] != 0 and 1 < flat[2] < _KERNEL_BOUND:
-            return flat[2]
+        if flat is not None and flat[1] != 0 and flat[2] > 1:
+            primes, rest = E.factor(int(flat[2]))
+            if rest == 1 and all(e == 1 for e in primes.values()):
+                return flat[2]
         return None
     if (atom.kind == E.LOG and not atom.natural and atom.branch == 0
             and atom.base.is_rat(-1) and atom.arg.kind == E.RAT and atom.arg.rat > 0):
         r = atom.arg.rat
-        num, den = _prime_exponents(r.numerator), _prime_exponents(r.denominator)
-        if num is None or den is None:
+        (num, num_rest), (den, den_rest) = E.factor(r.numerator), E.factor(r.denominator)
+        if num_rest != 1 or den_rest != 1:
             return None
-        for p, k in den.items():
-            num[p] = Fraction(-k)
-        return num
+        return {**{p: Fraction(k) for p, k in num.items()},
+                **{p: Fraction(-k) for p, k in den.items()}}
     return None
-
-
-def _prime_exponents(n: int) -> Optional[dict]:
-    """{p: exponent} of n >= 1 by trial division up to `E._TRIAL_BOUND`, or None
-    when a cofactor is left that trial division has not proven prime."""
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        if d > E._TRIAL_BOUND:
-            return None
-        while n % d == 0:
-            n //= d
-            out[d] = out.get(d, 0) + 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = 1  # every prime below d is divided out, so n is a new prime
-    return {p: Fraction(k) for p, k in out.items()}
 
 
 def _verify_exact(coeffs: tuple[int, ...], values: list[Expr]) -> bool:

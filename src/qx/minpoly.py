@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from . import expr as E
-from .errors import ZeroPolynomial
+from .errors import OutOfDomain, ZeroPolynomial
 from .expr import Context, Expr, fold, quad_flatten, separates
 from .interval import CInterval
 
@@ -264,32 +264,19 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 # --- cyclotomic annihilators ---------------------------------------------------
 
-def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """(p, e) for each prime power p^e exactly dividing n >= 1, by trial division."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _cyclotomic(n: int) -> list[int]:
     """Coefficients of the cyclotomic polynomial Phi_n, constant term first.
 
     Phi_n is the product of (z^d - 1)^mu(n/d) over d | n, and mu(n/d) is
     nonzero only when n/d is a product of distinct primes of n. Every factor
     with mu = +1 is multiplied in before any with mu = -1 is divided out, so
-    each division is exact.
+    each division is exact. An n that `E.factor` leaves a rest of is out of domain.
     """
+    primes, rest = E.factor(n)
+    if rest != 1:
+        raise OutOfDomain(f"cyclotomic polynomial of {n}: a factor past the trial bound")
     signed = [(1, 1)]  # squarefree e | n with mu(e)
-    for p, _ in _prime_factors(n):
+    for p in primes:
         signed += [(e * p, -mu) for e, mu in signed]
     c = [1]
     for e, mu in sorted(signed, key=lambda t: -t[1]):
@@ -361,19 +348,27 @@ def annihilator_sin_pi(r: Fraction) -> IntPoly:
 
 # --- rational root scan -------------------------------------------------------
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in ascending order; [] for 0."""
+def _divisors(n: int) -> Optional[list[int]]:
+    """Positive divisors of |n| in ascending order; [] for 0; None when
+    `E.factor` leaves a rest, whose divisors are not known."""
     n = abs(n)
     if n == 0:
         return []
+    primes, rest = E.factor(n)
+    if rest != 1:
+        return None
     divs = [1]
-    for p, e in _prime_factors(n):
+    for p, e in primes.items():
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
 
-def rational_root_scan(p: IntPoly) -> list[Fraction]:
-    """All rational roots by the rational-root theorem, each verified exactly."""
+def rational_root_scan(p: IntPoly) -> Optional[list[Fraction]]:
+    """All rational roots by the rational-root theorem, each verified exactly.
+
+    None means "not settled": an end coefficient leaves a rest in `E.factor`,
+    so its divisors, and the candidates, are not known.
+    """
     if p.is_zero():
         raise ZeroPolynomial("rational roots of the zero polynomial are undefined")
     shift = next(k for k, c in enumerate(p.coeffs) if c)
@@ -381,6 +376,10 @@ def rational_root_scan(p: IntPoly) -> list[Fraction]:
     trimmed = IntPoly(p.coeffs[shift:])
     if trimmed.degree == 0:
         return roots
+    # a root num/den in lowest terms has num | c_0 and den | c_n
+    nums, dens = _divisors(trimmed.coeffs[0]), _divisors(trimmed.coeffs[-1])
+    if nums is None or dens is None:
+        return None
     # Gauss: for a root num/den in lowest terms, den*x - num divides the
     # trimmed polynomial t in Z[x], so den*k - num divides t(k) at every
     # integer k. Sieve at the two k nearest 0 with t(k) != 0 (sin-pi
@@ -396,9 +395,8 @@ def rational_root_scan(p: IntPoly) -> list[Fraction]:
     def survives(num: int, den: int) -> bool:
         return all(den * k != num and value % (den * k - num) == 0 for k, value in sieve)
 
-    # a root num/den in lowest terms has num | c_0 and den | c_n
-    for num in _divisors(trimmed.coeffs[0]):
-        for den in _divisors(trimmed.coeffs[-1]):
+    for num in nums:
+        for den in dens:
             if gcd(num, den) == 1:
                 for signed in (num, -num):
                     if survives(signed, den):
@@ -533,7 +531,8 @@ def _provably_irrational(e: Expr, witness: IntPoly) -> bool:
     flat = quad_flatten(e)
     if flat is not None:
         return flat[1] != 0
-    return all(separates(e, root) for root in rational_root_scan(witness))
+    roots = rational_root_scan(witness)
+    return roots is not None and all(separates(e, root) for root in roots)
 
 
 # --- the rule base ---------------------------------------------------------------

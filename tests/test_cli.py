@@ -337,6 +337,27 @@ def test_spiral_report_past_the_ceiling_exits_5_before_any_stage():
     assert seconds < 2
 
 
+@pytest.mark.parametrize("argv", [["eval", "pow(2, 8000000000)"],
+                                  ["classify", "pow(2, sqrt(10000000000000000000000013))"]],
+                         ids=["eval", "classify"])
+def test_a_width_of_2_to_the_billions_fails_its_target_without_building_it(argv):
+    # man*q*2^exp of such a width took 4.4 s of 1 GB shifts, or ran out of memory
+    proc, seconds = _timed_qx(argv, timeout=60)
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "a width of 2^-" in proc.stderr and "not settled" in proc.stderr
+    assert seconds < 2
+
+
+def test_a_scan_of_a_coefficient_past_the_trial_bound_is_unknown_at_once():
+    # the rational-root scan's divisors of a 20-digit prime took longer than 60 s
+    proc, seconds = _timed_qx(["classify", "sin_pi(polyroot(-100000000000000000039, 0, 1; "
+                                           "10000000000, 10000000001)/10000000000)"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "status=unknown" in proc.stdout
+    assert seconds < 2
+
+
 def _mutate_removal_index(d):
     d["reduced"]["removals"][0]["index"] = 99
 
@@ -384,7 +405,7 @@ EXIT_CODES = {
     "DivisionByZero": 5, "DomainStraddle": 5, "MaxPrecision": 5, "InvalidBase": 4,
     "NonRealArgument": 5, "OutOfDomain": 5, "ZeroPolynomial": 4, "UnsupportedNode": 4,
     "NotReduced": 4, "NonPositiveLength": 5, "NotOnUnitCircle": 5, "OutOfRange": 5,
-    "NonPositiveSlope": 5, "DegenerateSecant": 5, "Coincident": 5, "NoIntersection": 5,
+    "DegenerateSecant": 5, "Coincident": 5, "NoIntersection": 5,
     "DslSyntaxError": 3, "DslSemanticError": 4, "MismatchError": 1,
 }
 
@@ -616,6 +637,12 @@ def test_the_command_table_reads_argv(argv, changed):
     (["eval", "pi", "--precision", "x"], "qx eval: error: argument --precision: invalid literal"),
     (["eval", "pi", "--precision=-1"],
      "qx eval: error: argument --precision: expected a non-negative integer, got '-1'"),
+    (["eval", "pi", "--precision", "\u0663"],
+     "qx eval: error: argument --precision: expected a non-negative integer, got '\u0663'"),
+    (["eval", "pi", "--precision", "7_0"],
+     "qx eval: error: argument --precision: expected a non-negative integer, got '7_0'"),
+    (["eval", "pi", "--precision", " 7"],
+     "qx eval: error: argument --precision: expected a non-negative integer, got ' 7'"),
     (["ladder", "x", "--base", "1e5"],
      "qx ladder: error: argument --base: expected an integer, p/q or a decimal, got '1e5'"),
     (["ladder", "x", "--base", "1/0"], "qx ladder: error: argument --base: zero denominator"),
@@ -639,6 +666,7 @@ def test_the_command_table_reads_argv(argv, changed):
 ], ids=["no-command", "unknown-command", "option-before-command", "unknown-option",
         "verify-has-no-precision", "missing-positional", "option-after-dashes-is-a-value",
         "extra-positional", "extra-after-dashes", "not-an-integer", "negative-natural",
+        "non-ascii-digit", "underscore-digits", "space-before-digits",
         "base-exponent", "base-zero-denominator", "bad-choice", "bad-option-choice",
         "flag-with-value", "help-with-empty-value", "missing-out", "missing-path-and-out",
         "ambiguous-prefix", "ambiguous-before-help", "ambiguous-with-value",

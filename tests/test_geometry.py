@@ -5,20 +5,17 @@ from fractions import Fraction as F
 import pytest
 
 from qx.errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
-                       NonPositiveLength, NonPositiveSlope, NotOnUnitCircle,
-                       OutOfRange)
+                       NonPositiveLength, NotOnUnitCircle, OutOfRange)
 from qx.expr import Context, Expr, to_text
 from qx.geometry import (GPoint, circle, clavius_point, fourth_proportional,
                          general_anglesect, intersect, line, mean_proportional,
-                         quadratrix_x_of_y, quadratrix_y_of_slope,
-                         reverse_anglesect, right_anglesect, spiral_point,
-                         spiral_probe_report, spiral_secant_cut)
+                         quadratrix_x_of_y, reverse_anglesect, right_anglesect,
+                         spiral_point, spiral_probe_report, spiral_secant_cut)
 from qx.interval import CInterval, pi_interval
 
 W40 = F(1, 1 << 40)
 
 COT_PI8_OVER_4 = F("0.603553390593273762200422181052")
-TWO_ATAN2_OVER_PI = F("0.704832764699133451649197847551")
 TWO_ASIN13_OVER_PI = F("0.216346895938785459658288881555")
 PI_OVER_12 = F("0.261799387799149436538553615273")
 
@@ -133,11 +130,9 @@ def test_an_undecided_tangency_names_the_test_the_value_and_the_bits(ctx):
         intersect(ctx, tangent, c)
 
 
-def test_an_undecided_slope_or_offset_is_no_domain_fault(ctx):
+def test_an_undecided_offset_is_no_domain_fault(ctx):
     nested = ctx.sqrt(ctx.add(2, ctx.sqrt(3)))
     zero = ctx.sub(nested, ctx.div(ctx.add(ctx.sqrt(6), ctx.sqrt(2)), 2))
-    with pytest.raises(MaxPrecision, match="radial slope"):
-        quadratrix_y_of_slope(ctx, zero)
     with pytest.raises(MaxPrecision, match="secant offset"):
         spiral_secant_cut(ctx, ctx.div(ctx.pi(), 2), zero, ctx.rat(1))
     with pytest.raises(DegenerateSecant, match="need 0 < h < theta0"):
@@ -267,14 +262,6 @@ def test_quadratrix_sample_satisfies_curve(ctx):
     t = F(1, 6)
     resid = ctx.sub(ctx.mul(y, ctx.sin_pi(F(1, 2) - t)), ctx.mul(x, ctx.sin_pi(t)))
     assert resid.enclosure(W40).contains_zero()
-
-
-def test_quadratrix_y_of_slope(ctx):
-    assert quadratrix_y_of_slope(ctx, ctx.rat(1)).is_rat(F(1, 2))
-    assert quadratrix_y_of_slope(ctx, ctx.sqrt(3)).is_rat(F(2, 3))
-    assert near(quadratrix_y_of_slope(ctx, ctx.rat(2)), TWO_ATAN2_OVER_PI)
-    with pytest.raises(NonPositiveSlope):
-        quadratrix_y_of_slope(ctx, ctx.rat(-1))
 
 
 def test_clavius_points(ctx):

@@ -135,8 +135,9 @@ def test_distinct_square_free_roots_and_independent_logs_are_proven_independent(
     assert not atoms_independent([ctx.log(m1, ctx.rat(4), 0), logs[0]])
     assert not atoms_independent([ctx.log(ctx.rat(2), ctx.rat(3), 0)])
     assert not atoms_independent([ctx.sin_pi(ctx.sqrt(2))])
-    # a kernel at 2^32 or a cofactor past the trial bound is not proven squarefree or prime
-    assert not atoms_independent([ctx.sqrt(1 << 32 | 1)])
+    # a kernel or a log that leaves a rest past the trial bound is not proven
+    assert not atoms_independent([ctx.sqrt(65537 * 65539)])
+    assert atoms_independent([ctx.sqrt(1 << 32 | 1)])  # 641 * 6700417
     assert not atoms_independent([ctx.log(m1, ctx.rat(65537 * 65539), 0)])
     assert atoms_independent([ctx.log(m1, ctx.rat(65537 * 3), 0)])
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qx import minpoly
+from qx import expr, ladders, minpoly
 from qx.dsl import compile_program, parse
-from qx.errors import ZeroPolynomial
+from qx.errors import OutOfDomain, ZeroPolynomial
 from qx.expr import Context
 from qx.interval import CInterval, RInterval, sin_pi_interval
 from qx.minpoly import (IntPoly, annihilator_sin_pi, olmsted_classify,
@@ -206,6 +206,30 @@ def test_rational_root_scan_examples():
     assert rational_root_scan(IntPoly.new((-2, 0, 1))) == []
     with pytest.raises(ZeroPolynomial):
         rational_root_scan(IntPoly.new(()))
+    # a prime past the trial bound's square leaves its divisors, and the scan, not settled
+    assert rational_root_scan(IntPoly.new((-(10 ** 20 + 39), 0, 1))) is None
+
+
+def test_every_factorization_is_expr_factor(ctx, monkeypatch):
+    calls = []
+    factor = expr.factor
+    monkeypatch.setattr(expr, "factor", lambda n: calls.append(n) or factor(n))
+
+    def factored(result):
+        seen = set(calls)
+        calls.clear()
+        return result, seen
+
+    m1 = ctx.rat(-1)
+    assert factored(expr.quad_flatten(ctx.sqrt(72))) == ((F(0), F(6), F(2)), {72})
+    assert factored(ladders.atoms_independent(
+        [ctx.log(m1, ctx.rat(2), 0), ctx.log(m1, ctx.rat(F(3, 5)), 0), ctx.sqrt(6)])
+    ) == (True, {1, 2, 3, 5, 6})
+    assert factored(rational_root_scan(IntPoly.new((-6, 1, 1)))) == ([-3, 2], {1, 6})
+    c105, seen = factored(minpoly._cyclotomic(105))
+    assert seen == {105} and len(c105) == 49 and -2 in c105
+    with pytest.raises(OutOfDomain, match="trial bound"):
+        minpoly._cyclotomic(65537 * 65539)
 
 
 def _reference_rational_root_scan(p: IntPoly) -> list[F]:

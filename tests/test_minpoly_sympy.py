@@ -1,5 +1,5 @@
 """IntPoly witnesses, squarefree parts, rational roots, cyclotomic minimal
-polynomials and divisors cross-checked against sympy.
+polynomials, divisors and trial division cross-checked against sympy.
 
 The witness coefficients are written into certificates, so the normal form is
 pinned exactly: a witness with rational coefficients is scaled by the least
@@ -7,7 +7,7 @@ positive integer that makes it integral, which is what sympy's
 `clear_denoms` computes.
 """
 from fractions import Fraction as F
-from math import ceil, floor
+from math import ceil, floor, prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qx.dyadic import Dyadic
 from qx.errors import OutOfDomain
-from qx.expr import Context
+from qx.expr import Context, factor
 from qx.interval import CInterval, RInterval
 from qx.minpoly import (IntPoly, _cos_2pi_minpoly, _cyclotomic, _divisors,
                         algebraic_witness, rational_root_scan, separates, squarefree_part)
@@ -209,3 +209,17 @@ def test_divisors_edge_cases():
     assert _divisors(0) == []
     assert _divisors(1) == [1] == sympy.divisors(1)
     assert _divisors(2 ** 32) == [2 ** k for k in range(33)]
+    assert _divisors(65537 * 65539) is None  # a rest: its divisors are not known
+
+
+@settings(max_examples=200, deadline=None)
+@given(small=st.lists(st.sampled_from([2, 3, 5, 7, 11, 251, 65521]), max_size=16),
+       planted=st.lists(st.sampled_from([65537, 65539, 1000003, 2 ** 31 - 1]), max_size=3))
+def test_factor_matches_sympy_up_to_the_trial_bound(small, planted):
+    n = prod(small) * prod(planted)
+    assume(n <= 2 ** 64)
+    expected = {p: e for p, e in sympy.factorint(n).items() if p <= 1 << 16}
+    rest = n // prod(p ** e for p, e in expected.items())
+    if 1 < rest < 65537 ** 2 and sympy.isprime(rest):  # the loop ran past its square root
+        expected[rest], rest = 1, 1
+    assert factor(n) == (expected, rest)
