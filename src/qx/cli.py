@@ -52,8 +52,7 @@ from .expr import Context, Expr, quad_flatten, to_table, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, _bits_for, escalate, precision_ceiling, start_bits
-from .ladders import (Ladder, Relation, Removal, ascend, atoms_independent, check_removal,
-                      descend, reduce_ladder, relation_holds)
+from .ladders import Ladder, Relation, Removal, ascend, check_removal, descend, reduce_ladder
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
@@ -610,17 +609,16 @@ def _rebuilt_ladder(cert: dict, failures: list[str], relaxed: list) -> dict:
     ctx = Context(base=Fraction(_stored(cert["ladder"]["base"], _BASE, "ladder base")))
     e, subject = _rebuilt_subject(cert, ctx, relaxed)
     ladder = descend(e, ctx)
-    reduced = (_rederived(ladder, cert["reduced"]["removals"], ctx, failures)
+    reduced = (_rederived(ladder, cert["reduced"]["removals"], failures)
                if "reduced" in cert or "ascent" in cert else None)
     report = ascend(reduced, ctx) if "ascent" in cert else None
     return _ladder_cert(subject, ladder, reduced, report)
 
 
-def _rederived(ladder: Ladder, stored: list, ctx: Context, failures: list[str]) -> Ladder:
+def _rederived(ladder: Ladder, stored: list, failures: list[str]) -> Ladder:
     """The descent without the stored removals: each, in increasing index
-    order, re-derived from its relation over the rungs kept before it, whose
-    relation must hold as its label says (`relation_holds`), and hold exactly
-    when the atoms of those rungs are proven independent."""
+    order, re-derived from its relation over the rungs kept before it by
+    `check_removal`, which alone decides whether the removal is valid."""
     count = len(ladder.rungs)
     removed = {rm["index"] for rm in stored  # not bools, -1 or past the end
                if type(rm["index"]) is int and 0 <= rm["index"] < count}
@@ -651,21 +649,10 @@ def _rederived(ladder: Ladder, stored: list, ctx: Context, failures: list[str]) 
                              f"to the precision ceiling")
         relation = Relation(coefficients, confidence, bits)
         kept = [r.value for i, r in enumerate(ladder.rungs[:index]) if i not in removed]
-        a_k = ladder.rungs[index].value
-        constant, combo, verified = check_removal(ctx, ctx.base, relation, a_k, kept)
-        related = kept[:len(coefficients) - 2] + [a_k]
-        if not verified:
-            failures.append(f"ladder: removal identity fails at index {index}")
-        elif (confidence == "heuristic" and atoms_independent(related)
-              and not relation_holds(Relation(coefficients, "exact"), related)):
-            failures.append(f"ladder: the relation at index {index} is labelled heuristic, but "
-                            f"the atoms of the rungs it relates are independent and it does not "
-                            f"hold exactly")
-        elif not relation_holds(relation, related):
-            failures.append(f"ladder: the relation at index {index} is labelled {confidence} "
-                            f"but does not hold " + ("exactly" if confidence == "exact"
-                                                      else f"to 2^-{bits}"))
-        removals.append(Removal(index, relation, constant, combo, verified))
+        constant, combo, problem = check_removal(relation, ladder.rungs[index].value, kept)
+        if problem is not None:
+            failures.append(f"ladder: the relation at index {index} {problem}")
+        removals.append(Removal(index, relation, constant, combo, problem is None))
     rungs = tuple(r for i, r in enumerate(ladder.rungs) if i not in removed)
     return Ladder(ladder.base, rungs, tuple(removals))
 
@@ -679,11 +666,18 @@ _REBUILD = {"compile": ((TEXT_FORMAT, NODE_TABLE_FORMAT), _rebuilt_compile),
 # --- the command line ------------------------------------------------------------------
 
 def natural(text: str) -> int:
-    """Converter of every int option: a non-negative integer in ASCII digits."""
+    """Converter of int options but --relation-bits: a non-negative integer in ASCII digits."""
     value = int(text)
     if not (text.isascii() and text.isdigit()):  # int also takes a sign, '_', other digits
         raise ValueError(f"expected a non-negative integer, got {text!r}")
     return value
+
+
+def positive(text: str) -> int:
+    """Converter of --relation-bits: a `natural` above 0, the least bits a relation states."""
+    if natural(text) == 0:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 # an integer, p/q or a decimal; Fraction alone would also take an exponent
@@ -702,7 +696,7 @@ def rational(text: str) -> Fraction:
 
 _REQUIRED = object()  # the default of an option that must be given
 _LADDER = {"ascend": (None, False), "base": (rational, Fraction(-1)), "precision": (natural, 12),
-           "max-coeff": (natural, 10**6), "relation-bits": (natural, 160)}
+           "max-coeff": (natural, 10**6), "relation-bits": (positive, 160)}
 # Per command: the name of its function, looked up when `main` runs (so a
 # monkeypatch or the bench tracer's wrapper takes effect), its help, its one
 # positional (name, converter), its options {name: (converter, default)} and

@@ -773,7 +773,7 @@ def _check_isolation(node: Expr):
 
 # --- quadratic-field flattening ----------------------------------------------
 
-_TRIAL_BOUND = 1 << 16  # largest trial divisor of any factorization
+_TRIAL_BOUND = 1 << 16  # largest trial divisor of any factorization, most pairs a root scan tries
 
 
 def factor(n: int) -> tuple[dict, int]:

@@ -412,21 +412,21 @@ def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COE
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> Ladder:
     """Remove rungs that are rational-affine combinations of earlier kept rungs.
 
-    Lowest index first; each removal stores its relation and what
-    `check_removal` derives from it: the rational-affine combination and
-    whether its exponential identity holds.
+    Lowest index first; a rung goes only when `check_removal` accepts the
+    relation found for it, and its removal stores that relation and the
+    rational-affine combination derived from it.
     """
     kept: list[Rung] = []
     removals: list[Removal] = list(ladder.removals)
     for index, rung in enumerate(ladder.rungs):
-        rel = _relate_to_prefix([r.value for r in kept], rung.value,
-                                max_coeff, precision_bits)
-        if rel is None:
-            kept.append(rung)
-            continue
-        constant, combo, verified = check_removal(ctx, ladder.base, rel, rung.value,
-                                                  [r.value for r in kept])
-        removals.append(Removal(index, rel, constant, combo, verified))
+        values = [r.value for r in kept]
+        rel = _relate_to_prefix(values, rung.value, max_coeff, precision_bits)
+        if rel is not None:
+            constant, combo, problem = check_removal(rel, rung.value, values)
+            if problem is None:
+                removals.append(Removal(index, rel, constant, combo, True))
+                continue
+        kept.append(rung)
     return Ladder(ladder.base, tuple(kept), tuple(removals))
 
 
@@ -438,18 +438,18 @@ def _relate_to_prefix(prefix: list[Expr], value: Expr, max_coeff: int,
     return rel
 
 
-def check_removal(ctx: Context, base: Expr, relation: Relation, a_k: Expr, kept: list[Expr]):
+def check_removal(relation: Relation, a_k: Expr, kept: list[Expr]):
     """The removal of a_k given by the relation n_0 + sum_j n_j a_j + n_k a_k = 0.
 
     Its coefficients are (n_0, n_1..n_m, n_k) and kept[j - 1] is a_j. Returns
-    (q, combo, verified): a_k = q + sum q_j a_j with combo the nonzero
-    (j - 1, q_j), and whether b^{a_k} = b^q * prod (b^{a_j})^{q_j} holds
-    (powers read as b^{q_j a_j}, principal values). For an exact relation it
-    is a theorem: a_k = q + sum q_j a_j exactly, and b^z = exp(z Log b) is a
-    homomorphism in z, so nothing is evaluated. For a heuristic one it is
-    whether the two sides' `enclosure(2^-40)` overlap; each comes out about
-    2^-60 wide or narrower at the 64-bit start, so the test is as strict as
-    that precision, not 2^-40.
+    (q, combo, problem): a_k = q + sum q_j a_j with combo the nonzero
+    (j - 1, q_j), and problem None when the removal is valid, else what is
+    wrong with the relation. It is valid when the relation holds as labelled
+    (`relation_holds`) and, for a heuristic one among rungs whose atoms
+    `atoms_independent` proves independent, also exactly, since no other
+    relation exists there. Then b^{a_k} = b^q * prod (b^{a_j})^{q_j} (powers
+    read as b^{q_j a_j}, principal values) follows from the relation, because
+    b^z = exp(z Log b) is a homomorphism in z: no exponential is evaluated.
     `reduce_ladder` and `qx verify` both decide removals here.
     Raises ValueError when the relation does not give a_k over kept.
     """
@@ -460,19 +460,16 @@ def check_removal(ctx: Context, base: Expr, relation: Relation, a_k: Expr, kept:
                          f"rung in terms of {len(kept)} kept rungs")
     constant = Fraction(-ns[0], nk)
     combo = tuple((j, Fraction(-ns[j + 1], nk)) for j in range(m) if ns[j + 1])
-    if relation.confidence == "exact":
-        return constant, combo, True
-    lhs = ctx.exp(base, a_k)
-    rhs = ctx.exp(base, ctx.rat(constant))
-    for j, qj in combo:
-        rhs = ctx.mul(rhs, ctx.exp(base, ctx.mul(ctx.rat(qj), kept[j])))
-    width = Fraction(1, 1 << 40)
-    try:
-        left = lhs.enclosure(width)
-        right = rhs.enclosure(width)
-    except MaxPrecision:
-        return constant, combo, False
-    return constant, combo, left.intersects(right)
+    related = kept[:m] + [a_k]
+    if (relation.confidence == "heuristic" and atoms_independent(related)
+            and not _verify_exact(relation.coefficients, related)):
+        return constant, combo, ("is labelled heuristic, but the atoms of the rungs it "
+                                 "relates are independent and it does not hold exactly")
+    if not relation_holds(relation, related):
+        return constant, combo, (f"is labelled {relation.confidence} but does not hold " +
+                                 ("exactly" if relation.confidence == "exact"
+                                  else f"to 2^-{relation.precision_bits}"))
+    return constant, combo, None
 
 
 # --- ascent ----------------------------------------------------------------------

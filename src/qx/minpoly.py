@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, zip_longest
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 from . import expr as E
@@ -350,12 +350,13 @@ def annihilator_sin_pi(r: Fraction) -> IntPoly:
 
 def _divisors(n: int) -> Optional[list[int]]:
     """Positive divisors of |n| in ascending order; [] for 0; None when
-    `E.factor` leaves a rest, whose divisors are not known."""
+    `E.factor` leaves a rest, whose divisors are not known, or when they
+    number, as prod (e + 1), more than `E._TRIAL_BOUND`."""
     n = abs(n)
     if n == 0:
         return []
     primes, rest = E.factor(n)
-    if rest != 1:
+    if rest != 1 or prod(e + 1 for e in primes.values()) > E._TRIAL_BOUND:
         return None
     divs = [1]
     for p, e in primes.items():
@@ -367,7 +368,8 @@ def rational_root_scan(p: IntPoly) -> Optional[list[Fraction]]:
     """All rational roots by the rational-root theorem, each verified exactly.
 
     None means "not settled": an end coefficient leaves a rest in `E.factor`,
-    so its divisors, and the candidates, are not known.
+    so its divisors, and the candidates, are not known, or the candidate
+    pairs (num, den) number more than `E._TRIAL_BOUND`.
     """
     if p.is_zero():
         raise ZeroPolynomial("rational roots of the zero polynomial are undefined")
@@ -378,7 +380,7 @@ def rational_root_scan(p: IntPoly) -> Optional[list[Fraction]]:
         return roots
     # a root num/den in lowest terms has num | c_0 and den | c_n
     nums, dens = _divisors(trimmed.coeffs[0]), _divisors(trimmed.coeffs[-1])
-    if nums is None or dens is None:
+    if nums is None or dens is None or len(nums) * len(dens) > E._TRIAL_BOUND:
         return None
     # Gauss: for a root num/den in lowest terms, den*x - num divides the
     # trimmed polynomial t in Z[x], so den*k - num divides t(k) at every

@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qx.cli
+import qx.dsl
+import qx.expr
+import qx.interval
 import qx.ladders
 from qx.cli import main, rational
 from qx.dyadic import Dyadic, fixed_point
-from qx.expr import Expr
+from qx.expr import Context, Expr
 from qx.interval import CInterval, RInterval
 from qx.ladders import Relation
 
@@ -358,6 +361,17 @@ def test_a_scan_of_a_coefficient_past_the_trial_bound_is_unknown_at_once():
     assert seconds < 2
 
 
+def test_a_scan_of_more_candidate_pairs_than_the_trial_bound_is_unknown_at_once():
+    # x^2 - N, N the product of the first 20 primes: 2^20 candidate pairs, none scanned
+    n = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71])
+    r = math.isqrt(n)
+    proc, seconds = _timed_qx(["classify", f"sin_pi(polyroot(-{n}, 0, 1; {r}, {r + 1}))"],
+                              timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "status=unknown" in proc.stdout
+    assert seconds < 2
+
+
 def _mutate_removal_index(d):
     d["reduced"]["removals"][0]["index"] = 99
 
@@ -663,6 +677,10 @@ def test_the_command_table_reads_argv(argv, changed):
     (["eval", "--precision", "--", "pi"], "qx eval: error: argument --precision: expected one"),
     (["eval", "--precision", "-h", "pi"], "qx eval: error: argument --precision: expected one"),
     (["ladder", "x", "--base", "--1"], "qx ladder: error: argument --base: expected one argument"),
+    (["ladder", "x", "--relation-bits", "0"],
+     "qx ladder: error: argument --relation-bits: expected a positive integer, got '0'"),
+    (["reduce", "x", "--relation-bits=00"],
+     "qx reduce: error: argument --relation-bits: expected a positive integer, got '00'"),
 ], ids=["no-command", "unknown-command", "option-before-command", "unknown-option",
         "verify-has-no-precision", "missing-positional", "option-after-dashes-is-a-value",
         "extra-positional", "extra-after-dashes", "not-an-integer", "negative-natural",
@@ -670,7 +688,8 @@ def test_the_command_table_reads_argv(argv, changed):
         "base-exponent", "base-zero-denominator", "bad-choice", "bad-option-choice",
         "flag-with-value", "help-with-empty-value", "missing-out", "missing-path-and-out",
         "ambiguous-prefix", "ambiguous-before-help", "ambiguous-with-value",
-        "missing-value", "value-after-dashes", "help-as-value", "double-dash-value"])
+        "missing-value", "value-after-dashes", "help-as-value", "double-dash-value",
+        "ladder-zero-relation-bits", "reduce-zero-relation-bits"])
 def test_a_usage_error_writes_usage_and_error_and_exits_2(argv, error):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
@@ -680,6 +699,14 @@ def test_a_usage_error_writes_usage_and_error_and_exits_2(argv, error):
     prog = " ".join(["qx", *argv[:1]]) if argv and argv[0] in qx.cli._COMMANDS else "qx"
     assert usage.startswith(f"usage: {prog} ")
     assert message.startswith(error)
+
+
+def test_the_readme_synopsis_lists_every_option_of_each_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: sorted(re.findall(r"--([a-z-]+)", line))
+                for line in block.splitlines()}
+    assert synopsis == {name: sorted(spec[3]) for name, spec in qx.cli._COMMANDS.items()}
 
 
 @pytest.mark.parametrize("argv", [[], *([name] for name in qx.cli._COMMANDS)],
@@ -1271,15 +1298,22 @@ def test_low_relation_bits_remove_no_independent_square_root(bits):
 
 def test_verify_rejects_a_heuristic_removal_among_proven_independent_rungs(tmp_path, monkeypatch):
     # 28859 + 36203*sqrt(2) - 29716*sqrt(3) - 25320*sqrt(5) + 10594*sqrt(7) is
-    # 2.2e-19, below 2^-60, and the removal identity holds at 2^-40; but no
-    # rational relation exists among 1 and these roots
+    # 2.2e-19, below 2^-60; but no rational relation exists among 1 and these
+    # roots, so check_removal refuses it and reduce keeps the rung
     forged = Relation((-28859, -36203, 29716, 25320, -10594), "heuristic", 60)
-    detect = qx.ladders.detect_relation
+    detect, check = qx.ladders.detect_relation, qx.ladders.check_removal
 
     def forge(values, max_coeff, precision_bits):
         return forged if len(values) == 4 else detect(values, max_coeff, precision_bits)
 
     monkeypatch.setattr(qx.ladders, "detect_relation", forge)
+    code, out, err = run(["reduce", SQRT_LADDER, "--ascend"])
+    assert code == 0, err
+    reduced = json.loads(out)["reduced"]
+    assert reduced["removals"] == []
+    assert [r["value"] for r in reduced["rungs"]] == ["sqrt(2)", "sqrt(3)", "sqrt(5)", "sqrt(7)"]
+    # a certificate that carries the forged removal: written while every removal is accepted
+    monkeypatch.setattr(qx.ladders, "check_removal", lambda *a: (*check(*a)[:2], None))
     code, out, err = run(["reduce", SQRT_LADDER, "--ascend"])
     monkeypatch.undo()
     assert code == 0, err
@@ -1290,7 +1324,8 @@ def test_verify_rejects_a_heuristic_removal_among_proven_independent_rungs(tmp_p
     code, _, err = run(["verify", str(path)])
     assert code == 1
     assert err == ("FAIL ladder: the relation at index 3 is labelled heuristic, but the atoms "
-                   "of the rungs it relates are independent and it does not hold exactly\n")
+                   "of the rungs it relates are independent and it does not hold exactly\n"
+                   "FAIL /reduced/removals/0/identity_verified: stored true, qx writes false\n")
 
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -1336,6 +1371,61 @@ def test_reduce_and_verify_of_planted_bench_ladders_run_no_pslq(tmp_path, monkey
         assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
     assert calls == []
     assert computed == []
+
+
+# four exponentials of nested roots: PSLQ finds near-relations among their
+# exponents at low --relation-bits, labelled heuristic
+NESTED_LADDER = " + ".join(f"pow(2, sqrt(1+sqrt({n})))" for n in (2, 3, 5, 6))
+
+
+def _reduced_nested(tmp_path, bits):
+    code, out, err = run(["reduce", NESTED_LADDER, "--base", "2", "--relation-bits", str(bits)])
+    assert code == 0, err
+    path = tmp_path / f"nested-{bits}.json"
+    path.write_text(out)
+    return out, path
+
+
+@pytest.mark.parametrize("bits", [1, 8, 16, 32, 44, 60, 100, 160])
+def test_verify_accepts_every_reduce_certificate_at_any_relation_bits(tmp_path, bits):
+    # a removal is valid when its relation holds as labelled; nothing else is
+    # re-checked, so what reduce writes, verify accepts
+    out, path = _reduced_nested(tmp_path, bits)
+    assert all(rm["identity_verified"] for rm in json.loads(out)["reduced"]["removals"])
+    assert run(["verify", str(path)]) == (0, "certificate verified\n", "")
+
+
+def test_reduce_certificate_bytes_do_not_depend_on_the_start_precision(tmp_path, monkeypatch):
+    # at 60 bits two heuristic removals; a 128-bit start gave one identity
+    # false when it was tested on two enclosures at an unstated precision
+    outs = []
+    for floor in (64, 128):
+        for module in (qx.interval, qx.dsl, qx.cli):
+            monkeypatch.setattr(module, "start_bits", lambda bits, f=floor: max(f, bits + 24))
+        outs.append(_reduced_nested(tmp_path, 60)[0])
+    removals = json.loads(outs[0])["reduced"]["removals"]
+    assert [rm["relation"]["confidence"] for rm in removals] == ["heuristic", "heuristic"]
+    assert outs[0] == outs[1]
+
+
+def test_check_removal_evaluates_no_exponential(tmp_path, monkeypatch):
+    # b^{a_k} = b^q * prod (b^{a_j})^{q_j} follows from the relation: no exp node is built
+    checking, exps = [], []
+    check, exp = qx.ladders.check_removal, Context.exp
+
+    def spy_check(*args):
+        checking.append(args)
+        try:
+            return check(*args)
+        finally:
+            checking.pop()
+    monkeypatch.setattr(qx.ladders, "check_removal", spy_check)
+    monkeypatch.setattr(qx.cli, "check_removal", spy_check)
+    monkeypatch.setattr(Context, "exp", lambda self, *a: exps.extend(checking) or exp(self, *a))
+    out, path = _reduced_nested(tmp_path, 60)
+    assert len(json.loads(out)["reduced"]["removals"]) == 2
+    assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
+    assert exps == []
 
 
 def test_a_ladder_command_evaluates_each_node_at_one_low_precision(tmp_path, monkeypatch):
@@ -1385,6 +1475,35 @@ def _meanprop_chain(n: int) -> str:
 
 
 _CHAINS = {"bisect-5": bisect_chain(5), "meanprop-8": _meanprop_chain(8)}
+
+
+def test_compile_and_verify_of_a_meanprop_chain_escalate_at_most_2n_evaluations(
+        tmp_path, monkeypatch):
+    # each escalate evaluates its thunk once per precision it tries; a chain
+    # of n steps takes 2 evaluations at n = 1 and 2, then 2n - 2, per command
+    evaluations = [0]
+    escalate = qx.interval.escalate
+
+    def counting(thunk, *args, **kwargs):
+        def counted(prec):
+            evaluations[0] += 1
+            return thunk(prec)
+        return escalate(counted, *args, **kwargs)
+    for module in (qx.interval, qx.expr, qx.dsl, qx.cli):
+        monkeypatch.setattr(module, "escalate", counting)
+
+    def evaluated(*argv):
+        evaluations[0] = 0
+        code, out, err = run(list(argv))
+        assert code == 0, err
+        return out, evaluations[0]
+    prog, cert = tmp_path / "chain.qdx", tmp_path / "chain.json"
+    for n in range(1, 13):
+        prog.write_text(_meanprop_chain(n))
+        out, compiled = evaluated("compile", str(prog))
+        cert.write_text(out)
+        verified = evaluated("verify", str(cert))[1]
+        assert max(compiled, verified) <= 2 * n, (n, compiled, verified)
 
 
 @pytest.mark.parametrize("source", [*(p.read_text() for p in sorted(CORPUS.glob("*.qdx"))),
@@ -1694,6 +1813,7 @@ def _both(*forges):
      "FAIL /subject/enclosure/re: enclosure does not contain the value\n"
      "FAIL malformed certificate: the exact relation at index 2 states precision_bits 160\n"
      "FAIL ladder: the relation at index 2 is labelled exact but does not hold exactly\n"
+     "FAIL /reduced/removals/0/identity_verified: stored true, qx writes false\n"
      'FAIL /subject/enclosure/re/0: stored "1", qx writes "0.000000000000000000"\n'
      'FAIL /subject/enclosure/re/1: stored "2", qx writes "0.000000000000000000"\n'),
 ], ids=["removal-raises", "endpoint-raises-first", "removal-fails"])

@@ -1,6 +1,6 @@
 """Annihilator, Olmsted classifier, rational-root scan, and rule-base tests."""
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +208,15 @@ def test_rational_root_scan_examples():
         rational_root_scan(IntPoly.new(()))
     # a prime past the trial bound's square leaves its divisors, and the scan, not settled
     assert rational_root_scan(IntPoly.new((-(10 ** 20 + 39), 0, 1))) is None
+
+
+def test_rational_root_scan_settles_at_most_trial_bound_candidate_pairs():
+    # x^2 - N, N the product of the first k primes, has 2^k pairs (num, den):
+    # up to _TRIAL_BOUND (k = 16) the scan runs, past it it is not settled
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert expr._TRIAL_BOUND == 2 ** 16
+    assert rational_root_scan(IntPoly.new((-prod(primes[:16]), 0, 1))) == []
+    assert rational_root_scan(IntPoly.new((-prod(primes), 0, 1))) is None
 
 
 def test_every_factorization_is_expr_factor(ctx, monkeypatch):
