@@ -37,11 +37,23 @@ from .expr import Context, Expr
 from .interval import (CInterval, RInterval, asin_interval, escalate, pi_interval, sin_pi_interval,
                        start_bits)
 
-# tool name -> (fewest, most) arguments; the keys are the closed set of tools
-_SIGNATURES = {
-    "seg": (1, 1), "point": (2, 2), "line": (2, 2), "circle": (2, 2),
-    "intersect": (2, 3), "meanprop": (2, 2), "fourthprop": (3, 3),
-    "ra": (2, 2), "rra": (1, 1), "bisect": (1, 1), "anglesect": (3, 3),
+_SEG = ("rat", "seg")   # a segment or a literal length
+_INDEX = ("rat",)       # a literal alone: intersect's index, the one optional argument
+
+# tool -> (the kinds each argument takes, the name of the geometry function that
+# computes it); the keys are the closed set of tools
+_TOOLS = {
+    "seg": ((_SEG,), "segment"),
+    "point": ((_SEG, _SEG), "point"),
+    "line": ((("point",), ("point",)), "line"),
+    "circle": ((("point",), ("point",)), "circle"),
+    "intersect": ((("line", "circle"), ("line", "circle"), _INDEX), "intersect"),
+    "meanprop": ((_SEG, _SEG), "mean_proportional"),
+    "fourthprop": ((_SEG, _SEG, _SEG), "fourth_proportional"),
+    "ra": ((_SEG, _SEG), "right_anglesect"),
+    "rra": ((("point",),), "reverse_anglesect"),
+    "bisect": ((("rat", "seg", "point"),), "bisect"),
+    "anglesect": ((("point",), _SEG, _SEG), "general_anglesect"),
 }
 
 
@@ -169,7 +181,7 @@ def parse(source: str) -> ConstructionProgram:
             kind, name, _ = tok = tokens[i + 1]
             if kind != "ident":
                 raise error(tok, "expected a name after 'let'")
-            if name in _SIGNATURES or name in ("let", "emit"):
+            if name in _TOOLS or name in ("let", "emit"):
                 raise error(tok, f"{name!r} is reserved")
             if name in bound:
                 raise error(tok, f"duplicate name {name!r}", "names bind once; pick a fresh name",
@@ -178,9 +190,9 @@ def parse(source: str) -> ConstructionProgram:
             if tok[1] != "=":
                 raise error(tok, f"expected '=', found {tok[1] or 'end of file'!r}")
             kind, tool, tool_pos = tok = tokens[i + 3]
-            if kind != "ident" or tool not in _SIGNATURES:
+            if kind != "ident" or tool not in _TOOLS:
                 raise error(tok, f"expected a tool name, found {tool or 'end of file'!r}",
-                            "tools: " + ", ".join(_SIGNATURES))
+                            "tools: " + ", ".join(_TOOLS))
             i = expect(i + 4, "(", f"after {tool!r}")
             args = []
             while True:
@@ -274,13 +286,21 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
         if isinstance(st, EmitStmt):
             continue
         call = st.call
-        lo, hi = _SIGNATURES[call.tool]
+        kinds, name = _TOOLS[call.tool]
+        hi = len(kinds)
+        lo = hi - (kinds[-1] == _INDEX)
         if not lo <= len(call.args) <= hi:
             raise DslSemanticError(Diagnostic(
                 "error", call.span,
                 f"{call.tool} expects {lo if lo == hi else f'{lo}..{hi}'} arguments, got {len(call.args)}"))
+        args = [_expect(ctx, env, call, i, kinds[i]) for i in range(len(call.args))]
         try:
-            value = _apply(ctx, call, env)
+            # looked up per step, so that a geometry function patched by name is the one called
+            tool = getattr(G, name)
+            if kinds[-1] == _INDEX:
+                value = _intersection(ctx, call, tool, *args)
+            else:
+                value = tool(ctx, *args)
         except (DslSemanticError, DslSyntaxError):
             raise
         except QxError as exc:
@@ -305,11 +325,12 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
     return CompileResult(values, steps, ctx)
 
 
-def _expect(env, call: Call, idx: int, kinds: tuple[str, ...]):
+def _expect(ctx: Context, env, call: Call, idx: int, kinds: tuple[str, ...]):
+    """Argument idx of call, of one of kinds; a literal is a length where a segment may stand."""
     arg = call.args[idx]
     if arg.kind == "rat":
-        if "rat" in kinds or "seg" in kinds:
-            return arg.value
+        if "rat" in kinds:
+            return ctx.rat(arg.value) if "seg" in kinds else arg.value
         raise DslSemanticError(Diagnostic(
             "error", arg.span, f"{call.tool} argument {idx + 1} cannot be a literal"))
     value = env[arg.value]
@@ -321,73 +342,17 @@ def _expect(env, call: Call, idx: int, kinds: tuple[str, ...]):
     return value
 
 
-def _as_expr(ctx: Context, v) -> Expr:
-    return v if isinstance(v, Expr) else ctx.rat(v)
-
-
-def _apply(ctx: Context, call: Call, env):
-    tool = call.tool
-    if tool == "seg":
-        value = _expect(env, call, 0, ("rat", "seg"))
-        e = _as_expr(ctx, value)
-        G._require_positive(e, "segment length")
-        return e
-    if tool == "point":
-        x = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
-        y = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
-        return G.GPoint(x, y)
-    if tool == "line":
-        return G.line(ctx, _expect(env, call, 0, ("point",)),
-                      _expect(env, call, 1, ("point",)))
-    if tool == "circle":
-        return G.circle(ctx, _expect(env, call, 0, ("point",)),
-                        _expect(env, call, 1, ("point",)))
-    if tool == "intersect":
-        a = _expect(env, call, 0, ("line", "circle"))
-        b = _expect(env, call, 1, ("line", "circle"))
-        index = 0
-        if len(call.args) == 3:
-            raw = _expect(env, call, 2, ("rat",))
-            if raw.denominator != 1 or raw < 0:
-                raise DslSemanticError(Diagnostic(
-                    "error", call.args[2].span, "intersection index must be 0 or 1"))
-            index = int(raw)
-        pts = G.intersect(ctx, a, b)
-        if index >= len(pts):
-            raise DslSemanticError(Diagnostic(
-                "error", call.span,
-                f"intersection produced {len(pts)} point(s); index {index} is out of range"))
-        return pts[index]
-    if tool == "meanprop":
-        a = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
-        b = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
-        return G.mean_proportional(ctx, a, b)
-    if tool == "fourthprop":
-        a = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
-        b = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
-        c = _as_expr(ctx, _expect(env, call, 2, ("rat", "seg")))
-        return G.fourth_proportional(ctx, a, b, c)
-    if tool == "ra":
-        u = _as_expr(ctx, _expect(env, call, 0, ("rat", "seg")))
-        v = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
-        return G.right_anglesect(ctx, u, v)
-    if tool == "rra":
-        return G.reverse_anglesect(ctx, _expect(env, call, 0, ("point",)))
-    if tool == "bisect":
-        value = _expect(env, call, 0, ("rat", "seg", "point"))
-        if isinstance(value, G.GPoint):
-            d = ctx.sqrt(ctx.add(ctx.mul(ctx.add(1, value.x), ctx.add(1, value.x)),
-                                 ctx.mul(value.y, value.y)))
-            return G.GPoint(ctx.div(ctx.add(1, value.x), d), ctx.div(value.y, d))
-        e = _as_expr(ctx, value)
-        G._require_positive(e, "segment length")
-        return ctx.div(e, 2)
-    if tool == "anglesect":
-        p = _expect(env, call, 0, ("point",))
-        u = _as_expr(ctx, _expect(env, call, 1, ("rat", "seg")))
-        v = _as_expr(ctx, _expect(env, call, 2, ("rat", "seg")))
-        return G.general_anglesect(ctx, p, u, v)
-    raise AssertionError(tool)
+def _intersection(ctx: Context, call: Call, intersect, a, b, index: Fraction = Fraction(0)):
+    """Point number index of intersect(a, b); an index error names its span or the call's."""
+    if index.denominator != 1 or index < 0:
+        raise DslSemanticError(Diagnostic(
+            "error", call.args[2].span, "intersection index must be 0 or 1"))
+    pts = intersect(ctx, a, b)
+    if index >= len(pts):
+        raise DslSemanticError(Diagnostic(
+            "error", call.span,
+            f"intersection produced {len(pts)} point(s); index {index} is out of range"))
+    return pts[int(index)]
 
 
 # --- round-trip verification ------------------------------------------------------

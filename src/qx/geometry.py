@@ -1,11 +1,14 @@
 """Exact synthetic geometry: points, lines, circles, the two classical
 proportion constructions, anglesector tools, and transcendental-curve probes.
 
-Angles are unit-circle points; there is no separate angle type. Coordinates
-are expressions, so every derived length is exact and certifiable. The
-quadratrix terminal point exists only as a limit: the y = 0 parameter is a
-hard domain error, and the probes expose only finite-stage data (Clavius
-bisection points, spiral secant intercepts) for the caller to study.
+Angles are unit-circle points. A point that `ra`, `anglesect` or `bisect`
+built is a `UnitPoint`, which lies on the circle by construction and is
+never tested there again; any other point is tested when a tool needs an
+angle. Coordinates are expressions, so every derived length is exact and
+certifiable. The quadratrix terminal point exists only as a limit: the
+y = 0 parameter is a hard domain error, and the probes expose only
+finite-stage data (Clavius bisection points, spiral secant intercepts) for
+the caller to study.
 
 Every zero and sign test (do two circles touch, are two lines parallel, is
 a length positive) is `expr.decide_sign`: exact for values in one quadratic
@@ -14,7 +17,9 @@ decided; any other value needs an enclosure that excludes 0. An undecided
 test raises MaxPrecision naming the test, the value and the bits tried; it
 is never reported as a domain fault.
 
-This layer only computes: a tool returns its value and draws nothing.
+Each .qdx tool is one public function here, which checks what the tool
+requires and computes its value; `dsl` names them in its tool table. This
+layer only computes: a tool returns its value and draws nothing.
 Drawing a construction is `render`'s job, from the record of compiled steps.
 """
 from __future__ import annotations
@@ -33,6 +38,11 @@ from .interval import precision_ceiling
 class GPoint:
     x: Expr
     y: Expr
+
+
+class UnitPoint(GPoint):
+    """A point on the unit circle by construction: sin^2(pi s) + sin^2(pi (1/2 - s)) = 1
+    for real s, and a bisected point is a vector divided by its own length."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,17 @@ def _require_positive(e: Expr, what: str) -> None:
         raise NonPositiveLength(f"{what} is provably {'negative' if s else 'zero'}")
 
 
-# --- intersections ---------------------------------------------------------------
+# --- points, segments and intersections -------------------------------------------
+
+def segment(ctx: Context, e: Expr) -> Expr:
+    """A segment of length e, once e is proven positive."""
+    _require_positive(e, "segment length")
+    return e
+
+
+def point(ctx: Context, x: Expr, y: Expr) -> GPoint:
+    return GPoint(x, y)
+
 
 def line(ctx: Context, p: GPoint, q: GPoint) -> GLine:
     """The line through p and q, once a coordinate difference, rational first, is proven nonzero."""
@@ -184,7 +204,7 @@ def fourth_proportional(ctx: Context, a: Expr, b: Expr, c: Expr) -> Expr:
 
 # --- anglesector tools ---------------------------------------------------------------
 
-def right_anglesect(ctx: Context, u: Expr, v: Expr) -> GPoint:
+def right_anglesect(ctx: Context, u: Expr, v: Expr) -> UnitPoint:
     """Unit-circle point dividing the right angle in ratio u : v from the x-axis.
 
     The point is (cos(pi*t/2), sin(pi*t/2)) with t = u/(u+v), realized with
@@ -195,8 +215,8 @@ def right_anglesect(ctx: Context, u: Expr, v: Expr) -> GPoint:
     _require_positive(v, "ratio complement")
     t = ctx.div(u, ctx.add(u, v))
     half = Fraction(1, 2)
-    return GPoint(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
-                  ctx.sin_pi(ctx.mul(half, t)))
+    return UnitPoint(ctx.sin_pi(ctx.mul(half, ctx.sub(1, t))),
+                     ctx.sin_pi(ctx.mul(half, t)))
 
 
 def reverse_anglesect(ctx: Context, p: GPoint) -> Expr:
@@ -208,6 +228,8 @@ def reverse_anglesect(ctx: Context, p: GPoint) -> Expr:
 
 
 def _check_unit_circle(ctx: Context, p: GPoint) -> None:
+    if isinstance(p, UnitPoint):
+        return
     resid = ctx.sub(_dist2(ctx, GPoint(ctx.rat(0), ctx.rat(0)), p), 1)
     if sign(resid):
         raise NotOnUnitCircle(f"x^2 + y^2 - 1 is provably nonzero for "
@@ -215,12 +237,23 @@ def _check_unit_circle(ctx: Context, p: GPoint) -> None:
     # a residual that is 0, or encloses 0 down to the sign cap, is accepted (necessary check)
 
 
-def general_anglesect(ctx: Context, theta: GPoint, u: Expr, v: Expr) -> GPoint:
+def general_anglesect(ctx: Context, theta: GPoint, u: Expr, v: Expr) -> UnitPoint:
     """Divide the acute angle at theta in ratio u : v via reverse-then-right anglesection."""
     u, v = ctx._coerce(u), ctx._coerce(v)
     f = reverse_anglesect(ctx, theta)
     w = ctx.mul(f, ctx.div(u, ctx.add(u, v)))
     return right_anglesect(ctx, w, ctx.sub(1, w))
+
+
+def bisect(ctx: Context, value):
+    """Half of the segment value, or the unit-circle point at half the angle of the point value."""
+    if isinstance(value, GPoint):
+        _check_unit_circle(ctx, value)
+        x = ctx.add(1, value.x)
+        d = ctx.sqrt(ctx.add(ctx.mul(x, x), ctx.mul(value.y, value.y)))
+        return UnitPoint(ctx.div(x, d), ctx.div(value.y, d))
+    _require_positive(value, "segment length")
+    return ctx.div(value, 2)
 
 
 # --- curve probes -------------------------------------------------------------------

@@ -212,7 +212,7 @@ class RInterval:
         lo = _max(self.lo_mpf, other.lo_mpf)
         hi = _min(self.hi_mpf, other.hi_mpf)
         if mpf_lt(hi, lo):
-            raise ValueError(f"disjoint intervals {self} and {other}")
+            raise ValueError(f"disjoint intervals {self!r} and {other!r}")
         return _iv(lo, hi)
 
     def hull(self, other: "RInterval") -> "RInterval":
@@ -310,14 +310,6 @@ class RInterval:
 
     def ldexp(self, k: int) -> "RInterval":
         return _iv(mpf_shift(self.lo_mpf, k), mpf_shift(self.hi_mpf, k))
-
-    def decimal(self) -> str:
-        if self.is_point():
-            return self.lo.decimal()
-        return f"[{self.lo.decimal()}, {self.hi.decimal()}]"
-
-    def __str__(self):
-        return self.decimal()
 
 
 _ZERO = _iv(fzero, fzero)
@@ -574,14 +566,6 @@ class CInterval:
     def pow(self, other: "CInterval", prec: int) -> "CInterval":
         """Principal power z^w = exp(w * log z)."""
         return other.mul(self.log(0, prec), prec).exp(prec)
-
-    def decimal(self) -> str:
-        if self.is_real():
-            return self.re.decimal()
-        return f"{self.re.decimal()} + {self.im.decimal()}i"
-
-    def __str__(self):
-        return self.decimal()
 
 
 def sin_pi_complex(x: CInterval, prec: int) -> CInterval:

@@ -73,9 +73,6 @@ class Ladder:
     rungs: tuple[Rung, ...]
     removals: tuple[Removal, ...] = ()
 
-    def __len__(self):
-        return len(self.rungs)
-
 
 @dataclass(frozen=True)
 class AscentReport:

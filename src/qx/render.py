@@ -73,6 +73,10 @@ def drawables(result: CompileResult) -> list[tuple]:
 def _step_drawables(ctx, tool: str, args: list, value) -> list[tuple]:
     zero = ctx.rat(0)
     origin = G.GPoint(zero, zero)
+    if tool == "line":
+        return [("segment", value.p, value.q)]
+    if tool == "circle":
+        return [("circle", value.center, value.through)]
     if tool == "intersect":
         return [("point", p) for p in G.intersect(ctx, args[0], args[1])]
     if tool == "meanprop":

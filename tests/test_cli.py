@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import qx.cli
 import qx.dsl
 import qx.expr
+import qx.geometry
 import qx.interval
 import qx.ladders
 from qx.cli import main, rational
@@ -1828,3 +1829,81 @@ def test_verify_reports_the_subject_before_the_ladder_rebuilt_after_it(tmp_path,
     for layout in (json.dumps, qx.cli._dump):
         path.write_text(layout(cert))
         assert run(["verify", str(path)]) == (1, "", stderr)
+
+
+def _bisected_then_reversed(k: int) -> str:
+    lines = ["let p0 = ra(3, 4);"] + [f"let p{i} = bisect(p{i - 1});" for i in range(1, k + 1)]
+    return "\n".join(lines + [f"let t = rra(p{k});", "emit t;"]) + "\n"
+
+
+def test_points_built_on_the_unit_circle_are_never_proved_there_again(tmp_path, monkeypatch):
+    # at 64 bits x^2 + y^2 - 1 of an ra point encloses 0 and its sign escalates to
+    # the precision ceiling; ra and bisect build on the circle, so no test runs
+    top, signs, checking = [0], [0], [False]
+    compute, sign, check = Expr._compute, qx.geometry.sign, qx.geometry._check_unit_circle
+
+    def spy_compute(node, prec, kids):
+        top[0] = max(top[0], prec)
+        return compute(node, prec, kids)
+
+    def spy_sign(e):
+        signs[0] += checking[0]
+        return sign(e)
+
+    def spy_check(ctx, p):
+        checking[0] = True
+        try:
+            return check(ctx, p)
+        finally:
+            checking[0] = False
+
+    monkeypatch.setattr(Expr, "_compute", spy_compute)
+    monkeypatch.setattr(qx.geometry, "sign", spy_sign)
+    monkeypatch.setattr(qx.geometry, "_check_unit_circle", spy_check)
+    sources = {"10_general_anglesect": (CORPUS / "10_general_anglesect.qdx").read_text()}
+    sources.update((f"bisect-{k}", _bisected_then_reversed(k)) for k in range(1, 13))
+    prog, cert = tmp_path / "prog.qdx", tmp_path / "cert.json"
+    for label, source in sources.items():
+        prog.write_text(source)
+        code, out, err = run(["compile", str(prog)])
+        assert code == 0, (label, err)
+        cert.write_text(out)
+        assert run(["verify", str(cert)])[:2] == (0, "certificate verified\n"), label
+        assert (top[0], signs[0]) == (64, 0), label
+
+
+def _certified_reading(text: str, ref, digits: int) -> bool:
+    """text is ref truncated toward zero at its k <= digits places, and exact where k < digits."""
+    k = len(text.partition(".")[2])
+    value = mpmath.mpf(text)
+    if k < digits:
+        return abs(value - ref) < mpmath.mpf(10) ** (-2 * digits)
+    return 0 <= ref - value < mpmath.mpf(10) ** (-k)
+
+
+def test_report_clavius_rows_are_certified_readings_of_mpmath():
+    n = 12
+    code, out, err = run(["report", "clavius", "--n", str(n)])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["report"] == "clavius-convergence"
+    with mpmath.workdps(30):
+        two_over_pi = 2 / mpmath.pi
+        assert _certified_reading(rep["two_over_pi"], two_over_pi, 15)
+        assert [row["n"] for row in rep["rows"]] == list(range(1, n + 1))
+        for row in rep["rows"]:
+            y = mpmath.mpf(1) / 2 ** row["n"]
+            x = y * mpmath.cospi(y / 2) / mpmath.sinpi(y / 2)
+            assert _certified_reading(row["x"], x, 15), row
+            assert _certified_reading(row["abs_error_vs_2_over_pi"], abs(x - two_over_pi), 15), row
+
+
+def test_a_ladder_of_arcsin_over_pi_rests_on_its_euler_log_and_verifies(tmp_path):
+    code, out, err = run(["ladder", "arcsin_over_pi(1/3)", "--reduce", "--ascend"])
+    assert code == 0, err
+    cert = json.loads(out)
+    assert [r["value"] for r in cert["reduced"]["rungs"]] == [
+        "log(((sqrt(-1) * 1/3) + sqrt(8/9)); -1; 0)"]
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")

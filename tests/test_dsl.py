@@ -1,7 +1,10 @@
 """Construction-language tests: parsing, diagnostics, compilation, round trip."""
 import importlib.util
+import io
 import random
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qx.geometry
 from qx import dsl, expr, exprtext
+from qx.cli import main
 from qx.dsl import (Arg, Call, EmitStmt, LetStmt, Span, compile_program, parse, pretty_print,
                     verify_roundtrip)
 from qx.errors import (DslError, DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
@@ -21,6 +26,7 @@ from qx.interval import CInterval, RInterval
 from qx.minpoly import transcendence_rules
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.qdx"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SINPI_KINDS = ("exp", "log", "sin_pi", "arcsin_over_pi")
 
@@ -434,3 +440,82 @@ def test_a_10000_deep_sqrt_nest_parses_with_one_node_per_level():
         assert node.kind == SQRT
         (node,) = node.children
     assert node.is_rat(2)
+
+
+# --- diagnostics through `qx compile`, and the tool table ------------------------------
+
+def _compile_exit(tmp_path, source: str) -> tuple[int, str]:
+    """qx compile's exit code and stderr for source."""
+    path = tmp_path / "prog.qdx"
+    path.write_text(source)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["compile", str(path)])
+    return code, err.getvalue()
+
+
+_CIRCLES = ("let o = point(0, 0);\nlet u = point(1, 0);\n"
+            "let c = circle(o, u);\nlet d = circle(u, o);\n")
+
+
+@pytest.mark.parametrize("source, code, rendered", [
+    ("let seg = seg(1);\nemit seg;\n", 3, "error: 1:5: 'seg' is reserved"),
+    ("let a = seg(1);\nlet b = seg(3/0);\nemit b;\n", 3,
+     "error: 2:13: rational literal with denominator 0"),
+    ("let a = seg(1);\nlet b = meanprop(a, );\nemit b;\n", 3,
+     "error: 2:21: expected an argument, found ')'"),
+    ("let a = seg(1);\nemit ;\n", 3, "error: 2:6: expected a name to emit"),
+    (_CIRCLES + "let p = intersect(c, d, 1/2);\nemit p;\n", 4,
+     "error: 5:25: intersection index must be 0 or 1"),
+    (_CIRCLES + "let p = intersect(c, d, -1);\nemit p;\n", 4,
+     "error: 5:25: intersection index must be 0 or 1"),
+    (_CIRCLES + "let p = intersect(c, d, 2);\nemit p;\n", 4,
+     "error: 5:9: intersection produced 2 point(s); index 2 is out of range"),
+    ("let o = point(0, 0);\nlet u = point(1, 0);\nlet v = point(0, 1);\nlet l = line(o, u);\n"
+     "let m = line(o, v);\nlet p = intersect(l, m, 1);\nemit p;\n", 4,
+     "error: 6:9: intersection produced 1 point(s); index 1 is out of range"),
+    ("let p = point(0, 2);\nlet b = bisect(p);\nemit b;\n", 5,
+     "error: 2:9: x^2 + y^2 - 1 is provably nonzero for (0, 2)"),
+    ("let p = point(0, 2);\nlet b = rra(p);\nemit b;\n", 5,
+     "error: 2:9: x^2 + y^2 - 1 is provably nonzero for (0, 2)"),
+], ids=["reserved-name", "zero-denominator", "no-argument", "no-emit-name", "index-1/2",
+        "index-negative", "index-past-two", "index-past-one", "bisect-off-circle",
+        "rra-off-circle"])
+def test_compile_diagnostics_name_the_message_the_span_and_the_exit_code(
+        tmp_path, source, code, rendered):
+    assert _compile_exit(tmp_path, source) == (code, rendered + "\n")
+
+
+def test_ra_anglesect_and_bisect_of_a_point_bind_unit_points():
+    res = compile_program(parse(
+        "let p = ra(3, 4); let q = anglesect(p, 1, 2); let b = bisect(q); let o = point(0, 1);"
+        "let c = bisect(o); let s = bisect(1); emit s;"))
+    kinds = {st.name: type(value).__name__ for st, value in res.steps}
+    assert kinds == {"p": "UnitPoint", "q": "UnitPoint", "b": "UnitPoint", "o": "GPoint",
+                     "c": "UnitPoint", "s": "Expr"}
+
+
+def test_each_tool_names_a_public_geometry_function_looked_up_when_its_step_runs(monkeypatch):
+    for tool, (kinds, name) in dsl._TOOLS.items():
+        assert not name.startswith("_") and callable(getattr(qx.geometry, name)), tool
+    source = Path(dsl.__file__).read_text()
+    assert re.findall(r"\bG\._\w+", source) == []
+    # a geometry function replaced by name, as the bench tracer does, is the one called
+    calls = []
+    for name in ("line", "circle", "intersect"):
+        original = getattr(qx.geometry, name)
+        monkeypatch.setattr(qx.geometry, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    compile_program(parse(_CIRCLES + "let p = intersect(c, d, 1);\nemit p;\n"))
+    assert calls == ["circle", "circle", "intersect"]
+
+
+def _tool_production(text: str) -> list[str]:
+    """The alternatives of the `TOOL :=` production in a grammar block."""
+    m = re.search(r"TOOL\s*:=((?:\s*\|?\s*[a-z]+)+)", text)
+    return re.findall(r"[a-z]+", m.group(1))
+
+
+def test_the_grammars_in_the_readme_and_the_dsl_docstring_list_exactly_the_tools():
+    assert _tool_production(README.read_text()) == list(dsl._TOOLS)
+    assert _tool_production(dsl.__doc__) == list(dsl._TOOLS)

@@ -414,3 +414,22 @@ def test_a_rational_hit_and_is_rat_build_no_fraction(monkeypatch):
     assert type(three.rat) is F and three.rat == 3 and half3.rat == F(3, 2)
     assert three.tag is ctx.rat(F(5, 7)).tag is expr_mod.TowerTag.rational()
     assert len(ctx._table) == 9  # and 1/2, 5/7
+
+
+@pytest.mark.parametrize("text, rewritten", [
+    ("sin_pi(pow(2, 1/3))", "sin_pi(pow(-1, (1/3 * log(2; -1; 0))))"),
+    ("arcsin_over_pi(pow(3, -1/2))", "arcsin_over_pi(pow(-1, (-1/2 * log(3; -1; 0))))"),
+    ("polyroot(-pow(4, 1/2), 0, 1; 1, 2)",
+     "polyroot((-1 * pow(-1, (1/2 * log(4; -1; 0)))), 0, 1; 1, 2, 0, 0)"),
+], ids=["sin_pi", "arcsin_over_pi", "polyroot"])
+def test_rewrite_elprop_changes_the_base_inside_sin_pi_arcsin_and_polyroot(ctx, text, rewritten):
+    e = parse_expr(text, ctx)
+    rw = ctx.rewrite_elprop(e)
+    assert to_text(rw) == rewritten
+    assert e.enclosure(W40).intersects(rw.enclosure(W40))
+
+
+def test_euler_expand_writes_arcsin_over_pi_as_a_base_minus_one_log(ctx):
+    rw = ctx.euler_expand(parse_expr("arcsin_over_pi(1/3)", ctx))
+    assert to_text(rw) == "log(((sqrt(-1) * 1/3) + sqrt(8/9)); -1; 0)"
+    assert near(rw.enclosure(W40), ASIN13_OVER_PI)

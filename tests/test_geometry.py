@@ -7,7 +7,7 @@ import pytest
 from qx.errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
                        NonPositiveLength, NotOnUnitCircle, OutOfRange)
 from qx.expr import Context, Expr, to_text
-from qx.geometry import (GPoint, circle, clavius_point, fourth_proportional,
+from qx.geometry import (GPoint, UnitPoint, bisect, circle, clavius_point, fourth_proportional,
                          general_anglesect, intersect, line, mean_proportional,
                          quadratrix_x_of_y, reverse_anglesect, right_anglesect,
                          spiral_point, spiral_probe_report, spiral_secant_cut)
@@ -334,3 +334,42 @@ def test_one_proven_nonzero_difference_makes_a_line(ctx):
         line(ctx, origin, _pt(ctx, 0, 0))
     with pytest.raises(Coincident, match="circle radius is zero"):
         circle(ctx, origin, origin)
+
+
+def test_circles_with_one_centre_and_one_radius_coincide(ctx):
+    c1 = circle(ctx, _pt(ctx, F(1, 2), 0), _pt(ctx, F(3, 2), 0))
+    c2 = circle(ctx, _pt(ctx, F(1, 2), 0), _pt(ctx, F(1, 2), -1))
+    with pytest.raises(Coincident, match="^circles coincide$"):
+        intersect(ctx, c1, c2)
+
+
+def test_rra_of_a_unit_point_below_the_x_axis_is_out_of_its_arc(ctx):
+    below = _pt(ctx, F(3, 5), F(-4, 5))
+    with pytest.raises(NotOnUnitCircle, match="^point lies below the first-quadrant arc$"):
+        reverse_anglesect(ctx, below)
+    half = bisect(ctx, below)
+    assert isinstance(half, UnitPoint)
+    with pytest.raises(NotOnUnitCircle, match="^point lies below the first-quadrant arc$"):
+        reverse_anglesect(ctx, half)
+
+
+def test_bisect_halves_a_segment_or_the_angle_of_a_unit_circle_point(ctx):
+    assert bisect(ctx, ctx.rat(3)).is_rat(F(3, 2))
+    with pytest.raises(NonPositiveLength, match="^segment length must be positive, got 0$"):
+        bisect(ctx, ctx.rat(0))
+    # (3/5, 4/5) is at 2*theta where (cos theta, sin theta) = (2, 1)/sqrt(5)
+    half = bisect(ctx, _pt(ctx, F(3, 5), F(4, 5)))
+    assert near(half.x, F("0.894427190999915878563669467492510494329"))
+    assert near(half.y, F("0.447213595499957939281834733746255247165"))
+    with pytest.raises(NotOnUnitCircle, match=r"^x\^2 \+ y\^2 - 1 is provably nonzero for \(0, 2\)$"):
+        bisect(ctx, _pt(ctx, 0, 2))
+
+
+def test_every_point_built_on_the_unit_circle_is_a_unit_point(ctx):
+    ra = right_anglesect(ctx, 3, 4)
+    points = [ra, general_anglesect(ctx, ra, ctx.rat(1), ctx.rat(2)),
+              bisect(ctx, ra), bisect(ctx, _pt(ctx, 0, 1))]
+    assert all(type(p) is UnitPoint for p in points)
+    assert type(intersect(ctx, circle(ctx, _pt(ctx, 0, 0), _pt(ctx, 1, 0)),
+                          line(ctx, _pt(ctx, 0, 0), _pt(ctx, 1, 0)))[0]) is GPoint
+

@@ -31,3 +31,10 @@ def test_fourthprop_draws_its_apex_only_when_b_and_c_differ():
     assert _kinds("let x = fourthprop(3, 2, 2); emit x;").count("segment") == 3
     assert _kinds("let x = fourthprop(3, 2, 4); emit x;").count("segment") == 5
 
+
+
+def test_line_and_circle_steps_draw_their_segment_and_circle():
+    src = "let o = point(0, 0); let u = point(1, 0); let l = line(o, u); let c = circle(u, o); emit o;"
+    assert _kinds(src) == ["segment", "circle"]
+    vesica = (HERE / "golden" / "render" / "06_vesica.svg").read_text()
+    assert vesica.count('class="circle"') == 2
