@@ -45,6 +45,7 @@ from types import SimpleNamespace
 
 from mpmath.libmp import mpf_sign
 
+from . import __version__
 from . import errors as err
 from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .dyadic import fixed_point
@@ -52,11 +53,11 @@ from .expr import Context, Expr, quad_flatten, to_table, to_text
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, _bits_for, escalate, precision_ceiling, start_bits
-from .ladders import Ladder, Relation, Removal, ascend, check_removal, descend, reduce_ladder
+from .ladders import (DEFAULT_MAX_COEFF, DEFAULT_PRECISION_BITS, Ladder, Relation, Removal,
+                      ascend, check_removal, descend, reduce_ladder)
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
-VERSION = "0.1.0"
 TEXT_FORMAT = "qx-certificate/1"        # subjects as canonical text
 NODE_TABLE_FORMAT = "qx-certificate/2"  # compile emits as rows of one node table
 
@@ -177,7 +178,7 @@ def expr_certificate(e: Expr, digits: int) -> dict:
 
 
 def _meta() -> dict:
-    return {"tool": "qx", "version": VERSION, "format": TEXT_FORMAT}
+    return {"tool": "qx", "version": __version__, "format": TEXT_FORMAT}
 
 
 def _ladder_json(ladder) -> dict:
@@ -696,7 +697,8 @@ def rational(text: str) -> Fraction:
 
 _REQUIRED = object()  # the default of an option that must be given
 _LADDER = {"ascend": (None, False), "base": (rational, Fraction(-1)), "precision": (natural, 12),
-           "max-coeff": (natural, 10**6), "relation-bits": (positive, 160)}
+           "max-coeff": (natural, DEFAULT_MAX_COEFF),
+           "relation-bits": (positive, DEFAULT_PRECISION_BITS)}
 # Per command: the name of its function, looked up when `main` runs (so a
 # monkeypatch or the bench tracer's wrapper takes effect), its help, its one
 # positional (name, converter), its options {name: (converter, default)} and

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
@@ -62,8 +61,7 @@ class Span(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     span: Span
     message: str
@@ -97,8 +95,7 @@ class EmitStmt(NamedTuple):
     span: Span
 
 
-@dataclass(frozen=True)
-class ConstructionProgram:
+class ConstructionProgram(NamedTuple):
     statements: tuple
 
     @property
@@ -254,8 +251,7 @@ def pretty_print(prog: ConstructionProgram) -> str:
 
 # --- compiler -------------------------------------------------------------------
 
-@dataclass
-class CompileResult:
+class CompileResult(NamedTuple):
     values: dict  # emitted name (points expand to name.x / name.y) -> Expr
     steps: list   # (LetStmt, the value it bound) per `let`, in program order
     ctx: Context  # the session every value was built in

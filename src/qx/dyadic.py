@@ -9,14 +9,13 @@ with no rounding, and convert losslessly to and from mpf tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath.libmp import from_man_exp, fzero
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(NamedTuple):
     """Normalized dyadic rational: man odd unless zero, zero is (0, 0)."""
 
     man: int

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
@@ -739,8 +738,7 @@ class Context:
         raise AssertionError(k)
 
 
-@dataclass(frozen=True)
-class EulerForm:
+class EulerForm(NamedTuple):
     """cos/sin split of (-1)^x; cos_part^2 + sin_part^2 encloses 1."""
 
     cos_part: Expr

@@ -24,8 +24,8 @@ Drawing a construction is `render`'s job, from the record of compiled steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dyadic import fixed_point
 from .errors import (Coincident, DegenerateSecant, MaxPrecision, NoIntersection,
@@ -34,8 +34,7 @@ from .expr import RAT, Context, Expr, decide_sign, short_text, sign
 from .interval import precision_ceiling
 
 
-@dataclass(frozen=True)
-class GPoint:
+class GPoint(NamedTuple):
     x: Expr
     y: Expr
 
@@ -44,15 +43,15 @@ class UnitPoint(GPoint):
     """A point on the unit circle by construction: sin^2(pi s) + sin^2(pi (1/2 - s)) = 1
     for real s, and a bisected point is a vector divided by its own length."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class GLine:
+
+class GLine(NamedTuple):
     p: GPoint
     q: GPoint
 
 
-@dataclass(frozen=True)
-class GCircle:
+class GCircle(NamedTuple):
     center: GPoint
     through: GPoint
 
@@ -311,8 +310,7 @@ def spiral_secant_cut(ctx: Context, theta0: Expr, h: Expr, R: Expr) -> Expr:
     return ctx.sub(p0.x, ctx.div(ctx.mul(p0.y, ctx.sub(p1.x, p0.x)), dy))
 
 
-@dataclass(frozen=True)
-class SpiralProbeReport:
+class SpiralProbeReport(NamedTuple):
     """Secant-limit study at the quarter turn; reports, never reconciles.
 
     Two candidate closed forms disagree by a factor of 2 in the classical

@@ -21,10 +21,9 @@ proof of independence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp
@@ -42,15 +41,13 @@ DEFAULT_MAX_COEFF = 10**6
 DEFAULT_PRECISION_BITS = 160
 
 
-@dataclass(frozen=True)
-class Rung:
+class Rung(NamedTuple):
     value: Expr
     kind: str  # ELEMENT: a_k is algebraic over F_{k-1}; EXPONENTIAL: b^{a_k} is
     witness: str = "structural"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Integer vector (n_0..n_m) with n_0 + sum n_j * a_j = 0 (exactly or heuristically)."""
 
     coefficients: tuple[int, ...]
@@ -58,8 +55,7 @@ class Relation:
     precision_bits: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Removal:
+class Removal(NamedTuple):
     original_index: int
     relation: Relation
     constant: Fraction
@@ -67,15 +63,13 @@ class Removal:
     identity_verified: bool
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(NamedTuple):
     base: Expr
     rungs: tuple[Rung, ...]
     removals: tuple[Removal, ...] = ()
 
 
-@dataclass(frozen=True)
-class AscentReport:
+class AscentReport(NamedTuple):
     """Per-rung new transcendental b_k, conditional on the Schanuel conjecture."""
 
     choices: tuple[Expr, ...]

@@ -27,11 +27,10 @@ decided by numerical coincidence. Enclosures are used only to prove
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, zip_longest
 from math import gcd, lcm, prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr as E
 from .errors import OutOfDomain, ZeroPolynomial
@@ -39,11 +38,26 @@ from .expr import Context, Expr, fold, quad_flatten, separates
 from .interval import CInterval
 
 
-@dataclass(frozen=True)
 class IntPoly:
-    """Integer-coefficient polynomial, constant term first, no leading zeros."""
+    """Integer-coefficient polynomial, constant term first, no leading zeros.
 
-    coeffs: tuple[int, ...]
+    A class, not a tuple: `algebraic_witness` returns a (IntPoly, rule) pair,
+    and callers tell that pair from a bare IntPoly by `isinstance(_, tuple)`.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, IntPoly) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"IntPoly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def new(coeffs) -> "IntPoly":
@@ -244,8 +258,7 @@ def _homogeneous(coeffs, num: int, den: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Classification certificate for one expression."""
 
     status: str  # rational | algebraic | transcendental | unknown

@@ -1,9 +1,12 @@
 """Deterministic SVG 1.1 rendering of compiled constructions and curve overlays.
 
 Each `let` step is drawn from its argument values and the value it bound,
-in program order. All geometry is emitted in world coordinates inside a
-single group whose matrix maps world to screen (y up). Fixed formatting and
-stable element order make byte-identical output for identical inputs.
+in program order, and no geometry tool is run again. All geometry is emitted
+in world coordinates inside a single group whose matrix maps world to screen
+(y up) at one scale for both axes, so circles stay round; the view is the
+padded union of every shape's bounding box, centred in the viewport. Fixed
+formatting and stable element order make byte-identical output for
+identical inputs.
 Rendering is illustrative: floats are fine here, certified arithmetic stays
 in the kernel.
 """
@@ -78,7 +81,7 @@ def _step_drawables(ctx, tool: str, args: list, value) -> list[tuple]:
     if tool == "circle":
         return [("circle", value.center, value.through)]
     if tool == "intersect":
-        return [("point", p) for p in G.intersect(ctx, args[0], args[1])]
+        return [("point", value)]
     if tool == "meanprop":
         # the circle on the diameter from 0 to a + b meets the perpendicular at a at height x
         a, b = args
@@ -110,16 +113,25 @@ def _step_drawables(ctx, tool: str, args: list, value) -> list[tuple]:
         return [("point", args[0])]
     if tool == "anglesect":
         # the reverse anglesection of the given point, then the right one
-        return [("point", args[0]), ("point", value), ("segment", origin, value),
-                ("point", value)]
+        return [("point", args[0]), ("point", value), ("segment", origin, value)]
     if tool == "bisect" and isinstance(value, G.GPoint):
         return [("point", value)]
     return []
 
 
+def _floats(d: tuple) -> tuple:
+    """A drawable in floats: segment (ax, ay, bx, by), circle (cx, cy, r), point (x, y)."""
+    if d[0] == "segment":
+        return (d[0], _point_xy(d[1]) + _point_xy(d[2]))
+    if d[0] == "circle":
+        (cx, cy), (tx, ty) = _point_xy(d[1]), _point_xy(d[2])
+        return (d[0], (cx, cy, math.hypot(tx - cx, ty - cy)))
+    return (d[0], _point_xy(d[1]))
+
+
 def render_svg(result: CompileResult, width: int, height: int,
                curves: tuple[str, ...] = ()) -> str:
-    shapes = drawables(result)
+    shapes = [_floats(d) for d in drawables(result)]
     curve_polys = []
     samples = int(_DENSITY * width)
     for curve in curves:
@@ -131,12 +143,12 @@ def render_svg(result: CompileResult, width: int, height: int,
             raise ValueError(f"unknown curve overlay {curve!r}")
 
     xs, ys = [0.0, 1.0], [0.0, 1.0]
-    for d in shapes:
-        for p in d[1:]:
-            if hasattr(p, "x"):
-                px, py = _point_xy(p)
-                xs.append(px)
-                ys.append(py)
+    for kind, v in shapes:
+        if kind == "circle":  # its bounding box: the centre +- the radius
+            cx, cy, r = v
+            v = (cx - r, cy - r, cx + r, cy + r)
+        xs.extend(v[0::2])
+        ys.extend(v[1::2])
     for _, pts in curve_polys:
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
@@ -146,34 +158,31 @@ def render_svg(result: CompileResult, width: int, height: int,
     pad_y = (y1 - y0 or 1.0) * _MARGIN
     x0, x1 = x0 - pad_x, x1 + pad_x
     y0, y1 = y0 - pad_y, y1 + pad_y
-    sx = width / (x1 - x0)
-    sy = height / (y1 - y0)
+    scale = min(width / (x1 - x0), height / (y1 - y0))
+    # centre the view: the unused screen span on each axis is split evenly
+    tx = (width - scale * (x1 - x0)) / 2 - x0 * scale
+    ty = (height - scale * (y1 - y0)) / 2 + y1 * scale
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<g transform="matrix({_f(sx)} 0 0 {_f(-sy)} {_f(-x0 * sx)} {_f(y1 * sy)})">',
+        f'<g transform="matrix({_f(scale)} 0 0 {_f(-scale)} {_f(tx)} {_f(ty)})">',
     ]
     for name, pts in curve_polys:
         coords = " ".join(f"{_f(px)},{_f(py)}" for px, py in pts)
         lines.append(f'<polyline class="curve {name}" {_STYLES["curve"]} points="{coords}"/>')
-    for d in shapes:
-        kind = d[0]
+    for kind, v in shapes:
         if kind == "segment":
-            (ax, ay), (bx, by) = _point_xy(d[1]), _point_xy(d[2])
             lines.append(f'<line class="segment" {_STYLES["segment"]} '
-                         f'x1="{_f(ax)}" y1="{_f(ay)}" x2="{_f(bx)}" y2="{_f(by)}"/>')
+                         f'x1="{_f(v[0])}" y1="{_f(v[1])}" x2="{_f(v[2])}" y2="{_f(v[3])}"/>')
         elif kind == "circle":
-            (cx, cy), (tx, ty) = _point_xy(d[1]), _point_xy(d[2])
-            r = math.hypot(tx - cx, ty - cy)
             lines.append(f'<circle class="circle" {_STYLES["circle"]} '
-                         f'cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}"/>')
-        elif kind == "point":
-            px, py = _point_xy(d[1])
+                         f'cx="{_f(v[0])}" cy="{_f(v[1])}" r="{_f(v[2])}"/>')
+        else:
             lines.append(f'<circle class="point" {_STYLES["point"]} '
-                         f'cx="{_f(px)}" cy="{_f(py)}" r="0.012"/>')
+                         f'cx="{_f(v[0])}" cy="{_f(v[1])}" r="0.012"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

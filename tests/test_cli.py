@@ -271,6 +271,24 @@ def test_subprocess_determinism_across_hash_seeds(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_importing_qx_loads_no_record_machinery():
+    """`import qx` loads no submodule, and `import qx.cli` none of dataclasses' imports."""
+    import subprocess
+    import sys
+
+    import qx
+    code = ("import sys; import qx; print(sorted(m for m in sys.modules if m.startswith('qx.')));"
+            " import qx.cli; print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis',"
+            " 'tokenize') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(qx.__file__).resolve().parent.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+
+
 def test_render_spiral_overlay(tmp_path):
     out = tmp_path / "s.svg"
     path = str(CORPUS / "01_square_rectangle.qdx")
@@ -1430,9 +1448,10 @@ def test_check_removal_evaluates_no_exponential(tmp_path, monkeypatch):
 
 
 def test_a_ladder_command_evaluates_each_node_at_one_low_precision(tmp_path, monkeypatch):
-    # reduce's 12-digit certificate and its 2^-40 removal check share one
-    # precision, and each base's log is taken once per precision; PSLQ runs
-    # above 200 bits
+    # reduce's 12-digit certificate computes each node at one precision below
+    # 200 bits, and each base's log is taken once per precision; the removal
+    # check decides the relation as labelled and evaluates no exponential, and
+    # PSLQ runs above 200 bits
     low = {}        # node -> the precisions below 200 bits it was computed at
     base_logs = {}  # (base node, precision) -> logs of its enclosure
     computing = []

@@ -1,11 +1,13 @@
 """Rendering tests: SVG bytes pinned per corpus program, and what each step draws."""
+import re
 from pathlib import Path
 
 import pytest
 
+from qx import geometry
 from qx.cli import main
 from qx.dsl import compile_program, parse
-from qx.render import drawables
+from qx.render import drawables, render_svg
 
 HERE = Path(__file__).parent
 CORPUS = sorted((HERE / "corpus").glob("*.qdx"))
@@ -32,9 +34,39 @@ def test_fourthprop_draws_its_apex_only_when_b_and_c_differ():
     assert _kinds("let x = fourthprop(3, 2, 4); emit x;").count("segment") == 5
 
 
-
 def test_line_and_circle_steps_draw_their_segment_and_circle():
     src = "let o = point(0, 0); let u = point(1, 0); let l = line(o, u); let c = circle(u, o); emit o;"
     assert _kinds(src) == ["segment", "circle"]
     vesica = (HERE / "golden" / "render" / "06_vesica.svg").read_text()
     assert vesica.count('class="circle"') == 2
+
+
+GOLDEN_SVGS = sorted((HERE / "golden" / "render").glob("*.svg"))
+_MATRIX = re.compile(r'matrix\((\S+) 0 0 (\S+) (\S+) (\S+)\)')
+_CIRCLE = re.compile(r'class="circle" .*? cx="(\S+)" cy="(\S+)" r="(\S+)"')
+
+
+@pytest.mark.parametrize("path", GOLDEN_SVGS, ids=lambda p: p.stem)
+def test_every_svg_draws_both_axes_at_one_scale_with_each_circle_in_view(path):
+    svg = path.read_text()
+    width, height = (int(v) for v in re.search(r'width="(\d+)" height="(\d+)"', svg).groups())
+    sx, sy, tx, ty = (float(v) for v in _MATRIX.search(svg).groups())
+    assert sx > 0 and sy == -sx
+    circles = [tuple(float(v) for v in m) for m in _CIRCLE.findall(svg)]
+    for cx, cy, r in circles:
+        assert 0 <= sx * (cx - r) + tx and sx * (cx + r) + tx <= width
+        assert 0 <= sy * (cy + r) + ty and sy * (cy - r) + ty <= height
+    assert len(circles) == svg.count('class="circle"')
+
+
+def test_an_intersect_step_draws_its_one_point_without_recomputing_it(monkeypatch):
+    src = ("let o = point(0, 0); let u = point(1, 0); let c1 = circle(o, u); "
+           "let c2 = circle(u, o); let p = intersect(c1, c2, 1); emit p;")
+    result = compile_program(parse(src))
+    calls = []
+    real = geometry.intersect
+    monkeypatch.setattr(geometry, "intersect", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert [d[0] for d in drawables(result)] == ["circle", "circle", "point"]
+    assert drawables(result)[-1][1] is result.steps[-1][1]
+    render_svg(result, 640, 640)
+    assert calls == []
