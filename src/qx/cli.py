@@ -49,7 +49,7 @@ from . import __version__
 from . import errors as err
 from .dsl import compile_program, parse, pretty_print, verify_roundtrip
 from .dyadic import fixed_point
-from .expr import Context, Expr, quad_flatten, to_table, to_text
+from .expr import Context, Expr, quad_flatten, to_table, to_text, tower
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, _bits_for, escalate, precision_ceiling, start_bits
@@ -169,7 +169,7 @@ def _subject_json(e: Expr, digits: int) -> dict:
         "enclosure": _enclosure_json(enc, digits),
         "precision_digits": digits,
         "verdict": _verdict_json(verdict),
-        "tower": _tower_json(e.tag),
+        "tower": _tower_json(tower(e)),
     }
 
 
@@ -850,7 +850,7 @@ def _emit_error(exc: Exception, message: str, as_json: bool):
     """The one stderr report of a failed command: a JSON object when as_json."""
     if isinstance(exc, err.DslError):
         d = exc.diagnostic
-        fields = {"severity": d.severity, "line": d.span.line, "column": d.span.column,
+        fields = {"severity": "error", "line": d.span.line, "column": d.span.column,
                   "message": d.message, "suggestion": d.suggestion}
         text = d.render()
     else:

@@ -62,13 +62,12 @@ class Span(NamedTuple):
 
 
 class Diagnostic(NamedTuple):
-    severity: str
     span: Span
     message: str
     suggestion: Optional[str] = None
 
     def render(self) -> str:
-        base = f"{self.severity}: {self.span.line}:{self.span.column}: {self.message}"
+        base = f"error: {self.span.line}:{self.span.column}: {self.message}"
         return base + (f" (hint: {self.suggestion})" if self.suggestion else "")
 
 
@@ -98,14 +97,6 @@ class EmitStmt(NamedTuple):
 class ConstructionProgram(NamedTuple):
     statements: tuple
 
-    @property
-    def emits(self) -> tuple[str, ...]:
-        out = []
-        for st in self.statements:
-            if isinstance(st, EmitStmt):
-                out.extend(st.names)
-        return tuple(out)
-
 
 # --- lexer ----------------------------------------------------------------------------
 
@@ -123,7 +114,7 @@ def error_at(source: str, pos: int, message: str, suggestion: Optional[str] = No
              cls: type = DslSyntaxError) -> DslError:
     """The error to raise at offset pos of source; lines are split at LF only."""
     span = Span(source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
-    return cls(Diagnostic("error", span, message, suggestion))
+    return cls(Diagnostic(span, message, suggestion))
 
 
 def lex(source: str, pattern: re.Pattern, what: str = "") -> list[tuple[str, str, int]]:
@@ -287,7 +278,7 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
         lo = hi - (kinds[-1] == _INDEX)
         if not lo <= len(call.args) <= hi:
             raise DslSemanticError(Diagnostic(
-                "error", call.span,
+                call.span,
                 f"{call.tool} expects {lo if lo == hi else f'{lo}..{hi}'} arguments, got {len(call.args)}"))
         args = [_expect(ctx, env, call, i, kinds[i]) for i in range(len(call.args))]
         try:
@@ -317,7 +308,7 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
                 values[f"{name}.y"] = value.y
             else:
                 raise DslSemanticError(Diagnostic(
-                    "error", st.span, f"cannot emit a {_kind_of(value)}; emit segments or points"))
+                    st.span, f"cannot emit a {_kind_of(value)}; emit segments or points"))
     return CompileResult(values, steps, ctx)
 
 
@@ -328,12 +319,12 @@ def _expect(ctx: Context, env, call: Call, idx: int, kinds: tuple[str, ...]):
         if "rat" in kinds:
             return ctx.rat(arg.value) if "seg" in kinds else arg.value
         raise DslSemanticError(Diagnostic(
-            "error", arg.span, f"{call.tool} argument {idx + 1} cannot be a literal"))
+            arg.span, f"{call.tool} argument {idx + 1} cannot be a literal"))
     value = env[arg.value]
     kind = _kind_of(value)
     if kind not in kinds:
         raise DslSemanticError(Diagnostic(
-            "error", arg.span,
+            arg.span,
             f"{call.tool} argument {idx + 1} must be {' or '.join(kinds)}, got {kind}"))
     return value
 
@@ -342,11 +333,11 @@ def _intersection(ctx: Context, call: Call, intersect, a, b, index: Fraction = F
     """Point number index of intersect(a, b); an index error names its span or the call's."""
     if index.denominator != 1 or index < 0:
         raise DslSemanticError(Diagnostic(
-            "error", call.args[2].span, "intersection index must be 0 or 1"))
+            call.args[2].span, "intersection index must be 0 or 1"))
     pts = intersect(ctx, a, b)
     if index >= len(pts):
         raise DslSemanticError(Diagnostic(
-            "error", call.span,
+            call.span,
             f"intersection produced {len(pts)} point(s); index {index} is out of range"))
     return pts[int(index)]
 

@@ -1,11 +1,12 @@
 """Exact expression DAG over Q closed under field ops, roots, b^x and log_b.
 
 Nodes are hash-consed per Context (structurally identical subterms are the
-same object), constants fold on rational leaves, and every node carries a
-syntactic tower tag: an upper bound on the level at which the expression's
-own syntax witnesses membership in the S / A / SA towers (anglesector
-closures) and the exponential-logarithmic tower over an algebraic base.
-A level of None means "this syntax does not witness membership at all".
+same object) and constants fold on rational leaves; building a node computes
+nothing else. `tower` is the syntactic tower tag, one fold like every other
+structural pass: an upper bound on the level at which the expression's own
+syntax witnesses membership in the S / A / SA towers (anglesector closures)
+and the exponential-logarithmic tower over an algebraic base. A level of None
+means "this syntax does not witness membership at all".
 
 Values are never trusted as floats: every node evaluates to a certified
 complex enclosure at a requested working precision. Zero is never decided
@@ -89,22 +90,54 @@ class TowerTag(NamedTuple):
     sa: Optional[int]
     el: Optional[int]
 
-    @staticmethod
-    def rational() -> "TowerTag":
-        return _RATIONAL_TAG
+
+def tower(e: Expr) -> TowerTag:
+    """The syntactic tower tag of e, one memoized fold: each level one more than its
+    operands' where the operation climbs that tower, None (top) where it leaves it."""
+    return fold(e, "tower", _tower_node)
 
 
-_RATIONAL_TAG = TowerTag(0, 0, 0, 0)  # shared by every rational node
+def _tower_node(e: Expr, tags) -> TowerTag:
+    k = e.kind
+    if k == RAT:
+        return TowerTag(0, 0, 0, 0)
+    if k in FIELD_OPS:
+        return TowerTag(*map(_top_max, *tags))
+    if k == SQRT:
+        t = tags[0]
+        bump = _plus1 if sign(e.children[0]) == 1 else (lambda _lv: None)
+        return TowerTag(bump(t.s), bump(t.a), bump(t.sa), _top_max(1, t.el))
+    if k == POLYROOT:
+        return TowerTag(None, None, None, _top_max(1, *(t.el for t in tags)))
+    if k == SINPI:
+        t = tags[0]
+        return TowerTag(_plus1(t.s), None, _plus1(t.sa), _plus1(t.el))
+    if k == ARCSINPI:
+        t = tags[0]
+        return TowerTag(None, _plus1(t.a), _plus1(t.sa), _plus1(_top_max(1, t.el)))
+    if e.natural:  # exp or ln: no syntactic witness over an algebraic base
+        return TowerTag(None, None, None, None)
+    base_t, arg_t = tags
+    if k == EXP:
+        base = e.children[0]
+        euler = base.is_rat(-1)
+        if base is e.ctx.base:
+            el = _plus1(arg_t.el)
+        else:
+            el = _plus1(_top_max(arg_t.el, _plus1(base_t.el)))
+        return TowerTag(_plus1(arg_t.s) if euler else None, None,
+                        _plus1(arg_t.sa) if euler else None, el)
+    if k == LOG:
+        return TowerTag(None, None, None, _plus1(_top_max(arg_t.el, base_t.el)))
+    raise AssertionError(k)
 
 
 class Expr:
     """Immutable DAG node; build only through a Context."""
 
-    __slots__ = ("kind", "rat", "children", "natural", "branch", "selector",
-                 "tag", "ctx")
+    __slots__ = ("kind", "rat", "children", "natural", "branch", "selector", "ctx")
 
-    def __init__(self, ctx, kind, rat=None, children=(), natural=False,
-                 branch=0, selector=None, tag=None):
+    def __init__(self, ctx, kind, rat=None, children=(), natural=False, branch=0, selector=None):
         self.ctx = ctx
         self.kind = kind
         self.rat = rat
@@ -112,7 +145,6 @@ class Expr:
         self.natural = natural
         self.branch = branch
         self.selector = selector
-        self.tag = tag
 
     # exp/log accessors: children = (base, arg) or (arg,) for the natural base
     @property
@@ -414,9 +446,9 @@ class Context:
     """One expression-building session: hash-consing table plus the session base.
 
     Mutable state: the dedup table and the memo of every `fold` over its
-    nodes (enclosures per precision, texts, verdicts, rewrites), kept for the
-    context's life. Exprs never change but reach that state through `ctx`,
-    so a Context and its expressions belong to one thread.
+    nodes (enclosures per precision, texts, tower tags, verdicts, rewrites),
+    kept for the context's life. Exprs never change but reach that state
+    through `ctx`, so a Context and its expressions belong to one thread.
     """
 
     def __init__(self, base: Fraction | int = Fraction(-1)):
@@ -433,50 +465,9 @@ class Context:
         key = (kind, tuple(map(id, children)), natural, branch, selector)
         node = self._table.get(key)
         if node is None:
-            tag = self._tag_for(kind, children, natural)
-            node = Expr(self, kind, None, tuple(children), natural, branch, selector, tag)
+            node = Expr(self, kind, None, tuple(children), natural, branch, selector)
             self._table[key] = node
         return node
-
-    def _tag_for(self, kind, children, natural) -> TowerTag:
-        tags = [c.tag for c in children]
-        if kind in FIELD_OPS:
-            return TowerTag(_top_max(tags[0].s, tags[1].s),
-                            _top_max(tags[0].a, tags[1].a),
-                            _top_max(tags[0].sa, tags[1].sa),
-                            _top_max(tags[0].el, tags[1].el))
-        if kind == SQRT:
-            t = tags[0]
-            bump = _plus1 if sign(children[0]) == 1 else (lambda _lv: None)
-            return TowerTag(bump(t.s), bump(t.a), bump(t.sa), _top_max(1, t.el))
-        if kind == POLYROOT:
-            el = _top_max(1, *(t.el for t in tags))
-            return TowerTag(None, None, None, el)
-        if kind == SINPI:
-            t = tags[0]
-            return TowerTag(_plus1(t.s), None, _plus1(t.sa), _plus1(t.el))
-        if kind == ARCSINPI:
-            t = tags[0]
-            return TowerTag(None, _plus1(t.a), _plus1(t.sa), _plus1(_top_max(1, t.el)))
-        if kind == EXP:
-            if natural:
-                return TowerTag(None, None, None, None)
-            base_t, arg_t = tags[0], tags[1]
-            euler = children[0].is_rat(-1)
-            if children[0] is self.base:
-                el = _plus1(arg_t.el)
-            else:
-                el = _plus1(_top_max(arg_t.el, _plus1(base_t.el)))
-            return TowerTag(_plus1(arg_t.s) if euler else None,
-                            None,
-                            _plus1(arg_t.sa) if euler else None,
-                            el)
-        if kind == LOG:
-            if natural:
-                return TowerTag(None, None, None, None)
-            base_t, arg_t = tags[0], tags[1]
-            return TowerTag(None, None, None, _plus1(_top_max(arg_t.el, base_t.el)))
-        raise AssertionError(kind)
 
     # --- constructors ---
 
@@ -492,7 +483,7 @@ class Context:
         node = self._table.get(key)
         if node is None:
             rat = value if type(value) is Fraction else Fraction(value)
-            node = Expr(self, RAT, rat, tag=_RATIONAL_TAG)
+            node = Expr(self, RAT, rat)
             self._table[key] = node
         return node
 

@@ -4,8 +4,11 @@ Each `let` step is drawn from its argument values and the value it bound,
 in program order, and no geometry tool is run again. All geometry is emitted
 in world coordinates inside a single group whose matrix maps world to screen
 (y up) at one scale for both axes, so circles stay round; the view is the
-padded union of every shape's bounding box, centred in the viewport. Fixed
-formatting and stable element order make byte-identical output for
+padded union of every shape's bounding box, centred in the viewport. Each
+point is drawn once, by the step that binds it. Strokes and point dots are
+sized in pixels, whatever the scale: strokes carry
+`vector-effect="non-scaling-stroke"` and a dot's radius is _POINT_PX / scale.
+Fixed formatting and stable element order make byte-identical output for
 identical inputs.
 Rendering is illustrative: floats are fine here, certified arithmetic stays
 in the kernel.
@@ -20,11 +23,13 @@ from .expr import sign
 
 _MARGIN = 0.08   # fraction of world bounds added as padding
 _DENSITY = 2.0   # curve samples per output pixel
+_POINT_PX = 3.0  # radius of a point dot, in pixels
+_STROKE = 'stroke-width="1.5" vector-effect="non-scaling-stroke" fill="none"'  # 1.5 px
 _STYLES = {
-    "segment": 'stroke="#1f3a5f" stroke-width="0.006" fill="none"',
-    "circle": 'stroke="#7a5c1e" stroke-width="0.006" fill="none"',
+    "segment": f'stroke="#1f3a5f" {_STROKE}',
+    "circle": f'stroke="#7a5c1e" {_STROKE}',
     "point": 'fill="#b03030"',
-    "curve": 'stroke="#2e7d32" stroke-width="0.006" fill="none"',
+    "curve": f'stroke="#2e7d32" {_STROKE}',
 }
 
 
@@ -80,8 +85,6 @@ def _step_drawables(ctx, tool: str, args: list, value) -> list[tuple]:
         return [("segment", value.p, value.q)]
     if tool == "circle":
         return [("circle", value.center, value.through)]
-    if tool == "intersect":
-        return [("point", value)]
     if tool == "meanprop":
         # the circle on the diameter from 0 to a + b meets the perpendicular at a at height x
         a, b = args
@@ -107,14 +110,9 @@ def _step_drawables(ctx, tool: str, args: list, value) -> list[tuple]:
                                   ctx.sub(zero, O.y)), a)
             out += [("segment", O, Gb), ("segment", O, D), ("point", Dp)]
         return out
-    if tool == "ra":
+    if tool == "ra" or tool == "anglesect":
         return [("point", value), ("segment", origin, value)]
-    if tool == "rra":
-        return [("point", args[0])]
-    if tool == "anglesect":
-        # the reverse anglesection of the given point, then the right one
-        return [("point", args[0]), ("point", value), ("segment", origin, value)]
-    if tool == "bisect" and isinstance(value, G.GPoint):
+    if isinstance(value, G.GPoint):  # point, intersect or a bisected angle
         return [("point", value)]
     return []
 
@@ -182,7 +180,7 @@ def render_svg(result: CompileResult, width: int, height: int,
                          f'cx="{_f(v[0])}" cy="{_f(v[1])}" r="{_f(v[2])}"/>')
         else:
             lines.append(f'<circle class="point" {_STYLES["point"]} '
-                         f'cx="{_f(v[0])}" cy="{_f(v[1])}" r="0.012"/>')
+                         f'cx="{_f(v[0])}" cy="{_f(v[1])}" r="{_f(_POINT_PX / scale)}"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -455,7 +455,7 @@ def test_every_error_class_exits_with_its_code():
     for name, code in EXIT_CODES.items():
         cls = getattr(errors, name)
         if issubclass(cls, errors.DslError):
-            exc = cls(Diagnostic("error", Span(1, 1), "message"))
+            exc = cls(Diagnostic(Span(1, 1), "message"))
         elif cls is errors.MismatchError:
             exc = cls(["x"])
         else:

@@ -42,7 +42,7 @@ def test_corpus_exists_and_covers_every_tool():
 def test_parse_examples():
     prog = parse("let a = seg(2); let b = seg(8); let m = meanprop(a,b); emit m;")
     assert len(prog.statements) == 4
-    assert prog.emits == ("m",)
+    assert prog.statements[-1].names == ("m",)
     prog = parse("let p = ra(1,2); emit p;")
     assert prog.statements[0].call.tool == "ra"
 

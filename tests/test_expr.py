@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qx.expr as expr_mod
 from qx.dyadic import Dyadic
 from qx.errors import (DivisionByZero, InvalidBase, NonRealArgument, OutOfDomain)
-from qx.expr import Context, quad_flatten, to_text
+from qx.expr import Context, TowerTag, quad_flatten, to_text, tower
 from qx.exprtext import parse_expr
 from qx.interval import CInterval, RInterval
 
@@ -59,13 +59,13 @@ def test_dedup_pointer_identity(ctx):
 
 def test_tower_tags_examples(ctx):
     s2 = ctx.sqrt(2)
-    assert (s2.tag.s, s2.tag.a, s2.tag.sa, s2.tag.el) == (1, 1, 1, 1)
-    gs = ctx.exp(ctx.rat(-1), s2)
-    assert gs.tag.s == 2 and gs.tag.sa == 2 and gs.tag.el == 2
-    assert gs.tag.a is None
-    assert ctx.rat(F(5, 7)).tag == ctx.rat(0).tag.__class__(0, 0, 0, 0)
-    assert ctx.pi().tag.el is None  # no syntactic witness over an algebraic base
-    assert ctx.e().tag.el is None
+    assert tower(s2) == (1, 1, 1, 1)
+    gs = tower(ctx.exp(ctx.rat(-1), s2))
+    assert gs.s == 2 and gs.sa == 2 and gs.el == 2
+    assert gs.a is None
+    assert tower(ctx.rat(F(5, 7))) == TowerTag(0, 0, 0, 0)
+    assert tower(ctx.pi()).el is None  # no syntactic witness over an algebraic base
+    assert tower(ctx.e()).el is None
 
 
 def _random_dag(ctx, rng, depth):
@@ -99,7 +99,7 @@ def _tag_ok(node, child):
     # dominance must hold levelwise with top absorbing
     def ge(x, y):
         return x is None or (y is not None and x >= y)
-    t, c = node.tag, child.tag
+    t, c = tower(node), tower(child)
     return ge(t.s, c.s) and ge(t.a, c.a) and ge(t.sa, c.sa) and ge(t.el, c.el)
 
 
@@ -223,7 +223,7 @@ def test_polyroot_cube_root_two(ctx):
     r = ctx.polyroot([ctx.rat(-2), ctx.rat(0), ctx.rat(0), ctx.rat(1)], sel)
     enc = r.enclosure(W40)
     assert near(enc, F("1.2599210498948731647672106072782283505702514647015"))
-    assert r.tag.el == 1 and r.tag.s is None
+    assert tower(r).el == 1 and tower(r).s is None
 
 
 def test_polyroot_rejects_bad_selector(ctx):
@@ -412,7 +412,7 @@ def test_a_rational_hit_and_is_rat_build_no_fraction(monkeypatch):
     assert ctx.rat(0.5) is ctx.rat(F(1, 2)) is ctx.rat("2/4")
     assert ctx.rat(True) is ctx.rat(1) and ctx.rat(F(6, 2)) is three
     assert type(three.rat) is F and three.rat == 3 and half3.rat == F(3, 2)
-    assert three.tag is ctx.rat(F(5, 7)).tag is expr_mod.TowerTag.rational()
+    assert tower(three) == tower(ctx.rat(F(5, 7))) == TowerTag(0, 0, 0, 0)
     assert len(ctx._table) == 9  # and 1/2, 5/7
 
 
@@ -433,3 +433,46 @@ def test_euler_expand_writes_arcsin_over_pi_as_a_base_minus_one_log(ctx):
     rw = ctx.euler_expand(parse_expr("arcsin_over_pi(1/3)", ctx))
     assert to_text(rw) == "log(((sqrt(-1) * 1/3) + sqrt(8/9)); -1; 0)"
     assert near(rw.enclosure(W40), ASIN13_OVER_PI)
+
+
+def _computed_nodes(monkeypatch) -> list:
+    """Record every node Expr._compute evaluates from now on."""
+    nodes, original = [], expr_mod.Expr._compute
+    monkeypatch.setattr(expr_mod.Expr, "_compute",
+                        lambda self, prec, kids: nodes.append(self) or original(self, prec, kids))
+    return nodes
+
+
+def test_interning_nested_radicals_computes_no_node(monkeypatch):
+    nodes = _computed_nodes(monkeypatch)
+    ctx = Context()
+    e = ctx.sqrt(ctx.add(ctx.sqrt(2), ctx.sqrt(3)))
+    ctx.sqrt(ctx.sub(ctx.sqrt(e), 1))
+    assert nodes == []
+    assert tower(e) == (2, 2, 2, 1)
+    assert nodes  # the first evaluation is the tag's sign test of sqrt(2) + sqrt(3)
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_the_tower_memo_holds_exactly_the_nodes_under_the_emits_of_a_bisection_chain(k):
+    from qx.dsl import compile_program, parse
+
+    lines = ["let p0 = ra(3, 4);"] + [f"let p{i} = bisect(p{i - 1});" for i in range(1, k + 1)]
+    result = compile_program(parse("\n".join(lines + [f"emit p{k};"])))
+    values = [result.values[name] for name in sorted(result.values)]
+    assert [tower(v) for v in values] == [(k + 1, None, k + 1, 1)] * 2
+    memo = result.ctx._memos["tower"]
+    assert set(memo) == set(expr_mod.post_order(values))
+    assert len(memo) == 7 * k + 5
+
+
+def test_compiling_the_corpus_computes_no_more_nodes_than_with_eager_tags(monkeypatch, capsys):
+    from pathlib import Path
+
+    from qx.cli import main
+
+    nodes = _computed_nodes(monkeypatch)
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.qdx")):
+        assert main(["compile", str(path)]) == 0
+    capsys.readouterr()
+    assert len(nodes) <= 95  # 95 when every interned sqrt ran its sign test

@@ -51,8 +51,8 @@ class _RefParser:
 
     def raise_at(self, offset: int, message: str):
         line_start = self.text.rfind("\n", 0, offset) + 1
-        raise DslSyntaxError(Diagnostic("error", Span(self.text.count("\n", 0, offset) + 1,
-                                                      offset - line_start + 1), message))
+        raise DslSyntaxError(Diagnostic(Span(self.text.count("\n", 0, offset) + 1,
+                                             offset - line_start + 1), message))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]

@@ -36,7 +36,7 @@ def test_fourthprop_draws_its_apex_only_when_b_and_c_differ():
 
 def test_line_and_circle_steps_draw_their_segment_and_circle():
     src = "let o = point(0, 0); let u = point(1, 0); let l = line(o, u); let c = circle(u, o); emit o;"
-    assert _kinds(src) == ["segment", "circle"]
+    assert _kinds(src) == ["point", "point", "segment", "circle"]
     vesica = (HERE / "golden" / "render" / "06_vesica.svg").read_text()
     assert vesica.count('class="circle"') == 2
 
@@ -44,6 +44,34 @@ def test_line_and_circle_steps_draw_their_segment_and_circle():
 GOLDEN_SVGS = sorted((HERE / "golden" / "render").glob("*.svg"))
 _MATRIX = re.compile(r'matrix\((\S+) 0 0 (\S+) (\S+) (\S+)\)')
 _CIRCLE = re.compile(r'class="circle" .*? cx="(\S+)" cy="(\S+)" r="(\S+)"')
+
+
+_POINT_R = re.compile(r'class="point" .*? r="(\S+)"')
+
+
+def test_every_golden_draws_each_dot_and_stroke_at_one_size_in_pixels():
+    radii_px = []
+    for path in GOLDEN_SVGS:
+        svg = path.read_text()
+        scale = float(_MATRIX.search(svg).group(1))
+        radii_px += [float(r) * scale for r in _POINT_R.findall(svg)]
+        strokes = svg.count("stroke=")
+        assert strokes and svg.count('stroke-width="1.5" vector-effect="non-scaling-stroke"') == strokes
+    assert len(radii_px) == 33
+    assert all(abs(r - 3.0) < 1e-6 for r in radii_px), radii_px
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_each_bound_point_is_drawn_once_at_the_step_that_binds_it(path):
+    result = compile_program(parse(path.read_text()))
+    bound = [v for _, v in result.steps if isinstance(v, geometry.GPoint)]
+    drawn = [d[1] for d in drawables(result) if d[0] == "point"]
+    assert [p for p in drawn if any(p is b for b in bound)] == bound
+
+
+def test_anglesect_and_rra_do_not_draw_their_given_point_again():
+    assert _kinds("let p = ra(2, 1); let q = anglesect(p, 1, 2); emit q;").count("point") == 2
+    assert _kinds("let p = point(3/5, 4/5); let r = rra(p); emit r;") == ["point"]
 
 
 @pytest.mark.parametrize("path", GOLDEN_SVGS, ids=lambda p: p.stem)
@@ -66,7 +94,7 @@ def test_an_intersect_step_draws_its_one_point_without_recomputing_it(monkeypatc
     calls = []
     real = geometry.intersect
     monkeypatch.setattr(geometry, "intersect", lambda *a, **k: calls.append(a) or real(*a, **k))
-    assert [d[0] for d in drawables(result)] == ["circle", "circle", "point"]
+    assert [d[0] for d in drawables(result)] == ["point", "point", "circle", "circle", "point"]
     assert drawables(result)[-1][1] is result.steps[-1][1]
     render_svg(result, 640, 640)
     assert calls == []
