@@ -667,7 +667,7 @@ _REBUILD = {"compile": ((TEXT_FORMAT, NODE_TABLE_FORMAT), _rebuilt_compile),
 # --- the command line ------------------------------------------------------------------
 
 def natural(text: str) -> int:
-    """Converter of int options but --relation-bits: a non-negative integer in ASCII digits."""
+    """Converter of the int options `positive` does not read: a non-negative ASCII integer."""
     value = int(text)
     if not (text.isascii() and text.isdigit()):  # int also takes a sign, '_', other digits
         raise ValueError(f"expected a non-negative integer, got {text!r}")
@@ -675,7 +675,7 @@ def natural(text: str) -> int:
 
 
 def positive(text: str) -> int:
-    """Converter of --relation-bits: a `natural` above 0, the least bits a relation states."""
+    """Converter of --relation-bits, --width and --height: a `natural` above 0."""
     if natural(text) == 0:
         raise ValueError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -719,7 +719,7 @@ _COMMANDS = {
                {"kmin": (natural, 3), "kmax": (natural, 12), "n": (natural, 12)}, {}),
     "render": ("cmd_render", "render a construction to SVG", ("path", str),
                {"out": (str, _REQUIRED), "with-curve": (("quadratrix", "spiral"), None),
-                "width": (natural, 640), "height": (natural, 640)}, {}),
+                "width": (positive, 640), "height": (positive, 640)}, {}),
     "verify": ("cmd_verify", "re-verify a certificate", ("path", str), {}, {}),
 }
 
@@ -847,20 +847,19 @@ def _failure(exc: Exception, args) -> tuple[int, str] | None:
 
 
 def _emit_error(exc: Exception, message: str, as_json: bool):
-    """The one stderr report of a failed command: a JSON object when as_json."""
-    if isinstance(exc, err.DslError):
-        d = exc.diagnostic
-        fields = {"severity": "error", "line": d.span.line, "column": d.span.column,
-                  "message": d.message, "suggestion": d.suggestion}
-        text = d.render()
-    else:
-        fields = {"message": message, "type": type(exc).__name__}
-        span = getattr(exc, "span", None)  # set by compile_program: the failing statement
-        if span is not None:
-            fields.update(line=span.line, column=span.column)
-        loc = f"{span.line}:{span.column}: " if span is not None else ""
-        text = f"error: {loc}{message}"
-    sys.stderr.write(_dump({"error": fields}) if as_json else text + "\n")
+    """The one stderr report of a failed command: `error: [L:C: ]message[ (hint: ...)]`,
+    or when as_json the same fields and the error's type as one JSON object."""
+    fields = {"message": message, "type": type(exc).__name__}
+    text = message
+    span = getattr(exc, "span", None)  # a QxError's; the other exceptions have none
+    if span is not None:
+        fields.update(line=span.line, column=span.column)
+        text = f"{span.line}:{span.column}: {text}"
+    suggestion = getattr(exc, "suggestion", None)
+    if suggestion is not None:
+        fields["suggestion"] = suggestion
+        text += f" (hint: {suggestion})"
+    sys.stderr.write(_dump({"error": fields}) if as_json else f"error: {text}\n")
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,8 @@ expressions, and the dual-execution round-trip check. The lexer also serves
 the expression parser (`exprtext`).
 
 The statement grammar is flat, so the parser is one loop over the token list,
-one statement per turn; an error names the line and column of its token.
+one statement per turn. Every error raised here is located: its `span` is the
+line and column of the token or the statement at fault.
 
 Programs are finite SSA step sequences: `let` binds a name once, tools are
 a closed set, rational literals are the only source-level numbers, and
@@ -61,16 +62,6 @@ class Span(NamedTuple):
     column: int
 
 
-class Diagnostic(NamedTuple):
-    span: Span
-    message: str
-    suggestion: Optional[str] = None
-
-    def render(self) -> str:
-        base = f"error: {self.span.line}:{self.span.column}: {self.message}"
-        return base + (f" (hint: {self.suggestion})" if self.suggestion else "")
-
-
 class Arg(NamedTuple):
     kind: str  # "name" | "rat"
     value: object
@@ -110,11 +101,10 @@ _TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
      | \Z)""", re.VERBOSE | re.DOTALL)
 
 
-def error_at(source: str, pos: int, message: str, suggestion: Optional[str] = None,
-             cls: type = DslSyntaxError) -> DslError:
-    """The error to raise at offset pos of source; lines are split at LF only."""
-    span = Span(source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
-    return cls(Diagnostic(span, message, suggestion))
+def error_at(source: str, pos: int, message: str) -> DslSyntaxError:
+    """The syntax error to raise at offset pos of source; lines are split at LF only."""
+    return DslSyntaxError(message, Span(source.count("\n", 0, pos) + 1,
+                                        pos - source.rfind("\n", 0, pos)))
 
 
 def lex(source: str, pattern: re.Pattern, what: str = "") -> list[tuple[str, str, int]]:
@@ -148,7 +138,7 @@ def parse(source: str) -> ConstructionProgram:
 
     def error(tok, message: str, suggestion: Optional[str] = None,
               cls: type = DslSyntaxError) -> DslError:
-        return error_at(source, tok[2], message, suggestion, cls)
+        return cls(message, span(tok[2]), suggestion)
 
     def expect(i: int, sym: str, context: str) -> int:
         """The index after tokens[i], which must be sym."""
@@ -262,8 +252,8 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
     """Execute the program against the geometry engine.
 
     Straightedge/compass tools introduce only field ops and square roots;
-    ra introduces sin_pi, rra introduces arcsin_over_pi. Geometry domain
-    errors propagate with the offending statement's span attached.
+    ra introduces sin_pi, rra introduces arcsin_over_pi. An error a tool
+    raises without a span propagates with the span of its statement.
     """
     if ctx is None:
         ctx = Context()
@@ -277,9 +267,8 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
         hi = len(kinds)
         lo = hi - (kinds[-1] == _INDEX)
         if not lo <= len(call.args) <= hi:
-            raise DslSemanticError(Diagnostic(
-                call.span,
-                f"{call.tool} expects {lo if lo == hi else f'{lo}..{hi}'} arguments, got {len(call.args)}"))
+            raise DslSemanticError(f"{call.tool} expects {lo if lo == hi else f'{lo}..{hi}'} "
+                                   f"arguments, got {len(call.args)}", call.span)
         args = [_expect(ctx, env, call, i, kinds[i]) for i in range(len(call.args))]
         try:
             # looked up per step, so that a geometry function patched by name is the one called
@@ -288,10 +277,9 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
                 value = _intersection(ctx, call, tool, *args)
             else:
                 value = tool(ctx, *args)
-        except (DslSemanticError, DslSyntaxError):
-            raise
         except QxError as exc:
-            exc.span = call.span
+            if exc.span is None:
+                exc.span = call.span
             raise
         env[st.name] = value
         steps.append((st, value))
@@ -307,8 +295,8 @@ def compile_program(prog: ConstructionProgram, ctx: Optional[Context] = None) ->
                 values[f"{name}.x"] = value.x
                 values[f"{name}.y"] = value.y
             else:
-                raise DslSemanticError(Diagnostic(
-                    st.span, f"cannot emit a {_kind_of(value)}; emit segments or points"))
+                raise DslSemanticError(
+                    f"cannot emit a {_kind_of(value)}; emit segments or points", st.span)
     return CompileResult(values, steps, ctx)
 
 
@@ -318,27 +306,23 @@ def _expect(ctx: Context, env, call: Call, idx: int, kinds: tuple[str, ...]):
     if arg.kind == "rat":
         if "rat" in kinds:
             return ctx.rat(arg.value) if "seg" in kinds else arg.value
-        raise DslSemanticError(Diagnostic(
-            arg.span, f"{call.tool} argument {idx + 1} cannot be a literal"))
+        raise DslSemanticError(f"{call.tool} argument {idx + 1} cannot be a literal", arg.span)
     value = env[arg.value]
     kind = _kind_of(value)
     if kind not in kinds:
-        raise DslSemanticError(Diagnostic(
-            arg.span,
-            f"{call.tool} argument {idx + 1} must be {' or '.join(kinds)}, got {kind}"))
+        raise DslSemanticError(
+            f"{call.tool} argument {idx + 1} must be {' or '.join(kinds)}, got {kind}", arg.span)
     return value
 
 
 def _intersection(ctx: Context, call: Call, intersect, a, b, index: Fraction = Fraction(0)):
     """Point number index of intersect(a, b); an index error names its span or the call's."""
     if index.denominator != 1 or index < 0:
-        raise DslSemanticError(Diagnostic(
-            call.args[2].span, "intersection index must be 0 or 1"))
+        raise DslSemanticError("intersection index must be 0 or 1", call.args[2].span)
     pts = intersect(ctx, a, b)
     if index >= len(pts):
-        raise DslSemanticError(Diagnostic(
-            call.span,
-            f"intersection produced {len(pts)} point(s); index {index} is out of range"))
+        raise DslSemanticError(
+            f"intersection produced {len(pts)} point(s); index {index} is out of range", call.span)
     return pts[int(index)]
 
 

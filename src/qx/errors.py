@@ -6,13 +6,22 @@ precision and domain failures 5 (the `DomainError` family), and 1 for
 everything else, which is reserved for a failed verification
 (`MismatchError`). `qx.cli` reads the attribute and keeps no table of its
 own.
+
+Every error also carries its location, `span` (a `dsl.Span`, or None when
+it concerns no place in a source), and a hint, `suggestion` (or None);
+`qx.cli` writes every error from these fields with one writer.
 """
 
 
 class QxError(Exception):
-    """Base class for all qx errors."""
+    """Base class for all qx errors: a message, where it is, and how to fix it."""
 
     exit_code = 1
+
+    def __init__(self, message: str, span=None, suggestion: str | None = None):
+        super().__init__(message)
+        self.span = span
+        self.suggestion = suggestion
 
 
 class SemanticError(QxError):
@@ -107,21 +116,17 @@ class NoIntersection(DomainError):
 # --- DSL --------------------------------------------------------------------
 
 class DslError(QxError):
-    """Base for construction-language errors; carries a Diagnostic."""
-
-    def __init__(self, diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
+    """Base for errors in the text of a construction or an expression."""
 
 
 class DslSyntaxError(DslError):
-    """Tokenizer/parser failure with source span."""
+    """Tokenizer/parser failure at a source span."""
 
     exit_code = 3
 
 
 class DslSemanticError(DslError):
-    """Name binding, arity, or argument-kind violation with source span."""
+    """Name binding, arity, or argument-kind violation at a source span."""
 
     exit_code = SemanticError.exit_code
 

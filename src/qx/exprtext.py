@@ -182,5 +182,7 @@ class _Call:
                 self.fail("selector bounds must be dyadic (integers or finite binary fractions)")
         if len(vals) == 2:
             vals += [Dyadic.new(0), Dyadic.new(0)]
+        if vals[1] < vals[0] or vals[3] < vals[2]:
+            self.fail("selector bounds must be ordered low <= high")
         return CInterval(RInterval(vals[0], vals[1]), RInterval(vals[2], vals[3]))
 

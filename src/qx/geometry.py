@@ -240,6 +240,8 @@ def general_anglesect(ctx: Context, theta: GPoint, u: Expr, v: Expr) -> UnitPoin
     """Divide the acute angle at theta in ratio u : v via reverse-then-right anglesection."""
     u, v = ctx._coerce(u), ctx._coerce(v)
     f = reverse_anglesect(ctx, theta)
+    _require_positive(u, "ratio numerator")
+    _require_positive(v, "ratio complement")
     w = ctx.mul(f, ctx.div(u, ctx.add(u, v)))
     return right_anglesect(ctx, w, ctx.sub(1, w))
 
@@ -332,7 +334,7 @@ class SpiralProbeReport(NamedTuple):
 
 
 def spiral_probe_report(ctx: Context, R: Expr | int = 1, k_min: int = 3,
-                        k_max: int = 12, digits: int = 12) -> SpiralProbeReport:
+                        k_max: int = 12) -> SpiralProbeReport:
     if k_max <= k_min:
         raise OutOfRange("the probe needs at least two stages (k_max > k_min)")
     cap = precision_ceiling()
@@ -343,6 +345,7 @@ def spiral_probe_report(ctx: Context, R: Expr | int = 1, k_min: int = 3,
     R = ctx._coerce(R)
     pi = ctx.pi()
     width = Fraction(1, 1 << 64)
+    digits = 12  # decimal places of every figure the report writes
     ks = tuple(range(k_min, k_max + 1))
     theta0 = ctx.div(pi, 2)
     vals = []

@@ -463,8 +463,8 @@ class CInterval:
     def intersects(self, other: "CInterval") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
 
-    def contains_fraction(self, re_fr: Fraction, im_fr: Fraction = Fraction(0)) -> bool:
-        return self.re.contains_fraction(re_fr) and self.im.contains_fraction(im_fr)
+    def contains_fraction(self, fr: Fraction) -> bool:
+        return self.re.contains_fraction(fr) and self.im.contains_zero()
 
     def mag_upper(self) -> Fraction:
         m = _fraction(_max(self.re._mag_mpf(), self.im._mag_mpf()))

@@ -6,8 +6,8 @@ in world coordinates inside a single group whose matrix maps world to screen
 (y up) at one scale for both axes, so circles stay round; the view is the
 padded union of every shape's bounding box, centred in the viewport. Each
 point is drawn once, by the step that binds it. Strokes and point dots are
-sized in pixels, whatever the scale: strokes carry
-`vector-effect="non-scaling-stroke"` and a dot's radius is _POINT_PX / scale.
+sized in pixels, whatever the scale: a stroke's width is _STROKE_PX / scale
+and a dot's radius _POINT_PX / scale, both in world units.
 Fixed formatting and stable element order make byte-identical output for
 identical inputs.
 Rendering is illustrative: floats are fine here, certified arithmetic stays
@@ -24,12 +24,12 @@ from .expr import sign
 _MARGIN = 0.08   # fraction of world bounds added as padding
 _DENSITY = 2.0   # curve samples per output pixel
 _POINT_PX = 3.0  # radius of a point dot, in pixels
-_STROKE = 'stroke-width="1.5" vector-effect="non-scaling-stroke" fill="none"'  # 1.5 px
+_STROKE_PX = 1.5  # width of a stroke, in pixels
 _STYLES = {
-    "segment": f'stroke="#1f3a5f" {_STROKE}',
-    "circle": f'stroke="#7a5c1e" {_STROKE}',
+    "segment": 'stroke="#1f3a5f"',
+    "circle": 'stroke="#7a5c1e"',
     "point": 'fill="#b03030"',
-    "curve": f'stroke="#2e7d32" {_STROKE}',
+    "curve": 'stroke="#2e7d32"',
 }
 
 
@@ -160,6 +160,7 @@ def render_svg(result: CompileResult, width: int, height: int,
     # centre the view: the unused screen span on each axis is split evenly
     tx = (width - scale * (x1 - x0)) / 2 - x0 * scale
     ty = (height - scale * (y1 - y0)) / 2 + y1 * scale
+    stroke = f'stroke-width="{_f(_STROKE_PX / scale)}" fill="none"'
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -170,13 +171,14 @@ def render_svg(result: CompileResult, width: int, height: int,
     ]
     for name, pts in curve_polys:
         coords = " ".join(f"{_f(px)},{_f(py)}" for px, py in pts)
-        lines.append(f'<polyline class="curve {name}" {_STYLES["curve"]} points="{coords}"/>')
+        lines.append(f'<polyline class="curve {name}" {_STYLES["curve"]} {stroke} '
+                     f'points="{coords}"/>')
     for kind, v in shapes:
         if kind == "segment":
-            lines.append(f'<line class="segment" {_STYLES["segment"]} '
+            lines.append(f'<line class="segment" {_STYLES["segment"]} {stroke} '
                          f'x1="{_f(v[0])}" y1="{_f(v[1])}" x2="{_f(v[2])}" y2="{_f(v[3])}"/>')
         elif kind == "circle":
-            lines.append(f'<circle class="circle" {_STYLES["circle"]} '
+            lines.append(f'<circle class="circle" {_STYLES["circle"]} {stroke} '
                          f'cx="{_f(v[0])}" cy="{_f(v[1])}" r="{_f(v[2])}"/>')
         else:
             lines.append(f'<circle class="point" {_STYLES["point"]} '

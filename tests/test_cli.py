@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -446,7 +447,6 @@ EXIT_CODES = {
 def test_every_error_class_exits_with_its_code():
     from qx import errors
     from qx.cli import _failure
-    from qx.dsl import Diagnostic, Span
 
     def leaves(cls):
         subs = cls.__subclasses__()
@@ -454,9 +454,7 @@ def test_every_error_class_exits_with_its_code():
     assert sorted(c.__name__ for c in leaves(errors.QxError)) == sorted(EXIT_CODES)
     for name, code in EXIT_CODES.items():
         cls = getattr(errors, name)
-        if issubclass(cls, errors.DslError):
-            exc = cls(Diagnostic(Span(1, 1), "message"))
-        elif cls is errors.MismatchError:
+        if cls is errors.MismatchError:
             exc = cls(["x"])
         else:
             exc = cls("message")
@@ -544,10 +542,19 @@ _SEVENS = "7" * 2200
     (["eval", "1" + "0" * 5000], 5, "4300 digits"),
     (["classify", f"{_SEVENS}*{_SEVENS}"], 5, "4300 digits"),
     (["eval", "pow(2,pow(2,pow(2,100)))"], 5, "size limit"),
+    (["eval", "polyroot(-2, 0, 1; 2, 1)"], 3,
+     "error: 1:25: selector bounds must be ordered low <= high"),
+    (["classify", "polyroot(-2, 0, 1; 1, 2, 1, -1)"], 3,
+     "error: 1:32: selector bounds must be ordered low <= high"),
+    (["render", str(CORPUS / "07_trisect_right.qdx"), "--out", os.devnull, "--width", "0"], 2,
+     "argument --width: expected a positive integer"),
+    (["render", str(CORPUS / "07_trisect_right.qdx"), "--out", os.devnull, "--height", "0"], 2,
+     "argument --height: expected a positive integer"),
 ], ids=["base-abc", "base-1/0", "eval-precision-negative", "classify-precision-negative",
         "relation-bits-negative", "kmin-negative",
         "kmax-below-kmin", "eval-5001-digits", "classify-4400-digit-value",
-        "overflow-in-pow"])
+        "overflow-in-pow", "polyroot-inverted-real-bounds", "polyroot-inverted-imaginary-bounds",
+        "render-width-0", "render-height-0"])
 def test_bad_input_ends_in_its_exit_code_without_traceback(argv, code, needle):
     got, err = run_to_exit(argv)
     assert got == code, err

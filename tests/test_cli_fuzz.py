@@ -88,7 +88,7 @@ def _compound(inner):
         st.tuples(inner, st.integers(-2, 2)).map(lambda ak: f"ln({ak[0]}; {ak[1]})"),
         st.integers(0, 6).map(lambda n: f"clavius_x({n})"),
         st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-                  st.integers(-3, 3), st.integers(0, 4)).map(
+                  st.integers(-3, 3), st.integers(-4, 4)).map(
             lambda c: f"polyroot({', '.join(map(str, c[0]))}; {c[1]}, {c[1] + c[2]})"),
     )
 

@@ -17,8 +17,7 @@ from qx import dsl, expr, exprtext
 from qx.cli import main
 from qx.dsl import (Arg, Call, EmitStmt, LetStmt, Span, compile_program, parse, pretty_print,
                     verify_roundtrip)
-from qx.errors import (DslError, DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError,
-                       QxError)
+from qx.errors import DslSemanticError, DslSyntaxError, MaxPrecision, MismatchError, QxError
 from qx.dyadic import Dyadic
 from qx.expr import SQRT, Context, fold, sign, to_text
 from qx.exprtext import parse_expr
@@ -61,8 +60,7 @@ def test_parse_gives_each_statement_call_and_argument_its_span():
 def test_parse_missing_semicolon_span():
     with pytest.raises(DslSyntaxError) as ei:
         parse("let a = seg(2) emit a;")
-    d = ei.value.diagnostic
-    assert (d.span.line, d.span.column) == (1, 16)
+    assert ei.value.span == Span(1, 16)
 
 
 def test_parse_duplicate_and_unbound():
@@ -346,21 +344,17 @@ def test_compile_interns_only_the_nodes_of_the_values():
     ("# only\n\n  ", "error: 3:3: empty program"),
     ("let a = seg(1);\n# x \f y\nemit a, c;", "error: 3:9: unbound name 'c'"),
 ], ids=["crlf-and-comment", "form-feed", "vertical-tab", "empty", "form-feed-in-comment"])
-def test_diagnostics_name_the_line_and_column_of_the_offending_token(source, rendered):
+def test_diagnostics_name_the_line_and_column_of_the_offending_token(tmp_path, source, rendered):
     # whitespace is exactly space, tab, CR and LF; a comment runs to the end of its line
-    with pytest.raises(DslError) as info:
-        parse(source)
-    assert info.value.diagnostic.render() == rendered
+    assert _compile_exit(tmp_path, source)[1] == rendered + "\n"
 
 
 @pytest.mark.parametrize("source, rendered", [
     ("let s = seg(\u0663);\nemit s;", "error: 1:13: unexpected character '\u0663'"),
     ("let s = seg(1/\uff12);\nemit s;", "error: 1:14: unexpected character '/'"),
 ], ids=["arabic-indic-three", "fullwidth-two"])
-def test_numbers_are_ascii_digits(source, rendered):
-    with pytest.raises(DslSyntaxError) as info:
-        parse(source)
-    assert info.value.diagnostic.render() == rendered
+def test_numbers_are_ascii_digits(tmp_path, source, rendered):
+    assert _compile_exit(tmp_path, source) == (3, rendered + "\n")
 
 
 # --- counter gates on the front ends ----------------------------------------------------
@@ -478,9 +472,11 @@ _CIRCLES = ("let o = point(0, 0);\nlet u = point(1, 0);\n"
      "error: 2:9: x^2 + y^2 - 1 is provably nonzero for (0, 2)"),
     ("let p = point(0, 2);\nlet b = rra(p);\nemit b;\n", 5,
      "error: 2:9: x^2 + y^2 - 1 is provably nonzero for (0, 2)"),
+    ("let p = ra(1, 3);\nlet q = anglesect(p, 2, -1);\nemit q;\n", 5,
+     "error: 2:9: ratio complement must be positive, got -1"),
 ], ids=["reserved-name", "zero-denominator", "no-argument", "no-emit-name", "index-1/2",
         "index-negative", "index-past-two", "index-past-one", "bisect-off-circle",
-        "rra-off-circle"])
+        "rra-off-circle", "anglesect-negative-ratio"])
 def test_compile_diagnostics_name_the_message_the_span_and_the_exit_code(
         tmp_path, source, code, rendered):
     assert _compile_exit(tmp_path, source) == (code, rendered + "\n")

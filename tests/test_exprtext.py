@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qx.dsl import Diagnostic, Span
+from qx.dsl import Span
 from qx.dyadic import Dyadic
 from qx.errors import DslSyntaxError
 from qx.expr import Context, to_text
@@ -51,8 +51,8 @@ class _RefParser:
 
     def raise_at(self, offset: int, message: str):
         line_start = self.text.rfind("\n", 0, offset) + 1
-        raise DslSyntaxError(Diagnostic(Span(self.text.count("\n", 0, offset) + 1,
-                                             offset - line_start + 1), message))
+        raise DslSyntaxError(message, Span(self.text.count("\n", 0, offset) + 1,
+                                           offset - line_start + 1))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -246,7 +246,7 @@ def _outcome(parse, text: str):
     try:
         node = parse(text, ctx)
     except Exception as exc:  # every exception the parser raises is part of its contract
-        return (type(exc), str(exc), getattr(exc, "diagnostic", None),
+        return (type(exc), str(exc), getattr(exc, "span", None),
                 [to_text(n) for n in ctx._table.values()])
     return [to_text(n) for n in ctx._table.values()], to_text(node)
 
@@ -278,4 +278,4 @@ def test_a_10000_deep_nest_parses_at_the_default_recursion_limit():
 def test_numbers_are_ascii_digits(text):
     with pytest.raises(DslSyntaxError) as info:
         parse_expr(text, Context())
-    assert "unexpected character" in info.value.diagnostic.message
+    assert "unexpected character" in str(info.value)

@@ -246,6 +246,13 @@ def test_general_anglesect_additivity(ctx):
         assert comp_y.enclosure(W40).intersects(theta.y.enclosure(W40))
 
 
+@pytest.mark.parametrize("u, v", [(2, -1), (1, 0), (-1, -1)])
+def test_general_anglesect_needs_both_ratio_parts_positive(ctx, u, v):
+    # else the point leaves the angle it divides: u : v = 2 : -1 doubles the angle
+    with pytest.raises(NonPositiveLength):
+        general_anglesect(ctx, right_anglesect(ctx, 1, 3), u, v)
+
+
 def test_quadratrix_x_of_y(ctx):
     assert quadratrix_x_of_y(ctx, ctx.rat(F(1, 2)), ctx.rat(1)).is_rat(F(1, 2))
     assert near(quadratrix_x_of_y(ctx, ctx.rat(F(1, 4)), ctx.rat(1)), COT_PI8_OVER_4)

@@ -47,18 +47,22 @@ _CIRCLE = re.compile(r'class="circle" .*? cx="(\S+)" cy="(\S+)" r="(\S+)"')
 
 
 _POINT_R = re.compile(r'class="point" .*? r="(\S+)"')
+_STROKE_WIDTH = re.compile(r'stroke="\S+" stroke-width="(\S+)" fill="none"')
 
 
 def test_every_golden_draws_each_dot_and_stroke_at_one_size_in_pixels():
-    radii_px = []
+    radii_px, widths_px = [], []
     for path in GOLDEN_SVGS:
         svg = path.read_text()
         scale = float(_MATRIX.search(svg).group(1))
         radii_px += [float(r) * scale for r in _POINT_R.findall(svg)]
-        strokes = svg.count("stroke=")
-        assert strokes and svg.count('stroke-width="1.5" vector-effect="non-scaling-stroke"') == strokes
+        widths = _STROKE_WIDTH.findall(svg)
+        assert widths and len(widths) == svg.count("stroke=")
+        assert "vector-effect" not in svg  # SVG 1.1 has no such attribute
+        widths_px += [float(w) * scale for w in widths]
     assert len(radii_px) == 33
     assert all(abs(r - 3.0) < 1e-6 for r in radii_px), radii_px
+    assert all(abs(w - 1.5) < 1e-6 for w in widths_px), widths_px
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
