@@ -53,8 +53,8 @@ from .expr import Context, Expr, quad_flatten, to_table, to_text, tower
 from .exprtext import parse_expr
 from .geometry import clavius_point, spiral_probe_report
 from .interval import CInterval, RInterval, _bits_for, escalate, precision_ceiling, start_bits
-from .ladders import (DEFAULT_MAX_COEFF, DEFAULT_PRECISION_BITS, Ladder, Relation, Removal,
-                      ascend, check_removal, descend, reduce_ladder)
+from .ladders import (DEFAULT_PRECISION_BITS, Ladder, Relation, Removal, ascend, check_removal,
+                      descend, reduce_ladder)
 from .minpoly import IntPoly, Verdict, transcendence_rules
 from .render import render_svg
 
@@ -184,7 +184,7 @@ def _meta() -> dict:
 def _ladder_json(ladder) -> dict:
     return {
         "base": to_text(ladder.base),
-        "rungs": [{"value": to_text(r.value), "kind": r.kind, "witness": r.witness}
+        "rungs": [{"value": to_text(r.value), "kind": r.kind, "witness": "structural"}
                   for r in ladder.rungs],
         "removals": [{
             "index": rm.original_index,
@@ -360,7 +360,7 @@ def cmd_ladder(args) -> int:
     e = parse_expr(args.expr, ctx)
     ladder = descend(e, ctx)
     subject = expr_certificate(e, args.precision)
-    reduced = (reduce_ladder(ladder, ctx, args.max_coeff, args.relation_bits)
+    reduced = (reduce_ladder(ladder, ctx, args.relation_bits)
                if args.reduce or args.ascend else None)
     report = ascend(reduced, ctx) if args.ascend else None
     sys.stdout.write(_dump(_ladder_cert(subject, ladder, reduced, report)))
@@ -675,7 +675,7 @@ def natural(text: str) -> int:
 
 
 def positive(text: str) -> int:
-    """Converter of --relation-bits, --width and --height: a `natural` above 0."""
+    """Converter of --relation-bits, --n, --width and --height: a `natural` above 0."""
     if natural(text) == 0:
         raise ValueError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -697,7 +697,6 @@ def rational(text: str) -> Fraction:
 
 _REQUIRED = object()  # the default of an option that must be given
 _LADDER = {"ascend": (None, False), "base": (rational, Fraction(-1)), "precision": (natural, 12),
-           "max-coeff": (natural, DEFAULT_MAX_COEFF),
            "relation-bits": (positive, DEFAULT_PRECISION_BITS)}
 # Per command: the name of its function, looked up when `main` runs (so a
 # monkeypatch or the bench tracer's wrapper takes effect), its help, its one
@@ -716,7 +715,7 @@ _COMMANDS = {
     "reduce": ("cmd_ladder", "ladder with reduction (alias for ladder --reduce)", ("expr", str),
                _LADDER, {"json": True, "reduce": True}),
     "report": ("cmd_report", "convergence/probe study reports", ("kind", ("spiral", "clavius")),
-               {"kmin": (natural, 3), "kmax": (natural, 12), "n": (natural, 12)}, {}),
+               {"kmin": (natural, 3), "kmax": (natural, 12), "n": (positive, 12)}, {}),
     "render": ("cmd_render", "render a construction to SVG", ("path", str),
                {"out": (str, _REQUIRED), "with-curve": (("quadratrix", "spiral"), None),
                 "width": (positive, 640), "height": (positive, 640)}, {}),

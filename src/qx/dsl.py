@@ -101,10 +101,11 @@ _TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
      | \Z)""", re.VERBOSE | re.DOTALL)
 
 
-def error_at(source: str, pos: int, message: str) -> DslSyntaxError:
+def error_at(source: str, pos: int, message: str,
+             suggestion: Optional[str] = None) -> DslSyntaxError:
     """The syntax error to raise at offset pos of source; lines are split at LF only."""
     return DslSyntaxError(message, Span(source.count("\n", 0, pos) + 1,
-                                        pos - source.rfind("\n", 0, pos)))
+                                        pos - source.rfind("\n", 0, pos)), suggestion)
 
 
 def lex(source: str, pattern: re.Pattern, what: str = "") -> list[tuple[str, str, int]]:

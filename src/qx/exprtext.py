@@ -83,7 +83,7 @@ def parse_expr(text: str, ctx: Context) -> Expr:
         elif word == "pi" or word == "e" or word == "i":
             node = ctx.pi() if word == "pi" else ctx.e() if word == "e" else ctx.i()
         elif kind == "name":
-            raise error_at(text, tokens[i][2], f"unknown constant {word!r} (try pi, e, i)")
+            raise error_at(text, tokens[i - 1][2], f"unknown constant {word!r}", "try pi, e, i")
         else:
             raise error_at(text, tokens[i - 1][2],
                            f"expected an expression, found {word or 'end of input'!r}")

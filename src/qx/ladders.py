@@ -14,10 +14,11 @@ are square roots of rationals with distinct squarefree kernels and principal
 logarithms to base -1 of rationals with independent prime-exponent vectors,
 {1} and the atoms are Q-independent (Besicovitch; unique factorization), so
 the nullspace holds every relation and a trivial one proves independence.
-Every other family falls back to PSLQ with caller-set bounds. Each relation
-is labeled exact or heuristic, and heuristic ones are re-verified by
-enclosure at the stated precision: there "no relation found" is never a
-proof of independence.
+Every other family falls back to PSLQ. Each relation is labeled exact or
+heuristic. An exact one has no size limit; a heuristic one is re-verified by
+enclosure at the precision it was found at, and its coefficients must stay
+below `coefficient_bound`: there "no relation found" is never a proof of
+independence.
 """
 from __future__ import annotations
 
@@ -37,14 +38,12 @@ from .minpoly import Verdict, transcendence_rules
 ELEMENT = "element-algebraic"
 EXPONENTIAL = "exponential-algebraic"
 
-DEFAULT_MAX_COEFF = 10**6
 DEFAULT_PRECISION_BITS = 160
 
 
 class Rung(NamedTuple):
     value: Expr
     kind: str  # ELEMENT: a_k is algebraic over F_{k-1}; EXPONENTIAL: b^{a_k} is
-    witness: str = "structural"
 
 
 class Relation(NamedTuple):
@@ -219,25 +218,33 @@ def _canonical_int_vector(vec: list[Fraction]) -> tuple[int, ...]:
     return tuple(neg) if neg < ints else tuple(ints)
 
 
-def detect_relation(values: list[Expr], max_coeff: int = DEFAULT_MAX_COEFF,
+def detect_relation(values: list[Expr],
                     precision_bits: int = DEFAULT_PRECISION_BITS) -> Optional[Relation]:
-    """Integer relation n_0 + sum n_j v_j = 0 within the given bounds, or None.
+    """Integer relation n_0 + sum n_j v_j = 0, or None.
 
     Exact relations come from rational-affine structure and are verified in
     rational arithmetic. When that structure has no relation and its atoms
     are proven independent (`atoms_independent`), None is a proof that no
     relation exists, and PSLQ does not run. Otherwise heuristic relations
-    come from PSLQ and are verified by enclosure at the stated precision,
-    and None is absence of evidence only.
+    come from PSLQ within `coefficient_bound` and are verified by enclosure
+    at the stated precision, and None is absence of evidence only.
     """
     columns = _columns(values)
-    basis = _nullspace(columns)
-    exact = _detect_exact(values, basis, max_coeff)
-    if exact is not None:
+    exact = _detect_exact(values, _nullspace(columns))
+    if exact is not None or _independent(columns):
         return exact
-    if not basis and _independent(columns):
-        return None
-    return _detect_pslq(values, max_coeff, precision_bits)
+    return _detect_pslq(values, precision_bits)
+
+
+def coefficient_bound(precision_bits: int, count: int) -> int:
+    """B = 2^floor((b - 32)/n): every coefficient of a heuristic relation among
+    n = count numbers (1 included), found at b = precision_bits, is below B.
+
+    Any n reals meet 2^-b with coefficients near 2^(b/(n-1)) (Dirichlet), so a
+    relation within B holds 32 bits beyond what its size alone explains (D. H.
+    Bailey, CiSE 2, 2000). At b <= 32, B is 1 and no relation is admissible.
+    """
+    return 1 << max(0, (precision_bits - 32) // count)
 
 
 def _columns(values: list[Expr]) -> list[dict]:
@@ -245,17 +252,12 @@ def _columns(values: list[Expr]) -> list[dict]:
     return [{None: Fraction(1)}] + [linear_decompose(v) for v in values]
 
 
-def _detect_exact(values: list[Expr], basis: list[list[Fraction]],
-                  max_coeff: int) -> Optional[Relation]:
-    """The smallest relation of the nullspace basis within max_coeff, or None."""
-    candidates = []
-    for vec in basis:
-        ints = _canonical_int_vector(vec)
-        if any(ints) and max(abs(v) for v in ints) <= max_coeff:
-            candidates.append(ints)
-    if not candidates:
+def _detect_exact(values: list[Expr], basis: list[list[Fraction]]) -> Optional[Relation]:
+    """The relation of the nullspace basis with the smallest coefficients, or None."""
+    if not basis:
         return None
-    best = min(candidates, key=lambda v: (max(abs(c) for c in v), v))
+    best = min((_canonical_int_vector(vec) for vec in basis),
+               key=lambda v: (max(abs(c) for c in v), v))
     assert _verify_exact(best, values)
     return Relation(best, "exact")
 
@@ -334,36 +336,30 @@ def _to_mpf(dy) -> mpmath.mpf:
     return mp.make_mpf(dy.to_mpf())
 
 
-def _detect_pslq(values: list[Expr], max_coeff: int,
-                 precision_bits: int) -> Optional[Relation]:
-    work = precision_bits + 48
+def _detect_pslq(values: list[Expr], precision_bits: int) -> Optional[Relation]:
+    bound = coefficient_bound(precision_bits, len(values) + 1)
+    if bound == 1:
+        return None
     try:
         encs = _enclosures(values, precision_bits)
     except MaxPrecision:
         return None
-    res = [e.re.mid() for e in encs]
-    ims = [e.im.mid() for e in encs]
-    with mp.workprec(work + 32):
+    candidates = []
+    with mp.workprec(precision_bits + 80):
         tol = mpmath.mpf(2) ** (-precision_bits)
-        candidates = []
-        # one PSLQ pass per component; a route needs all entries nonzero,
-        # so mixed real/imaginary collections only resolve via the exact path
-        if all(not m.is_zero() for m in res):
+        # one PSLQ pass over 1 and the real parts, one over the imaginary parts
+        # alone (1 then has coefficient 0); a pass needs all entries nonzero, so
+        # mixed real/imaginary collections only resolve via the exact path
+        for ones, parts in ((1, [e.re.mid() for e in encs]), (0, [e.im.mid() for e in encs])):
+            if ones + len(parts) < 2 or any(m.is_zero() for m in parts):
+                continue
             try:
-                got = mpmath.pslq([mpmath.mpf(1)] + [_to_mpf(m) for m in res],
-                                  tol=tol, maxcoeff=max_coeff, maxsteps=2000)
+                got = mpmath.pslq([mpmath.mpf(1)] * ones + [_to_mpf(m) for m in parts],
+                                  tol=tol, maxcoeff=bound, maxsteps=2000)
             except ValueError:
-                got = None
+                continue
             if got:
-                candidates.append(tuple(got))
-        if len(ims) >= 2 and all(not m.is_zero() for m in ims):
-            try:
-                got = mpmath.pslq([_to_mpf(m) for m in ims],
-                                  tol=tol, maxcoeff=max_coeff, maxsteps=2000)
-            except ValueError:
-                got = None
-            if got:
-                candidates.append((0, *got))
+                candidates.append((0,) * (1 - ones) + tuple(got))
     for cand in candidates:
         if _verify_heuristic(cand, encs, precision_bits):
             neg = tuple(-c for c in cand)
@@ -399,7 +395,7 @@ def _verify_heuristic(coeffs, encs: list[CInterval], precision_bits: int) -> boo
 
 # --- reduction -----------------------------------------------------------------
 
-def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COEFF,
+def reduce_ladder(ladder: Ladder, ctx: Context,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> Ladder:
     """Remove rungs that are rational-affine combinations of earlier kept rungs.
 
@@ -411,22 +407,14 @@ def reduce_ladder(ladder: Ladder, ctx: Context, max_coeff: int = DEFAULT_MAX_COE
     removals: list[Removal] = list(ladder.removals)
     for index, rung in enumerate(ladder.rungs):
         values = [r.value for r in kept]
-        rel = _relate_to_prefix(values, rung.value, max_coeff, precision_bits)
-        if rel is not None:
+        rel = detect_relation(values + [rung.value], precision_bits)
+        if rel is not None and rel.coefficients[-1] != 0:
             constant, combo, problem = check_removal(rel, rung.value, values)
             if problem is None:
                 removals.append(Removal(index, rel, constant, combo, True))
                 continue
         kept.append(rung)
     return Ladder(ladder.base, tuple(kept), tuple(removals))
-
-
-def _relate_to_prefix(prefix: list[Expr], value: Expr, max_coeff: int,
-                      precision_bits: int) -> Optional[Relation]:
-    rel = detect_relation(prefix + [value], max_coeff, precision_bits)
-    if rel is None or rel.coefficients[-1] == 0:
-        return None
-    return rel
 
 
 def check_removal(relation: Relation, a_k: Expr, kept: list[Expr]):
@@ -436,10 +424,11 @@ def check_removal(relation: Relation, a_k: Expr, kept: list[Expr]):
     (q, combo, problem): a_k = q + sum q_j a_j with combo the nonzero
     (j - 1, q_j), and problem None when the removal is valid, else what is
     wrong with the relation. It is valid when the relation holds as labelled
-    (`relation_holds`) and, for a heuristic one among rungs whose atoms
-    `atoms_independent` proves independent, also exactly, since no other
-    relation exists there. Then b^{a_k} = b^q * prod (b^{a_j})^{q_j} (powers
-    read as b^{q_j a_j}, principal values) follows from the relation, because
+    (`relation_holds`). A heuristic one must also keep every coefficient below
+    `coefficient_bound`, and among rungs whose atoms `atoms_independent`
+    proves independent it must hold exactly, since no other relation exists
+    there. Then b^{a_k} = b^q * prod (b^{a_j})^{q_j} (powers read as
+    b^{q_j a_j}, principal values) follows from the relation, because
     b^z = exp(z Log b) is a homomorphism in z: no exponential is evaluated.
     `reduce_ladder` and `qx verify` both decide removals here.
     Raises ValueError when the relation does not give a_k over kept.
@@ -452,10 +441,16 @@ def check_removal(relation: Relation, a_k: Expr, kept: list[Expr]):
     constant = Fraction(-ns[0], nk)
     combo = tuple((j, Fraction(-ns[j + 1], nk)) for j in range(m) if ns[j + 1])
     related = kept[:m] + [a_k]
-    if (relation.confidence == "heuristic" and atoms_independent(related)
-            and not _verify_exact(relation.coefficients, related)):
-        return constant, combo, ("is labelled heuristic, but the atoms of the rungs it "
-                                 "relates are independent and it does not hold exactly")
+    if relation.confidence == "heuristic":
+        bits, n = relation.precision_bits, len(relation.coefficients)
+        bound = coefficient_bound(bits, n)
+        if max(map(abs, relation.coefficients)) >= bound:
+            return constant, combo, (f"is labelled heuristic, but a coefficient is not below "
+                                     f"{bound}: among {n} numbers at {bits} bits its size "
+                                     f"alone explains it")
+        if atoms_independent(related) and not _verify_exact(relation.coefficients, related):
+            return constant, combo, ("is labelled heuristic, but the atoms of the rungs it "
+                                     "relates are independent and it does not hold exactly")
     if not relation_holds(relation, related):
         return constant, combo, (f"is labelled {relation.confidence} but does not hold " +
                                  ("exactly" if relation.confidence == "exact"
@@ -473,10 +468,9 @@ def ascend(ladder: Ladder, ctx: Context) -> AscentReport:
     unconditional verdicts from the rule base are attached as cross-checks.
     """
     values = [r.value for r in ladder.rungs]
-    if values:
-        stored = _detect_exact(values, _nullspace(_columns(values)), DEFAULT_MAX_COEFF)
-        if stored is not None:
-            raise NotReduced(f"rational relation {stored.coefficients} persists among rungs")
+    stored = _detect_exact(values, _nullspace(_columns(values)))
+    if stored is not None:
+        raise NotReduced(f"rational relation {stored.coefficients} persists among rungs")
     choices = []
     kinds = []
     crosschecks = []

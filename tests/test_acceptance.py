@@ -185,8 +185,7 @@ def test_criterion_08_ladder_reduction_planted():
             planted.append(len(rungs))
             rungs.append(Rung(value, ELEMENT))
         assert len(rungs) <= 6
-        red = reduce_ladder(Ladder(ctx.base, tuple(rungs)), ctx,
-                            max_coeff=10**5, precision_bits=128)
+        red = reduce_ladder(Ladder(ctx.base, tuple(rungs)), ctx, precision_bits=128)
         assert sorted(rm.original_index for rm in red.removals) == planted
         for rm in red.removals:
             # the relation holds as labelled, so b^{a_k} = b^q * prod (b^{a_j})^{q_j}

@@ -550,11 +550,13 @@ _SEVENS = "7" * 2200
      "argument --width: expected a positive integer"),
     (["render", str(CORPUS / "07_trisect_right.qdx"), "--out", os.devnull, "--height", "0"], 2,
      "argument --height: expected a positive integer"),
+    (["report", "clavius", "--n", "0"], 2, "argument --n: expected a positive integer"),
+    (["reduce", "log(2; -1)", "--max-coeff", "7"], 2, "unrecognized arguments: --max-coeff"),
 ], ids=["base-abc", "base-1/0", "eval-precision-negative", "classify-precision-negative",
         "relation-bits-negative", "kmin-negative",
         "kmax-below-kmin", "eval-5001-digits", "classify-4400-digit-value",
         "overflow-in-pow", "polyroot-inverted-real-bounds", "polyroot-inverted-imaginary-bounds",
-        "render-width-0", "render-height-0"])
+        "render-width-0", "render-height-0", "clavius-n-0", "max-coeff-is-gone"])
 def test_bad_input_ends_in_its_exit_code_without_traceback(argv, code, needle):
     got, err = run_to_exit(argv)
     assert got == code, err
@@ -617,9 +619,9 @@ _DEFAULTS = {
     "eval": {"expr": "pi", "precision": 16},
     "classify": {"expr": "pi", "precision": 12, "json": False},
     "ladder": {"expr": "x", "ascend": False, "base": F(-1), "precision": 12,
-               "max_coeff": 10**6, "relation_bits": 160, "reduce": False, "json": True},
+               "relation_bits": 160, "reduce": False, "json": True},
     "reduce": {"expr": "x", "ascend": False, "base": F(-1), "precision": 12,
-               "max_coeff": 10**6, "relation_bits": 160, "reduce": True, "json": True},
+               "relation_bits": 160, "reduce": True, "json": True},
     "report": {"kind": "clavius", "kmin": 3, "kmax": 12, "n": 12},
     "render": {"path": "p.qdx", "out": "o.svg", "with_curve": None, "width": 640, "height": 640},
     "verify": {"path": "c.json"},
@@ -634,10 +636,11 @@ _FIRST = {"compile": ["p.qdx"], "eval": ["pi"], "classify": ["pi"], "ladder": ["
     *(([name, *first], {}) for name, first in _FIRST.items()),
     (["eval", "pi", "--precision=30"], {"precision": 30}),
     (["eval", "--precision=30", "pi"], {"precision": 30}),
-    (["ladder", "x", "--base=-1/2", "--max-coeff", "7"], {"base": F(-1, 2), "max_coeff": 7}),
+    (["ladder", "x", "--base=-1/2", "--relation-bits", "7"],
+     {"base": F(-1, 2), "relation_bits": 7}),
     (["eval", "pi", "--prec", "30"], {"precision": 30}),
     (["ladder", "x", "--red", "--a"], {"reduce": True, "ascend": True}),
-    (["reduce", "x", "--re", "7", "--m=5"], {"relation_bits": 7, "max_coeff": 5}),
+    (["reduce", "x", "--re", "7", "--p=5"], {"relation_bits": 7, "precision": 5}),
     (["render", "p.qdx", "--o=o.svg", "--with", "spiral", "--wid", "3", "--hei", "4"],
      {"with_curve": "spiral", "width": 3, "height": 4}),
     (["report", "--kmin", "4", "clavius", "--n=2"], {"kmin": 4, "n": 2}),
@@ -821,10 +824,9 @@ def test_ladder_and_reduce_share_options_and_defaults():
     assert ladder.pop("reduce") is False and reduce.pop("reduce") is True
     assert ladder.pop("command") == "ladder" and reduce.pop("command") == "reduce"
     assert ladder == reduce
-    assert {k: ladder[k] for k in ("ascend", "base", "precision", "max_coeff",
-                                   "relation_bits", "json")} == {
-        "ascend": False, "base": Fraction(-1), "precision": 12, "max_coeff": 10**6,
-        "relation_bits": 160, "json": True}
+    assert {k: ladder[k] for k in ("ascend", "base", "precision", "relation_bits", "json")} == {
+        "ascend": False, "base": Fraction(-1), "precision": 12, "relation_bits": 160,
+        "json": True}
 
 
 def test_main_reads_the_table_and_calls_the_current_command_function(monkeypatch, tmp_path):
@@ -1323,14 +1325,14 @@ def test_low_relation_bits_remove_no_independent_square_root(bits):
 
 
 def test_verify_rejects_a_heuristic_removal_among_proven_independent_rungs(tmp_path, monkeypatch):
-    # 28859 + 36203*sqrt(2) - 29716*sqrt(3) - 25320*sqrt(5) + 10594*sqrt(7) is
-    # 2.2e-19, below 2^-60; but no rational relation exists among 1 and these
-    # roots, so check_removal refuses it and reduce keeps the rung
-    forged = Relation((-28859, -36203, 29716, 25320, -10594), "heuristic", 60)
+    # no rational relation exists among 1 and these roots, so check_removal
+    # refuses a heuristic one among them even when its size is admissible
+    # (every coefficient below 2^25 among five numbers at 160 bits)
+    forged = Relation((-1, 2, -3, 1, 1), "heuristic", 160)
     detect, check = qx.ladders.detect_relation, qx.ladders.check_removal
 
-    def forge(values, max_coeff, precision_bits):
-        return forged if len(values) == 4 else detect(values, max_coeff, precision_bits)
+    def forge(values, precision_bits):
+        return forged if len(values) == 4 else detect(values, precision_bits)
 
     monkeypatch.setattr(qx.ladders, "detect_relation", forge)
     code, out, err = run(["reduce", SQRT_LADDER, "--ascend"])
@@ -1399,38 +1401,41 @@ def test_reduce_and_verify_of_planted_bench_ladders_run_no_pslq(tmp_path, monkey
     assert computed == []
 
 
-# four exponentials of nested roots: PSLQ finds near-relations among their
-# exponents at low --relation-bits, labelled heuristic
+# four exponentials of nested roots, whose exponents have no rational relation:
+# PSLQ finds near-relations among them that their size alone explains
 NESTED_LADDER = " + ".join(f"pow(2, sqrt(1+sqrt({n})))" for n in (2, 3, 5, 6))
+# log_-1(3) = log_-1(6) - log_-1(2): a true relation, found by PSLQ and labelled heuristic
+LOG_LADDER = "log(6; -1) + log(2; -1) + log(3; -1)"
 
 
-def _reduced_nested(tmp_path, bits):
-    code, out, err = run(["reduce", NESTED_LADDER, "--base", "2", "--relation-bits", str(bits)])
+def _reduced(tmp_path, text, bits, *options):
+    code, out, err = run(["reduce", text, "--relation-bits", str(bits), *options])
     assert code == 0, err
-    path = tmp_path / f"nested-{bits}.json"
+    path = tmp_path / f"reduced-{len(text)}-{bits}.json"
     path.write_text(out)
     return out, path
 
 
 @pytest.mark.parametrize("bits", [1, 8, 16, 32, 44, 60, 100, 160])
 def test_verify_accepts_every_reduce_certificate_at_any_relation_bits(tmp_path, bits):
-    # a removal is valid when its relation holds as labelled; nothing else is
-    # re-checked, so what reduce writes, verify accepts
-    out, path = _reduced_nested(tmp_path, bits)
-    assert all(rm["identity_verified"] for rm in json.loads(out)["reduced"]["removals"])
-    assert run(["verify", str(path)]) == (0, "certificate verified\n", "")
+    # a removal is valid when its relation holds as labelled and is admissible;
+    # reduce and verify decide both by one rule, so what reduce writes, verify accepts
+    for text, options in ((NESTED_LADDER, ("--base", "2")), (LOG_LADDER, ())):
+        out, path = _reduced(tmp_path, text, bits, *options)
+        assert all(rm["identity_verified"] for rm in json.loads(out)["reduced"]["removals"])
+        assert run(["verify", str(path)]) == (0, "certificate verified\n", "")
 
 
 def test_reduce_certificate_bytes_do_not_depend_on_the_start_precision(tmp_path, monkeypatch):
-    # at 60 bits two heuristic removals; a 128-bit start gave one identity
-    # false when it was tested on two enclosures at an unstated precision
+    # at 60 bits one heuristic removal; a 128-bit start gave an identity false
+    # when it was tested on two enclosures at an unstated precision
     outs = []
     for floor in (64, 128):
         for module in (qx.interval, qx.dsl, qx.cli):
             monkeypatch.setattr(module, "start_bits", lambda bits, f=floor: max(f, bits + 24))
-        outs.append(_reduced_nested(tmp_path, 60)[0])
+        outs.append(_reduced(tmp_path, LOG_LADDER, 60)[0])
     removals = json.loads(outs[0])["reduced"]["removals"]
-    assert [rm["relation"]["confidence"] for rm in removals] == ["heuristic", "heuristic"]
+    assert [rm["relation"]["confidence"] for rm in removals] == ["heuristic"]
     assert outs[0] == outs[1]
 
 
@@ -1448,10 +1453,52 @@ def test_check_removal_evaluates_no_exponential(tmp_path, monkeypatch):
     monkeypatch.setattr(qx.ladders, "check_removal", spy_check)
     monkeypatch.setattr(qx.cli, "check_removal", spy_check)
     monkeypatch.setattr(Context, "exp", lambda self, *a: exps.extend(checking) or exp(self, *a))
-    out, path = _reduced_nested(tmp_path, 60)
-    assert len(json.loads(out)["reduced"]["removals"]) == 2
+    out, path = _reduced(tmp_path, LOG_LADDER, 60)
+    assert len(json.loads(out)["reduced"]["removals"]) == 1
     assert run(["verify", str(path)])[:2] == (0, "certificate verified\n")
     assert exps == []
+
+
+E8_LADDER = " + ".join(f"pow(2, sqrt(1+sqrt({n})))" for n in (2, 3, 5, 6, 7, 10, 11, 13))
+
+
+def test_verify_rejects_a_relation_that_its_size_alone_explains(tmp_path, monkeypatch):
+    # PSLQ's vector for the eighth exponent at 160 bits: its form is 2^-160.3, but nine
+    # reals meet 2^-160 with coefficients near 2^20 (Dirichlet), far above 2^14
+    forged = Relation((-302047, -585029, 230280, -619243, 342486, 212269, 238867, -276266,
+                       461145), "heuristic", 160)
+    detect, check = qx.ladders.detect_relation, qx.ladders.check_removal
+
+    def forge(values, precision_bits):
+        return forged if len(values) == 8 else detect(values, precision_bits)
+
+    monkeypatch.setattr(qx.ladders, "detect_relation", forge)
+    monkeypatch.setattr(qx.ladders, "check_removal", lambda *a: (*check(*a)[:2], None))
+    code, out, err = run(["reduce", E8_LADDER, "--base", "2", "--ascend"])
+    monkeypatch.undo()
+    assert code == 0, err
+    cert = json.loads(out)
+    assert [rm["index"] for rm in cert["reduced"]["removals"]] == [7]
+    assert cert["ascent"]["degree"] == 7
+    path = tmp_path / "forged.json"
+    path.write_text(out)
+    code, _, err = run(["verify", str(path)])
+    assert code == 1
+    assert err == ("FAIL ladder: the relation at index 7 is labelled heuristic, but a "
+                   "coefficient is not below 16384: among 9 numbers at 160 bits its size "
+                   "alone explains it\n"
+                   "FAIL /reduced/removals/0/identity_verified: stored true, qx writes false\n")
+
+
+def test_a_root_of_unity_is_removed_exactly_whatever_its_denominator():
+    # pow(-1, 1/10^7) is algebraic: its rung 1/10^7 is rational, (-1, 10^7) is exact
+    code, out, err = run(["reduce", "pow(-1, 1/10000000) + pow(-1, 1/1000000)", "--ascend"])
+    assert code == 0, err
+    cert = json.loads(out)
+    assert [(rm["index"], rm["relation"]["coefficients"], rm["relation"]["confidence"])
+            for rm in cert["reduced"]["removals"]] == [(0, [-1, 10**7], "exact"),
+                                                       (1, [-1, 10**6], "exact")]
+    assert cert["ascent"]["degree"] == 0
 
 
 def test_a_ladder_command_evaluates_each_node_at_one_low_precision(tmp_path, monkeypatch):
@@ -1624,9 +1671,19 @@ def test_eval_prints_the_exact_decimal_of_a_quadratic_field_rational(text, digit
     ("1 +\n $", "error: 2:2: unexpected character '$' in expression\n"),
     ("sqrt(2)\n  + (1", "error: 2:7: expected ')', found 'end of input'\n"),
     ("1 + $", "error: 1:5: unexpected character '$' in expression\n"),
+    ("foo", "error: 1:1: unknown constant 'foo' (hint: try pi, e, i)\n"),
+    ("2+foo*3", "error: 1:3: unknown constant 'foo' (hint: try pi, e, i)\n"),
 ])
 def test_an_expression_error_names_its_line_and_column(text, rendered):
     assert run(["eval", text]) == (3, "", rendered)
+
+
+def test_an_unknown_constant_carries_its_hint_as_the_suggestion():
+    code, out, err = run(["classify", "2+foo*3", "--json"])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {
+        "message": "unknown constant 'foo'", "type": "DslSyntaxError", "line": 1, "column": 3,
+        "suggestion": "try pi, e, i"}}
 
 
 # --- the decimal writer against the Fraction algorithm it replaced -------------

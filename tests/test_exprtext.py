@@ -49,10 +49,10 @@ class _RefParser:
         self.tokens.append(_Token("eof", "", len(text)))
         self.pos = 0
 
-    def raise_at(self, offset: int, message: str):
+    def raise_at(self, offset: int, message: str, suggestion=None):
         line_start = self.text.rfind("\n", 0, offset) + 1
         raise DslSyntaxError(message, Span(self.text.count("\n", 0, offset) + 1,
-                                           offset - line_start + 1))
+                                           offset - line_start + 1), suggestion)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -109,7 +109,7 @@ class _RefParser:
                     return self.ctx.e()
                 if name == "i":
                     return self.ctx.i()
-                self.fail(f"unknown constant {name!r} (try pi, e, i)")
+                self.raise_at(tok.pos, f"unknown constant {name!r}", "try pi, e, i")
             self.take("(")
             groups = [[self.expr()]]
             while self.peek().text in (",", ";"):
@@ -247,7 +247,7 @@ def _outcome(parse, text: str):
         node = parse(text, ctx)
     except Exception as exc:  # every exception the parser raises is part of its contract
         return (type(exc), str(exc), getattr(exc, "span", None),
-                [to_text(n) for n in ctx._table.values()])
+                getattr(exc, "suggestion", None), [to_text(n) for n in ctx._table.values()])
     return [to_text(n) for n in ctx._table.values()], to_text(node)
 
 

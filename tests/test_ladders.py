@@ -8,8 +8,8 @@ import pytest
 from qx.errors import NotReduced, UnsupportedNode
 from qx.expr import Context, to_text
 from qx.ladders import (ELEMENT, EXPONENTIAL, Ladder, Relation, Rung, ascend,
-                        atoms_independent, descend, detect_relation, linear_decompose,
-                        reduce_ladder)
+                        atoms_independent, check_removal, coefficient_bound, descend,
+                        detect_relation, linear_decompose, reduce_ladder)
 
 W40 = F(1, 1 << 40)
 
@@ -72,7 +72,7 @@ def test_detect_relation_examples(ctx):
     assert rel is not None and rel.confidence == "exact"
     assert rel.coefficients == (-1, 3)
 
-    assert detect_relation([s2], max_coeff=10**6, precision_bits=200) is None
+    assert detect_relation([s2], precision_bits=200) is None
 
 
 def test_sqrt2_has_no_small_relation_continued_fraction_oracle():
@@ -94,13 +94,13 @@ def test_sqrt2_has_no_small_relation_continued_fraction_oracle():
 def test_detect_relation_heuristic_logs(ctx):
     m1 = ctx.rat(-1)
     logs = [ctx.log(m1, ctx.rat(n), 0) for n in (2, 3, 6)]
-    rel = detect_relation(logs, max_coeff=100, precision_bits=100)
+    rel = detect_relation(logs, precision_bits=100)
     assert rel is not None
     assert rel.confidence == "heuristic"
     n0, n1, n2, n3 = rel.coefficients
     assert n0 == 0 and (n1, n2, n3) in ((1, 1, -1), (-1, -1, 1))
     # heuristic relations must re-verify at double precision
-    rel2 = detect_relation(logs, max_coeff=100, precision_bits=200)
+    rel2 = detect_relation(logs, precision_bits=200)
     assert rel2 is not None
 
 
@@ -118,9 +118,29 @@ def test_pslq_still_decides_what_the_independence_proof_leaves_open(ctx, monkeyp
     monkeypatch.setattr(mpmath, "pslq", lambda v, **k: calls.append(len(v)) or pslq(v, **k))
     values = values(ctx)
     assert not atoms_independent(values)
-    rel = detect_relation(values, max_coeff=100, precision_bits=100)
+    rel = detect_relation(values, precision_bits=100)
     assert calls
     assert rel == Relation(relation, "heuristic", 100)
+
+
+def test_a_heuristic_relation_keeps_every_coefficient_below_the_bound(ctx, monkeypatch):
+    # B = 2^floor((b - 32)/n) among n numbers at b bits
+    assert [coefficient_bound(b, 4) for b in (1, 32, 35, 36, 60, 160)] == [1, 1, 1, 2, 128, 2**32]
+    assert coefficient_bound(160, 9) == 2**14
+    # 28859 + 36203*sqrt(2) - 29716*sqrt(3) - 25320*sqrt(5) + 10594*sqrt(7) is 2.2e-19,
+    # below 2^-60: held as labelled, but five reals meet 2^-60 with coefficients near 2^15
+    roots = [ctx.sqrt(n) for n in (2, 3, 5, 7)]
+    rel = Relation((-28859, -36203, 29716, 25320, -10594), "heuristic", 60)
+    assert check_removal(rel, roots[3], roots[:3])[2] == (
+        "is labelled heuristic, but a coefficient is not below 32: among 5 numbers at 60 bits "
+        "its size alone explains it")
+    # the relation among the logs of 2, 3 and 6 is found from 36 bits; below, PSLQ does not run
+    calls = []
+    pslq = mpmath.pslq
+    monkeypatch.setattr(mpmath, "pslq", lambda v, **k: calls.append(len(v)) or pslq(v, **k))
+    logs = [ctx.log(-1, n, 0) for n in (2, 3, 6)]
+    assert detect_relation(logs, precision_bits=32) is None and calls == []
+    assert detect_relation(logs, precision_bits=36) == Relation((0, -1, -1, 1), "heuristic", 36)
 
 
 def test_distinct_square_free_roots_and_independent_logs_are_proven_independent(ctx):
@@ -171,7 +191,7 @@ def test_reduce_identity_when_independent(ctx):
 def test_reduce_log_relation(ctx):
     m1 = ctx.rat(-1)
     rungs = tuple(Rung(ctx.log(m1, ctx.rat(n), 0), EXPONENTIAL) for n in (2, 3, 6))
-    red = reduce_ladder(Ladder(ctx.base, rungs), ctx, max_coeff=100, precision_bits=100)
+    red = reduce_ladder(Ladder(ctx.base, rungs), ctx, precision_bits=100)
     assert len(red.rungs) == 2
     assert len(red.removals) == 1
     assert red.removals[0].relation.confidence == "heuristic"
@@ -242,8 +262,7 @@ def test_reduction_preserves_validity_random(ctx):
             value = ctx.add(ctx.rat(q0), ctx.mul(ctx.rat(coef), rungs[j].value))
             planted_positions.append(len(rungs))
             rungs.append(Rung(value, ELEMENT))
-        red = reduce_ladder(Ladder(ctx.base, tuple(rungs)), ctx,
-                            max_coeff=10**4, precision_bits=96)
+        red = reduce_ladder(Ladder(ctx.base, tuple(rungs)), ctx, precision_bits=96)
         assert sorted(rm.original_index for rm in red.removals) == planted_positions
         for rm in red.removals:
             assert rm.identity_verified
@@ -256,7 +275,7 @@ def test_heuristic_relation_reverifies_at_double_precision(ctx):
     from qx.interval import CInterval
     m1 = ctx.rat(-1)
     logs = [ctx.log(m1, ctx.rat(n), 0) for n in (2, 3, 6)]
-    rel = detect_relation(logs, max_coeff=100, precision_bits=100)
+    rel = detect_relation(logs, precision_bits=100)
     assert rel is not None and rel.confidence == "heuristic"
     prec = 260
     total = CInterval.from_int(rel.coefficients[0])
