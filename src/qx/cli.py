@@ -6,13 +6,12 @@ Certificates are self-contained JSON: expressions in canonical text
 of the emitted DAGs (`qx-certificate/2`); enclosures as exact decimal
 endpoints (outward-rounded); witnesses and relations embedded. One writer per
 command fixes the format: `qx verify` rebuilds the certificate from what it
-embeds with that writer and accepts the stored text when it is the rebuilt
-certificate's text, byte for byte. Only when the texts differ does it check the
-two relaxed fields (a stored enclosure need only contain the value, and a
-witness be a nonzero multiple in Z[x] of the recomputed one) and print
-`FAIL <JSON pointer>: ...` for each field the stored JSON states otherwise, a
-`meta` or `/1` trace edit, non-canonical program text and compile emits at
-different precisions included.
+embeds with that writer, checks the two relaxed fields of each subject where
+they differ from the rebuilt ones (a stored enclosure need only contain the
+value, and a witness be a nonzero multiple in Z[x] of the recomputed one), and
+prints `FAIL <JSON pointer>: ...` for each field the stored JSON states
+otherwise, a `meta` or `/1` trace edit, non-canonical program text and compile
+emits at different precisions included.
 Printed decimal digits are certified only: a digit is shown when the whole
 enclosure agrees on it. Digits and endpoints are written from each endpoint's
 mpf integers, with one multiply by a power of ten and one shift.
@@ -120,6 +119,17 @@ def certified_decimal(ci: CInterval, digits: int) -> str:
     return f"{re_s} + {im_s}i"
 
 
+def _decimal(e: Expr, digits: int, enc: CInterval | None = None) -> str:
+    """The decimal `eval` prints and every certificate states for e: exact when
+    `quad_flatten` proves e rational (never enclosed: the enclosure of sqrt(0)
+    needs twice the bits), else the digits its enclosure, enc if given, certifies."""
+    width = _digits_width(digits)  # past the ceiling, a rational value fails too
+    flat = quad_flatten(e)  # (u, 0, 0) for a rational value
+    if flat is not None and flat[1] == 0:
+        return _rational_decimal(flat[0], digits)
+    return certified_decimal(e.enclosure(width) if enc is None else enc, digits)
+
+
 def _enclosure_json(ci: CInterval, digits: int) -> dict:
     places = digits + 6
     out = {"re": _interval_json(ci.re, places)}
@@ -155,20 +165,13 @@ def _verdict_json(v: Verdict) -> dict:
 
 
 def _subject_json(e: Expr, digits: int) -> dict:
-    """What a certificate states about one value, apart from how it names the value.
-
-    Its "decimal" is the exact value of a rational verdict, else the digits
-    the enclosure certifies.
-    """
+    """What a certificate states about one value, apart from how it names the value."""
     enc = e.enclosure(_digits_width(digits))
-    verdict = transcendence_rules(e)
-    exact = verdict.value  # set exactly when the verdict is rational
     return {
-        "decimal": (certified_decimal(enc, digits) if exact is None
-                    else _rational_decimal(exact, digits)),
+        "decimal": _decimal(e, digits, enc),
         "enclosure": _enclosure_json(enc, digits),
         "precision_digits": digits,
-        "verdict": _verdict_json(verdict),
+        "verdict": _verdict_json(transcendence_rules(e)),
         "tower": _tower_json(tower(e)),
     }
 
@@ -333,10 +336,7 @@ def cmd_compile(args) -> int:
 
 def cmd_eval(args) -> int:
     e = parse_expr(args.expr, Context())
-    width = _digits_width(args.precision)
-    flat = quad_flatten(e)  # (u, 0, 0): proven rational, so printed exactly
-    print(_rational_decimal(flat[0], args.precision) if flat is not None and flat[1:] == (0, 0)
-          else certified_decimal(e.enclosure(width), args.precision))
+    print(_decimal(e, args.precision))
     return 0
 
 
@@ -442,16 +442,19 @@ def _stored_endpoint(text) -> tuple[int, int]:
 
 
 def _stored_digits(sub) -> int:
-    if type(sub["precision_digits"]) is not int:
-        raise TypeError(f"precision_digits {sub['precision_digits']!r} is not an integer")
-    return sub["precision_digits"]
+    """A stored precision_digits: a value `--precision` takes."""
+    digits = sub["precision_digits"]
+    if type(digits) is not int:
+        raise TypeError(f"precision_digits {digits!r} is not an integer")
+    if digits < 0:
+        raise ValueError(f"precision_digits {digits} is not a non-negative integer")
+    return digits
 
 
 def cmd_verify(args) -> int:
     """Rebuild the certificate from what it embeds with its command's writer,
-    and check the stored text against it (`_check`)."""
-    text = _read(args.path)
-    cert = json.loads(text)
+    relaxing each rebuilt subject as it goes, then compare it field by field."""
+    cert = json.loads(_read(args.path))
     failures: list[str] = []
     command = cert.get("command") if isinstance(cert, dict) else None
     # a qx error or a malformed field while re-checking is a verification failure
@@ -462,7 +465,8 @@ def cmd_verify(args) -> int:
             failures.append(f"unknown certificate format {cert['meta']['format']!r} "
                             f"for {command}")
         else:
-            _check(cert, text, _REBUILD[command][1], failures)
+            written = _REBUILD[command][1](cert, failures)
+            failures.extend(_diff(cert, written, ""))
     except err.QxError as exc:
         failures.append(f"re-verification raised: {exc}")
     except KeyError as exc:
@@ -477,41 +481,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _check(cert: dict, text: str, rebuild, failures: list[str]) -> None:
-    """Rebuild cert, the JSON of `text`; return if `text` is the rebuilt
-    certificate's text, else append a line per failed check.
-
-    Equal text means every field is what the writer writes (`_dump` is
-    type-strict and injective on JSON values), and `_relax` would accept those
-    fields: qx's enclosure contains the value, a witness divides itself.
-    Otherwise each relaxed subject is checked, and the stored JSON must equal
-    the rebuilt one field by field but for the fields `_relax` accepted. The
-    subjects come first, then the rebuild's own failures and error: the order
-    in which they arise when each subject is checked as soon as it is rebuilt.
-    """
-    rebuilt: list[str] = []
-    relaxed: list[tuple] = []  # (stored, written, value, pointer) per rebuilt subject
-    try:
-        written = rebuild(cert, rebuilt, relaxed)
-    except Exception as exc:  # raised again after the subjects rebuilt before it
-        raised = exc
-    else:
-        if not rebuilt and _dump(written) == text:
-            return
-        raised = None
-    for item in relaxed:
-        _relax(*item, failures)
-    failures.extend(rebuilt)
-    if raised is not None:
-        raise raised
-    failures.extend(_diff(cert, written, ""))
-
-
 def _pointer(at: str, key) -> str:  # RFC 6901: emit names hold dots, not slashes
     return f"{at}/{str(key).replace('~', '~0').replace('/', '~1')}"
 
 
 _ABSENT = object()  # the value of a field an object does not have
+_SCALARS = {str, int}  # two items of one of these types are equal in JSON when ==
 
 
 def _brief(v) -> str:
@@ -527,6 +502,9 @@ def _diff(stored, written, at: str):
             yield from _diff(stored.get(key, _ABSENT), written.get(key, _ABSENT),
                              _pointer(at, key))
     elif type(stored) is list and type(written) is list and len(stored) == len(written):
+        types = [*map(type, written)]
+        if _SCALARS.issuperset(types) and types == [*map(type, stored)] and stored == written:
+            return  # a witness or a node-table row, as qx writes it
         for i, (s, w) in enumerate(zip(stored, written)):
             yield from _diff(s, w, _pointer(at, i))
     elif type(stored) is not type(written) or stored != written:
@@ -534,16 +512,17 @@ def _diff(stored, written, at: str):
 
 
 def _relax(sub, written: dict, e: Expr, at: str, failures: list[str]):
-    """Put the written enclosure and witness in place of the stored ones when
-    these hold too: an enclosure that contains the value (decided on finer
+    """Put the written enclosure and witness in place of stored ones that
+    differ but hold too: an enclosure that contains the value (decided on finer
     enclosures while the two only meet), a witness that is a nonzero multiple
     in Z[x] of the recomputed one (by exact division)."""
     if type(sub) is not dict:
         return
     enc = sub.get("enclosure")
-    if type(enc) is dict and "re" in enc and enc.keys() <= {"re", "im"} and all(
-            _contains(e, written["precision_digits"], part, enc.get(part, ("0", "0")),
-                      f"{at}/enclosure/{part}", failures) for part in ("re", "im")):
+    if (enc != written["enclosure"] and type(enc) is dict and "re" in enc
+            and enc.keys() <= {"re", "im"} and all(
+                _contains(e, written["precision_digits"], part, enc.get(part, ("0", "0")),
+                          f"{at}/enclosure/{part}", failures) for part in ("re", "im"))):
         sub["enclosure"] = written["enclosure"]
     got, now = sub.get("verdict"), written["verdict"]
     if type(got) is dict and "witness" in got and "witness" in now:
@@ -576,39 +555,39 @@ def _contains(e: Expr, digits: int, part: str, bounds, at: str, failures: list[s
 
 
 # Each `_rebuilt_*` returns the certificate its command's writer writes from
-# what cert embeds, appends a line per failed check of what it embeds to
-# `failures`, and appends the (stored, written, value, pointer) of each subject
-# it rebuilds to `relaxed`, whose relaxed fields `_check` decides.
+# what cert embeds, relaxes each subject as soon as it rebuilds it, and appends
+# a line per failed check of what cert embeds to `failures`.
 
-def _rebuilt_compile(cert: dict, failures: list[str], relaxed: list) -> dict:
+def _rebuilt_compile(cert: dict, failures: list[str]) -> dict:
     emits = cert["emits"]
     if type(emits) is not dict:
         raise TypeError("emits is not an object from names to subjects")
     # compile states one precision for every emit; an empty `emits` differs at any
     digits = _stored_digits(emits[min(emits)]) if emits else 0
     written, values = _compile_cert(parse(cert["program"]), digits, cert["meta"]["format"])
-    relaxed.extend((emits[name], written["emits"][name], values[name], _pointer("/emits", name))
-                   for name in sorted(emits.keys() & values.keys()))
+    for name in sorted(emits.keys() & values.keys()):
+        _relax(emits[name], written["emits"][name], values[name], _pointer("/emits", name),
+               failures)
     return written
 
 
-def _rebuilt_subject(cert: dict, ctx: Context, relaxed: list) -> tuple[Expr, dict]:
+def _rebuilt_subject(cert: dict, ctx: Context, failures: list[str]) -> tuple[Expr, dict]:
     sub = cert["subject"]
     e = parse_expr(sub["expr"], ctx)
     written = expr_certificate(e, _stored_digits(sub))
-    relaxed.append((sub, written, e, "/subject"))
+    _relax(sub, written, e, "/subject", failures)
     return e, written
 
 
-def _rebuilt_classify(cert: dict, failures: list[str], relaxed: list) -> dict:
-    return _classify_cert(_rebuilt_subject(cert, Context(), relaxed)[1])
+def _rebuilt_classify(cert: dict, failures: list[str]) -> dict:
+    return _classify_cert(_rebuilt_subject(cert, Context(), failures)[1])
 
 
-def _rebuilt_ladder(cert: dict, failures: list[str], relaxed: list) -> dict:
+def _rebuilt_ladder(cert: dict, failures: list[str]) -> dict:
     """The subject, the descent, the reduction its stored removals give and
     the ascent on it, each present when stored."""
     ctx = Context(base=Fraction(_stored(cert["ladder"]["base"], _BASE, "ladder base")))
-    e, subject = _rebuilt_subject(cert, ctx, relaxed)
+    e, subject = _rebuilt_subject(cert, ctx, failures)
     ladder = descend(e, ctx)
     reduced = (_rederived(ladder, cert["reduced"]["removals"], failures)
                if "reduced" in cert or "ascent" in cert else None)

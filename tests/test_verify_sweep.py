@@ -182,7 +182,7 @@ def test_every_single_leaf_mutation_fails_verify_unless_it_states_true_facts(tmp
             mutated = _apply(cert, path, kind, replacement)
             if _same(mutated, cert):
                 continue
-            # every other one in the layout qx writes, whose text verify compares first
+            # every other one in the layout qx writes
             file.write_text(qx.cli._dump(mutated) if tried % 2 else json.dumps(mutated))
             code, out, err = run(["verify", str(file)])
             tried += 1
