@@ -441,6 +441,16 @@ def _stored_endpoint(text) -> tuple[int, int]:
     return (-n if text[0] == "-" else n), len(frac)
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind: type, what: str):
+    """A stored field that must be of one JSON type, named by `what` if it is not."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} is not {_JSON_TYPES[kind]}")
+    return value
+
+
 def _stored_digits(sub) -> int:
     """A stored precision_digits: a value `--precision` takes."""
     digits = sub["precision_digits"]
@@ -461,9 +471,8 @@ def cmd_verify(args) -> int:
     try:
         if command not in _REBUILD:
             failures.append(f"unknown certificate command {command!r}")
-        elif cert["meta"]["format"] not in _REBUILD[command][0]:
-            failures.append(f"unknown certificate format {cert['meta']['format']!r} "
-                            f"for {command}")
+        elif (fmt := _typed(cert["meta"], dict, "meta")["format"]) not in _REBUILD[command][0]:
+            failures.append(f"unknown certificate format {fmt!r} for {command}")
         else:
             written = _REBUILD[command][1](cert, failures)
             failures.extend(_diff(cert, written, ""))
@@ -559,12 +568,11 @@ def _contains(e: Expr, digits: int, part: str, bounds, at: str, failures: list[s
 # a line per failed check of what cert embeds to `failures`.
 
 def _rebuilt_compile(cert: dict, failures: list[str]) -> dict:
-    emits = cert["emits"]
-    if type(emits) is not dict:
-        raise TypeError("emits is not an object from names to subjects")
+    emits = _typed(cert["emits"], dict, "emits")
     # compile states one precision for every emit; an empty `emits` differs at any
-    digits = _stored_digits(emits[min(emits)]) if emits else 0
-    written, values = _compile_cert(parse(cert["program"]), digits, cert["meta"]["format"])
+    digits = _stored_digits(_typed(emits[min(emits)], dict, "an emit")) if emits else 0
+    written, values = _compile_cert(parse(_typed(cert["program"], str, "program")), digits,
+                                    cert["meta"]["format"])
     for name in sorted(emits.keys() & values.keys()):
         _relax(emits[name], written["emits"][name], values[name], _pointer("/emits", name),
                failures)
@@ -572,8 +580,8 @@ def _rebuilt_compile(cert: dict, failures: list[str]) -> dict:
 
 
 def _rebuilt_subject(cert: dict, ctx: Context, failures: list[str]) -> tuple[Expr, dict]:
-    sub = cert["subject"]
-    e = parse_expr(sub["expr"], ctx)
+    sub = _typed(cert["subject"], dict, "subject")
+    e = parse_expr(_typed(sub["expr"], str, "subject expr"), ctx)
     written = expr_certificate(e, _stored_digits(sub))
     _relax(sub, written, e, "/subject", failures)
     return e, written
@@ -586,10 +594,11 @@ def _rebuilt_classify(cert: dict, failures: list[str]) -> dict:
 def _rebuilt_ladder(cert: dict, failures: list[str]) -> dict:
     """The subject, the descent, the reduction its stored removals give and
     the ascent on it, each present when stored."""
-    ctx = Context(base=Fraction(_stored(cert["ladder"]["base"], _BASE, "ladder base")))
+    base = _typed(cert["ladder"], dict, "ladder")["base"]
+    ctx = Context(base=Fraction(_stored(base, _BASE, "ladder base")))
     e, subject = _rebuilt_subject(cert, ctx, failures)
     ladder = descend(e, ctx)
-    reduced = (_rederived(ladder, cert["reduced"]["removals"], failures)
+    reduced = (_rederived(ladder, _typed(cert["reduced"], dict, "reduced")["removals"], failures)
                if "reduced" in cert or "ascent" in cert else None)
     report = ascend(reduced, ctx) if "ascent" in cert else None
     return _ladder_cert(subject, ladder, reduced, report)
@@ -600,6 +609,7 @@ def _rederived(ladder: Ladder, stored: list, failures: list[str]) -> Ladder:
     order, re-derived from its relation over the rungs kept before it by
     `check_removal`, which alone decides whether the removal is valid."""
     count = len(ladder.rungs)
+    stored = [_typed(rm, dict, "a removal") for rm in _typed(stored, list, "removals")]
     removed = {rm["index"] for rm in stored  # not bools, -1 or past the end
                if type(rm["index"]) is int and 0 <= rm["index"] < count}
     removals, last = [], -1
@@ -614,6 +624,7 @@ def _rederived(ladder: Ladder, stored: list, failures: list[str]) -> Ladder:
                             f"follow the index {last} before it")
             continue
         last = index
+        rel = _typed(rel, dict, "a relation")
         coefficients = tuple(rel["coefficients"])
         confidence, bits = rel["confidence"], rel["precision_bits"]
         if any(type(n) is not int for n in coefficients):

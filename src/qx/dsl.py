@@ -34,7 +34,7 @@ from mpmath.libmp import mpf_sub
 from . import geometry as G
 from .errors import DslError, DslSemanticError, DslSyntaxError, MismatchError, QxError
 from .expr import Context, Expr
-from .interval import (CInterval, RInterval, asin_interval, escalate, pi_interval, sin_pi_interval,
+from .interval import (CInterval, RInterval, asin_interval, cos_sin_pi, escalate, pi_interval,
                        start_bits)
 
 _SEG = ("rat", "seg")   # a segment or a literal length
@@ -353,10 +353,7 @@ class _NumericExecutor:
         return CInterval.from_fraction(v, self.prec)
 
     def _ra_point(self, t: RInterval):
-        p = self.prec
-        half = RInterval.from_fraction(Fraction(1, 2), p)
-        cos = sin_pi_interval(half.sub(t.ldexp(-1), p), p)
-        sin = sin_pi_interval(t.ldexp(-1), p)
+        cos, sin = cos_sin_pi(t.ldexp(-1), self.prec)
         return ("pt", CInterval.real(cos), CInterval.real(sin))
 
     def apply(self, tool, args):

@@ -25,8 +25,8 @@ from typing import Iterator, NamedTuple, Optional
 from mpmath.libmp import fnone, fone, from_man_exp, mpf_add, mpf_le, mpf_lt, mpf_shift, mpf_sub
 
 from .errors import DivisionByZero, InvalidBase, MaxPrecision, NonRealArgument, OutOfDomain
-from .interval import (CInterval, RInterval, arcsin_over_pi_complex, escalate, refine,
-                       sin_pi_complex)
+from .interval import (CInterval, RInterval, arcsin_over_pi_complex, cos_sin_pi, escalate,
+                       refine, sin_pi_complex)
 
 RAT = "rat"
 ADD = "add"
@@ -193,7 +193,7 @@ class Expr:
                 return val
             return val.div(self._base_log(prec, kids[0]), prec)
         if k == SINPI:
-            return sin_pi_complex(kids[0], prec)
+            return self._sin_pi(prec, kids[0])
         if k == ARCSINPI:
             return arcsin_over_pi_complex(kids[0], prec)
         if k == POLYROOT:
@@ -205,8 +205,24 @@ class Expr:
         return fold(self.children[0], ("base log", prec), lambda n, _: base.log(0, prec),
                     lambda n: ())
 
+    def _sin_pi(self, prec: int, x: CInterval) -> CInterval:
+        """sin(pi*x) for x's enclosure; a rational x reads it from its angle's
+        (cos, sin) pair (`_angle`), made once per angle and precision."""
+        if not self.children[0].is_rat():
+            return sin_pi_complex(x, prec)
+        angle, use_cos, negate = _angle(self.children[0])
+        cos, sin = fold(angle, ("cos_sin", prec),
+                        lambda n, _: cos_sin_pi(RInterval.from_fraction(n.rat, prec), prec),
+                        lambda n: ())
+        value = cos if use_cos else sin
+        return CInterval.real(value.neg() if negate else value)
+
     def _refine_root(self, prec: int, coeffs) -> CInterval:
-        """Safeguarded interval Newton from the selector down to width 2^-prec.
+        """A bracket of width at most 2^-prec inside the selector around the root.
+
+        Rational coefficients take Newton's method in integers (`_integer_root`).
+        Any other polynomial, and a bracket that method cannot certify, take a
+        safeguarded interval Newton from the selector down to width 2^-prec.
 
         Every root in X of every polynomial with coefficients in the
         enclosures lies in m - F(m)/F'(X) (mean value theorem), so X meets
@@ -222,6 +238,10 @@ class Expr:
         bound on every |c_k|: as narrow next to the coefficients as those of
         a coefficient of 1 or more are at prec.
         """
+        if all(c.kind == RAT for c in self.children):
+            x = _integer_root([c.rat for c in self.children], self.selector.re, prec)
+            if x is not None:
+                return CInterval.real(x)
         s = -max((e[2] + e[3] for c in coeffs for e in (c.lo_mpf, c.hi_mpf) if e[1]), default=0)
         if s > 0:
             coeffs = [c.eval(prec + s).re for c in self.children]
@@ -286,6 +306,91 @@ def post_order(roots) -> Iterator[Expr]:
                 stack.append((node, True))
                 for child in reversed(node.children):
                     stack.append((child, False))
+
+
+def _angle(x: Expr) -> tuple[Expr, bool, bool]:
+    """sin(pi*x) for a rational x as (angle, use_cos, negate): +-cos or +-sin
+    of pi times a rational angle in [0, 1/4].
+
+    x is reduced exactly, mod 2 and by the quarter-turn symmetries, so the
+    coordinates sin_pi((1 - t)/2) and sin_pi(t/2) of a point `ra` makes from
+    a rational t share one angle. The angle's node, which no DAG holds, is
+    only a memo key: its enclosure is made from its value directly.
+    """
+    q = x.rat.denominator
+    n = x.rat.numerator % (2 * q)  # x mod 2 is n/q
+    negate = n >= q
+    n = n - q if negate else n
+    n = min(n, q - n)  # sin(pi*r) = sin(pi*(1 - r))
+    if 4 * n > q:
+        return x.ctx.rat(Fraction(q - 2 * n, 2 * q)), True, negate
+    return x.ctx.rat(Fraction(n, q)), False, negate
+
+
+_ROOT_START = 64   # fixed-point bits of the first Newton steps on a rational polynomial
+_ROOT_STEPS = 256  # Newton steps before `_integer_root` gives up
+
+
+def _integer_root(coeffs: list[Fraction], sel: RInterval, prec: int) -> Optional[RInterval]:
+    """A bracket of width under 2^-prec inside the selector around the root of
+    the rational polynomial, by Newton's method in integers; None if it fails.
+
+    With its denominators cleared the polynomial P has integer coefficients,
+    and x = X / 2^k is a number at scale k. Newton steps run from the
+    selector's midpoint at _ROOT_START bits (more for a narrow selector) until
+    one moves X by at most a unit, then once at each scale 2k - 32, and at
+    the final scale prec + 8 until a bracket is certified. A step is exact
+    but for its last floor, so near the root each squares the error, times
+    |P''/2P'|. Nothing of this is trusted: the bracket [X - 4, X + 4] / 2^k is
+    returned only if it lies in the selector and P has opposite exact signs
+    at its ends. The selector isolates one root, so it lies between them.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p = [c.numerator * (den // c.denominator) for c in coeffs]
+    dp = [i * c for i, c in enumerate(p) if i]
+    lo, hi = sel.lo_mpf, sel.hi_mpf
+    width = mpf_sub(hi, lo)
+    start = k = max(_ROOT_START, 32 - width[2] - width[3])
+    final = max(prec + 8, k)
+    low, high = _fixed(lo, k, up=True), _fixed(hi, k, up=False)
+    x = (low + high) >> 1
+    for _ in range(_ROOT_STEPS):
+        slope = _scaled_value(dp, x, k)
+        if not slope:
+            return None
+        step = _scaled_value(p, x, k) // slope
+        x -= step
+        if not low <= x <= high:
+            return None
+        if k == final:
+            a, b = x - 4, x + 4
+            if low <= a and b <= high and _scaled_value(p, a, k) * _scaled_value(p, b, k) < 0:
+                return RInterval.from_mpi((from_man_exp(a, -k), from_man_exp(b, -k)))
+            if -1 <= step <= 1:
+                return None  # converged, and still no bracket
+        elif k > start or -1 <= step <= 1:
+            scale = min(final, 2 * k - 32)
+            x, k = x << (scale - k), scale
+            low, high = _fixed(lo, k, up=True), _fixed(hi, k, up=False)
+    return None
+
+
+def _fixed(t, k: int, up: bool) -> int:
+    """Floor (ceil if up) of the mpf t times 2^k."""
+    sign, man, exp, _ = t
+    n, e = (-man if sign else man), exp + k
+    if e >= 0:
+        return n << e
+    return -((-n) >> -e) if up else n >> -e
+
+
+def _scaled_value(p: list[int], x: int, k: int) -> int:
+    """P(x / 2^k) * 2^(k*n) for the integer polynomial P = p of degree n, exactly."""
+    v, shift = 0, 0
+    for c in reversed(p):
+        v = v * x + (c << shift)
+        shift += k
+    return v
 
 
 def _horner(coeffs, x: RInterval, prec: int) -> RInterval:

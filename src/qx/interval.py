@@ -26,6 +26,19 @@ log(1), sin(0), cos(0) and atan(0) stay exact points; by Hermite-Lindemann
 f is irrational at every other dyadic point, so no point enclosure is lost.
 arcsin passes the monotone x / sqrt(1 - x^2) to the same atan kernel.
 
+Three kernel values cost one evaluation each, in integers where that is
+exact. A square root rounds as libmp's ``mpf_sqrt`` does, with C's
+``math.isqrt`` in place of mpmath's pure-Python one (``_sqrt_ends``), so
+its endpoints are ``mpi_sqrt``'s bit for bit; a point takes one root for
+both ends. ``cos_sin_pi`` gives cos(pi*x) and sin(pi*x) from one cos_sin
+evaluation: ``qx.expr`` keeps that pair once per rational angle and
+precision, and the sin_pi of a rational reads one half of it, so the two
+coordinates of an `ra` point of rational ratio, and the two sines of a
+Clavius point, cost one evaluation; the compile round trip makes an `ra`
+point from one call too. Any other sin_pi takes ``sin_pi_complex``. A polyroot with rational coefficients is refined by Newton's
+method in Python integers (``qx.expr._integer_root``), whose bracket is kept
+only if the exact signs at its ends differ.
+
 log's kernel (``_log``) calls libmp where libmp uses its cached Taylor
 series. Above that range libmp switches to an AGM that costs two to three
 times an exp at the same precision; ``_log`` instead takes y = log m at half
@@ -46,15 +59,16 @@ decision is left to the symbolic layers.
 """
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
-from mpmath.libmp import (fhalf, fnone, fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp, mpf_le, mpf_log,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_shift, mpf_sign, mpf_sub,
-                          mpi_add, mpi_atan, mpi_cos_sin, mpi_div, mpi_exp, mpi_log, mpi_mul,
-                          mpi_sqrt, mpi_sub, to_int, to_rational)
+from mpmath.libmp import (ComplexResult, fhalf, fnone, fone, from_int, from_man_exp, fzero,
+                          mpf_abs, mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp, mpf_le,
+                          mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_shift, mpf_sign,
+                          mpf_sub, mpi_add, mpi_atan, mpi_cos_sin, mpi_div, mpi_exp, mpi_log,
+                          mpi_mul, mpi_sub, to_int, to_rational)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 from .dyadic import Dyadic
@@ -257,9 +271,16 @@ class RInterval:
     # --- elementary functions ---
 
     def sqrt_nonneg(self, prec: int) -> "RInterval":
-        """Real sqrt; the interval must not be strictly negative."""
-        lo = self.lo_mpf if mpf_sign(self.lo_mpf) > 0 else fzero
-        return _iv(*mpi_sqrt((lo, self.hi_mpf), prec + _GUARD))
+        """Real sqrt; the interval must not be strictly negative.
+
+        The endpoints are libmp's ``mpi_sqrt``, bit for bit, from C's isqrt
+        (``_sqrt_ends``): a point takes one square root for both ends.
+        """
+        wp = prec + _GUARD
+        lo, hi = self.lo_mpf, self.hi_mpf
+        if lo == hi:
+            return _iv(*_sqrt_ends(hi, wp))
+        return _iv(_sqrt_ends(lo, wp)[0] if mpf_sign(lo) > 0 else fzero, _sqrt_ends(hi, wp)[1])
 
     def _mid_rad(self):
         """Exact midpoint and radius."""
@@ -339,6 +360,34 @@ def _ball(v, err, wp: int) -> RInterval:
     return _iv(mpf_sub(v, e, wp, "f"), mpf_add(v, e, wp, "c"))
 
 
+def _sqrt_ends(t, wp: int):
+    """sqrt of the mpf t rounded down and up to wp bits, as libmp's ``mpf_sqrt``
+    rounds it ('f' and 'c'), with ``math.isqrt`` for libmp's pure-Python isqrt.
+
+    A negative t raises libmp's ComplexResult; zero and the special values
+    are their own roots.
+    """
+    sign, man, exp, bc = t
+    if sign:
+        raise ComplexResult("square root of a negative number")
+    if not man:
+        return t, t
+    if exp & 1:
+        exp, man, bc = exp - 1, man << 1, bc + 1
+    elif man == 1:  # an even power of two: exact
+        t = (0, 1, exp // 2, 1)
+        return t, t
+    shift = max(4, 2 * wp - bc + 4)
+    shift += shift & 1
+    n = man << shift
+    root = math.isqrt(n)
+    down = from_man_exp(root, (exp - shift) // 2, wp, "f")
+    if root * root == n:
+        return down, from_man_exp(root, (exp - shift) // 2, wp, "c")
+    # libmp's ceiling: one more bit, odd, so the rounding sees the remainder
+    return down, from_man_exp(2 * root + 1, (exp - shift) // 2 - 1, wp, "c")
+
+
 def _log(m, wp: int):
     """log of the positive mpf m to within one ulp at wp bits.
 
@@ -399,11 +448,17 @@ def _asin_endpoint(t, prec: int, upper: bool):
     return val.hi_mpf if upper else val.lo_mpf
 
 
-def sin_pi_interval(x: RInterval, prec: int) -> RInterval:
-    """Enclosure of sin(pi * x)."""
+def cos_sin_pi(x: RInterval, prec: int) -> tuple[RInterval, RInterval]:
+    """Enclosures of (cos(pi * x), sin(pi * x)) in [-1, 1] from one cos_sin evaluation."""
     extra = to_int(x._mag_mpf()).bit_length() + 4
     inner = pi_interval(prec + extra)
-    return x.mul(inner, prec + extra).sin(prec)
+    cos, sin = x.mul(inner, prec + extra).cos_sin(prec)
+    return cos.intersect(_UNIT), sin.intersect(_UNIT)
+
+
+def sin_pi_interval(x: RInterval, prec: int) -> RInterval:
+    """Enclosure of sin(pi * x)."""
+    return cos_sin_pi(x, prec)[1]
 
 
 class CInterval:
@@ -576,7 +631,7 @@ def sin_pi_complex(x: CInterval, prec: int) -> CInterval:
     through the entire-function formula with no clamping.
     """
     if x.is_real():
-        return CInterval.real(sin_pi_interval(x.re, prec).intersect(_UNIT))
+        return CInterval.real(sin_pi_interval(x.re, prec))
     if not x.im.contains_zero():
         raise DomainStraddle("sin_pi requires a (near-)real enclosure")
     extra = int(x.mag_upper()).bit_length() + 4

@@ -1307,6 +1307,28 @@ def test_verify_rejects_every_forged_field(tmp_path, source, forge, needle):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source, forge, message", [
+    ("classify_sin_2pi5.json", _set("subject", [1]), "subject is not an object"),
+    ("classify_sin_2pi5.json", _set("subject", "expr", 3), "subject expr is not a string"),
+    ("compile_square_rectangle_v2.json", _set("program", 3), "program is not a string"),
+    ("classify_sin_2pi5.json", _set("meta", [1]), "meta is not an object"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "x"), "a removal is not an object"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", 0, "relation", 3),
+     "a relation is not an object"),
+    ("compile_square_rectangle_v2.json", _set("emits", "m", []), "an emit is not an object"),
+    ("ladder_logs_reduced.json", _set("ladder", "x"), "ladder is not an object"),
+    ("ladder_logs_reduced.json", _set("reduced", []), "reduced is not an object"),
+    ("ladder_logs_reduced.json", _set("reduced", "removals", {}), "removals is not an array"),
+], ids=["subject-list", "expr-int", "program-int", "meta-list", "removal-string", "relation-int",
+        "emit-list", "ladder-string", "reduced-list", "removals-object"])
+def test_verify_names_a_field_of_the_wrong_json_type(tmp_path, source, forge, message):
+    cert = json.loads((Path(__file__).parent / "golden" / source).read_text())
+    forge(cert)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert))
+    assert run(["verify", str(forged)]) == (1, "", f"FAIL malformed certificate: {message}\n")
+
+
 def test_verify_accepts_a_witness_that_is_a_multiple_of_the_recomputed_one(tmp_path):
     cert = _compiled(tmp_path, (CORPUS / "07_trisect_right.qdx").read_text())
     verdict = cert["emits"]["p.x"]["verdict"]

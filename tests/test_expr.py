@@ -1,6 +1,7 @@
 """Expression-DAG tests: folding, dedup, tower tags, Euler bridge, rewrites."""
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import mpmath
 import pytest
@@ -282,12 +283,17 @@ def test_polyroot_wide_selector_encloses_root(ctx):
         assert _encloses(enc, mpmath.cbrt(2), F(1, 1 << 600))
 
 
+def _two(ctx):
+    """2 as a node that is not rational, so a polyroot over it takes the interval Newton."""
+    return ctx.mul(ctx.sqrt(2), ctx.sqrt(2))
+
+
 def test_polyroot_bisection_fallback_encloses_root(ctx, monkeypatch):
     # x^2 - (2 - e)x + 1/2 with e = 2^-80/3: at 64 bits the enclosure of
     # c1 contains -2, so F'([1, 2]) = 2[1, 2] + c1 contains 0 and the first
     # step must bisect; the 96-bit isolation check still separates it
     c1 = F(-2) + F(1, 3 << 80)
-    r = ctx.polyroot([ctx.rat(F(1, 2)), ctx.rat(c1), ctx.rat(1)], _selector())
+    r = ctx.polyroot([ctx.div(1, _two(ctx)), ctx.rat(c1), ctx.rat(1)], _selector())
     signs = []
     point_sign = expr_mod._point_sign
     monkeypatch.setattr(expr_mod, "_point_sign", lambda *a: signs.append(a) or point_sign(*a))
@@ -309,7 +315,7 @@ def _horner_precisions(monkeypatch) -> list[int]:
 
 
 def test_polyroot_newton_needs_few_horner_calls(ctx, monkeypatch):
-    r = ctx.polyroot([ctx.rat(-2), ctx.rat(0), ctx.rat(0), ctx.rat(1)], _selector())
+    r = ctx.polyroot([ctx.mul(-1, _two(ctx)), ctx.rat(0), ctx.rat(0), ctx.rat(1)], _selector())
     precisions = _horner_precisions(monkeypatch)
     enc = r.eval(3354)  # the working precision of 1000 digits; bisection took ~3400 calls
     assert enc.width <= F(1, 1 << 3354)
@@ -320,12 +326,67 @@ def test_polyroot_newton_needs_few_horner_calls(ctx, monkeypatch):
     # a root near 2^100: the step's bits count from the root's magnitude, so no more calls
     # than with every step at 3354 (29); the width stops near 2^(100 - 3354), and the last
     # calls, which cannot halve it, run at 3354
-    r = ctx.polyroot([ctx.rat(-2 * 10**90), ctx.rat(0), ctx.rat(0), ctx.rat(1)],
+    r = ctx.polyroot([ctx.mul(-10**90, _two(ctx)), ctx.rat(0), ctx.rat(0), ctx.rat(1)],
                      _selector(10**30, 2 * 10**30))
     precisions.clear()
     enc = r.eval(3354)
     assert enc.width <= F(1, 1 << (3354 - 110))
     assert len(precisions) <= 29 and precisions.count(3354) <= 9
+
+
+# the three polyroots above with rational coefficients: x^2 - (2 - e)x + 1/2 at 64 bits,
+# x^3 - 2 and x^3 - 2*10^90 at 3354, (x - a)(x - a - d) scaled at 3354
+_NEAR_A, _NEAR_D = F(4, 3), F(1, 3 << 40)
+
+
+def _bisection_root():
+    b = 1 - mpmath.mpf(1) / (3 << 81)  # half of 2 - e
+    return b + mpmath.sqrt(b * b - mpmath.mpf(1) / 2)
+
+
+RATIONAL_ROOTS = [
+    ([F(1, 2), F(-2) + F(1, 3 << 80), 1], (1, 2), 64, _bisection_root),
+    ([-2, 0, 0, 1], (1, 2), 3354, lambda: mpmath.cbrt(2)),
+    ([-2 * 10**90, 0, 0, 1], (10**30, 2 * 10**30), 3354,
+     lambda: mpmath.cbrt(2 * mpmath.mpf(10) ** 90)),
+] + [([scale * _NEAR_A * (_NEAR_A + _NEAR_D), -scale * (2 * _NEAR_A + _NEAR_D), scale],
+      (F(int((_NEAR_A + 3 * _NEAR_D / 4) * 2**60), 2**60), 2), 3354,
+      lambda: mpmath.mpf(4) / 3 + mpmath.mpf(1) / (3 << 40))
+     for scale in (F(1), F(10**30), F(1, 10**30))]
+
+
+@pytest.mark.parametrize("coeffs, bounds, bits, root", RATIONAL_ROOTS,
+                         ids=["bisection", "cube-root", "large-root", "next-to-a-root",
+                              "next-to-a-root-scaled-up", "next-to-a-root-scaled-down"])
+def test_a_rational_polyroot_takes_integer_newton_and_no_horner_call(monkeypatch, coeffs, bounds,
+                                                                     bits, root):
+    ctx = Context()
+    r = ctx.polyroot([ctx.rat(c) for c in coeffs], _selector(*bounds))
+    precisions = _horner_precisions(monkeypatch)
+    enc = r.eval(bits)
+    assert precisions == []
+    assert enc.width <= F(1, 1 << bits)
+    with mpmath.workdps(bits // 3 * 2 + 40):
+        assert _encloses(enc, root())
+
+
+def test_a_rational_polyroot_whose_integer_bracket_fails_takes_the_interval_newton(ctx,
+                                                                                   monkeypatch):
+    # the selector starts 2^-71 or less below sqrt(2), and Newton converges from
+    # above: at 64 bits the integer bracket, 2^-70 either side of the root, leaves
+    # the selector, and the interval Newton encloses the root as it always has
+    lo = F(isqrt(2 << 142), 1 << 71)
+    r = ctx.polyroot([ctx.rat(-2), ctx.rat(0), ctx.rat(1)], _selector(lo, 2))
+    brackets = []
+    integer_root = expr_mod._integer_root
+    monkeypatch.setattr(expr_mod, "_integer_root",
+                        lambda *a: brackets.append(integer_root(*a)) or brackets[-1])
+    precisions = _horner_precisions(monkeypatch)
+    enc = r.eval(64)
+    assert brackets == [None] and precisions
+    assert enc.width <= F(1, 1 << 64) and enc.re.lo.to_fraction() >= lo
+    with mpmath.workdps(60):
+        assert _encloses(enc, mpmath.sqrt(2))
 
 
 @pytest.mark.parametrize("scale", [F(1), F(10**30), F(1, 10**30)])
@@ -334,7 +395,8 @@ def test_polyroot_next_to_a_second_root_takes_no_more_horner_calls(monkeypatch, 
     # reduced precision can fail to halve the width and is retried at full precision
     a, d = F(4, 3), F(1, 3 << 40)
     ctx = Context()
-    coeffs = [ctx.rat(scale * c) for c in (a * (a + d), -(2 * a + d), 1)]
+    coeffs = [ctx.rat(scale * a * (a + d)), ctx.rat(-scale * (2 * a + d)),
+              ctx.mul(scale / 2, _two(ctx))]
     lo = F(int((a + 3 * d / 4) * 2**60), 2**60)  # between the two roots
     r = ctx.polyroot(coeffs, _selector(lo, 2))
     precisions = _horner_precisions(monkeypatch)

@@ -5,19 +5,24 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from math import gcd
 
+import mpmath
 import mpmath.libmp.libmpi as libmpi
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fone, fzero, mpf_abs, mpf_add,
-                          mpf_sub)
+from mpmath.libmp import (ComplexResult, finf, fnan, fninf, from_int, from_man_exp, fone, fzero,
+                          mpf_abs, mpf_add, mpf_lt, mpf_neg, mpf_sign, mpf_sub, to_rational)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 import qx.interval
 from qx.cli import main
+from qx.dsl import _NumericExecutor, compile_program, parse
 from qx.dyadic import Dyadic
 from qx.errors import DivisionByZero, DomainStraddle, MaxPrecision
+from qx.expr import Context
+from qx.exprtext import parse_expr
+from qx.geometry import right_anglesect
 from qx.interval import (CInterval, RInterval, _bits_for, arcsin_over_pi_complex, asin_interval,
                          escalate, pi_interval, refine, sin_pi_complex, sin_pi_interval)
 
@@ -558,3 +563,116 @@ def test_an_infinite_or_nan_endpoint_has_no_exact_value(lo, hi):
         CInterval(x, RInterval.zero()).mag_upper()
     assert not x.width_at_most(F(1))
     assert not CInterval(RInterval.zero(), x).width_at_most(F(1))
+
+
+# --- one kernel value per evaluation: square roots and angles ---------------------------
+
+@st.composite
+def _sqrt_operand(draw):
+    """A non-negative mpf of up to 4096 bits: odd and even exponents, a mantissa of 1
+    (a power of two), an exact square, or zero."""
+    kind = draw(st.sampled_from(("any", "power-of-two", "square", "zero")))
+    exp = draw(st.integers(-5000, 5000))
+    if kind == "zero":
+        return fzero
+    if kind == "power-of-two":
+        return from_man_exp(1, exp)
+    man = draw(st.integers(1, 2 ** draw(st.integers(1, 4096))))
+    if kind == "square":
+        return from_man_exp(man * man, 2 * exp)
+    return from_man_exp(man, exp)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(a=_sqrt_operand(), b=_sqrt_operand(), prec=st.integers(8, 4096),
+       shape=st.sampled_from(("interval", "point", "negative-low-end")))
+def test_sqrt_nonneg_endpoints_are_libmps_mpi_sqrt(a, b, prec, shape):
+    if shape == "point":
+        b = a
+    elif mpf_lt(b, a):
+        a, b = b, a
+    if shape == "negative-low-end":
+        a = mpf_neg(a) if a != fzero else from_man_exp(-1, 0)
+    x = RInterval.from_mpi((a, b))
+    lo = a if mpf_sign(a) > 0 else fzero
+    assert x.sqrt_nonneg(prec).to_mpi() == libmpi.mpi_sqrt((lo, b), prec + qx.interval._GUARD)
+
+
+@pytest.mark.parametrize("lo, hi", [(-4, -4), (-9, -1), (-1, -1)],
+                         ids=["point", "interval", "minus-one"])
+def test_sqrt_nonneg_of_a_negative_upper_end_raises_as_libmp_does(lo, hi):
+    x = RInterval.from_mpi((from_int(lo), from_int(hi)))
+    with pytest.raises(ComplexResult):
+        libmpi.mpi_sqrt((fzero, x.hi_mpf), 72)
+    with pytest.raises(ComplexResult):  # never the square root of |x|
+        x.sqrt_nonneg(64)
+
+
+def test_sqrt_nonneg_clamps_a_negative_low_end_to_zero():
+    x = RInterval.from_mpi((from_int(-4), from_int(9)))
+    assert x.sqrt_nonneg(64).to_mpi() == (fzero, from_int(3))
+
+
+def _exact(value) -> F:
+    """An mpmath value as an exact Fraction (its `man_exp` drops the sign)."""
+    return F(*to_rational(value._mpf_))
+
+
+def _sinpi_reference(p: int, q: int, bits: int) -> F:
+    with mp.workprec(2 * bits):
+        return _exact(mpmath.sinpi(mpmath.mpf(p) / q))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(q=st.integers(1, 64), p=st.integers(-512, 512), bits=st.sampled_from([64, 200, 1000]))
+def test_sin_pi_of_a_rational_encloses_mpmath_and_meets_its_width(q, p, bits):
+    p = max(-8 * q, min(8 * q, p))
+    enc = Context().sin_pi(F(p, q)).eval(bits)
+    assert enc.is_real() and enc.width <= F(1, 1 << bits)
+    # the reference rounds p/q first, which moves it by up to 2^(3 - 2*bits)
+    tol = F(1, 1 << (2 * bits - 8))
+    ref = _sinpi_reference(p, q, bits)
+    assert enc.re.lo.to_fraction() - tol <= ref <= enc.re.hi.to_fraction() + tol
+
+
+def _count_cos_sin(monkeypatch) -> list[int]:
+    """The precision of every RInterval.cos_sin call from now on."""
+    calls = []
+    original = RInterval.cos_sin
+    monkeypatch.setattr(RInterval, "cos_sin",
+                        lambda x, prec: calls.append(prec) or original(x, prec))
+    return calls
+
+
+@pytest.mark.parametrize("u, v", [(1, 2), (2, 1), (3, 4), (5, 2), (1, 1)])
+def test_an_ra_point_takes_both_coordinates_from_one_cos_sin_per_precision(monkeypatch, u, v):
+    ctx = Context()
+    point = right_anglesect(ctx, ctx.rat(u), ctx.rat(v))
+    calls = _count_cos_sin(monkeypatch)
+    for prec in (64, 128, 64):
+        point.x.eval(prec)
+        point.y.eval(prec)
+    assert calls == [64, 128] or (u == v and calls == [])  # ra(1, 1) folds to sqrt(1/2)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])  # clavius_x(1) is 1/2: its two sines are one node
+def test_clavius_x_makes_one_cos_sin_per_precision(monkeypatch, n):
+    ctx = Context()
+    x = parse_expr(f"clavius_x({n})", ctx)
+    calls = _count_cos_sin(monkeypatch)
+    x.eval(100)
+    x.eval(200)
+    assert calls == [100, 200]
+
+
+def test_the_round_trip_computes_an_ra_point_from_one_cos_sin(monkeypatch):
+    result = compile_program(parse("let p = ra(2, 5);\nemit p;\n"))
+    calls = _count_cos_sin(monkeypatch)
+    ex = _NumericExecutor(64)
+    ex.run(result.steps)
+    assert calls == [64]
+    x, y = ex.env["p"][1].re, ex.env["p"][2].re
+    with mp.workprec(200):  # ra(2, 5): the angle is pi/2 * 2/7
+        t = mpmath.mpf(1) / 7
+        for enc, ref in ((x, mpmath.cospi(t)), (y, mpmath.sinpi(t))):
+            assert enc.lo.to_fraction() <= _exact(ref) <= enc.hi.to_fraction()
