@@ -13,13 +13,12 @@ zeros for a square root, scaling coefficient k by u^k * v^(n-k) for a
 rational factor, reversal for a reciprocal, and one integer Taylor shift for
 a rational translate.
 
-The annihilator of sin(pi*p/q) is built from cyclotomic factors. Each value
-sin(pi*j/q) equals cos(2*pi*k/n) with k/n = 1/4 - j/(2q) in lowest terms,
-whose minimal polynomial comes from the cyclotomic polynomial Phi_n through
-z^j + z^-j = V_j(z + 1/z) (W. Watkins and J. Zeitlin, "The minimal
-polynomial of cos(2*pi/n)", Amer. Math. Monthly 100, 1993). The factors of
-degree 1 are exactly those of the rational values 0, +-1/2 and +-1 (Niven),
-so the Olmsted witness is the product of the others.
+The annihilator of sin(pi*p/q) is a Chebyshev polynomial in closed form:
+sin(q*t) = +-T_q(sin t) for q odd and +-cos(t) * U_(q-1)(sin t) for q even,
+so T_q, or (x^2 - 1) * U_(q-1) made primitive, has exactly the roots
+sin(pi*j/q). Its linear factors are those of the rational values 0, +-1 and
++-1/2 (Niven), so the Olmsted witness is the same polynomial with them
+divided out.
 
 Verdicts are honest: "unknown" is a first-class outcome and nothing is ever
 decided by numerical coincidence. Enclosures are used only to prove
@@ -33,7 +32,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple, Optional
 
 from . import expr as E
-from .errors import OutOfDomain, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .expr import Context, Expr, fold, quad_flatten, separates
 from .interval import CInterval
 
@@ -275,88 +274,50 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return p.exact_quotient(p.gcd(p.derivative())).primitive().monic_sign()
 
 
-# --- cyclotomic annihilators ---------------------------------------------------
+# --- sin(pi*p/q) annihilators --------------------------------------------------
 
-def _cyclotomic(n: int) -> list[int]:
-    """Coefficients of the cyclotomic polynomial Phi_n, constant term first.
+def _chebyshev_sin_pi(q: int) -> IntPoly:
+    """T_q for q odd, U_(q-1) divided by its content for q even.
 
-    Phi_n is the product of (z^d - 1)^mu(n/d) over d | n, and mu(n/d) is
-    nonzero only when n/d is a product of distinct primes of n. Every factor
-    with mu = +1 is multiplied in before any with mu = -1 is divided out, so
-    each division is exact. An n that `E.factor` leaves a rest of is out of domain.
+    Both are odd polynomials of odd degree n, with leading coefficient
+    2^(n-1) for T_n and 2^n for U_n. The coefficient of x^(n-2k) is
+    (-1)^k * n/(n-k) * C(n-k, k) * 2^(n-2k-1) in T_n and
+    (-1)^k * C(n-k, k) * 2^(n-2k) in U_n, so each follows from the one before
+    by one exact ratio, and the polynomial costs O(q) big-integer operations
+    (J. C. Mason and D. C. Handscomb, *Chebyshev Polynomials*, 2003, ch. 2).
     """
-    primes, rest = E.factor(n)
-    if rest != 1:
-        raise OutOfDomain(f"cyclotomic polynomial of {n}: a factor past the trial bound")
-    signed = [(1, 1)]  # squarefree e | n with mu(e)
-    for p in primes:
-        signed += [(e * p, -mu) for e, mu in signed]
-    c = [1]
-    for e, mu in sorted(signed, key=lambda t: -t[1]):
-        d = n // e
-        if mu > 0:  # times (z^d - 1)
-            s = [0] * d + c
-            for i, v in enumerate(c):
-                s[i] -= v
-        else:       # over (z^d - 1): s_i = s_(i-d) - c_i
-            s = []
-            for i in range(len(c) - d):
-                s.append((s[i - d] if i >= d else 0) - c[i])
-        c = s
-    return c
-
-
-def _cos_2pi_minpoly(n: int) -> IntPoly:
-    """Minimal polynomial of cos(2*pi*k/n), gcd(k, n) = 1, primitive.
-
-    For n >= 3, Phi_n(z) = z^m * Psi(z + 1/z) with m = phi(n)/2 and Psi the
-    monic minimal polynomial of 2*cos(2*pi/n): Phi_n is palindromic, and
-    z^j + z^-j = V_j(z + 1/z) for V_0 = 2, V_1 = w, V_(j+1) = w*V_j - V_(j-1).
-    Psi is the sum of a_m and a_(m+j)*V_j, summed by Clenshaw's recurrence;
-    Psi(2x), made primitive, is the result (Watkins and Zeitlin, 1993).
-    """
-    if n <= 2:
-        psi = [-2 if n == 1 else 2, 1]
-    else:
-        a = _cyclotomic(n)
-        m = len(a) // 2
-        b1, b2 = [], []  # b_j = a_(m+j) + w*b_(j+1) - b_(j+2), j = m..1
-        for j in range(m, 0, -1):
-            b = [a[m + j]] + b1
-            for i, c in enumerate(b2):
-                b[i] -= c
-            b1, b2 = b, b1
-        psi = [a[m]] + b1  # a_m + w*b_1 - 2*b_2, as V_0 = 2
-        for i, c in enumerate(b2):
-            psi[i] -= 2 * c
-    return IntPoly(tuple(c << i for i, c in enumerate(psi))).primitive()
-
-
-def _sin_pi_factors(q: int) -> list[IntPoly]:
-    """The distinct minimal polynomials of sin(pi*j/q), j = 0..2q-1.
-
-    sin(pi*j/q) = cos(2*pi*(q - 2j)/(4q)), whose minimal polynomial depends
-    only on the reduced denominator n of (q - 2j)/(4q).
-    """
-    ns = {4 * q // gcd(q - 2 * j, 4 * q) for j in range(2 * q)}
-    return [_cos_2pi_minpoly(n) for n in sorted(ns)]
-
-
-def _product(factors) -> IntPoly:
-    out = IntPoly((1,))
-    for f in factors:
-        out = out * f
-    return out
+    odd = q % 2  # 1 for T_q, 0 for U_(q-1)
+    n = q - 1 + odd
+    out = [0] * (n + 1)
+    c = 1 << (n - odd)
+    for k in range(n // 2 + 1):
+        out[n - 2 * k] = c
+        if 2 * k + 1 < n:
+            c = -c * (n - 2 * k) * (n - 2 * k - 1) // (4 * (k + 1) * (n - k - odd))
+    return IntPoly(tuple(out)).primitive()
 
 
 def annihilator_sin_pi(r: Fraction) -> IntPoly:
     """Squarefree integer polynomial whose roots are sin(pi*j/q), j = 0..2q-1.
 
-    q is the denominator of r. The result is the product of the distinct
-    minimal polynomials of those values, so it is primitive with a positive
-    leading coefficient by Gauss's lemma, and sin(pi*r) is among its roots.
+    q is the denominator of r. With x = sin(t), sin(q*t) = +-T_q(x) for q odd
+    and sin(q*t) = +-cos(t) * U_(q-1)(x) for q even, and sin(q*t) = 0 at
+    every t = pi*j/q. T_q has the q distinct roots sin(pi*j/q); U_(q-1) has
+    q - 1 of them, and cos(t) = 0 adds x = +-1. So the result is T_q, which
+    is primitive (its x coefficient is +-q against a leading 2^(q-1)), or
+    (x^2 - 1) * U_(q-1) made primitive. A primitive polynomial with a
+    positive leading coefficient is fixed by its simple roots (Gauss's
+    lemma), so this is the product of the distinct minimal polynomials of
+    those values, and sin(pi*r) is among its roots.
     """
-    return _product(_sin_pi_factors(Fraction(r).denominator))
+    q = Fraction(r).denominator
+    p = _chebyshev_sin_pi(q)
+    if q % 2:
+        return p
+    out = [0, 0, *p.coeffs]  # x^2 * p - p
+    for k, c in enumerate(p.coeffs):
+        out[k] -= c
+    return IntPoly(tuple(out))
 
 
 # --- rational root scan -------------------------------------------------------
@@ -428,15 +389,25 @@ def _linear_witness(value: Fraction) -> IntPoly:
 
 
 def olmsted_classify(r: Fraction) -> Verdict:
-    """sin(pi*r) is rational exactly when it lies in {0, +-1/2, +-1}."""
+    """sin(pi*r) is rational exactly when it lies in {0, +-1/2, +-1}.
+
+    Otherwise the witness is the annihilator of `annihilator_sin_pi` with its
+    linear factors divided out. By Niven (I. Niven, *Irrational Numbers*,
+    1956, Cor. 3.12) those are the factors of the rational roots: x always,
+    x - 1 and x + 1 when q is even, 2x - 1 and 2x + 1 when 6 | q. So the
+    witness is T_q / x or U_(q-1) / x made primitive, then divided once by
+    4x^2 - 1 when 6 | q. A quotient of primitive polynomials is primitive
+    (Gauss's lemma), so the witness is the product of the minimal
+    polynomials of degree > 1 of the values sin(pi*j/q).
+    """
     r = Fraction(r)
     table_value = E._SIN_TABLE.get(r % 2)
     if table_value is not None:
         return Verdict("rational", "olmsted", witness=_linear_witness(table_value),
                        value=table_value)
-    # Niven: the linear factors are those of the table values, so sin(pi*r)
-    # is a root of a factor of degree > 1, and the witness keeps only those
-    witness = _product(f for f in _sin_pi_factors(r.denominator) if f.degree > 1)
+    witness = IntPoly(_chebyshev_sin_pi(r.denominator).coeffs[1:])  # odd: over x
+    if r.denominator % 6 == 0:
+        witness = witness.exact_quotient(IntPoly((-1, 0, 4)))
     return Verdict("algebraic", "sin-pi-annihilator", witness=witness)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qx import expr, ladders, minpoly
 from qx.dsl import compile_program, parse
-from qx.errors import OutOfDomain, ZeroPolynomial
+from qx.errors import ZeroPolynomial
 from qx.expr import Context
 from qx.interval import CInterval, RInterval, sin_pi_interval
 from qx.minpoly import (IntPoly, annihilator_sin_pi, olmsted_classify,
@@ -117,6 +117,29 @@ def test_sin_pi_annihilators_run_no_gcd_and_no_root_scan(monkeypatch):
                 olmsted_classify(F(p_num, q))
     assert annihilator_sin_pi(F(1, 512)).degree == 513
     assert calls == {"gcd": 0, "pseudo_remainder": 0, "rational_root_scan": 0}
+
+
+def test_sin_pi_annihilators_multiply_no_polynomials_and_factor_nothing(monkeypatch):
+    # the closed Chebyshev forms: no product of factors, no factorization of q
+    calls = {"mul": 0, "factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(IntPoly, "__mul__", counted("mul", IntPoly.__mul__))
+    monkeypatch.setattr(IntPoly, "__rmul__", counted("mul", IntPoly.__rmul__))
+    monkeypatch.setattr(expr, "factor", counted("factor", expr.factor))
+    for q in range(1, 65):
+        for p_num in range(0, 2 * q + 1):
+            if gcd(p_num, q) == 1:
+                annihilator_sin_pi(F(p_num, q))
+                olmsted_classify(F(p_num, q))
+    assert annihilator_sin_pi(F(1, 4096)).degree == 4097
+    assert olmsted_classify(F(1, 4096)).witness.degree == 4094
+    assert calls == {"mul": 0, "factor": 0}
 
 
 def _meanprop_chain(n: int):
@@ -235,10 +258,6 @@ def test_every_factorization_is_expr_factor(ctx, monkeypatch):
         [ctx.log(m1, ctx.rat(2), 0), ctx.log(m1, ctx.rat(F(3, 5)), 0), ctx.sqrt(6)])
     ) == (True, {1, 2, 3, 5, 6})
     assert factored(rational_root_scan(IntPoly.new((-6, 1, 1)))) == ([-3, 2], {1, 6})
-    c105, seen = factored(minpoly._cyclotomic(105))
-    assert seen == {105} and len(c105) == 49 and -2 in c105
-    with pytest.raises(OutOfDomain, match="trial bound"):
-        minpoly._cyclotomic(65537 * 65539)
 
 
 def _reference_rational_root_scan(p: IntPoly) -> list[F]:

@@ -1,5 +1,5 @@
-"""IntPoly witnesses, squarefree parts, rational roots, cyclotomic minimal
-polynomials, divisors and trial division cross-checked against sympy.
+"""IntPoly witnesses, squarefree parts, rational roots, sin(pi/q)
+annihilators, divisors and trial division cross-checked against sympy.
 
 The witness coefficients are written into certificates, so the normal form is
 pinned exactly: a witness with rational coefficients is scaled by the least
@@ -7,7 +7,7 @@ positive integer that makes it integral, which is what sympy's
 `clear_denoms` computes.
 """
 from fractions import Fraction as F
-from math import ceil, floor, prod
+from math import ceil, floor, gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,8 +17,8 @@ from qx.dyadic import Dyadic
 from qx.errors import OutOfDomain
 from qx.expr import Context, factor
 from qx.interval import CInterval, RInterval
-from qx.minpoly import (IntPoly, _cos_2pi_minpoly, _cyclotomic, _divisors,
-                        algebraic_witness, rational_root_scan, separates, squarefree_part)
+from qx.minpoly import (IntPoly, _divisors, algebraic_witness, annihilator_sin_pi,
+                        olmsted_classify, rational_root_scan, separates, squarefree_part)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -180,20 +180,35 @@ def test_rational_root_scan_matches_sympy(factors):
     assert rational_root_scan(p) == sorted(roots)
 
 
-def test_cyclotomic_matches_sympy():
-    # n = 105 is the first with a coefficient outside {-1, 0, 1}
-    for n in range(1, 211):
-        expected = sympy.Poly(sympy.cyclotomic_poly(n, X), X)
-        assert tuple(_cyclotomic(n)) == _coeffs(expected), n
+def test_sin_pi_annihilators_match_sympy_minimal_polynomials():
+    # sin(pi*j/q) = cos(2*pi*(q - 2j)/(4q)), whose minimal polynomial is that
+    # of cos(2*pi/n) for the reduced denominator n of (q - 2j)/(4q)
+    minpolys = {}
+    for q in range(1, 41):
+        ns = sorted({4 * q // gcd(q - 2 * j, 4 * q) for j in range(2 * q)})
+        for n in ns:
+            if n not in minpolys:
+                minpolys[n] = sympy.Poly(
+                    sympy.minimal_polynomial(sympy.cos(2 * sympy.pi / n), X), X)
+        factors = [minpolys[n] for n in ns]
+        assert annihilator_sin_pi(F(1, q)).coeffs == _primitive_product(factors), q
+        witness = _primitive_product(f for f in factors if f.degree() > 1)
+        linear = {_primitive_product([f]) for f in factors if f.degree() == 1}
+        for p_num in range(1, 2 * q):
+            if gcd(p_num, q) == 1:
+                verdict = olmsted_classify(F(p_num, q))
+                if verdict.status == "algebraic":
+                    assert verdict.witness.coeffs == witness, (p_num, q)
+                else:
+                    assert verdict.witness.coeffs in linear, (p_num, q)
 
 
-def test_cos_2pi_factors_match_sympy_minimal_polynomial():
-    for n in range(1, 65):
-        expected = sympy.Poly(sympy.minimal_polynomial(sympy.cos(2 * sympy.pi / n), X), X)
-        expected = expected.primitive()[1]
-        if expected.LC() < 0:
-            expected = -expected
-        assert _cos_2pi_minpoly(n).coeffs == _coeffs(expected), n
+def _primitive_product(factors) -> tuple[int, ...]:
+    p = sympy.Poly(1, X, domain="QQ")
+    for f in factors:
+        p = p * f
+    p = p.clear_denoms(convert=True)[1].primitive()[1]
+    return _coeffs(-p if p.LC() < 0 else p)
 
 
 @settings(max_examples=150, deadline=None)
